@@ -48,11 +48,13 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows, fmt=_fmt):
+    """One header line, then one line per row; ``fmt`` formats each cell
+    (``repr`` suits rows of Python floats: shortest round-trip digits)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def _sha256_file(path):
@@ -82,21 +84,17 @@ def _write_manifest(outdir, scenario, source, argv, written, extra=None):
 
 
 def _trace_rows(trace):
+    """Header and float matrix (one row per record time) of trace.csv."""
     header = ["t"]
-    for inv in trace.inverter_ids:
+    columns = [trace.t]
+    for k, inv in enumerate(trace.inverter_ids):
         header += [f"v_alpha_{inv}", f"v_beta_{inv}", f"i_alpha_{inv}",
                    f"i_beta_{inv}", f"p_{inv}", f"q_{inv}", f"vmag_{inv}",
                    f"theta_{inv}"]
-    rows = []
-    for k in range(len(trace.t)):
-        row = [trace.t[k]]
-        for i in range(trace.n_inverters):
-            row += [trace.v[k, i].real, trace.v[k, i].imag,
-                    trace.i_o[k, i].real, trace.i_o[k, i].imag,
-                    trace.p[k, i], trace.q[k, i], trace.vmag[k, i],
-                    trace.theta[k, i]]
-        rows.append(row)
-    return header, rows
+        columns += [trace.v[:, k].real, trace.v[:, k].imag, trace.i_o[:, k].real,
+                    trace.i_o[:, k].imag, trace.p[:, k], trace.q[:, k],
+                    trace.vmag[:, k], trace.theta[:, k]]
+    return header, np.column_stack(columns)
 
 
 def _metrics_rows(trace, metrics):
@@ -120,8 +118,9 @@ def _cmd_simulate(args, argv):
     os.makedirs(args.out, exist_ok=True)
     written = []
     if "trace" in scenario.outputs:
-        header, rows = _trace_rows(trace)
-        _write_csv(os.path.join(args.out, "trace.csv"), header, rows)
+        header, matrix = _trace_rows(trace)
+        _write_csv(os.path.join(args.out, "trace.csv"), header,
+                   map(np.ndarray.tolist, matrix), repr)
         written.append("trace.csv")
     if "metrics" in scenario.outputs:
         v_ref = float(np.mean([s.params.v_star for s in scenario.inverters]))

@@ -608,8 +608,8 @@ def _fig4():
             "shunt_caps": [{"node": "n1", "c_farad": C_FILTER}],
         },
         "events": [],
-        "sim": {"dt_s": 2.5e-6, "t_end_s": 0.7, "network_model": "dynamic",
-                "record_decimation": 40, "noise_seed": 1},
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.7, "network_model": "dynamic",
+                "record_decimation": 1, "noise_seed": 1},
     })
 
 
@@ -633,8 +633,8 @@ def _fig5():
                            {"node": "n2", "c_farad": C_FILTER}],
         },
         "events": [{"t_s": 0.2, "type": "connect", "branch": "b2"}],
-        "sim": {"dt_s": 2.5e-6, "t_end_s": 0.7, "network_model": "dynamic",
-                "record_decimation": 40, "noise_seed": 1},
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.7, "network_model": "dynamic",
+                "record_decimation": 1, "noise_seed": 1},
     })
 
 
@@ -658,8 +658,8 @@ def _fig6():
         },
         "events": [{"t_s": 0.4, "type": "load_step", "node": "bus",
                     "p_w": 750.0, "v_rated_vrms": V_RMS}],
-        "sim": {"dt_s": 1.25e-6, "t_end_s": 0.8, "network_model": "dynamic",
-                "record_decimation": 80, "noise_seed": 1},
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.8, "network_model": "dynamic",
+                "record_decimation": 1, "noise_seed": 1},
     })
 
 
@@ -722,8 +722,8 @@ def _fig7():
         },
         "events": [{"t_s": 0.4, "type": "set_point", "inverter": "inv2",
                     "p_star_w": 500.0}],
-        "sim": {"dt_s": 2.5e-6, "t_end_s": 0.9, "network_model": "dynamic",
-                "record_decimation": 40, "noise_seed": 1},
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.9, "network_model": "dynamic",
+                "record_decimation": 1, "noise_seed": 1},
     })
 
 
@@ -748,8 +748,8 @@ def _droop_ref():
             "shunt_caps": [],
         },
         "events": [],
-        "sim": {"dt_s": 2e-5, "t_end_s": 0.4, "network_model": "quasistatic",
-                "record_decimation": 10, "noise_seed": 1},
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.4, "network_model": "quasistatic",
+                "record_decimation": 2, "noise_seed": 1},
     })
 
 

@@ -1,10 +1,19 @@
 """Fixed-step integration of the coupled controller + network system.
 
-Classical RK4 on the concatenated ODE with a timeline event engine and trace
-recording.  Internally all alpha-beta pairs are packed as complex numbers
-(alpha + j beta): every matrix in the control law commutes with rotations, so
-rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
-multiplication by j.
+A timeline event engine and trace recording around one fixed-step
+integrator per configuration.  Internally all alpha-beta pairs are packed as
+complex numbers (alpha + j beta): every matrix in the control law commutes
+with rotations, so rotation by kappa is multiplication by exp(j kappa) and
+the quarter turn is multiplication by j.
+
+All-oscillator networks with continuous controllers split into
+dy/dt = A y + N(y): A (rotation, set-point gain, network, branch R/L,
+capacitor feedthrough) is linear and constant between events, and N is the
+cubic amplitude term on the oscillator states.  They are stepped with the
+integrating-factor (Lawson) RK4 scheme, which propagates A exactly through
+exp(hA) and exp(hA/2), so the fast branch-current pole does not bound the
+step.  Droop inverters and sampled controllers use classical RK4 on the
+general right-hand side.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
@@ -17,7 +26,6 @@ after their timestamp.  One simulation run is strictly sequential; separate
 runs share no state and may execute in parallel.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,8 +33,7 @@ import numpy as np
 
 from .control import DvocParams, DroopParams
 from .network import DynamicNetwork, SetPointUpdate, apply_event, reduced_admittance
-
-log = logging.getLogger(__name__)
+from .numerics import expm
 
 
 class SimulationDiverged(RuntimeError):
@@ -319,8 +326,10 @@ class Simulation:
     def _build_fused_operator(self):
         """For all-oscillator scenarios in continuous mode the coupled RHS is
         linear except for the scalar amplitude term, so it collapses to
-        dy/dt = A y + feed*c1*phi(v)*v with one precomputed complex matrix."""
-        self._fused_a = None
+        dy/dt = A y + feed*c1*phi(v)*v with one precomputed complex matrix A.
+        Its step propagators exp(hA) and exp(hA/2) are computed here, so every
+        recompile or set-point event refreshes them."""
+        self._fused_a = self._exp_h = self._exp_half = None
         if self._ndr or self.config.sample_steps is not None:
             return
         ndv, nb = self._ndv, self._nb
@@ -350,15 +359,9 @@ class Simulation:
         if nb:
             a[:ndv, ndv:] = -fc2[:, None] * io_i
         self._fused_a = a
-        # The branch currents see the load resistance through the branch
-        # inductance, a fast real pole that bounds the usable step size.
-        if m:
-            stiffest = float(np.abs(np.linalg.eigvals(a).real).max())
-            if stiffest * self.config.dt > 2.6:
-                log.warning(
-                    "dt = %g is likely unstable for the stiffest network mode "
-                    "(|Re lambda| dt = %.2f > 2.6); reduce dt",
-                    self.config.dt, stiffest * self.config.dt)
+        h = self.config.dt
+        self._exp_h = expm(h * a)
+        self._exp_half = expm(0.5 * h * a)
 
     def _recompile_after(self, action):
         self._stash_states()
@@ -397,15 +400,18 @@ class Simulation:
             v_all[self._droop_pos] = r * np.exp(1j * th)
         return v_all
 
+    def _nonlinear(self, yv):
+        """N(y) of the fused split: the amplitude term on the oscillator rows,
+        zero on the branch-current rows."""
+        out = np.zeros(len(yv), dtype=complex)
+        vc = yv[:self._ndv]
+        phi = 1.0 - (vc.real**2 + vc.imag**2) * self._inv_vs2
+        out[:self._ndv] = self._fused_c1 * phi * vc
+        return out
+
     def _rhs(self, y, out):
         yv = y.view(np.complex128)
         outv = out.view(np.complex128)
-        if self._fused_a is not None:
-            vc = yv[:self._ndv]
-            np.matmul(self._fused_a, yv, out=outv)
-            phi = 1.0 - (vc.real**2 + vc.imag**2) * self._inv_vs2
-            outv[:self._ndv] += self._fused_c1 * phi * vc
-            return
         v_all = self._assemble_voltages(y)
         held = self._io_held
 
@@ -499,13 +505,38 @@ class Simulation:
             self._events_applied.append((self.t, ev.action))
 
     def step(self):
-        """Apply due events, then advance one RK4 step of size dt."""
+        """Apply due events, then advance one step of size dt: Lawson RK4 on
+        the fused all-oscillator path, classical RK4 otherwise."""
         self._apply_due_events()
         cfg = self.config
-        if cfg.sample_steps is not None and (
-                self._io_held is None or self.step_index % cfg.sample_steps == 0):
-            self._io_held = self._outputs(self.y)[1]
         h = cfg.dt
+        if self._fused_a is not None:
+            self._lawson_step(h)
+        else:
+            if cfg.sample_steps is not None and (
+                    self._io_held is None or self.step_index % cfg.sample_steps == 0):
+                self._io_held = self._outputs(self.y)[1]
+            self._rk4_step(h)
+        if cfg.noise_amplitude > 0.0 and self._ndv:
+            self.y[:2 * self._ndv] += (cfg.noise_amplitude * math.sqrt(h)
+                                       * self._rng.standard_normal(2 * self._ndv))
+        self.step_index += 1
+        self.t = self.step_index * h
+
+    def _lawson_step(self, h):
+        """Integrating-factor RK4 (Lawson 1967) on dy/dt = A y + N(y): classical
+        RK4 on N in the frame exp(-tA) y, with A propagated exactly."""
+        y = self.y.view(np.complex128)
+        e, eh, n = self._exp_h, self._exp_half, self._nonlinear
+        k1 = n(y)
+        ehy = eh @ y
+        k2 = n(ehy + (0.5 * h) * (eh @ k1))
+        k3 = n(ehy + (0.5 * h) * k2)
+        ey = e @ y
+        k4 = n(ey + h * (eh @ k3))
+        y[:] = ey + (h / 6.0) * (e @ k1 + 2.0 * (eh @ (k2 + k3)) + k4)
+
+    def _rk4_step(self, h):
         y = self.y
         k1, k2, k3, k4, ytmp = self._k1, self._k2, self._k3, self._k4, self._ytmp
         self._rhs(y, k1)
@@ -524,11 +555,6 @@ class Simulation:
         k2 += k4
         k2 *= h / 6.0
         y += k2
-        if cfg.noise_amplitude > 0.0 and self._ndv:
-            y[:2 * self._ndv] += (cfg.noise_amplitude * math.sqrt(h)
-                                  * self._rng.standard_normal(2 * self._ndv))
-        self.step_index += 1
-        self.t = self.step_index * h
 
     def _check_finite(self):
         if np.all(np.isfinite(self.y)):

@@ -304,9 +304,10 @@ def test_c10_determinism_and_integrator_order():
         tr_c = run_scenario(parse_scenario_dict(noisy))
         tr_d = run_scenario(parse_scenario_dict(noisy))
         assert np.array_equal(tr_c.v, tr_d.v)
-        # Richardson order estimate on a smooth segment
+        # Richardson order estimate on a smooth segment, on a step grid whose
+        # differences stay above round-off
         finals = []
-        for dt in (4e-5, 2e-5, 1e-5):
+        for dt in (4e-4, 2e-4, 1e-4):
             sc_s = parse_scenario_dict(pu_scenario_dict(
                 initial={"mode": "explicit", "v_alpha": 0.7, "v_beta": 0.1},
                 sim={"dt_s": dt, "t_end_s": 0.02, "network_model": "quasistatic",

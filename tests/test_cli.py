@@ -75,10 +75,12 @@ class TestSimulate:
         assert any("eta" in detail for detail in err["details"])
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        d = pu_scenario_dict(load_g=0.02, branch_r=0.01, branch_l=1e-5,
-                             sim={"dt_s": 1e-4, "t_end_s": 0.5,
-                                  "network_model": "dynamic",
-                                  "record_decimation": 10, "noise_seed": 0})
+        # Far above v*, the cubic amplitude term is unstable at this step.
+        d = pu_scenario_dict(initial={"mode": "explicit", "v_alpha": 1e3,
+                                      "v_beta": 0.0},
+                             sim={"dt_s": 1e-3, "t_end_s": 0.05,
+                                  "network_model": "quasistatic",
+                                  "record_decimation": 1, "noise_seed": 0})
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(d))
         rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
@@ -134,6 +136,16 @@ class TestDroopSweepCommand:
         assert header[0] == "target"
         assert "ordinate_closed_form" in header
         assert data.shape[0] == 3
+
+    def test_negative_range_start_in_equals_form(self, tmp_path):
+        # A separate "-0.05:..." argument would be read as an option.
+        out = tmp_path / "sweep"
+        rc = main(["droop-sweep", "droop-ref", "--axis", "q",
+                   "--range=-0.05:0.05:3", "--out", str(out)])
+        assert rc == 0
+        header, data = read_csv(out / "curve.csv")
+        assert header[0] == "target"
+        np.testing.assert_allclose(data["f0"], [-0.05, 0.0, 0.05])
 
     def test_bad_range_rejected(self, tiny_scenario, tmp_path, capsys):
         rc = main(["droop-sweep", tiny_scenario, "--axis", "p",

@@ -10,7 +10,6 @@ may be evaluated in parallel.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -418,7 +417,7 @@ def _actuated_scenario(template, axis, target):
     return replace(template, topology=new_topo, events=list(template.events))
 
 
-def droop_sweep_simulated(template, axis, grid, config=None, workers=1):
+def droop_sweep_simulated(template, axis, grid, config=None):
     """One simulation per grid point; steady (p, omega) or (q, |v|) extracted.
 
     Points that do not settle (amplitude or frequency drift above tolerance
@@ -440,11 +439,7 @@ def droop_sweep_simulated(template, axis, grid, config=None, workers=1):
         omega = float(estimate_frequency(trace, (trace.t[i0], trace.t[i1 - 1]))[0])
         return SweepPoint(target, p, q, vmag, omega, True)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run_point, grid))
-    else:
-        points = [run_point(g) for g in grid]
+    points = [run_point(g) for g in grid]
 
     good = [pt for pt in points if pt.settled]
     if axis == "p":

@@ -153,8 +153,7 @@ def _cmd_droop_sweep(args, argv):
         raise ScenarioError(["droop-sweep needs a single-inverter oscillator scenario"])
     grid = _parse_range(args.range)
     params = scenario.inverters[0].params
-    sweep = analysis.droop_sweep_simulated(scenario, args.axis, grid,
-                                           workers=args.workers)
+    sweep = analysis.droop_sweep_simulated(scenario, args.axis, grid)
     os.makedirs(args.out, exist_ok=True)
     header = ["target", "p", "q", "vmag", "omega_rad_per_s", "settled",
               "ordinate_simulated", "ordinate_closed_form", "ordinate_linear",
@@ -263,7 +262,6 @@ def _build_parser():
     p.add_argument("scenario", help="single-inverter scenario file or builtin name")
     p.add_argument("--axis", required=True, choices=("p", "q"))
     p.add_argument("--range", required=True, help="target grid a:b:n")
-    p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_droop_sweep)
 
@@ -303,8 +301,8 @@ def main(argv=None):
         return 2
     except SimulationDiverged as exc:
         _print_error("numeric", str(exc),
-                     [f"time={exc.time}", f"inverter={exc.inverter}",
-                      f"magnitude={exc.magnitude}"])
+                     [f"step={exc.step}", f"time={exc.time}",
+                      f"inverter={exc.inverter}", f"magnitude={exc.magnitude}"])
         return 3
     except (ValueError, np.linalg.LinAlgError) as exc:
         _print_error("numeric", str(exc))

@@ -1,25 +1,30 @@
 """Fixed-step integration of the coupled controller + network system.
 
-A timeline event engine and trace recording around one fixed-step
-integrator per configuration.  Internally all alpha-beta pairs are packed as
-complex numbers (alpha + j beta): every matrix in the control law commutes
-with rotations, so rotation by kappa is multiplication by exp(j kappa) and
-the quarter turn is multiplication by j.
+A timeline event engine and trace recording around one exponential
+integrator.  Internally all alpha-beta pairs are packed as complex numbers
+(alpha + j beta): every matrix in the control law commutes with rotations, so
+rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
+multiplication by j.  A droop inverter keeps its polar state in one complex
+slot r + j theta.
 
-All-oscillator networks with continuous controllers split into
-dy/dt = A y + N(y): A (rotation, set-point gain, network, branch R/L,
-capacitor feedthrough) is linear and constant between events, and N is the
-cubic amplitude term on the oscillator states.  They are stepped with the
-integrating-factor (Lawson) RK4 scheme, which propagates A exactly through
-exp(hA) and exp(hA/2), so the fast branch-current pole does not bound the
-step.  Droop inverters and sampled controllers use classical RK4 on the
-general right-hand side.
+Every configuration -- oscillator, droop or mixed inverters, dynamic or
+quasi-static network, continuous or sampled controllers -- is split into
+dy/dt = A y + N(y).  A holds the rotation, the set-point gain, the network,
+the branch R/L and, where the controllers measure the live current, the
+capacitor feedthrough; it is constant between events and its droop rows and
+columns are zero.  N holds the rest: the cubic amplitude term, the droop
+voltages r exp(j theta) fed through A's droop columns, the droop polar law
+and, in sampled mode, the held measurement.  Every step is one Cox-Matthews
+ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
+and hA/2 come from one augmented matrix exponential per compile, so the fast
+branch-current pole does not bound the step.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
 C dv/dt, which itself depends on the controller derivative.  That algebraic
-loop is linear and is solved exactly: for the oscillator controller
-(1 + eta C exp(j kappa)) dv/dt = rhs(v, i_branches).
+loop is solved exactly: for the oscillator controller it is linear,
+(1 + eta C exp(j kappa)) dv/dt = rhs(v, i_branches), and the droop law solves
+it in closed form for (dr/dt, dtheta/dt).
 
 Events are applied atomically between steps, at the first step boundary at or
 after their timestamp.  One simulation run is strictly sequential; separate
@@ -37,15 +42,16 @@ from .numerics import expm
 
 
 class SimulationDiverged(RuntimeError):
-    """Non-finite state encountered; carries (time, inverter, magnitude)."""
+    """Non-finite state encountered; carries (time, inverter, magnitude, step)."""
 
-    def __init__(self, time, inverter, magnitude):
+    def __init__(self, time, inverter, magnitude, step):
         self.time = time
         self.inverter = inverter
         self.magnitude = magnitude
+        self.step = step
         super().__init__(
-            f"non-finite state at t={time:.6g} s (inverter {inverter!r}, "
-            f"|v|={magnitude!r})")
+            f"non-finite state at step {step}, t={time:.6g} s (inverter "
+            f"{inverter!r}, |v|={magnitude!r})")
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,56 @@ def _finalize_trace(t, v, i_o, ids, events, dt_sample, meta):
                  meta=meta)
 
 
+class _Split:
+    """dy/dt = a @ y + N(y) for one kind of controller measurement.
+
+    a        -- linear operator on the complex state, droop rows and columns 0
+    inject   -- the droop columns, applied to the droop voltages r exp(j theta)
+                in N (None when they are zero)
+    c1       -- gain of the cubic amplitude term (zero off the oscillator rows)
+    meas     -- droop-terminal rows of the live measured current, over the
+                slot vector; None when the controllers see the held current
+    cap_loop -- the droop law solves its capacitor loop (live, dynamic network)
+    """
+
+    def __init__(self, a, inject, c1, meas, cap_loop):
+        self.a, self.inject, self.c1 = a, inject, c1
+        self.meas, self.cap_loop = meas, cap_loop
+        self.live = meas is not None
+
+
+def _etdrk4_weights(a, h):
+    """Stage matrices of Cox-Matthews ETDRK4 for dy/dt = a y + N(y).
+
+    With Z = [[h a / 2, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0], the top
+    block row of exp(Z) is [exp(ha/2), phi_1(ha/2), phi_2(ha/2), phi_3(ha/2)]
+    and that of exp(Z)^2 = exp(2Z) is [exp(ha), 2 phi_1(ha), 4 phi_2(ha),
+    8 phi_3(ha)].  With E2 = exp(ha/2), E = exp(ha), P = (h/2) phi_1(ha/2)
+    and the stage vector z = [y, N(y), N(a), N(b), N(c)], one step is
+        a  = [E2, P] z,      b = [E2, 0, P] z,
+        c  = [E, E2 P - P, 0, 2P] z   (= E2 a + P (2 N(b) - N(y))),
+        y' = [E, F1, F2, F2, F3] z,
+    with F1 = h (phi_1 - 3 phi_2 + 4 phi_3), F2 = 2h (phi_2 - 2 phi_3) and
+    F3 = h (4 phi_3 - phi_2) of ha.  Returns the four block rows.
+    """
+    m = len(a)
+    z = np.zeros((4 * m, 4 * m), dtype=complex)
+    z[:m, :m] = 0.5 * h * a
+    for k in range(3):
+        z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
+    w = expm(z)
+    half = w[:m]
+    full = half @ w
+    e2, e, p = half[:, :m], full[:, :m], 0.5 * h * half[:, m:2 * m]
+    phi1, phi2, phi3 = (full[:, k * m:(k + 1) * m] / 2.0**k for k in (1, 2, 3))
+    f2 = 2.0 * h * (phi2 - 2.0 * phi3)
+    zero = np.zeros_like(p)
+    return (np.hstack([e2, p]), np.hstack([e2, zero, p]),
+            np.hstack([e, e2 @ p - p, zero, 2.0 * p]),
+            np.hstack([e, h * (phi1 - 3.0 * phi2 + 4.0 * phi3), f2, f2,
+                       h * (4.0 * phi3 - phi2)]))
+
+
 class Simulation:
     """One compiled simulation run.  Construct, then ``run()`` (or ``step()``)."""
 
@@ -185,6 +241,7 @@ class Simulation:
         self.step_index = 0
         self._rng = np.random.default_rng(self.config.noise_seed)
         self._events_applied = []
+        self._sample_steps = self.config.sample_steps
 
         ns = len(self.inverters)
         self._dvoc_pos = np.array(
@@ -196,6 +253,10 @@ class Simulation:
         self._ndv = len(self._dvoc_pos)
         self._ndr = len(self._droop_pos)
         self._ns = ns
+        # State slot of each inverter: oscillators first, then droop.
+        self._slot = np.empty(ns, dtype=int)
+        self._slot[self._dvoc_pos] = np.arange(self._ndv)
+        self._slot[self._droop_pos] = self._ndv + np.arange(self._ndr)
 
         dt = self.config.dt
         self._pending = []
@@ -262,114 +323,102 @@ class Simulation:
             self._branch_carry = dict(zip(self._net.branch_ids, ib))
 
     def _compile(self):
-        """Rebuild network matrices and controller coefficients for the
-        current topology and parameter set."""
+        """Rebuild the split and its step matrices for the current topology
+        and parameter set."""
         node_of = {n: k for k, n in enumerate(self.topology.inverter_nodes)}
-        self._inv_node_idx = np.array([node_of[s.node] for s in self.inverters], dtype=int)
+        inv_node = np.array([node_of[s.node] for s in self.inverters], dtype=int)
         caps_by_node = np.array([self.topology.shunt_caps.get(n, 0.0)
                                  for n in self.topology.inverter_nodes])
-        self._caps = caps_by_node[self._inv_node_idx]
+        self._caps = caps_by_node[inv_node]
 
-        if self.config.network_model == "dynamic":
-            self._net = DynamicNetwork(self.topology)
-            self._mred = None
-        else:
-            self._net = None
-            self._mred = reduced_admittance(self.topology, self.omega_nominal)
+        def param(name, pos):
+            return np.array([getattr(self.params[k], name) for k in pos])
 
         # Oscillator controller coefficients, vectorized over dvoc inverters.
-        eta = np.array([self.params[k].eta for k in self._dvoc_pos])
-        alpha = np.array([self.params[k].alpha for k in self._dvoc_pos])
-        kap = np.array([self.params[k].kappa for k in self._dvoc_pos])
-        ps = np.array([self.params[k].p_star for k in self._dvoc_pos])
-        qs = np.array([self.params[k].q_star for k in self._dvoc_pos])
-        vs = np.array([self.params[k].v_star for k in self._dvoc_pos])
-        w0 = np.array([self.params[k].omega0 for k in self._dvoc_pos])
-        ek = np.exp(1j * kap)
-        self._inv_vs2 = 1.0 / vs**2
-        self._c0 = 1j * w0 + eta * ek * (ps - 1j * qs) * self._inv_vs2
-        self._c1 = eta * alpha
+        dv, dr = self._dvoc_pos, self._droop_pos
+        eta, ek = param("eta", dv), np.exp(1j * param("kappa", dv))
+        inv_vs2 = 1.0 / param("v_star", dv)**2
+        self._c0 = 1j * param("omega0", dv) \
+            + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * inv_vs2
+        self._c1 = eta * param("alpha", dv)
         self._c2 = eta * ek
-        caps_dvoc = self._caps[self._dvoc_pos] if self._ndv else np.zeros(0)
-        # Exact solve of the measurement feedthrough loop i_o = i_net + C dv/dt
-        # (only needed when the cap current is not already inside i_o).
+        # Droop law: dtheta/dt = a_dr - kp p, dr/dt = b_dr - r - kq q.
+        self._kp, self._kq = param("kp", dr), param("kq", dr)
+        self._a_dr = param("omega0", dr) + self._kp * param("p_star", dr)
+        self._b_dr = param("v_star", dr) + self._kq * param("q_star", dr)
+        self._caps_dr = self._caps[dr]
+
+        # Network as matrices over the slot vector u (the state with each
+        # droop slot replaced by its voltage r exp(j theta)): the current
+        # into the network at each inverter terminal, cap current excluded,
+        # is g @ u, and the branch-current derivatives are branch @ u.
+        ns, nsl, slot = self._ns, self._ndv + self._ndr, self._slot
         if self.config.network_model == "dynamic":
-            self._feed = 1.0 / (1.0 + eta * caps_dvoc * ek)
+            net = self._net = DynamicNetwork(self.topology)
+            nb = net.n_branches
+            g = np.zeros((ns, nsl + nb), dtype=complex)
+            g[:, slot] = net.q_v + net.q_l @ net.p_v
+            g[:, nsl:] = net.q_i + net.q_l @ net.p_i
+            node = np.zeros((ns + net._nl, nsl + nb))
+            node[np.arange(ns), slot] = 1.0
+            node[ns:, slot] = net.p_v
+            node[ns:, nsl:] = net.p_i
+            self._branch = (node[net.from_idx] - node[net.to_idx]) / net.l[:, None]
+            self._branch[np.arange(nb), nsl + np.arange(nb)] -= net.r / net.l
         else:
-            self._feed = None
-        self._caps_dvoc = caps_dvoc
-
-        self._kp = np.array([self.params[k].kp for k in self._droop_pos])
-        self._kq = np.array([self.params[k].kq for k in self._droop_pos])
-        self._w0_dr = np.array([self.params[k].omega0 for k in self._droop_pos])
-        self._vs_dr = np.array([self.params[k].v_star for k in self._droop_pos])
-        self._ps_dr = np.array([self.params[k].p_star for k in self._droop_pos])
-        self._qs_dr = np.array([self.params[k].q_star for k in self._droop_pos])
-        self._caps_dr = self._caps[self._droop_pos] if self._ndr else np.zeros(0)
-
-        nb = self._net.n_branches if self._net is not None else 0
-        self._nb = nb
-        n = 2 * (self._ndv + self._ndr + nb)
-        if len(self.y) != n:
+            self._net = None
+            g = np.zeros((ns, nsl), dtype=complex)
+            g[:, slot] = reduced_admittance(self.topology, self.omega_nominal)
+            self._branch = np.zeros((0, nsl))
+        self._g = g
+        m = g.shape[1]
+        if len(self.y) != 2 * m:
             self._rebuild_state_vector(self._net)
-        self._k1 = np.empty(n)
-        self._k2 = np.empty(n)
-        self._k3 = np.empty(n)
-        self._k4 = np.empty(n)
-        self._ytmp = np.empty(n)
-        self._v_all = np.empty(self._ns, dtype=complex)
-        self._io_held = None
-        nn = self._ns + (self._net._nl if self._net is not None else 0)
-        self._vnode = np.empty(nn, dtype=complex)
-        self._build_fused_operator()
+        self._inv_vs2 = np.zeros(m)
+        self._inv_vs2[:self._ndv] = inv_vs2
+        self._z = np.zeros(5 * m, dtype=complex)
 
-    def _build_fused_operator(self):
-        """For all-oscillator scenarios in continuous mode the coupled RHS is
-        linear except for the scalar amplitude term, so it collapses to
-        dy/dt = A y + feed*c1*phi(v)*v with one precomputed complex matrix A.
-        Its step propagators exp(hA) and exp(hA/2) are computed here, so every
-        recompile or set-point event refreshes them."""
-        self._fused_a = self._exp_h = self._exp_half = None
-        if self._ndr or self.config.sample_steps is not None:
-            return
-        ndv, nb = self._ndv, self._nb
-        m = ndv + nb
-        a = np.zeros((m, m), dtype=complex)
-        if self._net is None:
-            io_v = self._mred
-            io_i = np.zeros((self._ns, 0))
-            fc0, fc2 = self._c0, self._c2
-            self._fused_c1 = self._c1
-        else:
-            net = self._net
-            io_v = net.q_v + net.q_l @ net.p_v
-            io_i = net.q_i + net.q_l @ net.p_i
-            fc0 = self._feed * self._c0
-            fc2 = self._feed * self._c2
-            self._fused_c1 = self._feed * self._c1
-            node_map = np.zeros((self._ns + net._nl, m))
-            node_map[:self._ns, :ndv] = np.eye(self._ns)
-            node_map[self._ns:, :ndv] = net.p_v
-            node_map[self._ns:, ndv:] = net.p_i
-            for d in range(nb):
-                a[ndv + d, :] = (node_map[net.from_idx[d]] - node_map[net.to_idx[d]]) \
-                    / net.l[d]
-                a[ndv + d, ndv + d] -= net.r[d] / net.l[d]
-        a[:ndv, :ndv] = np.diag(fc0) - fc2[:, None] * io_v
-        if nb:
-            a[:ndv, ndv:] = -fc2[:, None] * io_i
-        self._fused_a = a
-        h = self.config.dt
-        self._exp_h = expm(h * a)
-        self._exp_half = expm(0.5 * h * a)
+        self._held = None
+        self._live = self._split(live=True)
+        self._stepped = self._live if self._sample_steps is None else self._split(live=False)
+        self._etd = _etdrk4_weights(self._stepped.a, self.config.dt)
+
+    def _split(self, live):
+        """A and the constants of N, with the controllers measuring the live
+        current (the capacitor loop solved exactly in the dynamic model) or
+        the held one."""
+        ndv, nsl = self._ndv, self._ndv + self._ndr
+        m = self._g.shape[1]
+        full = np.zeros((m, m), dtype=complex)
+        full[nsl:] = self._branch
+        feed = np.ones(ndv)
+        if live:
+            if self._net is not None:
+                feed = 1.0 / (1.0 + self._c2 * self._caps[self._dvoc_pos])
+            full[:ndv] = -(feed * self._c2)[:, None] * self._g[self._dvoc_pos]
+        full[np.arange(ndv), np.arange(ndv)] += feed * self._c0
+        inject = full[:, ndv:nsl].copy()
+        full[:, ndv:nsl] = 0.0
+        c1 = np.zeros(m, dtype=complex)
+        c1[:ndv] = feed * self._c1
+        return _Split(full, inject if np.any(inject) else None, c1,
+                      self._g[self._droop_pos] if live else None,
+                      live and self._net is not None and bool(np.any(self._caps_dr)))
+
+    def _hold(self, i_o):
+        """Zero-order hold: the controllers measure ``i_o`` until the next
+        sample."""
+        self._held = np.zeros(self._g.shape[1], dtype=complex)
+        self._held[:self._ndv] = -self._c2 * i_o[self._dvoc_pos]
+        self._held_droop = i_o[self._droop_pos]
 
     def _recompile_after(self, action):
         self._stash_states()
         self.topology = apply_event(self.topology, action)
         self._compile()
         self._rebuild_state_vector(self._net)
-        if self.config.sample_steps is not None:
-            self._io_held = self._outputs(self.y)[1]
+        if self._sample_steps is not None:
+            self._hold(self._outputs(self.y)[1])
 
     def _apply_setpoint(self, action):
         for k, spec in enumerate(self.inverters):
@@ -388,110 +437,62 @@ class Simulation:
 
     # -- right-hand side -----------------------------------------------------
 
-    def _assemble_voltages(self, y):
-        yv = y.view(np.complex128)
-        v_all = self._v_all
-        if self._ndv:
-            v_all[self._dvoc_pos] = yv[:self._ndv]
-        if self._ndr:
-            off = 2 * self._ndv
-            r = y[off:off + 2 * self._ndr:2]
-            th = y[off + 1:off + 2 * self._ndr:2]
-            v_all[self._droop_pos] = r * np.exp(1j * th)
-        return v_all
+    def _voltages(self, yv):
+        """The slot vector u: ``yv`` with r exp(j theta) in the droop slots."""
+        if not self._ndr:
+            return yv
+        u = yv.copy()
+        s = yv[self._ndv:self._ndv + self._ndr]
+        u[self._ndv:self._ndv + self._ndr] = s.real * np.exp(1j * s.imag)
+        return u
 
-    def _nonlinear(self, yv):
-        """N(y) of the fused split: the amplitude term on the oscillator rows,
-        zero on the branch-current rows."""
-        out = np.zeros(len(yv), dtype=complex)
-        vc = yv[:self._ndv]
-        phi = 1.0 - (vc.real**2 + vc.imag**2) * self._inv_vs2
-        out[:self._ndv] = self._fused_c1 * phi * vc
+    def _nonlinear(self, yv, sp):
+        """N(y) of split ``sp`` on the complex state ``yv``."""
+        if self._ndv:
+            # c1 and 1/v*^2 are zero outside the oscillator slots.
+            out = sp.c1 * (1.0 - (yv.real**2 + yv.imag**2) * self._inv_vs2) * yv
+        else:
+            out = np.zeros(len(yv), dtype=complex)
+        if not sp.live:
+            out += self._held
+        if self._ndr:
+            ndv, nsl = self._ndv, self._ndv + self._ndr
+            u = self._voltages(yv)
+            r, vdr = yv[ndv:nsl].real, u[ndv:nsl]
+            if sp.inject is not None:
+                out += sp.inject @ vdr
+            iod = sp.meas @ u if sp.live else self._held_droop
+            pq = np.conj(vdr) * iod
+            thdot = self._a_dr - self._kp * pq.real
+            rdot = self._b_dr - r + self._kq * pq.imag
+            if sp.cap_loop:
+                # i_o = i_net + C dv/dt with dv/dt = (dr/dt + j r dtheta/dt)
+                # exp(j theta): linear in (dr/dt, dtheta/dt), solved in closed form.
+                c = self._caps_dr
+                rdot = (rdot + self._kq * c * r**2 * thdot) \
+                    / (1.0 + self._kp * self._kq * c**2 * r**3)
+                thdot = thdot - self._kp * c * r * rdot
+            ov = out.view(np.float64)
+            ov[2 * ndv:2 * nsl:2] = rdot
+            ov[2 * ndv + 1:2 * nsl:2] = thdot
         return out
 
-    def _rhs(self, y, out):
-        yv = y.view(np.complex128)
-        outv = out.view(np.complex128)
-        v_all = self._assemble_voltages(y)
-        held = self._io_held
-
-        if self._net is not None:
-            ib = yv[self._ndv + self._ndr:]
-            net = self._net
-            vl = net.p_v @ v_all + net.p_i @ ib if net._nl else np.zeros(0, dtype=complex)
-            vnode = self._vnode
-            vnode[:self._ns] = v_all
-            vnode[self._ns:] = vl
-            outv[self._ndv + self._ndr:] = (vnode[net.from_idx] - vnode[net.to_idx]
-                                            - net.r * ib) / net.l
-            if held is None:
-                io = net.q_i @ ib + net.q_v @ v_all
-                if net._nl:
-                    io += net.q_l @ vl
-            else:
-                io = held
-        else:
-            io = held if held is not None else self._mred @ v_all
-
-        if self._ndv:
-            vc = yv[:self._ndv]
-            phi = 1.0 - (vc.real**2 + vc.imag**2) * self._inv_vs2
-            vdot = (self._c0 + self._c1 * phi) * vc - self._c2 * io[self._dvoc_pos]
-            if held is None and self._feed is not None:
-                vdot = vdot * self._feed
-            outv[:self._ndv] = vdot
-
-        if self._ndr:
-            off = 2 * self._ndv
-            r = y[off:off + 2 * self._ndr:2]
-            th = y[off + 1:off + 2 * self._ndr:2]
-            vdr = v_all[self._droop_pos]
-            iod = io[self._droop_pos]
-            p_out = (np.conj(vdr) * iod).real
-            q_out = -(np.conj(vdr) * iod).imag
-            a = self._w0_dr + self._kp * (self._ps_dr - p_out)
-            b = -r + self._vs_dr + self._kq * (self._qs_dr - q_out)
-            if held is None and self._net is not None and np.any(self._caps_dr):
-                c = self._caps_dr
-                rdot = (b + self._kq * c * r**2 * a) / (1.0 + self._kp * self._kq * c**2 * r**3)
-                thdot = a - self._kp * c * r * rdot
-            else:
-                rdot, thdot = b, a
-            out[off:off + 2 * self._ndr:2] = rdot
-            out[off + 1:off + 2 * self._ndr:2] = thdot
-
     def _outputs(self, y):
-        """Instantaneous (v_all, i_o) including the capacitor current."""
+        """Instantaneous (v_all, i_o) including the capacitor current, whose
+        dv/dt is A y + N(y) with the live measurement."""
         yv = y.view(np.complex128)
-        v_all = self._assemble_voltages(y).copy()
+        u = self._voltages(yv)
+        v_all = u[self._slot]
+        i_net = self._g @ u
         if self._net is None:
-            return v_all, self._mred @ v_all
-        net = self._net
-        ib = yv[self._ndv + self._ndr:]
-        vl = net.p_v @ v_all + net.p_i @ ib if net._nl else np.zeros(0, dtype=complex)
-        io_net = net.source_branch_currents(ib, v_all, vl)
-        vdot_all = np.zeros(self._ns, dtype=complex)
-        if self._ndv:
-            vc = yv[:self._ndv]
-            phi = 1.0 - (vc.real**2 + vc.imag**2) * self._inv_vs2
-            vdot = ((self._c0 + self._c1 * phi) * vc
-                    - self._c2 * io_net[self._dvoc_pos]) * self._feed
-            vdot_all[self._dvoc_pos] = vdot
+            return v_all, i_net
+        sp = self._live
+        d = sp.a @ yv + self._nonlinear(yv, sp)
         if self._ndr:
-            off = 2 * self._ndv
-            r = y[off:off + 2 * self._ndr:2]
-            vdr = v_all[self._droop_pos]
-            iod = io_net[self._droop_pos]
-            p_out = (np.conj(vdr) * iod).real
-            q_out = -(np.conj(vdr) * iod).imag
-            a = self._w0_dr + self._kp * (self._ps_dr - p_out)
-            b = -r + self._vs_dr + self._kq * (self._qs_dr - q_out)
-            c = self._caps_dr
-            rdot = (b + self._kq * c * r**2 * a) / (1.0 + self._kp * self._kq * c**2 * r**3)
-            thdot = a - self._kp * c * r * rdot
-            th = y[off + 1:off + 2 * self._ndr:2]
-            vdot_all[self._droop_pos] = (rdot + 1j * r * thdot) * np.exp(1j * th)
-        return v_all, io_net + self._caps * vdot_all
+            ndv, nsl = self._ndv, self._ndv + self._ndr
+            s, ds = yv[ndv:nsl], d[ndv:nsl]
+            d[ndv:nsl] = (ds.real + 1j * s.real * ds.imag) * np.exp(1j * s.imag)
+        return v_all, i_net + self._caps * d[self._slot]
 
     # -- time stepping -------------------------------------------------------
 
@@ -505,66 +506,44 @@ class Simulation:
             self._events_applied.append((self.t, ev.action))
 
     def step(self):
-        """Apply due events, then advance one step of size dt: Lawson RK4 on
-        the fused all-oscillator path, classical RK4 otherwise."""
+        """Apply due events, sample the controller measurement if one is due,
+        then advance one ETDRK4 step of size dt."""
         self._apply_due_events()
         cfg = self.config
-        h = cfg.dt
-        if self._fused_a is not None:
-            self._lawson_step(h)
-        else:
-            if cfg.sample_steps is not None and (
-                    self._io_held is None or self.step_index % cfg.sample_steps == 0):
-                self._io_held = self._outputs(self.y)[1]
-            self._rk4_step(h)
+        ss = self._sample_steps
+        if ss is not None and (self._held is None or self.step_index % ss == 0):
+            self._hold(self._outputs(self.y)[1])
+        self._step_etdrk4()
         if cfg.noise_amplitude > 0.0 and self._ndv:
-            self.y[:2 * self._ndv] += (cfg.noise_amplitude * math.sqrt(h)
+            self.y[:2 * self._ndv] += (cfg.noise_amplitude * math.sqrt(cfg.dt)
                                        * self._rng.standard_normal(2 * self._ndv))
         self.step_index += 1
-        self.t = self.step_index * h
+        self.t = self.step_index * cfg.dt
 
-    def _lawson_step(self, h):
-        """Integrating-factor RK4 (Lawson 1967) on dy/dt = A y + N(y): classical
-        RK4 on N in the frame exp(-tA) y, with A propagated exactly."""
+    def _step_etdrk4(self):
+        """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
+        propagated exactly and N's stages are weighted by phi-functions of
+        hA, so stiff modes see N with the right weight."""
         y = self.y.view(np.complex128)
-        e, eh, n = self._exp_h, self._exp_half, self._nonlinear
-        k1 = n(y)
-        ehy = eh @ y
-        k2 = n(ehy + (0.5 * h) * (eh @ k1))
-        k3 = n(ehy + (0.5 * h) * k2)
-        ey = e @ y
-        k4 = n(ey + h * (eh @ k3))
-        y[:] = ey + (h / 6.0) * (e @ k1 + 2.0 * (eh @ (k2 + k3)) + k4)
-
-    def _rk4_step(self, h):
-        y = self.y
-        k1, k2, k3, k4, ytmp = self._k1, self._k2, self._k3, self._k4, self._ytmp
-        self._rhs(y, k1)
-        np.multiply(k1, 0.5 * h, out=ytmp)
-        ytmp += y
-        self._rhs(ytmp, k2)
-        np.multiply(k2, 0.5 * h, out=ytmp)
-        ytmp += y
-        self._rhs(ytmp, k3)
-        np.multiply(k3, h, out=ytmp)
-        ytmp += y
-        self._rhs(ytmp, k4)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= h / 6.0
-        y += k2
+        m = len(y)
+        z, (wa, wb, wc, wy) = self._z, self._etd
+        sp, n = self._stepped, self._nonlinear
+        z[:m] = y
+        z[m:2 * m] = n(y, sp)
+        z[2 * m:3 * m] = n(wa @ z[:2 * m], sp)
+        z[3 * m:4 * m] = n(wb @ z[:3 * m], sp)
+        z[4 * m:] = n(wc @ z[:4 * m], sp)
+        y[:] = wy @ z
 
     def _check_finite(self):
         if np.all(np.isfinite(self.y)):
             return
         with np.errstate(invalid="ignore"):
-            mags = np.abs(self._assemble_voltages(self.y))
+            mags = np.abs(self._voltages(self.y.view(np.complex128))[self._slot])
         bad = ~np.isfinite(mags)
         worst = int(np.argmax(np.where(bad, np.inf, mags)))
         ids = [s.inverter_id for s in self.inverters]
-        raise SimulationDiverged(self.t, ids[worst], float(mags[worst]))
+        raise SimulationDiverged(self.t, ids[worst], float(mags[worst]), self.step_index)
 
     def run(self):
         """Integrate from t = 0 to t_end and return the Trace."""

@@ -87,6 +87,7 @@ class TestSimulate:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numeric"
+        assert any(detail.startswith("step=") for detail in err["details"])
 
     def test_builtin_name_accepted(self, tmp_path):
         # droop-ref is the cheapest builtin to run end to end

@@ -5,37 +5,43 @@ import pytest
 
 from dvocsim.numerics import expm
 from dvocsim.scenario import builtin_names, builtin_scenario
-from dvocsim.sim import Simulation
+from dvocsim.sim import Simulation, _etdrk4_weights
 
 
 def rel_dev(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
-def fused_simulations():
-    """A Simulation per built-in, before and after each of its events."""
+def split_simulations():
+    """(label, A, exp(hA), exp(hA/2), h) per built-in, before and after each
+    of its events, with the propagators read off the ETDRK4 stage matrices."""
     sims = []
+
+    def entry(label, sim):
+        m = len(sim._stepped.a)
+        wa, _, _, wy = sim._etd
+        return (label, sim._stepped.a, wy[:, :m], wa[:, :m], sim.config.dt)
+
     for name in builtin_names():
         sim = Simulation(builtin_scenario(name))
-        sims.append((name, sim._fused_a, sim._exp_h, sim._exp_half, sim.config.dt))
+        sims.append(entry(name, sim))
         while sim._pending:
             sim.step_index = sim._pending[0][0]
             sim._apply_due_events()
-            sims.append((f"{name} after event", sim._fused_a, sim._exp_h,
-                         sim._exp_half, sim.config.dt))
+            sims.append(entry(f"{name} after event", sim))
     return sims
 
 
 class TestExpm:
     def test_builtin_propagators_match_scipy(self):
         linalg = pytest.importorskip("scipy.linalg")
-        for label, a, e, eh, h in fused_simulations():
+        for label, a, e, eh, h in split_simulations():
             assert rel_dev(e, linalg.expm(h * a)) <= 1e-12, label
             assert rel_dev(eh, linalg.expm(0.5 * h * a)) <= 1e-12, label
             assert rel_dev(expm(h * a), linalg.expm(h * a)) <= 1e-12, label
 
     def test_half_step_squared_is_full_step(self):
-        for label, _, e, eh, _ in fused_simulations():
+        for label, _, e, eh, _ in split_simulations():
             assert rel_dev(eh @ eh, e) <= 1e-12, label
 
     @pytest.mark.parametrize("scale", [0.01, 1.0, 40.0])
@@ -61,3 +67,35 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
+
+
+class TestEtdrk4Weights:
+    def test_zero_operator_gives_classical_rk4(self):
+        # With A = 0 every phi_k is 1/k!, and ETDRK4 is classical RK4.
+        h, eye = 1e-3, np.eye(2)
+        wa, wb, wc, wy = _etdrk4_weights(np.zeros((2, 2)), h)
+        np.testing.assert_allclose(wa, np.hstack([eye, h / 2 * eye]), atol=1e-18)
+        np.testing.assert_allclose(wb, np.hstack([eye, 0 * eye, h / 2 * eye]), atol=1e-18)
+        np.testing.assert_allclose(wc, np.hstack([eye, 0 * eye, 0 * eye, h * eye]),
+                                   atol=1e-18)
+        np.testing.assert_allclose(
+            wy, np.hstack([eye] + [w * h * eye for w in (1 / 6, 1 / 3, 1 / 3, 1 / 6)]),
+            rtol=1e-14, atol=1e-18)
+
+    def test_phi_functions_match_scipy_on_builtins(self):
+        # phi_k(hA) from scipy's expm of the augmented matrix at the full
+        # step, without the half-step squaring the program uses.
+        linalg = pytest.importorskip("scipy.linalg")
+        for label, a, e, eh, h in split_simulations():
+            m = len(a)
+            z = np.zeros((4 * m, 4 * m), dtype=complex)
+            z[:m, :m] = h * a
+            for k in range(3):
+                z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
+            phi1, phi2, phi3 = (linalg.expm(z)[:m, k * m:(k + 1) * m] for k in (1, 2, 3))
+            wy = _etdrk4_weights(a, h)[3]
+            want = [h * (phi1 - 3 * phi2 + 4 * phi3), 2 * h * (phi2 - 2 * phi3),
+                    h * (4 * phi3 - phi2)]
+            for got, ref in zip((wy[:, m:2 * m], wy[:, 2 * m:3 * m], wy[:, 4 * m:]), want):
+                assert rel_dev(got, ref) <= 1e-12, label
+            assert rel_dev(wy[:, 2 * m:3 * m], wy[:, 3 * m:4 * m]) == 0.0, label

@@ -5,6 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dvocsim.control import DroopParams, PolarState, droop_rhs, dvoc_rhs
+from dvocsim.network import DynamicNetwork, measure_power, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
 from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, run_scenario
 
@@ -191,49 +193,182 @@ class TestDeterminismAndEvents:
         assert tr.p[-1, 1] > tr.p[-1, 0] + 0.05
 
 
-class TestFusedOperator:
-    def test_fused_rhs_equals_general_path(self, rng):
-        # The precompiled split A y + N(y) must reproduce the assembled RHS
-        # exactly (both network models, caps included, disconnected branch).
-        from dvocsim.scenario import builtin_scenario
-        for name in ("paper-fig5", "droop-ref"):
-            sc = builtin_scenario(name)
-            sim = Simulation(sc)
-            assert sim._fused_a is not None
-            for _ in range(10):
-                y = rng.normal(scale=100.0 if name == "paper-fig5" else 1.0,
-                               size=len(sim.y))
-                yv = y.view(np.complex128)
-                out_fused = (sim._fused_a @ yv + sim._nonlinear(yv)).view(float)
-                out_general = np.empty_like(y)
-                sim._rhs(y, out_general)
-                npt.assert_allclose(out_fused, out_general, rtol=1e-12,
-                                    atol=1e-12 * np.abs(out_general).max())
+def mixed_live_grid_dict():
+    """Two oscillators and one droop inverter on two load buses joined by a
+    tie line, filter caps, continuous (live) measurement.  Its stiffest
+    branch-current pole is |lambda| ~ 4.9e4 1/s: |lambda| dt ~ 4.9 at
+    dt = 1e-4, outside classical RK4's real-axis stability limit of 2.8."""
+    v_peak = 120.0 * math.sqrt(2.0)
+    caps = {"n1": 24e-6, "n2": 20e-6, "n3": 18e-6}
 
-    def test_lawson_matches_dop853_oracle_on_dispatch(self):
-        # paper-fig7 over 0-0.02 s against the same A y + N(y) integrated by
-        # scipy's DOP853 at rtol 1e-12.  Measured deviation: 2.3e-11 v*.
+    def inverter(inv_id, node, p_star, angle):
+        inv = {"id": inv_id, "node": node, "p_star_w": p_star,
+               "q_star_var": -OMEGA0 * caps[node] * v_peak**2,
+               "v_star_peak": v_peak,
+               "initial": {"mode": "nominal", "angle_rad": angle}}
+        if inv_id == "inv3":
+            inv.update(control="droop", kp_rad_per_sw=21.71 / v_peak**2,
+                       kq_v_per_var=0.005)
+        else:
+            inv.update(control="dvoc", eta=21.71, alpha=0.9722,
+                       kappa_rad=math.pi / 2.0)
+        return inv
+
+    def branch(bid, frm, to, r, l):
+        return {"id": bid, "from": frm, "to": to, "r_ohm": r, "l_henry": l,
+                "connected": True}
+
+    return {
+        "name": "mixed-live",
+        "omega0_rad_per_s": OMEGA0,
+        "inverters": [inverter("inv1", "n1", 250.0, 0.05),
+                      inverter("inv2", "n2", 200.0, -0.1),
+                      inverter("inv3", "n3", 150.0, 0.1)],
+        "network": {
+            "branches": [branch("b1", "n1", "busA", 0.1, 6e-3),
+                         branch("b2", "n2", "busA", 0.15, 7.5e-3),
+                         branch("b3", "n3", "busB", 0.2, 4.5e-3),
+                         branch("tie", "busA", "busB", 0.1, 6e-3)],
+            "loads": [{"node": "busA", "g_siemens": 400.0 / v_peak**2},
+                      {"node": "busB", "g_siemens": 300.0 / v_peak**2}],
+            "shunt_caps": [{"node": n, "c_farad": c} for n, c in caps.items()],
+        },
+        "events": [],
+        "sim": {"dt_s": 1e-4, "t_end_s": 0.2, "network_model": "dynamic",
+                "record_decimation": 10, "noise_seed": 0},
+    }
+
+
+def oracle_derivative(sim, yv, held=None):
+    """dy/dt and the live i_o rebuilt from the control laws and the network
+    models, independently of the split: the capacitor loop
+    i_o = i_net + C dv/dt is solved by fixed-point iteration."""
+    ndv, nsl = sim._ndv, sim._ndv + sim._ndr
+    polar = {}
+    v_all = np.empty(sim._ns, dtype=complex)
+    for k, spec in enumerate(sim.inverters):
+        s = yv[sim._slot[k]]
+        if isinstance(spec.params, DroopParams):
+            polar[k] = (s.real, s.imag)
+            v_all[k] = s.real * np.exp(1j * s.imag)
+        else:
+            v_all[k] = s
+    ib = yv[nsl:]
+    if sim.config.network_model == "dynamic":
+        net = DynamicNetwork(sim.topology)
+        i_net = net.source_branch_currents(ib, v_all)
+        dib = net.rhs(ib, v_all)
+        caps = net.caps
+    else:
+        i_net = reduced_admittance(sim.topology, sim.omega_nominal) @ v_all
+        dib = np.zeros(0, dtype=complex)
+        caps = np.zeros(sim._ns)
+
+    def laws(i_o):
+        vdot = np.empty(sim._ns, dtype=complex)
+        slot_rate = np.empty(sim._ns, dtype=complex)
+        for k, spec in enumerate(sim.inverters):
+            v2 = np.array([v_all[k].real, v_all[k].imag])
+            i2 = np.array([i_o[k].real, i_o[k].imag])
+            if k in polar:
+                r, th = polar[k]
+                p, q = measure_power(v2, i2)
+                dmag, dth = droop_rhs(PolarState(r, th), p, q, sim.params[k])
+                vdot[k] = (dmag + 1j * r * dth) * np.exp(1j * th)
+                slot_rate[k] = dmag + 1j * dth
+            else:
+                d = dvoc_rhs(v2, i2, sim.params[k])
+                vdot[k] = slot_rate[k] = d[0] + 1j * d[1]
+        return vdot, slot_rate
+
+    vdot = np.zeros(sim._ns, dtype=complex)
+    for _ in range(100):
+        vdot_new, live_rate = laws(i_net + caps * vdot)
+        done = np.all(np.abs(vdot_new - vdot) <= 1e-15 * np.abs(vdot_new).max())
+        vdot = vdot_new
+        if done:
+            break
+    else:
+        raise AssertionError("capacitor loop did not converge")
+    rate = live_rate if held is None else laws(held)[1]
+    dy = np.empty(len(yv), dtype=complex)
+    dy[sim._slot] = rate
+    dy[nsl:] = dib
+    return dy, i_net + caps * vdot
+
+
+class TestExponentialSplit:
+    @pytest.mark.parametrize("name", ["paper-fig5", "droop-ref", "mixed-live"])
+    def test_split_rhs_matches_control_and_network_oracles(self, name, rng):
+        # A y + N(y), live and held, against dy/dt rebuilt from
+        # control.dvoc_rhs/droop_rhs and the network models; the recorded
+        # i_o of _outputs against the live oracle current.
+        from dvocsim.scenario import builtin_scenario
+        sc = (parse_scenario_dict(mixed_live_grid_dict()) if name == "mixed-live"
+              else builtin_scenario(name))
+        scale = 100.0 if name != "droop-ref" else 1.0
+        for sample_hz in (None, 1.0 / (4.0 * sc.sim.dt)):
+            sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
+            for _ in range(5):
+                y = sim.y + rng.normal(scale=0.05 * scale, size=len(sim.y))
+                yv = y.view(np.complex128)
+                held = None
+                if sample_hz is not None:
+                    held = rng.normal(size=sim._ns) + 1j * rng.normal(size=sim._ns)
+                    sim._hold(held)
+                sp = sim._stepped
+                want, i_o = oracle_derivative(sim, yv, held)
+                got = sp.a @ yv + sim._nonlinear(yv, sp)
+                npt.assert_allclose(got, want, rtol=1e-12,
+                                    atol=1e-12 * np.abs(want).max())
+                npt.assert_allclose(sim._outputs(y)[1], i_o, rtol=1e-12,
+                                    atol=1e-12 * np.abs(i_o).max())
+
+    @staticmethod
+    def dop853(sc, t_end):
+        """The run and scipy's DOP853 at rtol 1e-12 on the same A y + N(y),
+        as complex states at every step."""
         integrate = pytest.importorskip("scipy.integrate")
+        sim = Simulation(sc, replace(sc.sim, t_end=t_end))
+        sp, y = sim._stepped, sim.y.view(np.complex128)
+        states = [y.copy()]
+        for _ in range(int(round(t_end / sim.config.dt))):
+            sim.step()
+            states.append(sim.y.view(np.complex128).copy())
+        t = sim.config.dt * np.arange(len(states))
+        sol = integrate.solve_ivp(lambda _, yv: sp.a @ yv + sim._nonlinear(yv, sp),
+                                  (0.0, t[-1]), states[0], method="DOP853",
+                                  rtol=1e-12, atol=1e-12, t_eval=t)
+        assert sol.success
+        return sim, np.array(states), sol.y.T
+
+    def test_exponential_matches_dop853_oracle_on_dispatch(self):
+        # paper-fig7 over 0-0.02 s.  Measured deviation: 2.3e-11 v*.
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario("paper-fig7")
-        sim = Simulation(sc, replace(sc.sim, t_end=0.02))
-        a, y0 = sim._fused_a, sim.y.view(np.complex128).copy()
-        tr = sim.run()
-        sol = integrate.solve_ivp(lambda t, y: a @ y + sim._nonlinear(y),
-                                  (0.0, 0.02), y0, method="DOP853", rtol=1e-12,
-                                  atol=1e-12, t_eval=tr.t)
-        assert sol.success
-        dev = np.abs(sol.y[:sim._ndv].T - tr.v).max() / sc.inverters[0].params.v_star
-        assert dev <= 1e-9, dev
+        sim, got, want = self.dop853(sc, 0.02)
+        dev = np.abs(got[:, :sim._ndv] - want[:, :sim._ndv]).max()
+        assert dev / sc.inverters[0].params.v_star <= 1e-9, dev
 
-    def test_fused_operator_disabled_for_droop_and_sampled(self):
-        sc_droop = pu_scenario(control="droop", kp=0.01, kq=0.05)
-        assert Simulation(sc_droop)._fused_a is None
-        sc_sampled = pu_scenario(sim={"dt_s": 1e-5, "t_end_s": 0.01,
-                                      "network_model": "quasistatic",
-                                      "record_decimation": 10, "noise_seed": 0,
-                                      "controller_sample_hz": 1250.0})
-        assert Simulation(sc_sampled)._fused_a is None
+    def test_exponential_matches_dop853_on_blackstart_branch_currents(self):
+        # paper-fig4 over 0-0.02 s: during the black-start rise N is large
+        # and its projection on the stiff branch pole (|lambda| h ~ 38) must
+        # be weighted by phi-functions, not by h/6.  Measured: 1.8e-9.
+        from dvocsim.scenario import builtin_scenario
+        sim, got, want = self.dop853(builtin_scenario("paper-fig4"), 0.02)
+        ib, ib_ref = got[:, sim._ndv:], want[:, sim._ndv:]
+        dev = np.abs(ib - ib_ref).max() / np.abs(ib_ref).max()
+        assert dev <= 1e-7, dev
+
+    def test_exponential_matches_dop853_on_live_mixed_grid(self):
+        # Oscillators and a droop inverter with live measurement over 0.2 s
+        # at dt = 1e-4 (|lambda| dt ~ 4.9).  Measured: 4.6e-7 v*.
+        sc = parse_scenario_dict(mixed_live_grid_dict())
+        sim, got, want = self.dop853(sc, 0.2)
+        v, v_ref = (np.array([sim._voltages(s)[sim._slot] for s in states])
+                    for states in (got, want))
+        dev = np.abs(v - v_ref).max() / sc.inverters[0].params.v_star
+        assert dev <= 1e-5, dev
 
 
 class TestNetworkModes:
@@ -318,6 +453,8 @@ class TestFailureModes:
             run_scenario(sc)
         assert exc.value.inverter == "inv1"
         assert exc.value.time > 0.0
+        assert exc.value.step == round(exc.value.time / 1e-3)
+        assert f"step {exc.value.step}," in str(exc.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

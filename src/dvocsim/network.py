@@ -7,7 +7,10 @@ Two models of the same topology are provided:
   as the 2x2 block a*I + b*J;
 * dynamic: series RL branch currents as states (L di/dt = v_from - v_to - R i)
   with load-node voltages resolved algebraically from KCL, for fast
-  electromagnetic transients.
+  electromagnetic transients.  ``DynamicNetwork`` also gives the model as two
+  matrices over x = [v_s; i] (source voltages, then branch currents):
+  ``injection @ x`` is the current each source injects into the branches and
+  ``branch_rates @ x`` is di/dt.
 
 Inverters are ideal voltage sources imposing their controller voltage at
 their node; the filter capacitor sits at that node, behind the current
@@ -296,6 +299,11 @@ class DynamicNetwork:
     into the algebraic load-voltage solve.  Every non-source node must carry
     a conductance path (load and/or resistive branch mesh), otherwise KCL
     has no algebraic solution and the topology is rejected.
+
+    ``injection`` (n_sources x (n_sources + n_branches)) and ``branch_rates``
+    (n_branches x (n_sources + n_branches)) are ``source_branch_currents`` and
+    ``rhs`` as real matrices over x = [v_s; i], sources in
+    ``topo.inverter_nodes`` order.
     """
 
     def __init__(self, topo):
@@ -379,7 +387,14 @@ class DynamicNetwork:
         self.q_i = q_i
         self.q_v = q_v
         self.q_l = q_l
-        self._nl = nl
+
+        # The same algebra as matrices over x = [v_s; i]: the source
+        # injections are injection @ x and the branch-current derivatives
+        # branch_rates @ x.
+        self.injection = np.hstack([q_v + q_l @ self.p_v, q_i + q_l @ self.p_i])
+        node = np.vstack([np.eye(ns, ns + nd), np.hstack([self.p_v, self.p_i])])
+        self.branch_rates = (node[self.from_idx] - node[self.to_idx]) / self.l[:, None]
+        self.branch_rates[np.arange(nd), ns + np.arange(nd)] -= self.r / self.l
 
     def load_voltages(self, branch_currents, source_voltages):
         """Algebraic voltages at the non-source nodes (complex)."""

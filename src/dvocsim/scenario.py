@@ -59,6 +59,15 @@ class Scenario:
     outputs: tuple = _OUTPUTS
     description: str = ""
 
+    def __post_init__(self):
+        # The simulator and the analyses pair inverter k with
+        # topology.inverter_nodes[k].
+        nodes = [s.node for s in self.inverters]
+        if nodes != list(self.topology.inverter_nodes):
+            raise ScenarioError([f"inverter nodes {nodes} are not the topology's "
+                                 f"inverter nodes {list(self.topology.inverter_nodes)} "
+                                 "in the same order"])
+
     def inverter(self, inverter_id):
         for spec in self.inverters:
             if spec.inverter_id == inverter_id:
@@ -455,18 +464,15 @@ def _parse_sim(d, path, errs):
         return None
 
 
-def parse_scenario_dict(data, strict=True):
+def parse_scenario_dict(data):
     """Validate a scenario document and build the resolved Scenario.
 
-    Raises ScenarioError carrying the full list of problems found.  With
-    ``strict=False`` unknown keys are tolerated (everything else is still
-    checked).
+    Raises ScenarioError carrying the full list of problems found.
     """
     errs = []
     if not isinstance(data, dict):
         raise ScenarioError(["top level: expected an object"])
-    if strict:
-        _check_keys(data, "top level", _TOP_KEYS, errs)
+    _check_keys(data, "top level", _TOP_KEYS, errs)
     name = data.get("name", "")
     desc = data.get("description", "")
     omega0 = _num(data, "omega0_rad_per_s", "top level", errs, exclusive_min=0.0)
@@ -481,9 +487,6 @@ def parse_scenario_dict(data, strict=True):
             if not isinstance(d, dict):
                 errs.append(f"{path}: expected an object")
                 continue
-            if not strict:
-                d = {key: val for key, val in d.items()
-                     if key in (_INV_DVOC | _INV_DROOP)}
             spec = _parse_inverter(d, path, errs, omega0)
             if spec is not None:
                 inverters.append(spec)
@@ -499,8 +502,6 @@ def parse_scenario_dict(data, strict=True):
     if not isinstance(net, dict):
         errs.append("network: required object missing")
     else:
-        if not strict:
-            net = {k: v for k, v in net.items() if k in {"branches", "loads", "shunt_caps"}}
         topo = _parse_network(net, "network", errs, nodes)
 
     events = []
@@ -510,9 +511,6 @@ def parse_scenario_dict(data, strict=True):
         if not isinstance(d, dict):
             errs.append(f"{path}: expected an object")
             continue
-        if not strict:
-            known = set().union(*_EVENT_KEYS.values())
-            d = {key: val for key, val in d.items() if key in known}
         ev = _parse_event(d, path, errs, topo, set(ids))
         if ev is not None:
             events.append(ev)
@@ -520,10 +518,7 @@ def parse_scenario_dict(data, strict=True):
     if times != sorted(times):
         errs.append("events: times must be sorted ascending")
 
-    sim_data = data.get("sim")
-    if not strict and isinstance(sim_data, dict):
-        sim_data = {k: v for k, v in sim_data.items() if k in _SIM_KEYS}
-    sim = _parse_sim(sim_data, "sim", errs)
+    sim = _parse_sim(data.get("sim"), "sim", errs)
 
     outputs = data.get("outputs", list(_OUTPUTS))
     if not isinstance(outputs, list) or any(o not in _OUTPUTS for o in outputs):
@@ -547,7 +542,7 @@ def parse_scenario_dict(data, strict=True):
                     topology=topo, events=events, sim=sim, outputs=tuple(outputs))
 
 
-def parse_scenario(path, strict=True):
+def parse_scenario(path):
     """Load and validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -556,7 +551,7 @@ def parse_scenario(path, strict=True):
         raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
-    return parse_scenario_dict(data, strict=strict)
+    return parse_scenario_dict(data)
 
 
 # --- built-in scenarios ------------------------------------------------------

@@ -4,8 +4,15 @@ A timeline event engine and trace recording around one exponential
 integrator.  Internally all alpha-beta pairs are packed as complex numbers
 (alpha + j beta): every matrix in the control law commutes with rotations, so
 rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
-multiplication by j.  A droop inverter keeps its polar state in one complex
-slot r + j theta.
+multiplication by j.
+
+The state ``Simulation.y`` is one complex vector: one slot per inverter in
+``scenario.inverters`` order (an oscillator's slot holds its voltage v, a
+droop inverter's its polar state r + j theta), followed in the dynamic
+network model by the branch currents in ``DynamicNetwork.branch_ids`` order.
+Oscillator and droop rows are picked by index arrays.  At every event the
+network is rebuilt and the branch currents are carried over by branch id; a
+newly connected branch starts at zero.
 
 Every configuration -- oscillator, droop or mixed inverters, dynamic or
 quasi-static network, continuous or sampled controllers -- is split into
@@ -185,7 +192,8 @@ class _Split:
                 in N (None when they are zero)
     c1       -- gain of the cubic amplitude term (zero off the oscillator rows)
     meas     -- droop-terminal rows of the live measured current, over the
-                slot vector; None when the controllers see the held current
+                state with r exp(j theta) in the droop slots; None when the
+                controllers see the held current
     cap_loop -- the droop law solves its capacitor loop (live, dynamic network)
     """
 
@@ -242,21 +250,13 @@ class Simulation:
         self._rng = np.random.default_rng(self.config.noise_seed)
         self._events_applied = []
         self._sample_steps = self.config.sample_steps
-
-        ns = len(self.inverters)
+        self._dynamic = self.config.network_model == "dynamic"
+        self._ids = [s.inverter_id for s in self.inverters]
+        self._ns = len(self.inverters)
         self._dvoc_pos = np.array(
-            [k for k, s in enumerate(self.inverters) if isinstance(s.params, DvocParams)],
-            dtype=int)
+            [k for k, p in enumerate(self.params) if isinstance(p, DvocParams)], dtype=int)
         self._droop_pos = np.array(
-            [k for k, s in enumerate(self.inverters) if isinstance(s.params, DroopParams)],
-            dtype=int)
-        self._ndv = len(self._dvoc_pos)
-        self._ndr = len(self._droop_pos)
-        self._ns = ns
-        # State slot of each inverter: oscillators first, then droop.
-        self._slot = np.empty(ns, dtype=int)
-        self._slot[self._dvoc_pos] = np.arange(self._ndv)
-        self._slot[self._droop_pos] = self._ndv + np.arange(self._ndr)
+            [k for k, p in enumerate(self.params) if isinstance(p, DroopParams)], dtype=int)
 
         dt = self.config.dt
         self._pending = []
@@ -264,72 +264,34 @@ class Simulation:
             boundary = max(0, int(math.ceil(ev.time / dt - 1e-9)))
             self._pending.append((boundary, ev))
 
-        self._init_states()
+        self.y = np.array([self._initial_slot(spec) for spec in self.inverters],
+                          dtype=complex)
+        self._branch_ids = []
         self._compile()
 
     # -- construction -------------------------------------------------------
 
-    def _init_states(self):
-        v0 = np.zeros(self._ndv, dtype=complex)
-        r0 = np.zeros(self._ndr)
-        th0 = np.zeros(self._ndr)
-        dv = dr = 0
-        for spec in self.inverters:
-            init = spec.initial
-            p = spec.params
-            if init.mode == "blackstart":
-                mag = BLACKSTART_MAGNITUDE_RATIO * p.v_star
-                ang = self._rng.uniform(0.0, 2.0 * math.pi)
-            elif init.mode == "nominal":
-                mag = p.v_star
-                ang = init.angle
-            else:
-                a, b = init.vec
-                mag = math.hypot(a, b)
-                ang = math.atan2(b, a) if mag > 0.0 else 0.0
-            if isinstance(p, DvocParams):
-                v0[dv] = mag * complex(math.cos(ang), math.sin(ang))
-                dv += 1
-            else:
-                r0[dr], th0[dr] = mag, ang
-                dr += 1
-        self._v0_dvoc, self._r0, self._th0 = v0, r0, th0
-        self._branch_carry = {}
-        self._rebuild_state_vector()
-
-    def _rebuild_state_vector(self, net=None):
-        nb = net.n_branches if net is not None else 0
-        n = 2 * (self._ndv + self._ndr + nb)
-        y = np.zeros(n)
-        yv = y.view(np.complex128)
-        yv[:self._ndv] = self._v0_dvoc
-        off = 2 * self._ndv
-        y[off:off + 2 * self._ndr:2] = self._r0
-        y[off + 1:off + 2 * self._ndr:2] = self._th0
-        if net is not None:
-            ib = np.array([self._branch_carry.get(bid, 0.0 + 0.0j)
-                           for bid in net.branch_ids], dtype=complex)
-            yv[self._ndv + self._ndr:] = ib
-        self.y = y
-
-    def _stash_states(self):
-        yv = self.y.view(np.complex128)
-        self._v0_dvoc = yv[:self._ndv].copy()
-        off = 2 * self._ndv
-        self._r0 = self.y[off:off + 2 * self._ndr:2].copy()
-        self._th0 = self.y[off + 1:off + 2 * self._ndr:2].copy()
-        if self._net is not None:
-            ib = yv[self._ndv + self._ndr:]
-            self._branch_carry = dict(zip(self._net.branch_ids, ib))
+    def _initial_slot(self, spec):
+        """v for an oscillator, r + j theta for a droop inverter."""
+        init, p = spec.initial, spec.params
+        if init.mode == "blackstart":
+            mag = BLACKSTART_MAGNITUDE_RATIO * p.v_star
+            ang = self._rng.uniform(0.0, 2.0 * math.pi)
+        elif init.mode == "nominal":
+            mag, ang = p.v_star, init.angle
+        else:
+            a, b = init.vec
+            mag = math.hypot(a, b)
+            ang = math.atan2(b, a) if mag > 0.0 else 0.0
+        if isinstance(p, DvocParams):
+            return mag * complex(math.cos(ang), math.sin(ang))
+        return complex(mag, ang)
 
     def _compile(self):
         """Rebuild the split and its step matrices for the current topology
-        and parameter set."""
-        node_of = {n: k for k, n in enumerate(self.topology.inverter_nodes)}
-        inv_node = np.array([node_of[s.node] for s in self.inverters], dtype=int)
-        caps_by_node = np.array([self.topology.shunt_caps.get(n, 0.0)
-                                 for n in self.topology.inverter_nodes])
-        self._caps = caps_by_node[inv_node]
+        and parameter set, carrying the branch currents over by branch id."""
+        self._caps = np.array([self.topology.shunt_caps.get(n, 0.0)
+                               for n in self.topology.inverter_nodes])
 
         def param(name, pos):
             return np.array([getattr(self.params[k], name) for k in pos])
@@ -348,34 +310,24 @@ class Simulation:
         self._b_dr = param("v_star", dr) + self._kq * param("q_star", dr)
         self._caps_dr = self._caps[dr]
 
-        # Network as matrices over the slot vector u (the state with each
-        # droop slot replaced by its voltage r exp(j theta)): the current
-        # into the network at each inverter terminal, cap current excluded,
-        # is g @ u, and the branch-current derivatives are branch @ u.
-        ns, nsl, slot = self._ns, self._ndv + self._ndr, self._slot
-        if self.config.network_model == "dynamic":
-            net = self._net = DynamicNetwork(self.topology)
-            nb = net.n_branches
-            g = np.zeros((ns, nsl + nb), dtype=complex)
-            g[:, slot] = net.q_v + net.q_l @ net.p_v
-            g[:, nsl:] = net.q_i + net.q_l @ net.p_i
-            node = np.zeros((ns + net._nl, nsl + nb))
-            node[np.arange(ns), slot] = 1.0
-            node[ns:, slot] = net.p_v
-            node[ns:, nsl:] = net.p_i
-            self._branch = (node[net.from_idx] - node[net.to_idx]) / net.l[:, None]
-            self._branch[np.arange(nb), nsl + np.arange(nb)] -= net.r / net.l
+        # Network as matrices over u (the state with each droop slot replaced
+        # by its voltage r exp(j theta)): the current into the network at each
+        # inverter terminal, cap current excluded, is g @ u, and the
+        # branch-current derivatives are branch @ u.
+        ns = self._ns
+        if self._dynamic:
+            net = DynamicNetwork(self.topology)
+            g, self._branch, ids = net.injection, net.branch_rates, net.branch_ids
         else:
-            self._net = None
-            g = np.zeros((ns, nsl), dtype=complex)
-            g[:, slot] = reduced_admittance(self.topology, self.omega_nominal)
-            self._branch = np.zeros((0, nsl))
-        self._g = g
-        m = g.shape[1]
-        if len(self.y) != 2 * m:
-            self._rebuild_state_vector(self._net)
+            g = reduced_admittance(self.topology, self.omega_nominal)
+            self._branch, ids = np.zeros((0, ns)), []
+        self._g = g.astype(complex)
+        carry = dict(zip(self._branch_ids, self.y[ns:]))
+        self.y = np.concatenate([self.y[:ns], [carry.get(b, 0j) for b in ids]])
+        self._branch_ids = ids
+        m = len(self.y)
         self._inv_vs2 = np.zeros(m)
-        self._inv_vs2[:self._ndv] = inv_vs2
+        self._inv_vs2[dv] = inv_vs2
         self._z = np.zeros(5 * m, dtype=complex)
 
         self._held = None
@@ -387,81 +339,74 @@ class Simulation:
         """A and the constants of N, with the controllers measuring the live
         current (the capacitor loop solved exactly in the dynamic model) or
         the held one."""
-        ndv, nsl = self._ndv, self._ndv + self._ndr
-        m = self._g.shape[1]
+        dv, dr, m = self._dvoc_pos, self._droop_pos, len(self.y)
         full = np.zeros((m, m), dtype=complex)
-        full[nsl:] = self._branch
-        feed = np.ones(ndv)
+        full[self._ns:] = self._branch
+        feed = np.ones(len(dv))
         if live:
-            if self._net is not None:
-                feed = 1.0 / (1.0 + self._c2 * self._caps[self._dvoc_pos])
-            full[:ndv] = -(feed * self._c2)[:, None] * self._g[self._dvoc_pos]
-        full[np.arange(ndv), np.arange(ndv)] += feed * self._c0
-        inject = full[:, ndv:nsl].copy()
-        full[:, ndv:nsl] = 0.0
+            if self._dynamic:
+                feed = 1.0 / (1.0 + self._c2 * self._caps[dv])
+            full[dv] = -(feed * self._c2)[:, None] * self._g[dv]
+        full[dv, dv] += feed * self._c0
+        inject = full[:, dr]
+        full[:, dr] = 0.0
         c1 = np.zeros(m, dtype=complex)
-        c1[:ndv] = feed * self._c1
+        c1[dv] = feed * self._c1
         return _Split(full, inject if np.any(inject) else None, c1,
-                      self._g[self._droop_pos] if live else None,
-                      live and self._net is not None and bool(np.any(self._caps_dr)))
+                      self._g[dr] if live else None,
+                      live and self._dynamic and bool(np.any(self._caps_dr)))
 
     def _hold(self, i_o):
         """Zero-order hold: the controllers measure ``i_o`` until the next
         sample."""
-        self._held = np.zeros(self._g.shape[1], dtype=complex)
-        self._held[:self._ndv] = -self._c2 * i_o[self._dvoc_pos]
+        self._held = np.zeros(len(self.y), dtype=complex)
+        self._held[self._dvoc_pos] = -self._c2 * i_o[self._dvoc_pos]
         self._held_droop = i_o[self._droop_pos]
 
-    def _recompile_after(self, action):
-        self._stash_states()
-        self.topology = apply_event(self.topology, action)
+    def _apply_event(self, action):
+        """Update the parameters or the topology, then recompile."""
+        if isinstance(action, SetPointUpdate):
+            k = self._ids.index(action.inverter_id)
+            updates = {name: getattr(action, name) for name in ("p_star", "q_star", "v_star")
+                       if getattr(action, name) is not None}
+            self.params[k] = replace(self.params[k], **updates)
+        else:
+            self.topology = apply_event(self.topology, action)
         self._compile()
-        self._rebuild_state_vector(self._net)
-        if self._sample_steps is not None:
-            self._hold(self._outputs(self.y)[1])
-
-    def _apply_setpoint(self, action):
-        for k, spec in enumerate(self.inverters):
-            if spec.inverter_id == action.inverter_id:
-                updates = {}
-                if action.p_star is not None:
-                    updates["p_star"] = action.p_star
-                if action.q_star is not None:
-                    updates["q_star"] = action.q_star
-                if action.v_star is not None:
-                    updates["v_star"] = action.v_star
-                self.params[k] = replace(self.params[k], **updates)
-                self._compile()
-                return
-        raise KeyError(f"no inverter {action.inverter_id!r}")
 
     # -- right-hand side -----------------------------------------------------
 
-    def _voltages(self, yv):
-        """The slot vector u: ``yv`` with r exp(j theta) in the droop slots."""
-        if not self._ndr:
-            return yv
-        u = yv.copy()
-        s = yv[self._ndv:self._ndv + self._ndr]
-        u[self._ndv:self._ndv + self._ndr] = s.real * np.exp(1j * s.imag)
+    def _voltages(self, y):
+        """u: ``y`` with r exp(j theta) in the droop slots."""
+        dr = self._droop_pos
+        if not len(dr):
+            return y
+        u = y.copy()
+        s = y[dr]
+        u[dr] = s.real * np.exp(1j * s.imag)
         return u
 
-    def _nonlinear(self, yv, sp):
-        """N(y) of split ``sp`` on the complex state ``yv``."""
-        if self._ndv:
+    def _nonlinear(self, y, sp):
+        """N(y) of split ``sp``."""
+        if len(self._dvoc_pos):
             # c1 and 1/v*^2 are zero outside the oscillator slots.
-            out = sp.c1 * (1.0 - (yv.real**2 + yv.imag**2) * self._inv_vs2) * yv
+            out = sp.c1 * (1.0 - (y.real**2 + y.imag**2) * self._inv_vs2) * y
         else:
-            out = np.zeros(len(yv), dtype=complex)
+            out = np.zeros(len(y), dtype=complex)
         if not sp.live:
             out += self._held
-        if self._ndr:
-            ndv, nsl = self._ndv, self._ndv + self._ndr
-            u = self._voltages(yv)
-            r, vdr = yv[ndv:nsl].real, u[ndv:nsl]
+        dr = self._droop_pos
+        if len(dr):
+            s = y[dr]
+            r, vdr = s.real, s.real * np.exp(1j * s.imag)
             if sp.inject is not None:
                 out += sp.inject @ vdr
-            iod = sp.meas @ u if sp.live else self._held_droop
+            if sp.live:
+                u = y.copy()
+                u[dr] = vdr
+                iod = sp.meas @ u
+            else:
+                iod = self._held_droop
             pq = np.conj(vdr) * iod
             thdot = self._a_dr - self._kp * pq.real
             rdot = self._b_dr - r + self._kq * pq.imag
@@ -472,37 +417,31 @@ class Simulation:
                 rdot = (rdot + self._kq * c * r**2 * thdot) \
                     / (1.0 + self._kp * self._kq * c**2 * r**3)
                 thdot = thdot - self._kp * c * r * rdot
-            ov = out.view(np.float64)
-            ov[2 * ndv:2 * nsl:2] = rdot
-            ov[2 * ndv + 1:2 * nsl:2] = thdot
+            out[dr] = rdot + 1j * thdot
         return out
 
     def _outputs(self, y):
-        """Instantaneous (v_all, i_o) including the capacitor current, whose
-        dv/dt is A y + N(y) with the live measurement."""
-        yv = y.view(np.complex128)
-        u = self._voltages(yv)
-        v_all = u[self._slot]
+        """Instantaneous (v, i_o) of every inverter, the capacitor current
+        included, whose dv/dt is A y + N(y) with the live measurement."""
+        ns = self._ns
+        u = self._voltages(y)
         i_net = self._g @ u
-        if self._net is None:
-            return v_all, i_net
+        if not self._dynamic:
+            return u[:ns], i_net
         sp = self._live
-        d = sp.a @ yv + self._nonlinear(yv, sp)
-        if self._ndr:
-            ndv, nsl = self._ndv, self._ndv + self._ndr
-            s, ds = yv[ndv:nsl], d[ndv:nsl]
-            d[ndv:nsl] = (ds.real + 1j * s.real * ds.imag) * np.exp(1j * s.imag)
-        return v_all, i_net + self._caps * d[self._slot]
+        d = sp.a @ y + self._nonlinear(y, sp)
+        dr = self._droop_pos
+        if len(dr):
+            s, ds = y[dr], d[dr]
+            d[dr] = (ds.real + 1j * s.real * ds.imag) * np.exp(1j * s.imag)
+        return u[:ns], i_net + self._caps * d[:ns]
 
     # -- time stepping -------------------------------------------------------
 
     def _apply_due_events(self):
         while self._pending and self._pending[0][0] <= self.step_index:
             _, ev = self._pending.pop(0)
-            if isinstance(ev.action, SetPointUpdate):
-                self._apply_setpoint(ev.action)
-            else:
-                self._recompile_after(ev.action)
+            self._apply_event(ev.action)
             self._events_applied.append((self.t, ev.action))
 
     def step(self):
@@ -514,9 +453,11 @@ class Simulation:
         if ss is not None and (self._held is None or self.step_index % ss == 0):
             self._hold(self._outputs(self.y)[1])
         self._step_etdrk4()
-        if cfg.noise_amplitude > 0.0 and self._ndv:
-            self.y[:2 * self._ndv] += (cfg.noise_amplitude * math.sqrt(cfg.dt)
-                                       * self._rng.standard_normal(2 * self._ndv))
+        dv = self._dvoc_pos
+        if cfg.noise_amplitude > 0.0 and len(dv):
+            w = (cfg.noise_amplitude * math.sqrt(cfg.dt)
+                 * self._rng.standard_normal(2 * len(dv)))
+            self.y[dv] += w[0::2] + 1j * w[1::2]
         self.step_index += 1
         self.t = self.step_index * cfg.dt
 
@@ -524,26 +465,25 @@ class Simulation:
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
         propagated exactly and N's stages are weighted by phi-functions of
         hA, so stiff modes see N with the right weight."""
-        y = self.y.view(np.complex128)
-        m = len(y)
+        m = len(self.y)
         z, (wa, wb, wc, wy) = self._z, self._etd
         sp, n = self._stepped, self._nonlinear
-        z[:m] = y
-        z[m:2 * m] = n(y, sp)
+        z[:m] = self.y
+        z[m:2 * m] = n(self.y, sp)
         z[2 * m:3 * m] = n(wa @ z[:2 * m], sp)
         z[3 * m:4 * m] = n(wb @ z[:3 * m], sp)
         z[4 * m:] = n(wc @ z[:4 * m], sp)
-        y[:] = wy @ z
+        self.y = wy @ z
 
     def _check_finite(self):
-        if np.all(np.isfinite(self.y)):
+        if np.isfinite(self.y).all():
             return
         with np.errstate(invalid="ignore"):
-            mags = np.abs(self._voltages(self.y.view(np.complex128))[self._slot])
+            mags = np.abs(self._voltages(self.y)[:self._ns])
         bad = ~np.isfinite(mags)
         worst = int(np.argmax(np.where(bad, np.inf, mags)))
-        ids = [s.inverter_id for s in self.inverters]
-        raise SimulationDiverged(self.t, ids[worst], float(mags[worst]), self.step_index)
+        raise SimulationDiverged(self.t, self._ids[worst], float(mags[worst]),
+                                 self.step_index)
 
     def run(self):
         """Integrate from t = 0 to t_end and return the Trace."""
@@ -584,8 +524,7 @@ class Simulation:
             "noise_amplitude": cfg.noise_amplitude,
             "scenario": getattr(self.scenario, "name", ""),
         }
-        ids = [s.inverter_id for s in self.inverters]
-        return _finalize_trace(t_rec[:ri], v_rec[:ri], io_rec[:ri], ids, events,
+        return _finalize_trace(t_rec[:ri], v_rec[:ri], io_rec[:ri], self._ids, events,
                                cfg.dt * decim, meta)
 
 

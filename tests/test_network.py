@@ -202,6 +202,28 @@ class TestDynamicModel:
         io = net.source_branch_currents(np.zeros(0, dtype=complex), v)
         assert io[0] == pytest.approx(1.0 + 0.0j, rel=1e-14)
 
+    def test_matrices_match_injection_and_rate_oracles(self, rng):
+        # Two load buses, a pure-R tie between them and a pure-R branch
+        # straight from a source, so every KCL piece enters both matrices.
+        topo = Topology(
+            inverter_nodes=("s1", "s2"),
+            branches=(Branch("b1", "s1", "busA", 0.1, 6e-3),
+                      Branch("b2", "s2", "busB", 0.15, 7.5e-3),
+                      Branch("tie", "busA", "busB", 0.4, 0.0),
+                      Branch("rs", "s1", "busB", 0.3, 0.0),
+                      Branch("b3", "busB", "busA", 0.2, 2e-3)),
+            loads={"busA": 0.02, "busB": 0.03})
+        net = DynamicNetwork(topo)
+        assert net.branch_ids == ["b1", "b2", "b3"]
+        for _ in range(5):
+            v = 170.0 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            i = 5.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            x = np.concatenate([v, i])
+            for got, want in ((net.injection @ x, net.source_branch_currents(i, v)),
+                              (net.branch_rates @ x, net.rhs(i, v))):
+                npt.assert_allclose(got, want, rtol=1e-12,
+                                    atol=1e-12 * np.abs(want).max())
+
     def test_periodic_steady_state_matches_quasistatic(self):
         # Sinusoidal drive: the dynamic model's settled currents must agree
         # with the phasor solution within 0.1% amplitude and 0.1 deg phase.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -112,9 +113,6 @@ class TestParsing:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_dict(d)
         assert any("unknown key 'ETA'" in e for e in exc.value.errors)
-        # tolerated when strict mode is off
-        sc = parse_scenario_dict(d, strict=False)
-        assert sc.inverters[0].params.eta == 43.43
 
     def test_all_errors_collected(self):
         d = pu_scenario_dict(events=[{"t_s": -1.0, "type": "connect",
@@ -148,6 +146,15 @@ class TestParsing:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_dict(d)
         assert any("singular" in e for e in exc.value.errors)
+
+    def test_inverter_order_must_match_topology_node_order(self):
+        # The simulator pairs inverter k with topology.inverter_nodes[k]:
+        # paper-fig5 with its node order reversed used to run and move v by
+        # 7.7 % of v*.
+        sc = builtin_scenario("paper-fig5")
+        with pytest.raises(ScenarioError) as exc:
+            replace(sc, topology=replace(sc.topology, inverter_nodes=("n2", "n1")))
+        assert "same order" in str(exc.value)
 
     def test_droop_inverter_parses(self):
         sc = parse_scenario_dict(pu_scenario_dict(control="droop", kp=0.01,

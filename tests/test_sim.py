@@ -178,12 +178,50 @@ class TestDeterminismAndEvents:
         n_before = int(round(0.01 / 2e-6))
         for _ in range(n_before):
             sim.step()
-        assert sim._net.n_branches == 1
+        assert sim._branch_ids == ["b1"]
         sim._apply_due_events()  # what the next step() does first
-        assert sim._net.n_branches == 2
-        yv = sim.y.view(np.complex128)
-        assert yv[sim._ndv + sim._ndr] != 0.0  # surviving branch carried over
-        assert yv[sim._ndv + sim._ndr + 1] == 0.0 + 0.0j  # new branch from rest
+        assert sim._branch_ids == ["b1", "b2"]
+        assert sim.y[sim._ns] != 0.0  # surviving branch carried over
+        assert sim.y[sim._ns + 1] == 0.0 + 0.0j  # new branch from rest
+
+    def test_branch_currents_carried_by_id_across_disconnect(self):
+        # Opening b1 moves b2 from state index ns + 1 to ns and b3 from
+        # ns + 2 to ns + 1: each survivor keeps its own current.
+        d = self.two_inverter_dict(t_end=0.02)
+        for b in d["network"]["branches"]:
+            b["l_henry"] = 5e-4
+        d["network"]["branches"].append(
+            {"id": "b3", "from": "n1", "to": "n2", "r_ohm": 0.2,
+             "l_henry": 1e-3, "connected": True})
+        d["events"] = [{"t_s": 0.01, "type": "disconnect", "branch": "b1"}]
+        d["sim"].update(network_model="dynamic", dt_s=1e-5)
+        sim = Simulation(parse_scenario_dict(d))
+        for _ in range(int(round(0.01 / 1e-5))):
+            sim.step()
+        assert sim._branch_ids == ["b1", "b2", "b3"]
+        before = dict(zip(sim._branch_ids, sim.y[sim._ns:]))
+        slots = sim.y[:sim._ns].copy()
+        assert len(set(before.values())) == 3 and 0.0 not in before.values()
+        sim._apply_due_events()
+        assert sim._branch_ids == ["b2", "b3"]
+        assert np.array_equal(sim.y[:sim._ns], slots)
+        assert sim.y[sim._ns] == before["b2"]
+        assert sim.y[sim._ns + 1] == before["b3"]
+
+    def test_reversed_inverter_order_permutes_the_trace(self):
+        # Inverters and their topology nodes reversed together: the same
+        # physics, with every trace column swapped.
+        from dvocsim.scenario import builtin_scenario
+        sc = builtin_scenario("paper-fig5")
+        cfg = replace(sc.sim, t_end=0.05)
+        rev = replace(sc, inverters=sc.inverters[::-1],
+                      topology=replace(sc.topology,
+                                       inverter_nodes=sc.topology.inverter_nodes[::-1]))
+        tr, tr_rev = run_scenario(sc, cfg), run_scenario(rev, cfg)
+        assert tr_rev.inverter_ids == tr.inverter_ids[::-1]
+        npt.assert_allclose(tr_rev.v[:, ::-1], tr.v, rtol=0, atol=1e-9 * 170.0)
+        npt.assert_allclose(tr_rev.i_o[:, ::-1], tr.i_o, rtol=0,
+                            atol=1e-9 * np.abs(tr.i_o).max())
 
     def test_setpoint_event_changes_equilibrium(self):
         d = self.two_inverter_dict(
@@ -193,11 +231,13 @@ class TestDeterminismAndEvents:
         assert tr.p[-1, 1] > tr.p[-1, 0] + 0.05
 
 
-def mixed_live_grid_dict():
+def mixed_live_grid_dict(droop_first=False):
     """Two oscillators and one droop inverter on two load buses joined by a
     tie line, filter caps, continuous (live) measurement.  Its stiffest
     branch-current pole is |lambda| ~ 4.9e4 1/s: |lambda| dt ~ 4.9 at
-    dt = 1e-4, outside classical RK4's real-axis stability limit of 2.8."""
+    dt = 1e-4, outside classical RK4's real-axis stability limit of 2.8.
+    ``droop_first`` reverses the inverter list, so the droop inverter takes
+    the first state slot."""
     v_peak = 120.0 * math.sqrt(2.0)
     caps = {"n1": 24e-6, "n2": 20e-6, "n3": 18e-6}
 
@@ -218,12 +258,13 @@ def mixed_live_grid_dict():
         return {"id": bid, "from": frm, "to": to, "r_ohm": r, "l_henry": l,
                 "connected": True}
 
+    inverters = [inverter("inv1", "n1", 250.0, 0.05),
+                 inverter("inv2", "n2", 200.0, -0.1),
+                 inverter("inv3", "n3", 150.0, 0.1)]
     return {
         "name": "mixed-live",
         "omega0_rad_per_s": OMEGA0,
-        "inverters": [inverter("inv1", "n1", 250.0, 0.05),
-                      inverter("inv2", "n2", 200.0, -0.1),
-                      inverter("inv3", "n3", 150.0, 0.1)],
+        "inverters": inverters[::-1] if droop_first else inverters,
         "network": {
             "branches": [branch("b1", "n1", "busA", 0.1, 6e-3),
                          branch("b2", "n2", "busA", 0.15, 7.5e-3),
@@ -243,17 +284,17 @@ def oracle_derivative(sim, yv, held=None):
     """dy/dt and the live i_o rebuilt from the control laws and the network
     models, independently of the split: the capacitor loop
     i_o = i_net + C dv/dt is solved by fixed-point iteration."""
-    ndv, nsl = sim._ndv, sim._ndv + sim._ndr
+    ns = sim._ns
     polar = {}
-    v_all = np.empty(sim._ns, dtype=complex)
+    v_all = np.empty(ns, dtype=complex)
     for k, spec in enumerate(sim.inverters):
-        s = yv[sim._slot[k]]
+        s = yv[k]
         if isinstance(spec.params, DroopParams):
             polar[k] = (s.real, s.imag)
             v_all[k] = s.real * np.exp(1j * s.imag)
         else:
             v_all[k] = s
-    ib = yv[nsl:]
+    ib = yv[ns:]
     if sim.config.network_model == "dynamic":
         net = DynamicNetwork(sim.topology)
         i_net = net.source_branch_currents(ib, v_all)
@@ -262,11 +303,11 @@ def oracle_derivative(sim, yv, held=None):
     else:
         i_net = reduced_admittance(sim.topology, sim.omega_nominal) @ v_all
         dib = np.zeros(0, dtype=complex)
-        caps = np.zeros(sim._ns)
+        caps = np.zeros(ns)
 
     def laws(i_o):
-        vdot = np.empty(sim._ns, dtype=complex)
-        slot_rate = np.empty(sim._ns, dtype=complex)
+        vdot = np.empty(ns, dtype=complex)
+        slot_rate = np.empty(ns, dtype=complex)
         for k, spec in enumerate(sim.inverters):
             v2 = np.array([v_all[k].real, v_all[k].imag])
             i2 = np.array([i_o[k].real, i_o[k].imag])
@@ -281,7 +322,7 @@ def oracle_derivative(sim, yv, held=None):
                 vdot[k] = slot_rate[k] = d[0] + 1j * d[1]
         return vdot, slot_rate
 
-    vdot = np.zeros(sim._ns, dtype=complex)
+    vdot = np.zeros(ns, dtype=complex)
     for _ in range(100):
         vdot_new, live_rate = laws(i_net + caps * vdot)
         done = np.all(np.abs(vdot_new - vdot) <= 1e-15 * np.abs(vdot_new).max())
@@ -292,33 +333,36 @@ def oracle_derivative(sim, yv, held=None):
         raise AssertionError("capacitor loop did not converge")
     rate = live_rate if held is None else laws(held)[1]
     dy = np.empty(len(yv), dtype=complex)
-    dy[sim._slot] = rate
-    dy[nsl:] = dib
+    dy[:ns] = rate
+    dy[ns:] = dib
     return dy, i_net + caps * vdot
 
 
 class TestExponentialSplit:
-    @pytest.mark.parametrize("name", ["paper-fig5", "droop-ref", "mixed-live"])
+    @pytest.mark.parametrize("name", ["paper-fig5", "droop-ref", "mixed-live",
+                                      "mixed-droop-first"])
     def test_split_rhs_matches_control_and_network_oracles(self, name, rng):
         # A y + N(y), live and held, against dy/dt rebuilt from
         # control.dvoc_rhs/droop_rhs and the network models; the recorded
         # i_o of _outputs against the live oracle current.
         from dvocsim.scenario import builtin_scenario
-        sc = (parse_scenario_dict(mixed_live_grid_dict()) if name == "mixed-live"
-              else builtin_scenario(name))
+        if name.startswith("mixed"):
+            sc = parse_scenario_dict(mixed_live_grid_dict(name == "mixed-droop-first"))
+        else:
+            sc = builtin_scenario(name)
         scale = 100.0 if name != "droop-ref" else 1.0
         for sample_hz in (None, 1.0 / (4.0 * sc.sim.dt)):
             sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
             for _ in range(5):
-                y = sim.y + rng.normal(scale=0.05 * scale, size=len(sim.y))
-                yv = y.view(np.complex128)
+                w = rng.normal(scale=0.05 * scale, size=(len(sim.y), 2))
+                y = sim.y + (w[:, 0] + 1j * w[:, 1])
                 held = None
                 if sample_hz is not None:
                     held = rng.normal(size=sim._ns) + 1j * rng.normal(size=sim._ns)
                     sim._hold(held)
                 sp = sim._stepped
-                want, i_o = oracle_derivative(sim, yv, held)
-                got = sp.a @ yv + sim._nonlinear(yv, sp)
+                want, i_o = oracle_derivative(sim, y, held)
+                got = sp.a @ y + sim._nonlinear(y, sp)
                 npt.assert_allclose(got, want, rtol=1e-12,
                                     atol=1e-12 * np.abs(want).max())
                 npt.assert_allclose(sim._outputs(y)[1], i_o, rtol=1e-12,
@@ -330,11 +374,11 @@ class TestExponentialSplit:
         as complex states at every step."""
         integrate = pytest.importorskip("scipy.integrate")
         sim = Simulation(sc, replace(sc.sim, t_end=t_end))
-        sp, y = sim._stepped, sim.y.view(np.complex128)
-        states = [y.copy()]
+        sp = sim._stepped
+        states = [sim.y.copy()]
         for _ in range(int(round(t_end / sim.config.dt))):
             sim.step()
-            states.append(sim.y.view(np.complex128).copy())
+            states.append(sim.y.copy())
         t = sim.config.dt * np.arange(len(states))
         sol = integrate.solve_ivp(lambda _, yv: sp.a @ yv + sim._nonlinear(yv, sp),
                                   (0.0, t[-1]), states[0], method="DOP853",
@@ -347,7 +391,7 @@ class TestExponentialSplit:
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario("paper-fig7")
         sim, got, want = self.dop853(sc, 0.02)
-        dev = np.abs(got[:, :sim._ndv] - want[:, :sim._ndv]).max()
+        dev = np.abs(got[:, :sim._ns] - want[:, :sim._ns]).max()
         assert dev / sc.inverters[0].params.v_star <= 1e-9, dev
 
     def test_exponential_matches_dop853_on_blackstart_branch_currents(self):
@@ -356,7 +400,7 @@ class TestExponentialSplit:
         # be weighted by phi-functions, not by h/6.  Measured: 1.8e-9.
         from dvocsim.scenario import builtin_scenario
         sim, got, want = self.dop853(builtin_scenario("paper-fig4"), 0.02)
-        ib, ib_ref = got[:, sim._ndv:], want[:, sim._ndv:]
+        ib, ib_ref = got[:, sim._ns:], want[:, sim._ns:]
         dev = np.abs(ib - ib_ref).max() / np.abs(ib_ref).max()
         assert dev <= 1e-7, dev
 
@@ -365,7 +409,7 @@ class TestExponentialSplit:
         # at dt = 1e-4 (|lambda| dt ~ 4.9).  Measured: 4.6e-7 v*.
         sc = parse_scenario_dict(mixed_live_grid_dict())
         sim, got, want = self.dop853(sc, 0.2)
-        v, v_ref = (np.array([sim._voltages(s)[sim._slot] for s in states])
+        v, v_ref = (np.array([sim._voltages(s)[:sim._ns] for s in states])
                     for states in (got, want))
         dev = np.abs(v - v_ref).max() / sc.inverters[0].params.v_star
         assert dev <= 1e-5, dev

@@ -5,8 +5,8 @@ steady-state droop curves (exact stationary solve plus linear overlays),
 frequency/amplitude/synchronization metrics extracted from traces, and the
 set-point consistency checker (Gauss-Newton on the quasi-static power flow).
 
-Everything here is pure post-processing; sweep points own their traces and
-may be evaluated in parallel.
+Everything here is pure post-processing; each sweep point runs its own
+simulation and owns its trace.
 """
 
 import math

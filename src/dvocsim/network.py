@@ -1,21 +1,26 @@
 """Electrical network models connecting inverter voltage nodes to loads.
 
-Two models of the same topology are provided:
+Both models of a topology are built from one node-branch incidence matrix B
+over ``Topology.nodes()`` (``_incidence``):
 
-* quasi-static: algebraic phasor solution at a fixed frequency, with the
-  complex admittance y = a + jb of each element acting on alpha-beta vectors
-  as the 2x2 block a*I + b*J;
+* quasi-static: algebraic phasor solution at a fixed frequency,
+  Y = B diag(1/(R + j omega L)) B^T + diag(g + j omega C), reduced to the
+  inverter nodes; the complex admittance y = a + jb of each element acts on
+  alpha-beta vectors as the 2x2 block a*I + b*J;
 * dynamic: series RL branch currents as states (L di/dt = v_from - v_to - R i)
-  with load-node voltages resolved algebraically from KCL, for fast
-  electromagnetic transients.  ``DynamicNetwork`` also gives the model as two
+  with the other node voltages resolved algebraically from KCL over the
+  conductance matrix of the pure-R branches and loads, for fast
+  electromagnetic transients.  ``DynamicNetwork`` gives the model as two
   matrices over x = [v_s; i] (source voltages, then branch currents):
-  ``injection @ x`` is the current each source injects into the branches and
+  ``injection @ x`` is the current each source injects into the network and
   ``branch_rates @ x`` is di/dt.
 
 Inverters are ideal voltage sources imposing their controller voltage at
 their node; the filter capacitor sits at that node, behind the current
 measurement, so its reactive consumption is visible in the measured output
-current i_o.  Loads are resistive conductances.
+current i_o.  Loads are resistive conductances and may sit at any node,
+inverter nodes included, where their current is measured like the
+capacitor's.
 """
 
 import logging
@@ -196,30 +201,51 @@ def apply_event(topo, action):
     raise TypeError(f"unknown event action {action!r}")
 
 
+# --- node-branch assembly --------------------------------------------------
+
+def _incidence(nodes, branches):
+    """Node-branch incidence matrix: +1 at each branch's from-node, -1 at its
+    to-node, so B.T @ v is the voltage drop along each branch and B @ i the
+    current each branch draws out of each node."""
+    idx = {n: k for k, n in enumerate(nodes)}
+    b = np.zeros((len(nodes), len(branches)))
+    for k, br in enumerate(branches):
+        b[idx[br.from_node], k] = 1.0
+        b[idx[br.to_node], k] = -1.0
+    return b
+
+
+def _eliminate(block, rhs, interior, path):
+    """``block^-1 @ rhs``: eliminate the non-source nodes ``interior`` from
+    KCL.  A node that no ``path`` (admittance or conductance) connects to a
+    source or to ground leaves ``block`` singular, and the error names it."""
+    if not interior:
+        return rhs
+    bad = [n for n, row in zip(interior, block) if not np.any(row)]
+    if bad or np.linalg.cond(block) > 1e12:
+        raise TopologyError(f"singular network reduction: non-source node(s) "
+                            f"{bad or interior} have no {path} path")
+    return np.linalg.solve(block, rhs)
+
+
 # --- quasi-static (phasor) model -------------------------------------------
 
 def build_admittance_complex(topo, omega):
     """Complex node admittance matrix over ``topo.nodes()`` order.
 
-    Each active RL branch contributes 1/(R + j omega L) between its end
-    nodes; loads contribute their conductance and shunt capacitors j omega C
-    on the diagonal.
+    Y = B diag(1/(R + j omega L)) B^T over the active branches, plus the
+    load conductance g and shunt-capacitor susceptance j omega C of every
+    node on the diagonal.
     """
     nodes = topo.nodes()
-    idx = {n: k for k, n in enumerate(nodes)}
-    n = len(nodes)
-    y = np.zeros((n, n), dtype=complex)
-    for b in topo.active_branches():
-        yb = 1.0 / (b.r + 1j * omega * b.l)
-        a, c = idx[b.from_node], idx[b.to_node]
-        y[a, a] += yb
-        y[c, c] += yb
-        y[a, c] -= yb
-        y[c, a] -= yb
-    for node, g in topo.loads.items():
-        y[idx[node], idx[node]] += g
-    for node, c_f in topo.shunt_caps.items():
-        y[idx[node], idx[node]] += 1j * omega * c_f
+    active = topo.active_branches()
+    b = _incidence(nodes, active)
+    y_branch = np.array([1.0 / (br.r + 1j * omega * br.l) for br in active],
+                        dtype=complex)
+    y = (b * y_branch) @ b.T
+    y[np.diag_indices(len(nodes))] += [topo.loads.get(n, 0.0)
+                                        + 1j * omega * topo.shunt_caps.get(n, 0.0)
+                                        for n in nodes]
     return y
 
 
@@ -250,19 +276,8 @@ def reduced_admittance(topo, omega):
     """
     y = build_admittance_complex(topo, omega)
     ns = len(topo.inverter_nodes)
-    y_ss = y[:ns, :ns]
-    if y.shape[0] == ns:
-        return y_ss
-    y_sl = y[:ns, ns:]
-    y_ls = y[ns:, :ns]
-    y_ll = y[ns:, ns:]
-    try:
-        sol = np.linalg.solve(y_ll, y_ls)
-    except np.linalg.LinAlgError as exc:
-        raise TopologyError(f"singular network reduction: {exc}") from exc
-    if not np.all(np.isfinite(sol)) or np.linalg.cond(y_ll) > 1e12:
-        raise TopologyError("singular or near-singular network reduction")
-    return y_ss - y_sl @ sol
+    return y[:ns, :ns] - y[:ns, ns:] @ _eliminate(y[ns:, ns:], y[ns:, :ns],
+                                                   topo.nodes()[ns:], "admittance")
 
 
 def solve_currents_quasistatic(topo, omega, inverter_voltages):
@@ -295,124 +310,53 @@ class DynamicNetwork:
     """Compiled dynamic model of a topology for a fixed breaker configuration.
 
     States are the currents of connected branches with L > 0 (one complex
-    value per branch in ``branch_ids`` order).  Pure-R branches are folded
-    into the algebraic load-voltage solve.  Every non-source node must carry
-    a conductance path (load and/or resistive branch mesh), otherwise KCL
-    has no algebraic solution and the topology is rejected.
+    value per branch in ``branch_ids`` order).  Pure-R branches and the loads
+    (at any node, inverter nodes included) form one conductance matrix
+    G = B_R diag(1/R) B_R^T + diag(g) over ``topo.nodes()``; KCL at the
+    non-source nodes then gives every node voltage algebraically.  Every
+    non-source node must carry a conductance path (load and/or resistive
+    branch mesh), otherwise KCL has no algebraic solution and the topology
+    is rejected.
 
-    ``injection`` (n_sources x (n_sources + n_branches)) and ``branch_rates``
-    (n_branches x (n_sources + n_branches)) are ``source_branch_currents`` and
-    ``rhs`` as real matrices over x = [v_s; i], sources in
-    ``topo.inverter_nodes`` order.
+    The model is two real matrices over x = [v_s; i], sources in
+    ``topo.inverter_nodes`` order: ``injection @ x`` (n_sources rows) is the
+    current each source injects into the network, capacitor current
+    excluded, and ``branch_rates @ x`` (n_branches rows) is di/dt.
     """
 
     def __init__(self, topo):
         self.topo = topo
-        sources = list(topo.inverter_nodes)
         nodes = topo.nodes()
-        ns = len(sources)
-        lnodes = nodes[ns:]
-        nl = len(lnodes)
-        lidx = {n: k for k, n in enumerate(lnodes)}
-        sidx = {n: k for k, n in enumerate(sources)}
-
-        dyn = [b for b in topo.active_branches() if b.l > 0.0]
-        res = [b for b in topo.active_branches() if b.l == 0.0]
+        ns = len(topo.inverter_nodes)
+        active = topo.active_branches()
+        dyn = [b for b in active if b.l > 0.0]
+        res = [b for b in active if b.l == 0.0]
         nd = len(dyn)
         self.branch_ids = [b.branch_id for b in dyn]
-        self.n_sources = ns
         self.n_branches = nd
-        self.r = np.array([b.r for b in dyn]) if nd else np.zeros(0)
-        self.l = np.array([b.l for b in dyn]) if nd else np.zeros(0)
-        self.caps = np.array([topo.shunt_caps.get(n, 0.0) for n in sources])
+        self.l = np.array([b.l for b in dyn])
 
-        # Algebraic KCL over non-source nodes: A v_l = c_ls v_s + n_li i.
-        a = np.zeros((nl, nl))
-        c_ls = np.zeros((nl, ns))
-        n_li = np.zeros((nl, nd))
-        for node, g in topo.loads.items():
-            if node in lidx:
-                a[lidx[node], lidx[node]] += g
-        for b in res:
-            gb = 1.0 / b.r
-            for here, there in ((b.from_node, b.to_node), (b.to_node, b.from_node)):
-                if here in lidx:
-                    a[lidx[here], lidx[here]] += gb
-                    if there in lidx:
-                        a[lidx[here], lidx[there]] -= gb
-                    else:
-                        c_ls[lidx[here], sidx[there]] += gb
-        for d, b in enumerate(dyn):
-            if b.to_node in lidx:
-                n_li[lidx[b.to_node], d] += 1.0
-            if b.from_node in lidx:
-                n_li[lidx[b.from_node], d] -= 1.0
-        if nl:
-            if np.any(np.abs(a).sum(axis=1) == 0.0) or np.linalg.cond(a) > 1e12:
-                bad = [lnodes[k] for k in range(nl) if np.abs(a[k]).sum() == 0.0]
-                raise TopologyError(
-                    "structurally singular dynamic model: non-source node(s) "
-                    f"{bad or lnodes} lack a conductance path")
-            a_inv = np.linalg.inv(a)
-            self.p_v = a_inv @ c_ls
-            self.p_i = a_inv @ n_li
-        else:
-            self.p_v = np.zeros((0, ns))
-            self.p_i = np.zeros((0, nd))
-
-        # Branch endpoint gather indices into the concatenated [v_s; v_l].
-        full_idx = {n: k for k, n in enumerate(sources + lnodes)}
-        self.from_idx = np.array([full_idx[b.from_node] for b in dyn], dtype=int)
-        self.to_idx = np.array([full_idx[b.to_node] for b in dyn], dtype=int)
-
-        # Source injections (capacitor current excluded; the caller adds
-        # C dv/dt): q_i i + q_v v_s + q_l v_l.
-        q_i = np.zeros((ns, nd))
-        q_v = np.zeros((ns, ns))
-        q_l = np.zeros((ns, nl))
-        for d, b in enumerate(dyn):
-            if b.from_node in sidx:
-                q_i[sidx[b.from_node], d] += 1.0
-            if b.to_node in sidx:
-                q_i[sidx[b.to_node], d] -= 1.0
-        for b in res:
-            gb = 1.0 / b.r
-            for here, there in ((b.from_node, b.to_node), (b.to_node, b.from_node)):
-                if here in sidx:
-                    q_v[sidx[here], sidx[here]] += gb
-                    if there in sidx:
-                        q_v[sidx[here], sidx[there]] -= gb
-                    else:
-                        q_l[sidx[here], lidx[there]] -= gb
-        self.q_i = q_i
-        self.q_v = q_v
-        self.q_l = q_l
-
-        # The same algebra as matrices over x = [v_s; i]: the source
-        # injections are injection @ x and the branch-current derivatives
-        # branch_rates @ x.
-        self.injection = np.hstack([q_v + q_l @ self.p_v, q_i + q_l @ self.p_i])
-        node = np.vstack([np.eye(ns, ns + nd), np.hstack([self.p_v, self.p_i])])
-        self.branch_rates = (node[self.from_idx] - node[self.to_idx]) / self.l[:, None]
-        self.branch_rates[np.arange(nd), ns + np.arange(nd)] -= self.r / self.l
-
-    def load_voltages(self, branch_currents, source_voltages):
-        """Algebraic voltages at the non-source nodes (complex)."""
-        return self.p_v @ source_voltages + self.p_i @ branch_currents
+        b_r, e = _incidence(nodes, res), _incidence(nodes, dyn)
+        g = (b_r / np.array([b.r for b in res])) @ b_r.T \
+            + np.diag([topo.loads.get(n, 0.0) for n in nodes])
+        # Injections G V + E i vanish at the non-source nodes, which fixes
+        # the node voltages V = volts @ x.
+        v_l = _eliminate(g[ns:, ns:], np.hstack([g[ns:, :ns], e[ns:]]),
+                         nodes[ns:], "conductance")
+        volts = np.vstack([np.eye(ns, ns + nd), -v_l])
+        self.injection = g[:ns] @ volts
+        self.injection[:, ns:] += e[:ns]
+        self.branch_rates = e.T @ volts
+        self.branch_rates[:, ns:] -= np.diag([b.r for b in dyn])
+        self.branch_rates /= self.l[:, None]
 
     def rhs(self, branch_currents, source_voltages):
         """d(branch currents)/dt for complex branch currents and source voltages."""
-        v_l = self.load_voltages(branch_currents, source_voltages)
-        v_node = np.concatenate([source_voltages, v_l])
-        return (v_node[self.from_idx] - v_node[self.to_idx]
-                - self.r * branch_currents) / self.l
+        return self.branch_rates @ np.concatenate([source_voltages, branch_currents])
 
-    def source_branch_currents(self, branch_currents, source_voltages, load_voltages=None):
-        """Current injected by each source into the branch network (no cap term)."""
-        if load_voltages is None:
-            load_voltages = self.load_voltages(branch_currents, source_voltages)
-        return (self.q_i @ branch_currents + self.q_v @ source_voltages
-                + self.q_l @ load_voltages)
+    def source_branch_currents(self, branch_currents, source_voltages):
+        """Current injected by each source into the network (no cap term)."""
+        return self.injection @ np.concatenate([source_voltages, branch_currents])
 
     def magnetic_energy(self, branch_currents):
         """Total stored branch energy, sum of L |i|^2 / 2."""

@@ -202,9 +202,12 @@ class TestDynamicModel:
         io = net.source_branch_currents(np.zeros(0, dtype=complex), v)
         assert io[0] == pytest.approx(1.0 + 0.0j, rel=1e-14)
 
-    def test_matrices_match_injection_and_rate_oracles(self, rng):
-        # Two load buses, a pure-R tie between them and a pure-R branch
-        # straight from a source, so every KCL piece enters both matrices.
+    def test_frequency_response_matches_phasor_admittance(self):
+        # Two load buses, a pure-R tie between them, a pure-R branch straight
+        # from a source and a load at a source node, so every KCL piece
+        # enters both matrices.  Driven at omega, the dynamic model's source
+        # currents are (J_v + J_i (j omega I - B_i)^-1 B_v) v_s, which must
+        # be the phasor admittance reduced to the sources.
         topo = Topology(
             inverter_nodes=("s1", "s2"),
             branches=(Branch("b1", "s1", "busA", 0.1, 6e-3),
@@ -212,17 +215,14 @@ class TestDynamicModel:
                       Branch("tie", "busA", "busB", 0.4, 0.0),
                       Branch("rs", "s1", "busB", 0.3, 0.0),
                       Branch("b3", "busB", "busA", 0.2, 2e-3)),
-            loads={"busA": 0.02, "busB": 0.03})
+            loads={"s1": 0.2, "busA": 0.02, "busB": 0.03})
         net = DynamicNetwork(topo)
         assert net.branch_ids == ["b1", "b2", "b3"]
-        for _ in range(5):
-            v = 170.0 * (rng.normal(size=2) + 1j * rng.normal(size=2))
-            i = 5.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-            x = np.concatenate([v, i])
-            for got, want in ((net.injection @ x, net.source_branch_currents(i, v)),
-                              (net.branch_rates @ x, net.rhs(i, v))):
-                npt.assert_allclose(got, want, rtol=1e-12,
-                                    atol=1e-12 * np.abs(want).max())
+        j_v, j_i = net.injection[:, :2], net.injection[:, 2:]
+        b_v, b_i = net.branch_rates[:, :2], net.branch_rates[:, 2:]
+        for omega in (0.0, 50.0, OMEGA0, 5e3):
+            response = j_v + j_i @ np.linalg.solve(1j * omega * np.eye(3) - b_i, b_v)
+            npt.assert_allclose(response, reduced_admittance(topo, omega), rtol=1e-12)
 
     def test_periodic_steady_state_matches_quasistatic(self):
         # Sinusoidal drive: the dynamic model's settled currents must agree

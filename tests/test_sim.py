@@ -299,7 +299,8 @@ def oracle_derivative(sim, yv, held=None):
         net = DynamicNetwork(sim.topology)
         i_net = net.source_branch_currents(ib, v_all)
         dib = net.rhs(ib, v_all)
-        caps = net.caps
+        caps = np.array([sim.topology.shunt_caps.get(n, 0.0)
+                         for n in sim.topology.inverter_nodes])
     else:
         i_net = reduced_admittance(sim.topology, sim.omega_nominal) @ v_all
         dib = np.zeros(0, dtype=complex)
@@ -417,18 +418,22 @@ class TestExponentialSplit:
 
 class TestNetworkModes:
     def test_dynamic_matches_quasistatic_steady_state(self):
-        kw = dict(load_g=0.5, branch_r=0.05, branch_l=2e-5, cap=1e-4,
-                  initial={"mode": "nominal", "angle_rad": 0.0})
-        sc_d = pu_scenario(sim={"dt_s": 1e-6, "t_end_s": 0.15,
-                                "network_model": "dynamic",
-                                "record_decimation": 100, "noise_seed": 0}, **kw)
-        sc_q = pu_scenario(sim={"dt_s": 1e-6, "t_end_s": 0.15,
-                                "network_model": "quasistatic",
-                                "record_decimation": 100, "noise_seed": 0}, **kw)
-        tr_d, tr_q = run_scenario(sc_d), run_scenario(sc_q)
-        assert tr_d.vmag[-1, 0] == pytest.approx(tr_q.vmag[-1, 0], rel=1e-3)
-        assert tr_d.p[-1, 0] == pytest.approx(tr_q.p[-1, 0], rel=1e-3)
-        assert tr_d.q[-1, 0] == pytest.approx(tr_q.q[-1, 0], rel=2e-3)
+        # The second load set puts part of the load at the inverter node.
+        for loads in ({"bus": 0.5}, {"n1": 0.2, "bus": 0.3}):
+            traces = []
+            for model in ("dynamic", "quasistatic"):
+                d = pu_scenario_dict(branch_r=0.05, branch_l=2e-5, cap=1e-4,
+                                     initial={"mode": "nominal", "angle_rad": 0.0},
+                                     sim={"dt_s": 1e-5, "t_end_s": 0.15,
+                                          "network_model": model,
+                                          "record_decimation": 10, "noise_seed": 0})
+                d["network"]["loads"] = [{"node": n, "g_siemens": g}
+                                         for n, g in loads.items()]
+                traces.append(run_scenario(parse_scenario_dict(d)))
+            tr_d, tr_q = traces
+            assert tr_d.vmag[-1, 0] == pytest.approx(tr_q.vmag[-1, 0], rel=1e-3)
+            assert tr_d.p[-1, 0] == pytest.approx(tr_q.p[-1, 0], rel=1e-3)
+            assert tr_d.q[-1, 0] == pytest.approx(tr_q.q[-1, 0], rel=2e-3)
 
     def test_sampled_mode_converges_to_continuous(self):
         # Zero-order-hold measurements: sup-deviation of the amplitude
@@ -450,8 +455,8 @@ class TestNetworkModes:
         # update instants; the trajectory stays near the continuous one.
         kw = dict(load_g=0.5, branch_r=0.05, branch_l=2e-5, cap=1e-4,
                   initial={"mode": "nominal", "angle_rad": 0.0})
-        base = {"dt_s": 1e-6, "t_end_s": 0.05, "network_model": "dynamic",
-                "record_decimation": 100, "noise_seed": 0}
+        base = {"dt_s": 1e-5, "t_end_s": 0.05, "network_model": "dynamic",
+                "record_decimation": 10, "noise_seed": 0}
         cont = run_scenario(pu_scenario(sim=dict(base), **kw))
         sampled_cfg = dict(base)
         sampled_cfg["controller_sample_hz"] = 20000.0
@@ -475,9 +480,9 @@ class TestDroopInverter:
         kq = 0.05
         sc = pu_scenario(control="droop", kp=kp, kq=kq, load_g=0.4,
                          p_star=0.5, q_star=0.0,
-                         sim={"dt_s": 2e-5, "t_end_s": 2.0,
+                         sim={"dt_s": 1e-4, "t_end_s": 2.0,
                               "network_model": "quasistatic",
-                              "record_decimation": 50, "noise_seed": 0})
+                              "record_decimation": 10, "noise_seed": 0})
         tr = run_scenario(sc)
         p, q, r = tr.p[-1, 0], tr.q[-1, 0], tr.vmag[-1, 0]
         # stationary droop laws on the measured operating point

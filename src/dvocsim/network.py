@@ -1,7 +1,7 @@
 """Electrical network models connecting inverter voltage nodes to loads.
 
 Both models of a topology are built from one node-branch incidence matrix B
-over ``Topology.nodes()`` (``_incidence``):
+over ``Topology.live_nodes()`` (``_incidence``):
 
 * quasi-static: algebraic phasor solution at a fixed frequency,
   Y = B diag(1/(R + j omega L)) B^T + diag(g + j omega C), reduced to the
@@ -100,6 +100,13 @@ class Topology:
         others.update(self.loads)
         others -= set(self.inverter_nodes)
         return list(self.inverter_nodes) + sorted(others)
+
+    def live_nodes(self):
+        """``nodes()`` less the nodes that only open branches reach: no
+        current flows there, so the network models leave them out."""
+        live = set(self.inverter_nodes).union(
+            self.loads, *((b.from_node, b.to_node) for b in self.active_branches()))
+        return [n for n in self.nodes() if n in live]
 
     def active_branches(self):
         return [b for b in self.branches if b.connected]
@@ -231,13 +238,13 @@ def _eliminate(block, rhs, interior, path):
 # --- quasi-static (phasor) model -------------------------------------------
 
 def build_admittance_complex(topo, omega):
-    """Complex node admittance matrix over ``topo.nodes()`` order.
+    """Complex node admittance matrix over ``topo.live_nodes()`` order.
 
     Y = B diag(1/(R + j omega L)) B^T over the active branches, plus the
     load conductance g and shunt-capacitor susceptance j omega C of every
     node on the diagonal.
     """
-    nodes = topo.nodes()
+    nodes = topo.live_nodes()
     active = topo.active_branches()
     b = _incidence(nodes, active)
     y_branch = np.array([1.0 / (br.r + 1j * omega * br.l) for br in active],
@@ -256,7 +263,7 @@ def _complex_to_block(c):
 def build_admittance(topo, omega):
     """Node admittance matrix as 2x2 real blocks acting on alpha-beta vectors.
 
-    Row/column pairs (2k, 2k+1) correspond to node k of ``topo.nodes()``;
+    Row/column pairs (2k, 2k+1) correspond to node k of ``topo.live_nodes()``;
     the block for complex admittance a + jb is [[a, -b], [b, a]].
     """
     yc = build_admittance_complex(topo, omega)
@@ -277,7 +284,7 @@ def reduced_admittance(topo, omega):
     y = build_admittance_complex(topo, omega)
     ns = len(topo.inverter_nodes)
     return y[:ns, :ns] - y[:ns, ns:] @ _eliminate(y[ns:, ns:], y[ns:, :ns],
-                                                   topo.nodes()[ns:], "admittance")
+                                                   topo.live_nodes()[ns:], "admittance")
 
 
 def solve_currents_quasistatic(topo, omega, inverter_voltages):
@@ -312,7 +319,7 @@ class DynamicNetwork:
     States are the currents of connected branches with L > 0 (one complex
     value per branch in ``branch_ids`` order).  Pure-R branches and the loads
     (at any node, inverter nodes included) form one conductance matrix
-    G = B_R diag(1/R) B_R^T + diag(g) over ``topo.nodes()``; KCL at the
+    G = B_R diag(1/R) B_R^T + diag(g) over ``topo.live_nodes()``; KCL at the
     non-source nodes then gives every node voltage algebraically.  Every
     non-source node must carry a conductance path (load and/or resistive
     branch mesh), otherwise KCL has no algebraic solution and the topology
@@ -326,7 +333,7 @@ class DynamicNetwork:
 
     def __init__(self, topo):
         self.topo = topo
-        nodes = topo.nodes()
+        nodes = topo.live_nodes()
         ns = len(topo.inverter_nodes)
         active = topo.active_branches()
         dyn = [b for b in active if b.l > 0.0]

@@ -6,22 +6,35 @@ as ``*_vrms`` or ``*_peak``; RMS values are converted to peak (x sqrt(2))
 here and nowhere else.  Loads may be given directly as ``g_siemens`` or as a
 power rating ``p_w`` at a rated voltage, in which case
 g = p_w / v_rated_peak^2 (so the load absorbs p_w when the bus sits at the
-rated amplitude).
+rated amplitude).  ``name`` and ``description`` are strings, ``noise_seed``
+is a non-negative integer, and t_end/dt must round to between 1 and
+``sim.MAX_STEPS`` steps.
+
+The schema lives in one table per object (``_SCENARIO``, ``_INVERTER``, ...,
+``_SIM``), each row giving a JSON key, the target field, its kind with
+bounds, and whether it is required or its default.  One reader walks the
+tables to build the dataclasses and one writer emits them back out, so the
+parser and ``Scenario.to_dict`` cannot drift apart.  A short pass then checks
+cross-references: duplicate ids and nodes, undefined nodes, branches and
+inverters, event order, and the dynamic network model's structure.
 
 Parsing is strict: unknown keys are rejected to catch typos in physical
-parameters, and all schema errors are collected and reported together.
+parameters, and every problem, each with its path, is reported together in
+one ScenarioError, the only exception the parser raises (the CLI exits 2).
 """
 
+import copy
 import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import DroopParams, DvocParams
 from .network import (Branch, ConnectBranch, DisconnectBranch, DynamicNetwork, Event,
-                      LoadStep, SetPointUpdate, Topology, TopologyError, apply_event,
+                      LoadStep, SetPointUpdate, Topology, apply_event,
                       reduced_admittance)
 from .numerics import gauss_newton
 from .sim import InitialCondition, SimConfig
@@ -68,399 +81,384 @@ class Scenario:
                                  f"inverter nodes {list(self.topology.inverter_nodes)} "
                                  "in the same order"])
 
-    def inverter(self, inverter_id):
-        for spec in self.inverters:
-            if spec.inverter_id == inverter_id:
-                return spec
-        raise KeyError(f"no inverter {inverter_id!r}")
-
     def to_dict(self):
         """Canonical JSON-compatible form (peak volts, conductances resolved).
 
         Feeding the result back through ``parse_scenario_dict`` reproduces an
         equal Scenario.
         """
-        inverters = []
-        for spec in self.inverters:
-            d = {"id": spec.inverter_id, "node": spec.node}
-            p = spec.params
-            if isinstance(p, DvocParams):
-                d.update(control="dvoc", eta=p.eta, alpha=p.alpha, kappa_rad=p.kappa)
-            else:
-                d.update(control="droop", kp_rad_per_sw=p.kp, kq_v_per_var=p.kq)
-            d.update(p_star_w=p.p_star, q_star_var=p.q_star, v_star_peak=p.v_star)
-            init = {"mode": spec.initial.mode}
-            if spec.initial.mode == "nominal":
-                init["angle_rad"] = spec.initial.angle
-            elif spec.initial.mode == "explicit":
-                init["v_alpha"], init["v_beta"] = spec.initial.vec
-            d["initial"] = init
-            inverters.append(d)
-        topo = self.topology
-        network = {
-            "branches": [
-                {"id": b.branch_id, "from": b.from_node, "to": b.to_node,
-                 "r_ohm": b.r, "l_henry": b.l, "connected": b.connected}
-                for b in topo.branches
-            ],
-            "loads": [{"node": n, "g_siemens": g} for n, g in sorted(topo.loads.items())],
-            "shunt_caps": [{"node": n, "c_farad": c}
-                           for n, c in sorted(topo.shunt_caps.items())],
-        }
-        events = []
-        for ev in self.events:
-            a = ev.action
-            if isinstance(a, ConnectBranch):
-                events.append({"t_s": ev.time, "type": "connect", "branch": a.branch_id})
-            elif isinstance(a, DisconnectBranch):
-                events.append({"t_s": ev.time, "type": "disconnect", "branch": a.branch_id})
-            elif isinstance(a, LoadStep):
-                events.append({"t_s": ev.time, "type": "load_step", "node": a.node,
-                               "g_siemens": a.conductance})
-            elif isinstance(a, SetPointUpdate):
-                d = {"t_s": ev.time, "type": "set_point", "inverter": a.inverter_id}
-                if a.p_star is not None:
-                    d["p_star_w"] = a.p_star
-                if a.q_star is not None:
-                    d["q_star_var"] = a.q_star
-                if a.v_star is not None:
-                    d["v_star_peak"] = a.v_star
-                events.append(d)
-        sim = {
-            "dt_s": self.sim.dt,
-            "t_end_s": self.sim.t_end,
-            "network_model": self.sim.network_model,
-            "record_decimation": self.sim.record_decimation,
-            "noise_seed": self.sim.noise_seed,
-            "noise_amplitude": self.sim.noise_amplitude,
-        }
-        if self.sim.controller_sample_hz is not None:
-            sim["controller_sample_hz"] = self.sim.controller_sample_hz
-        return {
-            "name": self.name,
-            "description": self.description,
-            "omega0_rad_per_s": self.omega0,
-            "inverters": inverters,
-            "network": network,
-            "events": events,
-            "sim": sim,
-            "outputs": list(self.outputs),
-        }
+        return _write(_SCENARIO, self)
 
 
-# --- strict schema walking --------------------------------------------------
+# --- schema kinds -----------------------------------------------------------
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _check_keys(d, path, allowed, errs):
-    if not isinstance(d, dict):
-        errs.append(f"{path}: expected an object")
-        return False
-    for k in d:
-        if k not in allowed:
-            errs.append(f"{path}: unknown key {k!r}")
-    return True
+_REQUIRED = object()    # row default: the key must be given
+_KEEP = object()        # row default: keep the target dataclass's own default
+_ABSENT = object()      # read result: the key is missing or null
+_BAD = object()         # read result: invalid, and the problem is in errs
 
 
-def _num(d, key, path, errs, required=True, default=None, minimum=None,
-         exclusive_min=None):
-    if key not in d:
-        if required:
-            errs.append(f"{path}: missing required key {key!r}")
-        return default
-    v = d[key]
-    if not _is_num(v):
-        errs.append(f"{path}.{key}: expected a finite number, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        errs.append(f"{path}.{key}: must be >= {minimum}, got {v}")
-        return default
-    if exclusive_min is not None and v <= exclusive_min:
-        errs.append(f"{path}.{key}: must be > {exclusive_min}, got {v}")
-        return default
-    return float(v)
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
-def _string(d, key, path, errs, required=True, default=None):
-    if key not in d:
-        if required:
-            errs.append(f"{path}: missing required key {key!r}")
-        return default
-    v = d[key]
-    if not isinstance(v, str) or not v:
-        errs.append(f"{path}.{key}: expected a non-empty string, got {v!r}")
-        return default
-    return v
+def _show(v):
+    """``v`` for an error message; containers by type name, and huge ints by
+    size (the repr of a 5000-digit int raises ValueError)."""
+    if isinstance(v, int) and v.bit_length() > 64:
+        return f"a {v.bit_length()}-bit integer"
+    return repr(v) if isinstance(v, (str, int, float, type(None))) else type(v).__name__
 
 
-def _peak_voltage(d, path, errs, prefix, required=True):
-    """Resolve a '<prefix>_vrms' or '<prefix>_peak' pair to a peak value."""
-    krms, kpk = f"{prefix}_vrms", f"{prefix}_peak"
-    has_rms, has_pk = krms in d, kpk in d
-    if has_rms and has_pk:
-        errs.append(f"{path}: give exactly one of {krms!r} or {kpk!r}")
-        return None
-    if not has_rms and not has_pk:
-        if required:
-            errs.append(f"{path}: missing {krms!r} or {kpk!r}")
-        return None
-    key = krms if has_rms else kpk
-    v = _num(d, key, path, errs, exclusive_min=0.0)
-    if v is None:
-        return None
-    return v * SQRT2 if has_rms else v
+class _Kind:
+    """How a row reads its value from a JSON object and writes it back.
 
+    ``check(v, path, errs, scope)`` turns the JSON value at ``path`` into the
+    value to store.  It raises ValueError with the reason, or returns _BAD
+    after putting nested problems in ``errs``; ``scope`` holds the values
+    already read from the enclosing object.  ``dump`` is its inverse.
+    """
 
-def _load_conductance(d, path, errs):
-    """Resolve a load given as g_siemens or as p_w at a rated voltage."""
-    if "g_siemens" in d:
-        if "p_w" in d or "v_rated_vrms" in d or "v_rated_peak" in d:
-            errs.append(f"{path}: give either g_siemens or a p_w + rated voltage, not both")
-        return _num(d, "g_siemens", path, errs, minimum=0.0)
-    if "p_w" in d:
-        p = _num(d, "p_w", path, errs, minimum=0.0)
-        v = _peak_voltage(d, path, errs, "v_rated")
-        if p is None or v is None:
-            return None
-        return p / v**2
-    errs.append(f"{path}: missing g_siemens or p_w")
-    return None
+    def __init__(self, check=None, dump=None):
+        self.check, self.dump = check, dump
 
+    def keys(self, key):
+        return (key,)
 
-_INITIAL_KEYS = {"mode", "angle_rad", "v_alpha", "v_beta"}
-_INV_COMMON = {"id", "node", "control", "p_star_w", "q_star_var",
-               "v_star_vrms", "v_star_peak", "initial"}
-_INV_DVOC = _INV_COMMON | {"eta", "alpha", "kappa_rad"}
-_INV_DROOP = _INV_COMMON | {"kp_rad_per_sw", "kq_v_per_var"}
-
-
-def _parse_initial(d, path, errs):
-    if d is None:
-        return InitialCondition(mode="blackstart")
-    if not _check_keys(d, path, _INITIAL_KEYS, errs):
-        return None
-    mode = _string(d, "mode", path, errs)
-    if mode == "blackstart":
-        return InitialCondition(mode="blackstart")
-    if mode == "nominal":
-        ang = _num(d, "angle_rad", path, errs, required=False, default=0.0)
-        return InitialCondition(mode="nominal", angle=ang)
-    if mode == "explicit":
-        a = _num(d, "v_alpha", path, errs)
-        b = _num(d, "v_beta", path, errs)
-        if a is None or b is None:
-            return None
-        return InitialCondition(mode="explicit", vec=(a, b))
-    if mode is not None:
-        errs.append(f"{path}.mode: unknown initial mode {mode!r}")
-    return None
-
-
-def _parse_inverter(d, path, errs, omega0):
-    control = _string(d, "control", path, errs)
-    allowed = _INV_DVOC if control == "dvoc" else _INV_DROOP
-    if control not in ("dvoc", "droop"):
-        if control is not None:
-            errs.append(f"{path}.control: expected 'dvoc' or 'droop', got {control!r}")
-        allowed = _INV_DVOC | _INV_DROOP
-    if not _check_keys(d, path, allowed, errs):
-        return None
-    inv_id = _string(d, "id", path, errs)
-    node = _string(d, "node", path, errs)
-    p_star = _num(d, "p_star_w", path, errs)
-    q_star = _num(d, "q_star_var", path, errs)
-    v_star = _peak_voltage(d, path, errs, "v_star")
-    initial = _parse_initial(d.get("initial"), f"{path}.initial", errs)
-    if None in (inv_id, node, p_star, q_star, v_star, initial, omega0):
-        return None
-    try:
-        if control == "dvoc":
-            eta = _num(d, "eta", path, errs, exclusive_min=0.0)
-            alpha = _num(d, "alpha", path, errs, exclusive_min=0.0)
-            kappa = _num(d, "kappa_rad", path, errs)
-            if None in (eta, alpha, kappa):
-                return None
-            params = DvocParams(eta=eta, alpha=alpha, kappa=kappa, p_star=p_star,
-                                q_star=q_star, v_star=v_star, omega0=omega0)
-        elif control == "droop":
-            kp = _num(d, "kp_rad_per_sw", path, errs)
-            kq = _num(d, "kq_v_per_var", path, errs)
-            if None in (kp, kq):
-                return None
-            params = DroopParams(kp=kp, kq=kq, omega0=omega0, v_star=v_star,
-                                 p_star=p_star, q_star=q_star)
-        else:
-            return None
-    except ValueError as exc:
-        errs.append(f"{path}: {exc}")
-        return None
-    return InverterSpec(inverter_id=inv_id, node=node, params=params, initial=initial)
-
-
-def _parse_network(d, path, errs, inverter_nodes):
-    if not _check_keys(d, path, {"branches", "loads", "shunt_caps"}, errs):
-        return None
-    branches = []
-    for k, bd in enumerate(d.get("branches", [])):
-        bpath = f"{path}.branches[{k}]"
-        if not _check_keys(bd, bpath, {"id", "from", "to", "r_ohm", "l_henry",
-                                       "connected"}, errs):
-            continue
-        bid = _string(bd, "id", bpath, errs)
-        frm = _string(bd, "from", bpath, errs)
-        to = _string(bd, "to", bpath, errs)
-        r = _num(bd, "r_ohm", bpath, errs, minimum=0.0)
-        l = _num(bd, "l_henry", bpath, errs, minimum=0.0)
-        connected = bd.get("connected", True)
-        if not isinstance(connected, bool):
-            errs.append(f"{bpath}.connected: expected a boolean")
-            continue
-        if None in (bid, frm, to, r, l):
-            continue
+    def read(self, d, key, path, errs, scope):
+        """The value of ``key`` in ``d``: stored, _ABSENT or _BAD."""
+        if d.get(key) is None:
+            return _ABSENT
         try:
-            branches.append(Branch(branch_id=bid, from_node=frm, to_node=to,
-                                   r=r, l=l, connected=connected))
+            return self.check(d[key], _join(path, key), errs, scope)
         except ValueError as exc:
-            errs.append(f"{bpath}: {exc}")
-    known_nodes = set(inverter_nodes)
-    for b in branches:
-        known_nodes.update((b.from_node, b.to_node))
-    loads = {}
-    for k, ld in enumerate(d.get("loads", [])):
-        lpath = f"{path}.loads[{k}]"
-        if not _check_keys(ld, lpath, {"node", "g_siemens", "p_w", "v_rated_vrms",
-                                       "v_rated_peak"}, errs):
+            errs.append(f"{_join(path, key)}: {exc}")
+            return _BAD
+
+    def write(self, key, value):
+        return {key: self.dump(value) if self.dump else value}
+
+
+def _finite(op=None, lo=0.0):
+    """Finite number, stored as float; ``op`` '>' or '>=' bounds it by ``lo``."""
+    def check(v, *_):
+        x = math.nan
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            try:
+                x = float(v)
+            except OverflowError:  # an int beyond the float range
+                pass
+        if math.isfinite(x) and (op is None or x > lo or (op == ">=" and x == lo)):
+            return x
+        raise ValueError(f"expected a finite number{f' {op} {lo}' if op else ''}, "
+                         f"got {_show(v)}")
+    return _Kind(check)
+
+
+def _text(empty=False):
+    def check(v, *_):
+        if isinstance(v, str) and (v or empty):
+            return v
+        raise ValueError(f"expected a{'' if empty else ' non-empty'} string, "
+                         f"got {_show(v)}")
+    return _Kind(check)
+
+
+def _int(lo):
+    def check(v, *_):
+        if isinstance(v, int) and not isinstance(v, bool) and v >= lo:
+            return v
+        raise ValueError(f"expected an integer >= {lo}, got {_show(v)}")
+    return _Kind(check)
+
+
+def _enum(*choices):
+    """One of ``choices``: strings, or True and False for a boolean."""
+    def check(v, *_):
+        if isinstance(v, type(choices[0])) and v in choices:
+            return v
+        raise ValueError(f"expected one of {choices}, got {_show(v)}")
+    return _Kind(check)
+
+
+def _outputs(v, *_):
+    if isinstance(v, list) and all(isinstance(o, str) and o in _OUTPUTS for o in v):
+        return tuple(v)
+    raise ValueError(f"expected a list drawn from {_OUTPUTS}")
+
+
+def _obj(table):
+    return _Kind(functools.partial(_read, table), functools.partial(_write, table))
+
+
+def _list(table, nonempty=False):
+    """List of objects read through ``table``; ``nonempty`` asks for one."""
+    def check(v, path, errs, scope):
+        if not isinstance(v, list) or (nonempty and not v):
+            raise ValueError(f"expected a{' non-empty' * nonempty} list")
+        items = [_read(table, x, f"{path}[{k}]", errs, scope) for k, x in enumerate(v)]
+        return _BAD if _BAD in items else items
+    return _Kind(check, lambda items: [_write(table, x) for x in items])
+
+
+class _Peak(_Kind):
+    """Peak voltage (> 0) at '<name>_peak', or as an RMS value (x sqrt(2)) at
+    '<name>_vrms'; written as '<name>_peak'."""
+
+    def __init__(self):
+        super().__init__(_finite(">").check)
+
+    def keys(self, key):
+        return (key[:-len("peak")] + "vrms", key)
+
+    def read(self, d, key, path, errs, scope):
+        rms = self.keys(key)[0]
+        if d.get(rms) is None:
+            return super().read(d, key, path, errs, scope)
+        if d.get(key) is not None:
+            errs.append(f"{path}: give exactly one of {rms!r} or {key!r}")
+            return _BAD
+        v = super().read(d, rms, path, errs, scope)
+        # Check the peak value too: v * sqrt(2) overflows near the float limit.
+        return v if v is _BAD else super().read({rms: v * SQRT2}, rms, path, errs, scope)
+
+
+_PEAK = _Peak()
+
+
+class _Conductance(_Kind):
+    """Load conductance (S, >= 0) at 'g_siemens', or a rating 'p_w' (W, >= 0)
+    at a rated voltage given as for _Peak: g = p_w / v_rated_peak^2."""
+
+    def __init__(self):
+        super().__init__(_finite(">=").check)
+
+    def keys(self, key):
+        return (key, "p_w") + _PEAK.keys("v_rated_peak")
+
+    def read(self, d, key, path, errs, scope):
+        rating = [k for k in self.keys(key)[1:] if d.get(k) is not None]
+        if not rating:
+            return super().read(d, key, path, errs, scope)
+        if d.get(key) is not None or "p_w" not in rating:
+            errs.append(f"{path}: give either {key} or p_w with a rated voltage")
+            return _BAD
+        p = super().read(d, "p_w", path, errs, scope)
+        v = _PEAK.read(d, "v_rated_peak", path, errs, scope)
+        if v is _ABSENT:
+            errs.append(f"{path}: missing 'v_rated_vrms' or 'v_rated_peak'")
+        if _BAD in (p, v) or v is _ABSENT:
+            return _BAD
+        try:
+            g = p / v**2
+        except (OverflowError, ZeroDivisionError):
+            g = math.nan
+        if math.isfinite(g):
+            return g
+        errs.append(f"{path}: the square of v_rated_peak = {v} over- or underflows")
+        return _BAD
+
+
+class _Inherit(_Kind):
+    """The enclosing object's field of the same name; not in the document."""
+
+    def keys(self, key):
+        return ()
+
+    def write(self, key, value):
+        return {}
+
+
+# --- schema tables ----------------------------------------------------------
+
+# A row: JSON ``key``, target ``attr``, ``kind`` (with its bounds) and
+# ``default``: _REQUIRED, _KEEP, or a value (copied) to use when absent.
+_Field = namedtuple("_Field", "key attr kind default", defaults=(_REQUIRED,))
+# One object: its rows, ``build(**values)`` making it, and ``fields(obj)``
+# giving the values back by attribute.
+_Table = namedtuple("_Table", "rows build fields", defaults=(dict, vars))
+# Tagged variants: the string at ``key`` selects one of ``tables``, and
+# ``tag(obj)`` names the variant of an object being written.
+_Variants = namedtuple("_Variants", "key tag tables")
+
+
+def _fields(table, d, path, errs, outer):
+    """Read the rows of ``table`` (a variant's, if it is _Variants) from the
+    JSON object ``d``: (table used, values by attribute with _BAD where
+    invalid), or (table, _BAD) when ``d`` is no object or has a bad tag."""
+    where = path or "top level"
+    if not isinstance(d, dict):
+        errs.append(f"{where}: expected an object")
+        return table, _BAD
+    known = set()
+    if isinstance(table, _Variants):
+        tag = d.get(table.key)
+        if not (isinstance(tag, str) and tag in table.tables):
+            errs.append(f"{_join(path, table.key)}: expected one of "
+                        f"{tuple(table.tables)}, got {_show(tag)}")
+            return table, _BAD
+        known, table = {table.key}, table.tables[tag]
+    known.update(k for row in table.rows for k in row.kind.keys(row.key))
+    errs.extend(f"{where}: unknown key {k!r}" for k in d if k not in known)
+    values = {}
+    for row in table.rows:
+        if isinstance(row.kind, _Inherit):
+            values[row.attr] = outer.get(row.attr, _BAD)
             continue
-        node = _string(ld, "node", lpath, errs)
-        g = _load_conductance(ld, lpath, errs)
-        if node is None or g is None:
+        v = row.kind.read(d, row.key, path, errs, values)
+        if v is _ABSENT and row.default is _KEEP:
             continue
-        if node in loads:
-            errs.append(f"{lpath}: duplicate load node {node!r}")
-            continue
-        if node not in known_nodes:
-            errs.append(f"{lpath}: undefined node {node!r}")
-            continue
-        loads[node] = g
-    caps = {}
-    for k, cd in enumerate(d.get("shunt_caps", [])):
-        cpath = f"{path}.shunt_caps[{k}]"
-        if not _check_keys(cd, cpath, {"node", "c_farad"}, errs):
-            continue
-        node = _string(cd, "node", cpath, errs)
-        c = _num(cd, "c_farad", cpath, errs, minimum=0.0)
-        if node is None or c is None:
-            continue
-        if node in caps:
-            errs.append(f"{cpath}: duplicate capacitor node {node!r}")
-            continue
-        caps[node] = c
+        if v is _ABSENT and row.default is _REQUIRED:
+            # A two-form kind lists its alternatives first (rms/peak, g/p_w).
+            errs.append(f"{where}: missing required key "
+                        f"{' or '.join(map(repr, row.kind.keys(row.key)[:2]))}")
+            v = _BAD
+        values[row.attr] = copy.copy(row.default) if v is _ABSENT else v
+    return table, values
+
+
+def _read(table, d, path, errs, outer):
+    """The object ``table`` builds from ``d``, or _BAD with every problem
+    found appended to ``errs``."""
+    table, values = _fields(table, d, path, errs, outer)
+    if values is _BAD or _BAD in values.values():
+        return _BAD
     try:
-        return Topology(inverter_nodes=tuple(inverter_nodes), branches=tuple(branches),
-                        loads=loads, shunt_caps=caps)
-    except (TopologyError, ValueError) as exc:
-        errs.append(f"{path}: {exc}")
-        return None
-
-
-_EVENT_KEYS = {
-    "connect": {"t_s", "type", "branch"},
-    "disconnect": {"t_s", "type", "branch"},
-    "load_step": {"t_s", "type", "node", "g_siemens", "p_w", "v_rated_vrms",
-                  "v_rated_peak"},
-    "set_point": {"t_s", "type", "inverter", "p_star_w", "q_star_var",
-                  "v_star_vrms", "v_star_peak"},
-}
-
-
-def _parse_event(d, path, errs, topo, inverter_ids):
-    typ = _string(d, "type", path, errs)
-    if typ not in _EVENT_KEYS:
-        if typ is not None:
-            errs.append(f"{path}.type: unknown event type {typ!r}")
-        return None
-    if not _check_keys(d, path, _EVENT_KEYS[typ], errs):
-        return None
-    t = _num(d, "t_s", path, errs, minimum=0.0)
-    if t is None:
-        return None
-    if typ in ("connect", "disconnect"):
-        bid = _string(d, "branch", path, errs)
-        if bid is None:
-            return None
-        if topo is not None and bid not in {b.branch_id for b in topo.branches}:
-            errs.append(f"{path}.branch: undefined branch {bid!r}")
-            return None
-        action = ConnectBranch(bid) if typ == "connect" else DisconnectBranch(bid)
-    elif typ == "load_step":
-        node = _string(d, "node", path, errs)
-        g = _load_conductance(d, path, errs)
-        if node is None or g is None:
-            return None
-        if topo is not None and node not in topo.nodes():
-            errs.append(f"{path}.node: undefined node {node!r}")
-            return None
-        action = LoadStep(node=node, conductance=g)
-    else:
-        inv = _string(d, "inverter", path, errs)
-        if inv is None:
-            return None
-        if inv not in inverter_ids:
-            errs.append(f"{path}.inverter: undefined inverter {inv!r}")
-            return None
-        p = _num(d, "p_star_w", path, errs, required=False)
-        q = _num(d, "q_star_var", path, errs, required=False)
-        v = _peak_voltage(d, path, errs, "v_star", required=False)
-        if p is None and q is None and v is None:
-            errs.append(f"{path}: set_point event updates nothing")
-            return None
-        action = SetPointUpdate(inverter_id=inv, p_star=p, q_star=q, v_star=v)
-    return Event(time=t, action=action)
-
-
-_TOP_KEYS = {"name", "description", "omega0_rad_per_s", "inverters", "network",
-             "events", "sim", "outputs"}
-_SIM_KEYS = {"dt_s", "t_end_s", "controller_sample_hz", "network_model",
-             "record_decimation", "noise_seed", "noise_amplitude"}
-
-
-def _parse_sim(d, path, errs):
-    if d is None:
-        d = {}
-    if not _check_keys(d, path, _SIM_KEYS, errs):
-        return None
-    kwargs = {}
-    if "dt_s" in d:
-        kwargs["dt"] = _num(d, "dt_s", path, errs, exclusive_min=0.0)
-    if "t_end_s" in d:
-        kwargs["t_end"] = _num(d, "t_end_s", path, errs, exclusive_min=0.0)
-    if "controller_sample_hz" in d and d["controller_sample_hz"] is not None:
-        kwargs["controller_sample_hz"] = _num(d, "controller_sample_hz", path, errs,
-                                              exclusive_min=0.0)
-    if "network_model" in d:
-        kwargs["network_model"] = _string(d, "network_model", path, errs)
-    if "record_decimation" in d:
-        v = d["record_decimation"]
-        if not isinstance(v, int) or isinstance(v, bool):
-            errs.append(f"{path}.record_decimation: expected an integer")
-        else:
-            kwargs["record_decimation"] = v
-    if "noise_seed" in d:
-        v = d["noise_seed"]
-        if not isinstance(v, int) or isinstance(v, bool):
-            errs.append(f"{path}.noise_seed: expected an integer")
-        else:
-            kwargs["noise_seed"] = v
-    if "noise_amplitude" in d:
-        kwargs["noise_amplitude"] = _num(d, "noise_amplitude", path, errs, minimum=0.0)
-    if any(v is None for v in kwargs.values()):
-        return None
-    try:
-        return SimConfig(**kwargs)
+        return table.build(**values)
     except ValueError as exc:
-        errs.append(f"{path}: {exc}")
+        errs.append(f"{path or 'top level'}: {exc}")
+        return _BAD
+
+
+def _write(table, obj):
+    """The JSON object for ``obj``: every row of its table, None left out."""
+    out = {}
+    if isinstance(table, _Variants):
+        out[table.key] = tag = table.tag(obj)
+        table = table.tables[tag]
+    values = table.fields(obj)
+    for row in table.rows:
+        if values[row.attr] is not None:
+            out.update(row.kind.write(row.key, values[row.attr]))
+    return out
+
+
+def _inverter(params, *rows):
+    def build(inverter_id, node, initial, **kw):
+        return InverterSpec(inverter_id, node, params(**kw), initial)
+    return _Table((_Field("id", "inverter_id", _text()),
+                   _Field("node", "node", _text()),
+                   _Field("omega0_rad_per_s", "omega0", _Inherit()),
+                   _Field("p_star_w", "p_star", _finite()),
+                   _Field("q_star_var", "q_star", _finite()),
+                   _Field("v_star_peak", "v_star", _PEAK),
+                   _Field("initial", "initial", _obj(_INITIAL), InitialCondition()))
+                  + rows, build, lambda spec: {**vars(spec), **vars(spec.params)})
+
+
+def _event(action, *rows):
+    return _Table((_Field("t_s", "time", _finite(">=")),) + rows,
+                  lambda time, **kw: Event(time, action(**kw)),
+                  lambda ev: {"time": ev.time, **vars(ev.action)})
+
+
+def _set_point(inverter_id, **given):
+    if not given:
+        raise ValueError("set_point event updates nothing")
+    return SetPointUpdate(inverter_id, **given)
+
+
+_INITIAL = _Variants("mode", lambda init: init.mode, {
+    "blackstart": _Table((), functools.partial(InitialCondition, "blackstart")),
+    "nominal": _Table((_Field("angle_rad", "angle", _finite(), _KEEP),),
+                      functools.partial(InitialCondition, "nominal")),
+    "explicit": _Table((_Field("v_alpha", "v_alpha", _finite()),
+                        _Field("v_beta", "v_beta", _finite())),
+                       lambda v_alpha, v_beta: InitialCondition("explicit",
+                                                                vec=(v_alpha, v_beta)),
+                       lambda init: dict(zip(("v_alpha", "v_beta"), init.vec))),
+})
+_INVERTER = _Variants(
+    "control", lambda spec: "dvoc" if isinstance(spec.params, DvocParams) else "droop",
+    {"dvoc": _inverter(DvocParams, _Field("eta", "eta", _finite(">")),
+                       _Field("alpha", "alpha", _finite(">")),
+                       _Field("kappa_rad", "kappa", _finite())),
+     "droop": _inverter(DroopParams, _Field("kp_rad_per_sw", "kp", _finite()),
+                        _Field("kq_v_per_var", "kq", _finite()))})
+
+_BRANCH = _Table((_Field("id", "branch_id", _text()),
+                  _Field("from", "from_node", _text()),
+                  _Field("to", "to_node", _text()),
+                  _Field("r_ohm", "r", _finite(">=")),
+                  _Field("l_henry", "l", _finite(">=")),
+                  _Field("connected", "connected", _enum(True, False), True)), Branch)
+# Loads and shunt capacitors are read as (node, value) pairs; the
+# cross-reference pass gathers them per node.
+_PAIR = (lambda node, value: (node, value), lambda pair: dict(zip(("node", "value"), pair)))
+_LOAD = _Table((_Field("node", "node", _text()),
+                _Field("g_siemens", "value", _Conductance())), *_PAIR)
+_SHUNT_CAP = _Table((_Field("node", "node", _text()),
+                     _Field("c_farad", "value", _finite(">="))), *_PAIR)
+_NETWORK = _Table((_Field("branches", "branches", _list(_BRANCH), []),
+                   _Field("loads", "loads", _list(_LOAD), []),
+                   _Field("shunt_caps", "shunt_caps", _list(_SHUNT_CAP), [])),
+                  fields=lambda topo: {"branches": topo.branches,
+                                       "loads": sorted(topo.loads.items()),
+                                       "shunt_caps": sorted(topo.shunt_caps.items())})
+
+_EVENT_TYPES = {ConnectBranch: "connect", DisconnectBranch: "disconnect",
+                LoadStep: "load_step", SetPointUpdate: "set_point"}
+_EVENT = _Variants("type", lambda ev: _EVENT_TYPES[type(ev.action)], {
+    "connect": _event(ConnectBranch, _Field("branch", "branch_id", _text())),
+    "disconnect": _event(DisconnectBranch, _Field("branch", "branch_id", _text())),
+    "load_step": _event(LoadStep, _Field("node", "node", _text()),
+                        _Field("g_siemens", "conductance", _Conductance())),
+    "set_point": _event(_set_point, _Field("inverter", "inverter_id", _text()),
+                        _Field("p_star_w", "p_star", _finite(), _KEEP),
+                        _Field("q_star_var", "q_star", _finite(), _KEEP),
+                        _Field("v_star_peak", "v_star", _PEAK, _KEEP)),
+})
+
+_SIM = _Table((_Field("dt_s", "dt", _finite(">"), _KEEP),
+               _Field("t_end_s", "t_end", _finite(">"), _KEEP),
+               _Field("controller_sample_hz", "controller_sample_hz", _finite(">"), _KEEP),
+               _Field("network_model", "network_model", _enum("dynamic", "quasistatic"),
+                      _KEEP),
+               _Field("record_decimation", "record_decimation", _int(1), _KEEP),
+               _Field("noise_seed", "noise_seed", _int(0), _KEEP),
+               _Field("noise_amplitude", "noise_amplitude", _finite(">="), _KEEP)), SimConfig)
+
+# Rows are read in order, so omega0 is known when the inverters inherit it.
+_SCENARIO = _Table((_Field("name", "name", _text(empty=True), ""),
+                    _Field("description", "description", _text(empty=True), ""),
+                    _Field("omega0_rad_per_s", "omega0", _finite(">")),
+                    _Field("inverters", "inverters", _list(_INVERTER, nonempty=True)),
+                    _Field("network", "topology", _obj(_NETWORK)),
+                    _Field("events", "events", _list(_EVENT), []),
+                    _Field("sim", "sim", _obj(_SIM), SimConfig()),
+                    _Field("outputs", "outputs", _Kind(_outputs, list), _OUTPUTS)))
+
+
+# --- cross-references ---------------------------------------------------------
+
+def _topology(nodes, branches, loads, shunt_caps, errs):
+    """The Topology over the inverter ``nodes`` (None if invalid), reporting
+    duplicate and undefined load and capacitor nodes."""
+    known = set(nodes).union(*((b.from_node, b.to_node) for b in branches))
+    by_node = {"loads": {}, "shunt_caps": {}}
+    for key, pairs in (("loads", loads), ("shunt_caps", shunt_caps)):
+        for k, (node, value) in enumerate(pairs):
+            if node in by_node[key]:
+                what = "load" if key == "loads" else "capacitor"
+                errs.append(f"network.{key}[{k}]: duplicate {what} node {node!r}")
+            elif node not in known:
+                errs.append(f"network.{key}[{k}]: undefined node {node!r}")
+            by_node[key].setdefault(node, value)
+    try:
+        return Topology(tuple(nodes), tuple(branches), by_node["loads"],
+                        by_node["shunt_caps"])
+    except ValueError as exc:
+        errs.append(f"network: {exc}")
         return None
 
 
@@ -470,76 +468,54 @@ def parse_scenario_dict(data):
     Raises ScenarioError carrying the full list of problems found.
     """
     errs = []
-    if not isinstance(data, dict):
-        raise ScenarioError(["top level: expected an object"])
-    _check_keys(data, "top level", _TOP_KEYS, errs)
-    name = data.get("name", "")
-    desc = data.get("description", "")
-    omega0 = _num(data, "omega0_rad_per_s", "top level", errs, exclusive_min=0.0)
+    _, top = _fields(_SCENARIO, data, "", errs, {})
+    if top is _BAD:
+        raise ScenarioError(errs)
+    inverters, net, events, sim = (top[k] for k in ("inverters", "topology", "events",
+                                                    "sim"))
+    topo = ids = None
+    if inverters is not _BAD:
+        ids = [s.inverter_id for s in inverters]
+        nodes = [s.node for s in inverters]
+        if len(set(ids)) != len(ids):
+            errs.append("inverters: duplicate inverter ids")
+        if len(set(nodes)) != len(nodes):
+            errs.append("inverters: duplicate node id (two inverters on one node)")
+        elif net is not _BAD:
+            topo = _topology(nodes, errs=errs, **net)
 
-    inv_list = data.get("inverters")
-    inverters = []
-    if not isinstance(inv_list, list) or not inv_list:
-        errs.append("inverters: at least one inverter is required")
-    else:
-        for k, d in enumerate(inv_list):
-            path = f"inverters[{k}]"
-            if not isinstance(d, dict):
-                errs.append(f"{path}: expected an object")
-                continue
-            spec = _parse_inverter(d, path, errs, omega0)
-            if spec is not None:
-                inverters.append(spec)
-    ids = [s.inverter_id for s in inverters]
-    if len(set(ids)) != len(ids):
-        errs.append("inverters: duplicate inverter ids")
-    nodes = [s.node for s in inverters]
-    if len(set(nodes)) != len(nodes):
-        errs.append("inverters: duplicate node id (two inverters on one node)")
-
-    net = data.get("network")
-    topo = None
-    if not isinstance(net, dict):
-        errs.append("network: required object missing")
-    else:
-        topo = _parse_network(net, "network", errs, nodes)
-
-    events = []
-    times = []
-    for k, d in enumerate(data.get("events", [])):
-        path = f"events[{k}]"
-        if not isinstance(d, dict):
-            errs.append(f"{path}: expected an object")
-            continue
-        ev = _parse_event(d, path, errs, topo, set(ids))
-        if ev is not None:
-            events.append(ev)
-            times.append(ev.time)
-    if times != sorted(times):
-        errs.append("events: times must be sorted ascending")
-
-    sim = _parse_sim(data.get("sim"), "sim", errs)
-
-    outputs = data.get("outputs", list(_OUTPUTS))
-    if not isinstance(outputs, list) or any(o not in _OUTPUTS for o in outputs):
-        errs.append(f"outputs: expected a list drawn from {_OUTPUTS}")
-        outputs = list(_OUTPUTS)
+    n_errs = len(errs)
+    if events is not _BAD:
+        times = [ev.time for ev in events]
+        if times != sorted(times):
+            errs.append("events: times must be sorted ascending")
+        for k, ev in enumerate(events):
+            a = ev.action
+            if isinstance(a, SetPointUpdate):
+                key, ref, defined = "inverter", a.inverter_id, ids
+            elif isinstance(a, LoadStep):
+                key, ref, defined = "node", a.node, topo and topo.nodes()
+            else:
+                key, ref, defined = "branch", a.branch_id, topo and [
+                    b.branch_id for b in topo.branches]
+            if defined is not None and ref not in defined:
+                errs.append(f"events[{k}].{key}: undefined {key} {ref!r}")
 
     # Structural check for the dynamic model, over the whole event timeline.
-    if topo is not None and sim is not None and sim.network_model == "dynamic":
+    if (topo is not None and events is not _BAD and len(errs) == n_errs
+            and sim is not _BAD and sim.network_model == "dynamic"):
         t = topo
         try:
             DynamicNetwork(t)
             for ev in events:
                 t = apply_event(t, ev.action)
                 DynamicNetwork(t)
-        except (TopologyError, ValueError, KeyError) as exc:
+        except ValueError as exc:  # TopologyError, or a numpy LinAlgError
             errs.append(f"network: {exc}")
 
     if errs:
         raise ScenarioError(errs)
-    return Scenario(name=name, description=desc, omega0=omega0, inverters=inverters,
-                    topology=topo, events=events, sim=sim, outputs=tuple(outputs))
+    return Scenario(**dict(top, topology=topo))
 
 
 def parse_scenario(path):
@@ -549,7 +525,7 @@ def parse_scenario(path):
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ScenarioError([f"{path}: invalid JSON: {exc}"]) from exc
     return parse_scenario_dict(data)
 

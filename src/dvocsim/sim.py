@@ -61,6 +61,10 @@ class SimulationDiverged(RuntimeError):
             f"{inverter!r}, |v|={magnitude!r})")
 
 
+# Cap on the step count round(t_end / dt); the record arrays grow with it.
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings.
@@ -91,6 +95,9 @@ class SimConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and 1 <= round(steps) <= MAX_STEPS):
+            raise ValueError(f"t_end/dt = {steps:g} must round to between 1 and {MAX_STEPS} steps")
         if self.network_model not in ("dynamic", "quasistatic"):
             raise ValueError(f"unknown network model {self.network_model!r}")
         if int(self.record_decimation) != self.record_decimation or self.record_decimation < 1:
@@ -98,8 +105,9 @@ class SimConfig:
         if self.noise_amplitude < 0.0:
             raise ValueError("noise_amplitude must be >= 0")
         if self.controller_sample_hz is not None:
-            steps = 1.0 / (self.controller_sample_hz * self.dt)
-            if steps < 1.0 - 1e-9 or abs(steps - round(steps)) > 1e-6 * steps:
+            period = self.controller_sample_hz * self.dt
+            steps = 1.0 / period if period > 0.0 else math.inf
+            if not 1.0 - 1e-9 <= steps < math.inf or abs(steps - round(steps)) > 1e-6 * steps:
                 raise ValueError(
                     f"controller sample interval 1/(f_c dt) = {steps:g} must be a "
                     "whole number of steps >= 1")

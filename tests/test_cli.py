@@ -74,6 +74,19 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert any("eta" in detail for detail in err["details"])
 
+    @pytest.mark.parametrize("key, value", [("events", 5), ("noise_seed", -1)])
+    def test_malformed_document_is_a_validation_error(self, key, value, tmp_path, capsys):
+        # Once a TypeError traceback (exit 1) and a failed run (exit 3).
+        d = pu_scenario_dict()
+        (d["sim"] if key == "noise_seed" else d)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert any(key in detail for detail in err["details"])
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # Far above v*, the cubic amplitude term is unstable at this step.
         d = pu_scenario_dict(initial={"mode": "explicit", "v_alpha": 1e3,

@@ -288,6 +288,19 @@ class TestDynamicModel:
         with pytest.raises(TopologyError):
             DynamicNetwork(topo)
 
+    def test_stub_behind_open_breaker_ignored(self):
+        # 'x' carries no load and only an open branch reaches it: no current
+        # flows there, so both models match the network without that branch.
+        b1 = Branch("b1", "s", "bus", 0.1, 1e-3)
+        stub = Topology(("s",), (b1, Branch("b2", "bus", "x", 0.1, 1e-3, connected=False)),
+                        loads={"bus": 0.5})
+        plain = Topology(("s",), (b1,), loads={"bus": 0.5})
+        npt.assert_array_equal(reduced_admittance(stub, OMEGA0),
+                               reduced_admittance(plain, OMEGA0))
+        net, ref = DynamicNetwork(stub), DynamicNetwork(plain)
+        npt.assert_array_equal(net.branch_rates, ref.branch_rates)
+        npt.assert_array_equal(net.injection, ref.injection)
+
     def test_shape_validation(self):
         topo = single_branch_topo(0.5, 1e-3, g_load=0.5)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -156,6 +157,23 @@ class TestParsing:
             replace(sc, topology=replace(sc.topology, inverter_nodes=("n2", "n1")))
         assert "same order" in str(exc.value)
 
+    @pytest.mark.parametrize("path, value, where", [
+        (("sim", "noise_seed"), -1, "sim.noise_seed"),  # once failed the run
+        (("sim", "noise_seed"), 1.5, "sim.noise_seed"),
+        (("sim", "t_end_s"), 1e300, "sim: t_end/dt"),    # 1.5e304 steps
+        (("sim", "t_end_s"), 1e-6, "sim: t_end/dt"),     # under half a step
+        (("name",), 5, "name"),
+        (("description",), ["text"], "description"),
+        (("network", "loads", 0, "g_siemens"), 10**400, "network.loads[0].g_siemens"),
+    ], ids=["negative-seed", "float-seed", "steps-overflow", "no-step", "name",
+            "description", "huge-int"])
+    def test_malformed_value_rejected_with_its_path(self, path, value, where):
+        d = pu_scenario_dict()
+        _at(d, path[:-1])[path[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(d)
+        assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
+
     def test_droop_inverter_parses(self):
         sc = parse_scenario_dict(pu_scenario_dict(control="droop", kp=0.01,
                                                   kq=0.05))
@@ -201,3 +219,207 @@ class TestRoundTrip:
         again = parse_scenario(path)
         assert again == sc
         assert again.to_dict() == sc.to_dict()
+
+
+BUILTINS = ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7", "droop-ref")
+
+
+def _input_forms_dict():
+    """The fixture document with every alternative input form: RMS voltages,
+    loads as power ratings, a shunt capacitor, events of every type and a
+    sampled controller."""
+    d = pu_scenario_dict(
+        cap=1e-4, sim={"dt_s": 1e-4, "t_end_s": 0.05, "network_model": "dynamic",
+                       "controller_sample_hz": 2500.0, "record_decimation": 1,
+                       "noise_seed": 3, "noise_amplitude": 0.0},
+        branch_l=1e-4, initial={"mode": "explicit", "v_alpha": 0.3, "v_beta": -0.1},
+        events=[{"t_s": 0.01, "type": "disconnect", "branch": "b1"},
+                {"t_s": 0.02, "type": "connect", "branch": "b1"},
+                {"t_s": 0.03, "type": "load_step", "node": "bus", "p_w": 0.7,
+                 "v_rated_vrms": 0.7},
+                {"t_s": 0.04, "type": "set_point", "inverter": "inv1",
+                 "v_star_vrms": 0.8}])
+    del d["inverters"][0]["v_star_peak"]
+    d["inverters"][0]["v_star_vrms"] = 0.75
+    d["network"]["loads"] = [{"node": "bus", "p_w": 0.5, "v_rated_peak": 1.0}]
+    return d
+
+
+def _documents():
+    docs = {name: builtin_scenario(name).to_dict() for name in BUILTINS}
+    docs["pu-droop"] = pu_scenario_dict(control="droop", kp=0.01, kq=0.05)
+    docs["pu-forms"] = _input_forms_dict()
+    return docs
+
+
+def _subtree_paths(doc, prefix=()):
+    """Paths (key and index tuples) to every subtree of ``doc``, root first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _subtree_paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    return functools.reduce(lambda node, key: node[key], path, doc)
+
+
+def _mutated(doc, path, value, delete=False):
+    """A copy of ``doc`` with the subtree at ``path`` replaced by ``value``,
+    or deleted."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = _at(doc, path[:-1])
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_parser_raises_only_scenario_error():
+    """Any one subtree or key of a valid document replaced by any JSON value
+    (or deleted, or added) gives a Scenario or a ScenarioError, never another
+    exception; an accepted document round-trips exactly."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    docs = _documents()
+    for doc in docs.values():  # every starting point is valid
+        parse_scenario_dict(doc)
+    paths = {name: list(_subtree_paths(doc)) for name, doc in docs.items()}
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+        max_leaves=8)
+
+    @st.composite
+    def mutations(draw):
+        name = draw(st.sampled_from(sorted(docs)))
+        path = draw(st.sampled_from(paths[name]))
+        op = draw(st.sampled_from(("replace", "delete", "add")))
+        if op == "add" and isinstance(_at(docs[name], path), dict):
+            path += (draw(st.text(max_size=6)),)
+        return name, path, draw(json_values), op == "delete" and bool(path)
+
+    @hyp.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hyp.given(mutations())
+    # The escapes found before the schema tables: TypeError, OverflowError,
+    # ZeroDivisionError, and values only the run itself rejected.
+    @hyp.example(("paper-fig5", ("events",), 5, False))
+    @hyp.example(("paper-fig5", ("network", "branches"), 5, False))
+    @hyp.example(("paper-fig5", ("network", "loads"), None, False))
+    @hyp.example(("paper-fig5", ("inverters", 0, "eta"), 10**400, False))
+    @hyp.example(("pu-forms", ("network", "loads", 0, "v_rated_peak"), 1e-200, False))
+    @hyp.example(("paper-fig5", ("sim", "noise_seed"), -1, False))
+    @hyp.example(("paper-fig5", ("sim", "t_end_s"), 1e300, False))
+    @hyp.example(("paper-fig5", ("name",), 5, False))
+    @hyp.example(("pu-forms", ("sim",), {"dt_s": 1e-200, "t_end_s": 1e-196,
+                                          "controller_sample_hz": 1e-200}, False))
+    def check(mutation):
+        name, path, value, delete = mutation
+        doc = _mutated(docs[name], path, value, delete)
+        try:
+            sc = parse_scenario_dict(doc)
+        except ScenarioError as exc:
+            assert exc.errors
+            return
+        assert parse_scenario_dict(sc.to_dict()) == sc
+
+    check()
+
+
+def test_valid_documents_round_trip_exactly():
+    """to_dict -> parse -> to_dict is exact for any valid document, drawn
+    here independently of the parser's own schema tables."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    finite, positive = st.floats(-1e6, 1e6), st.floats(1e-3, 1e3)
+
+    def peak(draw, prefix):
+        return {f"{prefix}_{draw(st.sampled_from(['vrms', 'peak']))}": draw(positive)}
+
+    def conductance(draw):
+        if draw(st.booleans()):
+            return {"g_siemens": draw(positive)}
+        return {"p_w": draw(positive), **peak(draw, "v_rated")}
+
+    def maybe(draw, d, key, strategy):
+        if draw(st.booleans()):
+            d[key] = draw(strategy)
+        return d
+
+    @st.composite
+    def documents(draw):
+        n = draw(st.integers(1, 3))
+        inverters = []
+        for k in range(1, n + 1):
+            inv = {"id": f"inv{k}", "node": f"n{k}", "p_star_w": draw(finite),
+                   "q_star_var": draw(finite), **peak(draw, "v_star")}
+            if draw(st.booleans()):
+                inv.update(control="dvoc", eta=draw(positive), alpha=draw(positive),
+                           kappa_rad=draw(st.floats(0.0, math.pi)))
+            else:
+                inv.update(control="droop", kp_rad_per_sw=draw(finite),
+                           kq_v_per_var=draw(finite))
+            initial = draw(st.sampled_from(["blackstart", "nominal", "explicit", None]))
+            if initial == "explicit":
+                inv["initial"] = {"mode": initial, "v_alpha": draw(finite),
+                                  "v_beta": draw(finite)}
+            elif initial is not None:
+                inv["initial"] = maybe(draw, {"mode": initial}, "angle_rad", finite) \
+                    if initial == "nominal" else {"mode": initial}
+            inverters.append(inv)
+        branches = [maybe(draw, {"id": f"b{k}", "from": f"n{k}", "to": "bus",
+                                 "r_ohm": draw(st.floats(1e-3, 1.0)),
+                                 "l_henry": draw(st.just(0.0) | st.floats(1e-6, 1e-2))},
+                          "connected", st.booleans()) for k in range(1, n + 1)]
+        caps = [{"node": f"n{k}", "c_farad": draw(st.floats(0.0, 1e-3))}
+                for k in range(1, n + 1) if draw(st.booleans())]
+        events = []
+        for t in sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4))):
+            k = draw(st.integers(1, n))
+            kind = draw(st.sampled_from(["connect", "disconnect", "load_step",
+                                         "set_point"]))
+            ev = {"t_s": t, "type": kind}
+            if kind in ("connect", "disconnect"):
+                ev["branch"] = f"b{k}"
+            elif kind == "load_step":
+                ev.update(node="bus", **conductance(draw))
+            else:
+                ev["inverter"] = f"inv{k}"
+                for key in draw(st.sets(st.sampled_from(["p", "q", "v"]), min_size=1)):
+                    ev.update({"p": {"p_star_w": draw(finite)},
+                               "q": {"q_star_var": draw(finite)}}.get(key)
+                              or peak(draw, "v_star"))
+            events.append(ev)
+        dt = draw(st.floats(1e-6, 1e-3))
+        sim = {"dt_s": dt, "t_end_s": dt * draw(st.integers(1, 100_000))}
+        maybe(draw, sim, "controller_sample_hz",
+              st.integers(1, 10).map(lambda steps: 1.0 / (steps * dt)))
+        maybe(draw, sim, "network_model", st.sampled_from(["dynamic", "quasistatic"]))
+        maybe(draw, sim, "record_decimation", st.integers(1, 100))
+        maybe(draw, sim, "noise_seed", st.integers(0, 2**70))
+        maybe(draw, sim, "noise_amplitude", st.floats(0.0, 1.0))
+        doc = {"omega0_rad_per_s": draw(positive), "inverters": inverters,
+               "network": {"branches": branches,
+                           "loads": [{"node": "bus", **conductance(draw)}],
+                           "shunt_caps": caps},
+               "events": events, "sim": sim}
+        for key, strategy in (("name", st.text()), ("description", st.text()),
+                              ("outputs", st.lists(st.sampled_from(["trace", "metrics"])))):
+            maybe(draw, doc, key, strategy)
+        return doc
+
+    @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hyp.given(documents())
+    def check(doc):
+        sc = parse_scenario_dict(doc)
+        d = sc.to_dict()
+        again = parse_scenario_dict(json.loads(json.dumps(d)))
+        assert again == sc
+        assert again.to_dict() == d
+
+    check()

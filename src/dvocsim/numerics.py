@@ -146,6 +146,8 @@ def expm(a):
         raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
     eye = np.eye(len(a), dtype=a.dtype)
     norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):
+        raise ValueError(f"expm needs a finite matrix, got ||a||_1 = {norm}")
     for m, theta, b in _PADE:
         if norm <= theta:
             powers = [eye, a @ a]

@@ -6,9 +6,8 @@ integrator.  Internally all alpha-beta pairs are packed as complex numbers
 rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
 multiplication by j.
 
-The state ``Simulation.y`` is one complex vector: one slot per inverter in
-``scenario.inverters`` order (an oscillator's slot holds its voltage v, a
-droop inverter's its polar state r + j theta), followed in the dynamic
+The state ``Simulation.y`` is one complex vector: the terminal voltage v of
+every inverter in ``scenario.inverters`` order, followed in the dynamic
 network model by the branch currents in ``DynamicNetwork.branch_ids`` order.
 Oscillator and droop rows are picked by index arrays.  At every event the
 network is rebuilt and the branch currents are carried over by branch id; a
@@ -18,9 +17,9 @@ Every configuration -- oscillator, droop or mixed inverters, dynamic or
 quasi-static network, continuous or sampled controllers -- is split into
 dy/dt = A y + N(y).  A holds the rotation, the set-point gain, the network,
 the branch R/L and, where the controllers measure the live current, the
-capacitor feedthrough; it is constant between events and its droop rows and
-columns are zero.  N holds the rest: the cubic amplitude term, the droop
-voltages r exp(j theta) fed through A's droop columns, the droop polar law
+capacitor feedthrough; on a droop row it holds the linear part of the droop
+law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
+N holds the rest: the cubic amplitude term, the remainder of the droop law
 and, in sampled mode, the held measurement.  Every step is one Cox-Matthews
 ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
 and hA/2 come from one augmented matrix exponential per compile, so the fast
@@ -31,7 +30,7 @@ measurement, so in the dynamic network model the measured current contains
 C dv/dt, which itself depends on the controller derivative.  That algebraic
 loop is solved exactly: for the oscillator controller it is linear,
 (1 + eta C exp(j kappa)) dv/dt = rhs(v, i_branches), and the droop law solves
-it in closed form for (dr/dt, dtheta/dt).
+it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
 
 Events are applied atomically between steps, at the first step boundary at or
 after their timestamp.  One simulation run is strictly sequential; separate
@@ -102,7 +101,7 @@ class SimConfig:
             raise ValueError(f"unknown network model {self.network_model!r}")
         if int(self.record_decimation) != self.record_decimation or self.record_decimation < 1:
             raise ValueError("record_decimation must be an integer >= 1")
-        if self.noise_amplitude < 0.0:
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError("noise_amplitude must be >= 0")
         if self.controller_sample_hz is not None:
             period = self.controller_sample_hz * self.dt
@@ -195,18 +194,15 @@ def _finalize_trace(t, v, i_o, ids, events, dt_sample, meta):
 class _Split:
     """dy/dt = a @ y + N(y) for one kind of controller measurement.
 
-    a        -- linear operator on the complex state, droop rows and columns 0
-    inject   -- the droop columns, applied to the droop voltages r exp(j theta)
-                in N (None when they are zero)
+    a        -- linear operator on the complex state
     c1       -- gain of the cubic amplitude term (zero off the oscillator rows)
-    meas     -- droop-terminal rows of the live measured current, over the
-                state with r exp(j theta) in the droop slots; None when the
-                controllers see the held current
+    meas     -- droop-terminal rows of the live measured current, cap current
+                excluded; None when the controllers see the held current
     cap_loop -- the droop law solves its capacitor loop (live, dynamic network)
     """
 
-    def __init__(self, a, inject, c1, meas, cap_loop):
-        self.a, self.inject, self.c1 = a, inject, c1
+    def __init__(self, a, c1, meas, cap_loop):
+        self.a, self.c1 = a, c1
         self.meas, self.cap_loop = meas, cap_loop
         self.live = meas is not None
 
@@ -280,7 +276,7 @@ class Simulation:
     # -- construction -------------------------------------------------------
 
     def _initial_slot(self, spec):
-        """v for an oscillator, r + j theta for a droop inverter."""
+        """Initial terminal voltage of one inverter."""
         init, p = spec.initial, spec.params
         if init.mode == "blackstart":
             mag = BLACKSTART_MAGNITUDE_RATIO * p.v_star
@@ -291,9 +287,7 @@ class Simulation:
             a, b = init.vec
             mag = math.hypot(a, b)
             ang = math.atan2(b, a) if mag > 0.0 else 0.0
-        if isinstance(p, DvocParams):
-            return mag * complex(math.cos(ang), math.sin(ang))
-        return complex(mag, ang)
+        return mag * complex(math.cos(ang), math.sin(ang))
 
     def _compile(self):
         """Rebuild the split and its step matrices for the current topology
@@ -318,10 +312,9 @@ class Simulation:
         self._b_dr = param("v_star", dr) + self._kq * param("q_star", dr)
         self._caps_dr = self._caps[dr]
 
-        # Network as matrices over u (the state with each droop slot replaced
-        # by its voltage r exp(j theta)): the current into the network at each
-        # inverter terminal, cap current excluded, is g @ u, and the
-        # branch-current derivatives are branch @ u.
+        # Network as matrices over the state y: the current into the network
+        # at each inverter terminal, cap current excluded, is g @ y, and the
+        # branch-current derivatives are branch @ y.
         ns = self._ns
         if self._dynamic:
             net = DynamicNetwork(self.topology)
@@ -356,12 +349,10 @@ class Simulation:
                 feed = 1.0 / (1.0 + self._c2 * self._caps[dv])
             full[dv] = -(feed * self._c2)[:, None] * self._g[dv]
         full[dv, dv] += feed * self._c0
-        inject = full[:, dr]
-        full[:, dr] = 0.0
+        full[dr, dr] = -1.0 + 1j * self._a_dr
         c1 = np.zeros(m, dtype=complex)
         c1[dv] = feed * self._c1
-        return _Split(full, inject if np.any(inject) else None, c1,
-                      self._g[dr] if live else None,
+        return _Split(full, c1, self._g[dr] if live else None,
                       live and self._dynamic and bool(np.any(self._caps_dr)))
 
     def _hold(self, i_o):
@@ -384,16 +375,6 @@ class Simulation:
 
     # -- right-hand side -----------------------------------------------------
 
-    def _voltages(self, y):
-        """u: ``y`` with r exp(j theta) in the droop slots."""
-        dr = self._droop_pos
-        if not len(dr):
-            return y
-        u = y.copy()
-        s = y[dr]
-        u[dr] = s.real * np.exp(1j * s.imag)
-        return u
-
     def _nonlinear(self, y, sp):
         """N(y) of split ``sp``."""
         if len(self._dvoc_pos):
@@ -405,17 +386,11 @@ class Simulation:
             out += self._held
         dr = self._droop_pos
         if len(dr):
-            s = y[dr]
-            r, vdr = s.real, s.real * np.exp(1j * s.imag)
-            if sp.inject is not None:
-                out += sp.inject @ vdr
-            if sp.live:
-                u = y.copy()
-                u[dr] = vdr
-                iod = sp.meas @ u
-            else:
-                iod = self._held_droop
-            pq = np.conj(vdr) * iod
+            # v = r exp(j theta); the angle of v = 0 is taken as theta = 0.
+            v = y[dr]
+            r, th = np.abs(v), np.arctan2(v.imag, v.real)
+            iod = sp.meas @ y if sp.live else self._held_droop
+            pq = np.conj(v) * iod
             thdot = self._a_dr - self._kp * pq.real
             rdot = self._b_dr - r + self._kq * pq.imag
             if sp.cap_loop:
@@ -425,24 +400,20 @@ class Simulation:
                 rdot = (rdot + self._kq * c * r**2 * thdot) \
                     / (1.0 + self._kp * self._kq * c**2 * r**3)
                 thdot = thdot - self._kp * c * r * rdot
-            out[dr] = rdot + 1j * thdot
+            # dv/dt = (dr/dt + j r dtheta/dt) exp(j theta), less A's diagonal.
+            out[dr] = (rdot + r + 1j * r * (thdot - self._a_dr)) * np.exp(1j * th)
         return out
 
     def _outputs(self, y):
         """Instantaneous (v, i_o) of every inverter, the capacitor current
         included, whose dv/dt is A y + N(y) with the live measurement."""
         ns = self._ns
-        u = self._voltages(y)
-        i_net = self._g @ u
+        i_net = self._g @ y
         if not self._dynamic:
-            return u[:ns], i_net
+            return y[:ns], i_net
         sp = self._live
         d = sp.a @ y + self._nonlinear(y, sp)
-        dr = self._droop_pos
-        if len(dr):
-            s, ds = y[dr], d[dr]
-            d[dr] = (ds.real + 1j * s.real * ds.imag) * np.exp(1j * s.imag)
-        return u[:ns], i_net + self._caps * d[:ns]
+        return y[:ns], i_net + self._caps * d[:ns]
 
     # -- time stepping -------------------------------------------------------
 
@@ -487,7 +458,7 @@ class Simulation:
         if np.isfinite(self.y).all():
             return
         with np.errstate(invalid="ignore"):
-            mags = np.abs(self._voltages(self.y)[:self._ns])
+            mags = np.abs(self.y[:self._ns])
         bad = ~np.isfinite(mags)
         worst = int(np.argmax(np.where(bad, np.inf, mags)))
         raise SimulationDiverged(self.t, self._ids[worst], float(mags[worst]),

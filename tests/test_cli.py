@@ -102,6 +102,19 @@ class TestSimulate:
         assert err["error"] == "numeric"
         assert any(detail.startswith("step=") for detail in err["details"])
 
+    def test_infinite_branch_rate_is_a_numeric_failure(self, tmp_path, capsys):
+        # R/L overflows to inf: once an OverflowError traceback (exit 1).
+        d = pu_scenario_dict(branch_l=1e-310,
+                             sim={"dt_s": 1e-4, "t_end_s": 0.01,
+                                  "network_model": "dynamic",
+                                  "record_decimation": 1, "noise_seed": 0})
+        path = tmp_path / "tiny_l.json"
+        path.write_text(json.dumps(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
     def test_builtin_name_accepted(self, tmp_path):
         # droop-ref is the cheapest builtin to run end to end
         out = tmp_path / "out"

@@ -68,6 +68,12 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # An infinite norm once raised OverflowError choosing the squarings.
+        with pytest.raises(ValueError):
+            expm(np.array([[1.0, bad], [0.0, 1.0]]))
+
 
 class TestEtdrk4Weights:
     def test_zero_operator_gives_classical_rk4(self):

@@ -7,7 +7,8 @@ The package is organized as:
 * :mod:`dvocsim.network`  -- RL-branch / shunt-capacitor / resistive-load
   electrical network models (quasi-static phasor and dynamic).
 * :mod:`dvocsim.sim`      -- fixed-step exponential (ETDRK4) integration of
-  the coupled system with a timeline event engine and trace recording.
+  the coupled system, one scenario or a batch of them in one run, with a
+  timeline event engine and trace recording.
 * :mod:`dvocsim.analysis` -- closed-form oracles (black start, droop curves),
   trace metrics, and the set-point consistency checker.
 * :mod:`dvocsim.scenario` -- scenario schema, parser, and built-in scenarios.

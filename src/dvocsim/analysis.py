@@ -5,8 +5,9 @@ steady-state droop curves (exact stationary solve plus linear overlays),
 frequency/amplitude/synchronization metrics extracted from traces, and the
 set-point consistency checker (Gauss-Newton on the quasi-static power flow).
 
-Everything here is pure post-processing; each sweep point runs its own
-simulation and owns its trace.
+Everything here is pure post-processing, except the simulated droop sweep,
+which runs all its grid points as the members of one batched simulation
+(``sim.Simulation``) and reads each point from its member's trace.
 """
 
 import math
@@ -18,7 +19,7 @@ from .control import (PolarState, droop_approx_freq, droop_approx_vmag_ss,
                       droop_vmag_tangent_ss, dvoc_rhs_polar)
 from .network import Branch, reduced_admittance
 from .numerics import bracketed_root, gauss_newton, rk4_scalar
-from .sim import run_scenario
+from .sim import Simulation
 
 
 # --- black start -------------------------------------------------------------
@@ -375,8 +376,9 @@ def _series_resistance_into_load(topo):
 
 
 def _actuated_scenario(template, axis, target):
-    """Clone the template scenario with its load adjusted to steer the
-    steady operating point toward the target p or q.
+    """Clone the template scenario, named after its grid point, with its
+    load adjusted to steer the steady operating point toward the target p
+    or q.
 
     axis "p": the (single) load conductance is sized so the delivered power
     through the series branch is the target at nominal amplitude.
@@ -414,32 +416,32 @@ def _actuated_scenario(template, axis, target):
                            shunt_caps=caps)
     else:
         raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
-    return replace(template, topology=new_topo, events=list(template.events))
+    return replace(template, name=f"{template.name} {axis}={target!r}",
+                   topology=new_topo, events=list(template.events))
 
 
 def droop_sweep_simulated(template, axis, grid, config=None):
-    """One simulation per grid point; steady (p, omega) or (q, |v|) extracted.
+    """Every grid point as one member of one batched simulation; steady
+    (p, omega) or (q, |v|) extracted from each member's trace.
 
     Points that do not settle (amplitude or frequency drift above tolerance
     in the trailing window) are flagged and excluded from the curve.
     """
     grid = sorted(float(g) for g in grid)
-    params = template.inverters[0].params
+    omega0 = template.inverters[0].params.omega0
     cfg = config if config is not None else template.sim
-
-    def run_point(target):
-        scen = _actuated_scenario(template, axis, target)
-        trace = run_scenario(scen, cfg)
-        i0, i1, settled = steady_window(trace, params.omega0)
+    traces = Simulation([_actuated_scenario(template, axis, g) for g in grid], cfg).run()
+    points = []
+    for target, trace in zip(grid, traces):
+        i0, i1, settled = steady_window(trace, omega0)
         if not settled:
-            return SweepPoint(target, math.nan, math.nan, math.nan, math.nan, False)
+            points.append(SweepPoint(target, math.nan, math.nan, math.nan, math.nan, False))
+            continue
         p = float(trace.p[i0:i1, 0].mean())
         q = float(trace.q[i0:i1, 0].mean())
         vmag = float(trace.vmag[i0:i1, 0].mean())
         omega = float(estimate_frequency(trace, (trace.t[i0], trace.t[i1 - 1]))[0])
-        return SweepPoint(target, p, q, vmag, omega, True)
-
-    points = [run_point(g) for g in grid]
+        points.append(SweepPoint(target, p, q, vmag, omega, True))
 
     good = [pt for pt in points if pt.settled]
     if axis == "p":

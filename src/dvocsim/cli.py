@@ -301,7 +301,8 @@ def main(argv=None):
         return 2
     except SimulationDiverged as exc:
         _print_error("numeric", str(exc),
-                     [f"step={exc.step}", f"time={exc.time}",
+                     [f"member={exc.member}", f"scenario={exc.scenario}",
+                      f"step={exc.step}", f"time={exc.time}",
                       f"inverter={exc.inverter}", f"magnitude={exc.magnitude}"])
         return 3
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -355,7 +355,10 @@ class DynamicNetwork:
         self.injection[:, ns:] += e[:ns]
         self.branch_rates = e.T @ volts
         self.branch_rates[:, ns:] -= np.diag([b.r for b in dyn])
-        self.branch_rates /= self.l[:, None]
+        # An L small enough for R/L to overflow leaves an infinite rate; the
+        # simulator rejects it as a numeric failure.
+        with np.errstate(over="ignore"):
+            self.branch_rates /= self.l[:, None]
 
     def rhs(self, branch_currents, source_voltages):
         """d(branch currents)/dt for complex branch currents and source voltages."""

@@ -6,12 +6,17 @@ integrator.  Internally all alpha-beta pairs are packed as complex numbers
 rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
 multiplication by j.
 
-The state ``Simulation.y`` is one complex vector: the terminal voltage v of
-every inverter in ``scenario.inverters`` order, followed in the dynamic
-network model by the branch currents in ``DynamicNetwork.branch_ids`` order.
-Oscillator and droop rows are picked by index arrays.  At every event the
-network is rebuilt and the branch currents are carried over by branch id; a
-newly connected branch starts at zero.
+A ``Simulation`` integrates a batch of members, one scenario each, on one
+step grid (dt, t_end, record decimation and network model).  A member's
+state is one complex vector: the terminal voltage v of every inverter in
+``scenario.inverters`` order, followed in the dynamic network model by the
+branch currents in ``DynamicNetwork.branch_ids`` order.  Oscillator and droop
+rows are picked by index arrays.  ``Simulation.y`` is (B, M): member b's
+state in row b, padded with zeros to the widest member.  Each member keeps
+its own parameters, topology, event timeline, controller sampling and noise
+generator, seeded as its single run would be.  At an event only that member
+is rebuilt; its branch currents are carried over by branch id and a newly
+connected branch starts at zero.  A single run is the batch of one.
 
 Every configuration -- oscillator, droop or mixed inverters, dynamic or
 quasi-static network, continuous or sampled controllers -- is split into
@@ -23,7 +28,9 @@ N holds the rest: the cubic amplitude term, the remainder of the droop law
 and, in sampled mode, the held measurement.  Every step is one Cox-Matthews
 ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
 and hA/2 come from one augmented matrix exponential per compile, so the fast
-branch-current pole does not bound the step.
+branch-current pole does not bound the step.  The members' stage matrices
+are stacked as (B, M, k M), zero on the padding, so each stage is one
+``np.matmul`` for the whole batch and a padded slot stays exactly 0.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
@@ -33,8 +40,7 @@ loop is solved exactly: for the oscillator controller it is linear,
 it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
 
 Events are applied atomically between steps, at the first step boundary at or
-after their timestamp.  One simulation run is strictly sequential; separate
-runs share no state and may execute in parallel.
+after their timestamp.
 """
 
 import math
@@ -48,16 +54,19 @@ from .numerics import expm
 
 
 class SimulationDiverged(RuntimeError):
-    """Non-finite state encountered; carries (time, inverter, magnitude, step)."""
+    """Non-finite state encountered; carries (time, inverter, magnitude, step)
+    and the batch member it occurred in (index and scenario name)."""
 
-    def __init__(self, time, inverter, magnitude, step):
+    def __init__(self, time, inverter, magnitude, step, member=0, scenario=""):
         self.time = time
         self.inverter = inverter
         self.magnitude = magnitude
         self.step = step
+        self.member = member
+        self.scenario = scenario
         super().__init__(
-            f"non-finite state at step {step}, t={time:.6g} s (inverter "
-            f"{inverter!r}, |v|={magnitude!r})")
+            f"non-finite state at step {step}, t={time:.6g} s (member {member} "
+            f"{scenario!r}, inverter {inverter!r}, |v|={magnitude!r})")
 
 
 # Cap on the step count round(t_end / dt); the record arrays grow with it.
@@ -180,31 +189,52 @@ class Trace:
         return getattr(self, name)[:, k]
 
 
-def _finalize_trace(t, v, i_o, ids, events, dt_sample, meta):
-    p = (np.conj(v) * i_o).real
-    q = -(np.conj(v) * i_o).imag
-    vmag = np.abs(v)
-    ang = np.angle(v)
-    theta = np.unwrap(ang, axis=0) if ang.shape[0] > 1 else ang
-    return Trace(t=t, v=v, i_o=i_o, p=p, q=q, vmag=vmag, theta=theta,
-                 inverter_ids=list(ids), events=events, dt_sample=dt_sample,
-                 meta=meta)
+def _finalize_traces(t, v, i_o, members, n_steps):
+    """One Trace per member from the (member, record, inverter) buffers; a
+    member's v and i_o are views of them."""
+    traces = []
+    for b, mem in enumerate(members):
+        vb, ib = v[b, :, :mem.ns], i_o[b, :, :mem.ns]
+        s = np.conj(vb) * ib
+        np.negative(s.imag, out=s.imag)  # q = -Im(conj(v) i_o) beside p, in place
+        ang = np.angle(vb)
+        cfg = mem.config
+        meta = {
+            "dt": cfg.dt,
+            "t_end": n_steps * cfg.dt,
+            "network_model": cfg.network_model,
+            "controller_sample_hz": cfg.controller_sample_hz,
+            "noise_seed": cfg.noise_seed,
+            "noise_amplitude": cfg.noise_amplitude,
+            "scenario": getattr(mem.scenario, "name", ""),
+        }
+        events = [(time, _describe_action(a)) for time, a in mem.events_applied]
+        traces.append(Trace(
+            t=t, v=vb, i_o=ib, p=s.real, q=s.imag, vmag=np.abs(vb),
+            theta=np.unwrap(ang, axis=0) if ang.shape[0] > 1 else ang,
+            inverter_ids=list(mem.ids), events=events,
+            dt_sample=cfg.dt * cfg.record_decimation, meta=meta))
+    return traces
 
 
 class _Split:
     """dy/dt = a @ y + N(y) for one kind of controller measurement.
 
-    a        -- linear operator on the complex state
-    c1       -- gain of the cubic amplitude term (zero off the oscillator rows)
-    meas     -- droop-terminal rows of the live measured current, cap current
-                excluded; None when the controllers see the held current
-    cap_loop -- the droop law solves its capacitor loop (live, dynamic network)
+    a     -- linear operator on the complex state
+    c1    -- gain of the cubic amplitude term (zero off the oscillator rows)
+    meas  -- droop-terminal rows of the live measured current, cap current
+             excluded; None when the controllers see the held current
+    cap   -- filter capacitance at each droop terminal, for the droop law's
+             capacitor loop (live, dynamic network); None when no law has one
+    held  -- N adds the held measurement
+
+    A member's split is over its own state; ``Simulation._stack_split``
+    stacks the members' splits over the batch.
     """
 
-    def __init__(self, a, c1, meas, cap_loop):
+    def __init__(self, a, c1, meas, cap, held):
         self.a, self.c1 = a, c1
-        self.meas, self.cap_loop = meas, cap_loop
-        self.live = meas is not None
+        self.meas, self.cap, self.held = meas, cap, held
 
 
 def _etdrk4_weights(a, h):
@@ -239,164 +269,306 @@ def _etdrk4_weights(a, h):
                        h * (4.0 * phi3 - phi2)]))
 
 
-class Simulation:
-    """One compiled simulation run.  Construct, then ``run()`` (or ``step()``)."""
+def _padded(arrays, shape):
+    """The arrays stacked as (len(arrays),) + shape, each in the leading
+    corner of its slice, zero elsewhere."""
+    out = np.zeros((len(arrays),) + shape, dtype=np.result_type(*arrays))
+    for b, a in enumerate(arrays):
+        out[(b,) + tuple(slice(k) for k in a.shape)] = a
+    return out
 
-    def __init__(self, scenario, config=None):
-        self.scenario = scenario
-        self.config = config if config is not None else scenario.sim
+
+class _Member:
+    """One scenario of a batch: its parameters, topology, event timeline,
+    noise generator and splits over its own state (inverter voltages, then
+    branch currents)."""
+
+    def __init__(self, scenario, config):
+        self.scenario, self.config = scenario, config
         self.omega_nominal = scenario.omega0
         self.inverters = list(scenario.inverters)
         self.params = [spec.params for spec in self.inverters]
         self.topology = scenario.topology
-        self.t = 0.0
-        self.step_index = 0
-        self._rng = np.random.default_rng(self.config.noise_seed)
-        self._events_applied = []
-        self._sample_steps = self.config.sample_steps
-        self._dynamic = self.config.network_model == "dynamic"
-        self._ids = [s.inverter_id for s in self.inverters]
-        self._ns = len(self.inverters)
-        self._dvoc_pos = np.array(
+        self.ids = [s.inverter_id for s in self.inverters]
+        self.ns = len(self.inverters)
+        self.dvoc_pos = np.array(
             [k for k, p in enumerate(self.params) if isinstance(p, DvocParams)], dtype=int)
-        self._droop_pos = np.array(
+        self.droop_pos = np.array(
             [k for k, p in enumerate(self.params) if isinstance(p, DroopParams)], dtype=int)
-
-        dt = self.config.dt
-        self._pending = []
+        self.dynamic = config.network_model == "dynamic"
+        self.sample_steps = config.sample_steps
+        self.rng = np.random.default_rng(config.noise_seed)
+        self.pending = []
         for ev in sorted(scenario.events, key=lambda e: e.time):
-            boundary = max(0, int(math.ceil(ev.time / dt - 1e-9)))
-            self._pending.append((boundary, ev))
+            boundary = max(0, int(math.ceil(ev.time / config.dt - 1e-9)))
+            self.pending.append((boundary, ev))
+        self.events_applied = []
+        self.branch_ids = []
 
-        self.y = np.array([self._initial_slot(spec) for spec in self.inverters],
-                          dtype=complex)
-        self._branch_ids = []
-        self._compile()
+    def initial_state(self):
+        """Initial terminal voltage of every inverter."""
+        y = np.empty(self.ns, dtype=complex)
+        for k, spec in enumerate(self.inverters):
+            init, p = spec.initial, spec.params
+            if init.mode == "blackstart":
+                mag = BLACKSTART_MAGNITUDE_RATIO * p.v_star
+                ang = self.rng.uniform(0.0, 2.0 * math.pi)
+            elif init.mode == "nominal":
+                mag, ang = p.v_star, init.angle
+            else:
+                a, b = init.vec
+                mag = math.hypot(a, b)
+                ang = math.atan2(b, a) if mag > 0.0 else 0.0
+            y[k] = mag * complex(math.cos(ang), math.sin(ang))
+        return y
 
-    # -- construction -------------------------------------------------------
-
-    def _initial_slot(self, spec):
-        """Initial terminal voltage of one inverter."""
-        init, p = spec.initial, spec.params
-        if init.mode == "blackstart":
-            mag = BLACKSTART_MAGNITUDE_RATIO * p.v_star
-            ang = self._rng.uniform(0.0, 2.0 * math.pi)
-        elif init.mode == "nominal":
-            mag, ang = p.v_star, init.angle
-        else:
-            a, b = init.vec
-            mag = math.hypot(a, b)
-            ang = math.atan2(b, a) if mag > 0.0 else 0.0
-        return mag * complex(math.cos(ang), math.sin(ang))
-
-    def _compile(self):
-        """Rebuild the split and its step matrices for the current topology
-        and parameter set, carrying the branch currents over by branch id."""
-        self._caps = np.array([self.topology.shunt_caps.get(n, 0.0)
-                               for n in self.topology.inverter_nodes])
+    def compile(self, y):
+        """Rebuild the splits and step matrices for the current topology and
+        parameter set; returns the state y with the branch currents carried
+        over by branch id."""
+        self.caps = np.array([self.topology.shunt_caps.get(n, 0.0)
+                              for n in self.topology.inverter_nodes])
 
         def param(name, pos):
             return np.array([getattr(self.params[k], name) for k in pos])
 
         # Oscillator controller coefficients, vectorized over dvoc inverters.
-        dv, dr = self._dvoc_pos, self._droop_pos
+        dv, dr = self.dvoc_pos, self.droop_pos
         eta, ek = param("eta", dv), np.exp(1j * param("kappa", dv))
         inv_vs2 = 1.0 / param("v_star", dv)**2
-        self._c0 = 1j * param("omega0", dv) \
+        self.c0 = 1j * param("omega0", dv) \
             + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * inv_vs2
-        self._c1 = eta * param("alpha", dv)
-        self._c2 = eta * ek
+        self.c1 = eta * param("alpha", dv)
+        self.c2 = eta * ek
         # Droop law: dtheta/dt = a_dr - kp p, dr/dt = b_dr - r - kq q.
-        self._kp, self._kq = param("kp", dr), param("kq", dr)
-        self._a_dr = param("omega0", dr) + self._kp * param("p_star", dr)
-        self._b_dr = param("v_star", dr) + self._kq * param("q_star", dr)
-        self._caps_dr = self._caps[dr]
+        self.kp, self.kq = param("kp", dr), param("kq", dr)
+        self.a_dr = param("omega0", dr) + self.kp * param("p_star", dr)
+        self.b_dr = param("v_star", dr) + self.kq * param("q_star", dr)
 
         # Network as matrices over the state y: the current into the network
         # at each inverter terminal, cap current excluded, is g @ y, and the
         # branch-current derivatives are branch @ y.
-        ns = self._ns
-        if self._dynamic:
+        ns = self.ns
+        if self.dynamic:
             net = DynamicNetwork(self.topology)
-            g, self._branch, ids = net.injection, net.branch_rates, net.branch_ids
+            g, self.branch, ids = net.injection, net.branch_rates, net.branch_ids
+            for bid, row in zip(ids, self.branch):
+                if not np.isfinite(row).all():
+                    raise ValueError(f"branch {bid!r}: R/L overflows float64")
         else:
             g = reduced_admittance(self.topology, self.omega_nominal)
-            self._branch, ids = np.zeros((0, ns)), []
-        self._g = g.astype(complex)
-        carry = dict(zip(self._branch_ids, self.y[ns:]))
-        self.y = np.concatenate([self.y[:ns], [carry.get(b, 0j) for b in ids]])
-        self._branch_ids = ids
-        m = len(self.y)
-        self._inv_vs2 = np.zeros(m)
-        self._inv_vs2[dv] = inv_vs2
-        self._z = np.zeros(5 * m, dtype=complex)
+            self.branch, ids = np.zeros((0, ns)), []
+        self.g = g.astype(complex)
+        carry = dict(zip(self.branch_ids, y[ns:]))
+        y = np.concatenate([y[:ns], [carry.get(b, 0j) for b in ids]])
+        self.branch_ids = ids
+        self.m = len(y)
+        self.inv_vs2 = np.zeros(self.m)
+        self.inv_vs2[dv] = inv_vs2
 
-        self._held = None
-        self._live = self._split(live=True)
-        self._stepped = self._live if self._sample_steps is None else self._split(live=False)
-        self._etd = _etdrk4_weights(self._stepped.a, self.config.dt)
+        self.stale = True  # a sampled controller holds anew at the next step
+        self.live = self._split(live=True)
+        self.stepped = self.live if self.sample_steps is None else self._split(live=False)
+        self.etd = _etdrk4_weights(self.stepped.a, self.config.dt)
+        return y
 
     def _split(self, live):
         """A and the constants of N, with the controllers measuring the live
         current (the capacitor loop solved exactly in the dynamic model) or
         the held one."""
-        dv, dr, m = self._dvoc_pos, self._droop_pos, len(self.y)
+        dv, dr, m = self.dvoc_pos, self.droop_pos, self.m
         full = np.zeros((m, m), dtype=complex)
-        full[self._ns:] = self._branch
+        full[self.ns:] = self.branch
         feed = np.ones(len(dv))
         if live:
-            if self._dynamic:
-                feed = 1.0 / (1.0 + self._c2 * self._caps[dv])
-            full[dv] = -(feed * self._c2)[:, None] * self._g[dv]
-        full[dv, dv] += feed * self._c0
-        full[dr, dr] = -1.0 + 1j * self._a_dr
+            if self.dynamic:
+                feed = 1.0 / (1.0 + self.c2 * self.caps[dv])
+            full[dv] = -(feed * self.c2)[:, None] * self.g[dv]
+        full[dv, dv] += feed * self.c0
+        full[dr, dr] = -1.0 + 1j * self.a_dr
         c1 = np.zeros(m, dtype=complex)
-        c1[dv] = feed * self._c1
-        return _Split(full, c1, self._g[dr] if live else None,
-                      live and self._dynamic and bool(np.any(self._caps_dr)))
+        c1[dv] = feed * self.c1
+        cap = live and self.dynamic and bool(np.any(self.caps[dr]))
+        return _Split(full, c1, self.g[dr] if live else None,
+                      self.caps[dr] if cap else None, not live)
 
-    def _hold(self, i_o):
-        """Zero-order hold: the controllers measure ``i_o`` until the next
-        sample."""
-        self._held = np.zeros(len(self.y), dtype=complex)
-        self._held[self._dvoc_pos] = -self._c2 * i_o[self._dvoc_pos]
-        self._held_droop = i_o[self._droop_pos]
-
-    def _apply_event(self, action):
-        """Update the parameters or the topology, then recompile."""
+    def apply_event(self, action, y):
+        """Update the parameters or the topology, then recompile; returns
+        the carried-over state."""
         if isinstance(action, SetPointUpdate):
-            k = self._ids.index(action.inverter_id)
+            k = self.ids.index(action.inverter_id)
             updates = {name: getattr(action, name) for name in ("p_star", "q_star", "v_star")
                        if getattr(action, name) is not None}
             self.params[k] = replace(self.params[k], **updates)
         else:
             self.topology = apply_event(self.topology, action)
-        self._compile()
+        return self.compile(y)
+
+
+class Simulation:
+    """One compiled simulation run over a batch of scenarios.  Construct,
+    then ``run()`` (or ``step()``).
+
+    ``Simulation(scenario)`` runs one scenario and ``run()`` returns its
+    Trace; ``Simulation([s1, ..., sB])`` runs B members and ``run()`` returns
+    their Traces in member order.  ``config`` replaces every member's
+    ``scenario.sim``.  Members must share one step grid (dt, t_end, record
+    decimation, network model), else ValueError; controller sampling, noise
+    and seed are their own.  ``config`` reads as member 0's.
+    """
+
+    def __init__(self, scenarios, config=None):
+        self._single = not isinstance(scenarios, (list, tuple))
+        scenarios = [scenarios] if self._single else list(scenarios)
+        if not scenarios:
+            raise ValueError("a simulation needs at least one scenario")
+        configs = [config if config is not None else s.sim for s in scenarios]
+        self.config = configs[0]
+        for b, cfg in enumerate(configs):
+            diff = [name for name in ("dt", "t_end", "record_decimation", "network_model")
+                    if getattr(cfg, name) != getattr(self.config, name)]
+            if diff:
+                raise ValueError(f"member {b} does not share the step grid of member 0: "
+                                 f"{', '.join(diff)} differ")
+        self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
+        self.t = 0.0
+        self.step_index = 0
+        self._dynamic = self.config.network_model == "dynamic"
+        self._ns = max(mem.ns for mem in self.members)
+        self._has_dvoc = any(len(mem.dvoc_pos) for mem in self.members)
+        self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
+        self._held = None
+        self._held_droop = np.zeros(sum(len(mem.droop_pos) for mem in self.members),
+                                    dtype=complex)
+        self._stack([mem.compile(mem.initial_state()) for mem in self.members])
+
+    # -- batch ---------------------------------------------------------------
+
+    def _stack(self, states):
+        """Stack the members' states, splits and step matrices over the
+        batch, each padded with zeros to the widest state.  N works on the
+        flattened (B M,) state, so its per-slot constants are flat too."""
+        ms, n, ns = self.members, len(self.members), self._ns
+        width = max(len(y) for y in states)
+        self.y = _padded(states, (width,))
+        self._g = _padded([mem.g for mem in ms], (ns, width))
+        self._caps = _padded([mem.caps for mem in ms], (ns,))
+        self._inv_vs2 = _padded([mem.inv_vs2 for mem in ms], (width,)).reshape(-1)
+        self._c2 = np.zeros((n, ns), dtype=complex)
+        for b, mem in enumerate(ms):
+            self._c2[b, mem.dvoc_pos] = mem.c2
+        held = np.zeros((n, width), dtype=complex)
+        if self._held is not None:  # held values sit in the inverter slots
+            held[:, :ns] = self._held.reshape(n, -1)[:, :ns]
+        self._held = held.reshape(-1)
+        # Every droop inverter of the batch: its flat slot in the state, in
+        # i_o and in the stacked droop measurement, then the constants of
+        # its law in the same order.
+        self._droop_rows = max(len(mem.droop_pos) for mem in ms)
+        owner = np.concatenate([np.full(len(mem.droop_pos), b, dtype=int)
+                                for b, mem in enumerate(ms)])
+        pos = np.concatenate([mem.droop_pos for mem in ms])
+        self._dr_owner = owner
+        self._dr, self._dr_io = owner * width + pos, owner * ns + pos
+        rows = owner * self._droop_rows + np.concatenate(
+            [np.arange(len(mem.droop_pos)) for mem in ms])
+        self._dr_rows = None if len(rows) == n * self._droop_rows else rows  # None: unpadded
+        # Noise generator, scale and flat oscillator slots of each noisy member.
+        self._noisy = [(mem.rng, mem.config.noise_amplitude * math.sqrt(mem.config.dt),
+                        b * width + mem.dvoc_pos) for b, mem in enumerate(ms)
+                       if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
+        for name in ("a_dr", "b_dr", "kp", "kq"):
+            setattr(self, "_" + name, np.concatenate([getattr(mem, name) for mem in ms]))
+        self._live = self._stack_split([mem.live for mem in ms])
+        self._stepped = self._live if all(mem.stepped is mem.live for mem in ms) \
+            else self._stack_split([mem.stepped for mem in ms])
+        # Stage k of ETDRK4 is k + 2 blocks wide; each block is padded alone.
+        self._etd = tuple(
+            _padded([mem.etd[k].reshape(mem.m, k + 2, mem.m) for mem in ms],
+                    (width, k + 2, width)).reshape(n, width, (k + 2) * width)
+            for k in range(4))
+        # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
+        # and the leading parts each stage multiplies.
+        z = np.zeros((n, 5 * width), dtype=complex)
+        self._slots = tuple(z[:, k * width:(k + 1) * width] for k in range(5))
+        self._stage_in = tuple(z.reshape(n, 5 * width, 1)[:, :k * width] for k in (2, 3, 4, 5))
+        self._stage_out = np.zeros((n, width, 1), dtype=complex)
+        self._stage_flat = self._stage_out.reshape(-1)
+        self._n_y = None
+        # A recompiled member with a sampled controller holds at the next step.
+        self._next_hold = self.step_index if self._sampled else math.inf
+        self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
+                               default=math.inf)
+
+    def _stack_split(self, splits):
+        """The members' splits as one, zero where a member has no entry."""
+        width, rows = self.y.shape[1], self._droop_rows
+        live = rows and any(sp.meas is not None for sp in splits)
+        meas = [np.zeros((0, 0), dtype=complex) if sp.meas is None else sp.meas
+                for sp in splits]
+        cap = [np.zeros(len(mem.droop_pos)) if sp.cap is None else sp.cap
+               for mem, sp in zip(self.members, splits)]
+        return _Split(_padded([sp.a for sp in splits], (width, width)),
+                      _padded([sp.c1 for sp in splits], (width,)).reshape(-1),
+                      _padded(meas, (rows, width)) if live else None,
+                      np.concatenate(cap) if any(sp.cap is not None for sp in splits) else None,
+                      any(sp.held for sp in splits))
+
+    def _hold(self, i_o, due=None):
+        """Zero-order hold: the controllers of the members listed in ``due``
+        (all if None) measure ``i_o`` (B, ns) until their next sample."""
+        n, ns = i_o.shape
+        held, droop = -self._c2 * i_o, i_o.reshape(-1)[self._dr_io]
+        if due is None:
+            self._held.reshape(n, -1)[:, :ns] = held
+            self._held_droop[:] = droop
+        else:
+            self._held.reshape(n, -1)[due, :ns] = held[due]
+            mine = np.isin(self._dr_owner, due)
+            self._held_droop[mine] = droop[mine]
+
+    def _apply_due_events(self):
+        if self.step_index < self._next_event:
+            return
+        states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
+        for b, mem in enumerate(self.members):
+            while mem.pending and mem.pending[0][0] <= self.step_index:
+                _, ev = mem.pending.pop(0)
+                states[b] = mem.apply_event(ev.action, states[b])
+                mem.events_applied.append((self.t, ev.action))
+        self._stack(states)
 
     # -- right-hand side -----------------------------------------------------
 
     def _nonlinear(self, y, sp):
-        """N(y) of split ``sp``."""
-        if len(self._dvoc_pos):
+        """N(y) of stacked split ``sp`` for the flattened batch state y, (B M,)."""
+        if self._has_dvoc:
             # c1 and 1/v*^2 are zero outside the oscillator slots.
             out = sp.c1 * (1.0 - (y.real**2 + y.imag**2) * self._inv_vs2) * y
         else:
             out = np.zeros(len(y), dtype=complex)
-        if not sp.live:
+        if sp.held:
             out += self._held
-        dr = self._droop_pos
+        dr = self._dr
         if len(dr):
             # v = r exp(j theta); the angle of v = 0 is taken as theta = 0.
             v = y[dr]
             r, th = np.abs(v), np.arctan2(v.imag, v.real)
-            iod = sp.meas @ y if sp.live else self._held_droop
+            if sp.meas is None:
+                iod = self._held_droop
+            else:
+                iod = np.matmul(sp.meas, y.reshape(len(sp.meas), -1, 1)).reshape(-1)
+                if self._dr_rows is not None:
+                    iod = iod[self._dr_rows]
+                if sp.held:
+                    iod = iod + self._held_droop
             pq = np.conj(v) * iod
             thdot = self._a_dr - self._kp * pq.real
             rdot = self._b_dr - r + self._kq * pq.imag
-            if sp.cap_loop:
+            if sp.cap is not None:
                 # i_o = i_net + C dv/dt with dv/dt = (dr/dt + j r dtheta/dt)
                 # exp(j theta): linear in (dr/dt, dtheta/dt), solved in closed form.
-                c = self._caps_dr
+                c = sp.cap
                 rdot = (rdot + self._kq * c * r**2 * thdot) \
                     / (1.0 + self._kp * self._kq * c**2 * r**3)
                 thdot = thdot - self._kp * c * r * rdot
@@ -405,67 +577,78 @@ class Simulation:
         return out
 
     def _outputs(self, y):
-        """Instantaneous (v, i_o) of every inverter, the capacitor current
-        included, whose dv/dt is A y + N(y) with the live measurement."""
-        ns = self._ns
-        i_net = self._g @ y
+        """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
+        the capacitor current included, whose dv/dt is A y + N(y) with the
+        live measurement."""
+        ns, y3 = self._ns, y[..., None]
+        i_net = np.matmul(self._g, y3)[..., 0]
         if not self._dynamic:
-            return y[:ns], i_net
+            return y[:, :ns], i_net
         sp = self._live
-        d = sp.a @ y + self._nonlinear(y, sp)
-        return y[:ns], i_net + self._caps * d[:ns]
+        n = self._nonlinear(y.reshape(-1), sp)
+        if sp is self._stepped and y is self.y:
+            self._n_y = (y, n)  # the next step starts from this y
+        d = np.matmul(sp.a, y3)[..., 0] + n.reshape(y.shape)
+        return y[:, :ns], i_net + self._caps * d[:, :ns]
 
     # -- time stepping -------------------------------------------------------
 
-    def _apply_due_events(self):
-        while self._pending and self._pending[0][0] <= self.step_index:
-            _, ev = self._pending.pop(0)
-            self._apply_event(ev.action)
-            self._events_applied.append((self.t, ev.action))
-
     def step(self):
-        """Apply due events, sample the controller measurement if one is due,
-        then advance one ETDRK4 step of size dt."""
+        """Apply due events, sample the controller measurement of every
+        member with a sample due, then advance one ETDRK4 step of size dt."""
         self._apply_due_events()
-        cfg = self.config
-        ss = self._sample_steps
-        if ss is not None and (self._held is None or self.step_index % ss == 0):
-            self._hold(self._outputs(self.y)[1])
+        k = self.step_index
+        if k >= self._next_hold:
+            due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
+            if due:
+                self._hold(self._outputs(self.y)[1],
+                           None if len(due) == len(self.members) else due)
+            for b in due:
+                self.members[b].stale = False
+            self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
+                                  for _, mem in self._sampled)
         self._step_etdrk4()
-        dv = self._dvoc_pos
-        if cfg.noise_amplitude > 0.0 and len(dv):
-            w = (cfg.noise_amplitude * math.sqrt(cfg.dt)
-                 * self._rng.standard_normal(2 * len(dv)))
-            self.y[dv] += w[0::2] + 1j * w[1::2]
+        if self._noisy:
+            y = self.y.reshape(-1)  # a view: the step's result is contiguous
+            for rng, scale, slots in self._noisy:
+                w = scale * rng.standard_normal(2 * len(slots))
+                y[slots] += w[0::2] + 1j * w[1::2]
         self.step_index += 1
-        self.t = self.step_index * cfg.dt
+        self.t = self.step_index * self.config.dt
 
     def _step_etdrk4(self):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
         propagated exactly and N's stages are weighted by phi-functions of
         hA, so stiff modes see N with the right weight."""
-        m = len(self.y)
-        z, (wa, wb, wc, wy) = self._z, self._etd
-        sp, n = self._stepped, self._nonlinear
-        z[:m] = self.y
-        z[m:2 * m] = n(self.y, sp)
-        z[2 * m:3 * m] = n(wa @ z[:2 * m], sp)
-        z[3 * m:4 * m] = n(wb @ z[:3 * m], sp)
-        z[4 * m:] = n(wc @ z[:4 * m], sp)
-        self.y = wy @ z
+        y, sp, n = self.y, self._stepped, self._nonlinear
+        (zy, zn, za, zb, zc), (sa, sb, sc, s) = self._slots, self._stage_in
+        (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
+        zy[...] = y
+        reuse, self._n_y = self._n_y, None
+        zn.flat = reuse[1] if reuse is not None and reuse[0] is y else n(y.reshape(-1), sp)
+        np.matmul(wa, sa, out=u)
+        za.flat = n(uf, sp)
+        np.matmul(wb, sb, out=u)
+        zb.flat = n(uf, sp)
+        np.matmul(wc, sc, out=u)
+        zc.flat = n(uf, sp)
+        self.y = np.matmul(wy, s)[..., 0]
 
     def _check_finite(self):
         if np.isfinite(self.y).all():
             return
+        b = int(np.argmin(np.isfinite(self.y).all(axis=1)))
+        mem = self.members[b]
         with np.errstate(invalid="ignore"):
-            mags = np.abs(self.y[:self._ns])
+            mags = np.abs(self.y[b, :mem.ns])
         bad = ~np.isfinite(mags)
         worst = int(np.argmax(np.where(bad, np.inf, mags)))
-        raise SimulationDiverged(self.t, self._ids[worst], float(mags[worst]),
-                                 self.step_index)
+        raise SimulationDiverged(self.t, mem.ids[worst], float(mags[worst]),
+                                 self.step_index, b, getattr(mem.scenario, "name", ""))
 
     def run(self):
-        """Integrate from t = 0 to t_end and return the Trace."""
+        """Integrate from t = 0 to t_end and return the Trace, or one Trace
+        per member for a batch."""
         cfg = self.config
         if self.step_index != 0:
             raise RuntimeError("run() must be called on a fresh Simulation")
@@ -473,38 +656,27 @@ class Simulation:
         decim = cfg.record_decimation
         n_rec = n_steps // decim + 1
         t_rec = np.empty(n_rec)
-        v_rec = np.empty((n_rec, self._ns), dtype=complex)
-        io_rec = np.empty((n_rec, self._ns), dtype=complex)
+        v_rec = np.empty((len(self.members), n_rec, self._ns), dtype=complex)
+        io_rec = np.empty_like(v_rec)
 
         self._apply_due_events()
-        v_all, io = self._outputs(self.y)
-        t_rec[0], v_rec[0], io_rec[0] = 0.0, v_all, io
+        t_rec[0] = 0.0
+        v_rec[:, 0], io_rec[:, 0] = self._outputs(self.y)
         ri = 1
         # Overflow en route to a detected divergence is expected; the finite
         # check below turns it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
+            for _ in range(n_steps):
                 self.step()
                 if self.step_index % decim == 0 and ri < n_rec:
                     self._check_finite()
-                    v_all, io = self._outputs(self.y)
                     t_rec[ri] = self.t
-                    v_rec[ri] = v_all
-                    io_rec[ri] = io
+                    v_rec[:, ri], io_rec[:, ri] = self._outputs(self.y)
                     ri += 1
         self._check_finite()
-        events = [(t, _describe_action(a)) for t, a in self._events_applied]
-        meta = {
-            "dt": cfg.dt,
-            "t_end": n_steps * cfg.dt,
-            "network_model": cfg.network_model,
-            "controller_sample_hz": cfg.controller_sample_hz,
-            "noise_seed": cfg.noise_seed,
-            "noise_amplitude": cfg.noise_amplitude,
-            "scenario": getattr(self.scenario, "name", ""),
-        }
-        return _finalize_trace(t_rec[:ri], v_rec[:ri], io_rec[:ri], self._ids, events,
-                               cfg.dt * decim, meta)
+        traces = _finalize_traces(t_rec[:ri], v_rec[:, :ri], io_rec[:, :ri], self.members,
+                                  n_steps)
+        return traces[0] if self._single else traces
 
 
 def _describe_action(action):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +111,26 @@ class TestSimulate:
                                   "record_decimation": 1, "noise_seed": 0})
         path = tmp_path / "tiny_l.json"
         path.write_text(json.dumps(d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+    def test_overflowing_branch_rate_leaves_stderr_one_json_document(self, tmp_path,
+                                                                     capsys):
+        # Once two numpy RuntimeWarnings ("overflow encountered in divide",
+        # "invalid value encountered in multiply") came before the JSON.
+        d = pu_scenario_dict(branch_l=1e-310,
+                             sim={"dt_s": 1e-4, "t_end_s": 0.01,
+                                  "network_model": "dynamic",
+                                  "record_decimation": 1, "noise_seed": 0})
+        path = tmp_path / "tiny_l.json"
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric" and "b1" in err["message"]
 
     def test_builtin_name_accepted(self, tmp_path):
         # droop-ref is the cheapest builtin to run end to end
@@ -187,6 +204,22 @@ class TestDroopSweepCommand:
         rc = main(["droop-sweep", str(path), "--axis", "p",
                    "--range", "0.4:0.6:3", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_diverging_point_is_a_numeric_failure_naming_it(self, tmp_path, capsys):
+        # At q = -1000 the actuating capacitor drives the oscillator unstable
+        # at dt = 1e-4; the point at -10 settles.
+        d = pu_scenario_dict(sim={"dt_s": 1e-4, "t_end_s": 0.05,
+                                  "network_model": "quasistatic",
+                                  "record_decimation": 1, "noise_seed": 0})
+        path = tmp_path / "pu.json"
+        path.write_text(json.dumps(d))
+        rc = main(["droop-sweep", str(path), "--axis", "q",
+                   "--range=-1000:-10:2", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "member=0" in err["details"]
+        assert "scenario=pu-test q=-1000.0" in err["details"]
 
 
 class TestBlackstartCheckCommand:

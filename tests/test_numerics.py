@@ -18,15 +18,16 @@ def split_simulations():
     sims = []
 
     def entry(label, sim):
-        m = len(sim._stepped.a)
-        wa, _, _, wy = sim._etd
-        return (label, sim._stepped.a, wy[:, :m], wa[:, :m], sim.config.dt)
+        mem = sim.members[0]
+        m = len(mem.stepped.a)
+        wa, _, _, wy = mem.etd
+        return (label, mem.stepped.a, wy[:, :m], wa[:, :m], sim.config.dt)
 
     for name in builtin_names():
         sim = Simulation(builtin_scenario(name))
         sims.append(entry(name, sim))
-        while sim._pending:
-            sim.step_index = sim._pending[0][0]
+        while sim.members[0].pending:
+            sim.step_index = sim.members[0].pending[0][0]
             sim._apply_due_events()
             sims.append(entry(f"{name} after event", sim))
     return sims

@@ -178,11 +178,12 @@ class TestDeterminismAndEvents:
         n_before = int(round(0.01 / 2e-6))
         for _ in range(n_before):
             sim.step()
-        assert sim._branch_ids == ["b1"]
+        mem = sim.members[0]
+        assert mem.branch_ids == ["b1"]
         sim._apply_due_events()  # what the next step() does first
-        assert sim._branch_ids == ["b1", "b2"]
-        assert sim.y[sim._ns] != 0.0  # surviving branch carried over
-        assert sim.y[sim._ns + 1] == 0.0 + 0.0j  # new branch from rest
+        assert mem.branch_ids == ["b1", "b2"]
+        assert sim.y[0, mem.ns] != 0.0  # surviving branch carried over
+        assert sim.y[0, mem.ns + 1] == 0.0 + 0.0j  # new branch from rest
 
     def test_branch_currents_carried_by_id_across_disconnect(self):
         # Opening b1 moves b2 from state index ns + 1 to ns and b3 from
@@ -198,15 +199,17 @@ class TestDeterminismAndEvents:
         sim = Simulation(parse_scenario_dict(d))
         for _ in range(int(round(0.01 / 1e-5))):
             sim.step()
-        assert sim._branch_ids == ["b1", "b2", "b3"]
-        before = dict(zip(sim._branch_ids, sim.y[sim._ns:]))
-        slots = sim.y[:sim._ns].copy()
+        mem, y = sim.members[0], sim.y[0]
+        assert mem.branch_ids == ["b1", "b2", "b3"]
+        before = dict(zip(mem.branch_ids, y[mem.ns:]))
+        slots = y[:mem.ns].copy()
         assert len(set(before.values())) == 3 and 0.0 not in before.values()
         sim._apply_due_events()
-        assert sim._branch_ids == ["b2", "b3"]
-        assert np.array_equal(sim.y[:sim._ns], slots)
-        assert sim.y[sim._ns] == before["b2"]
-        assert sim.y[sim._ns + 1] == before["b3"]
+        y = sim.y[0]
+        assert mem.branch_ids == ["b2", "b3"]
+        assert np.array_equal(y[:mem.ns], slots)
+        assert y[mem.ns] == before["b2"]
+        assert y[mem.ns + 1] == before["b3"]
 
     def test_reversed_inverter_order_permutes_the_trace(self):
         # Inverters and their topology nodes reversed together: the same
@@ -280,35 +283,35 @@ def mixed_live_grid_dict(droop_first=False):
     }
 
 
-def oracle_derivative(sim, yv, held=None):
-    """dy/dt and the live i_o rebuilt from the control laws and the network
-    models, independently of the split: the capacitor loop
-    i_o = i_net + C dv/dt is solved by fixed-point iteration."""
-    ns = sim._ns
+def oracle_derivative(mem, yv, held=None):
+    """dy/dt and the live i_o of batch member ``mem`` rebuilt from the
+    control laws and the network models, independently of the split: the
+    capacitor loop i_o = i_net + C dv/dt is solved by fixed-point iteration."""
+    ns = mem.ns
     v_all, ib = yv[:ns], yv[ns:]
-    if sim.config.network_model == "dynamic":
-        net = DynamicNetwork(sim.topology)
+    if mem.config.network_model == "dynamic":
+        net = DynamicNetwork(mem.topology)
         i_net = net.source_branch_currents(ib, v_all)
         dib = net.rhs(ib, v_all)
-        caps = np.array([sim.topology.shunt_caps.get(n, 0.0)
-                         for n in sim.topology.inverter_nodes])
+        caps = np.array([mem.topology.shunt_caps.get(n, 0.0)
+                         for n in mem.topology.inverter_nodes])
     else:
-        i_net = reduced_admittance(sim.topology, sim.omega_nominal) @ v_all
+        i_net = reduced_admittance(mem.topology, mem.omega_nominal) @ v_all
         dib = np.zeros(0, dtype=complex)
         caps = np.zeros(ns)
 
     def laws(i_o):
         vdot = np.empty(ns, dtype=complex)
-        for k, spec in enumerate(sim.inverters):
+        for k, spec in enumerate(mem.inverters):
             v2 = np.array([v_all[k].real, v_all[k].imag])
             i2 = np.array([i_o[k].real, i_o[k].imag])
             if isinstance(spec.params, DroopParams):
                 r, th = abs(v_all[k]), math.atan2(v2[1], v2[0])
                 p, q = measure_power(v2, i2)
-                dmag, dth = droop_rhs(PolarState(r, th), p, q, sim.params[k])
+                dmag, dth = droop_rhs(PolarState(r, th), p, q, mem.params[k])
                 vdot[k] = (dmag + 1j * r * dth) * np.exp(1j * th)
             else:
-                d = dvoc_rhs(v2, i2, sim.params[k])
+                d = dvoc_rhs(v2, i2, mem.params[k])
                 vdot[k] = d[0] + 1j * d[1]
         return vdot
 
@@ -340,19 +343,20 @@ class TestExponentialSplit:
         scale = 100.0 if name != "droop-ref" else 1.0
         for sample_hz in (None, 1.0 / (4.0 * sc.sim.dt)):
             sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
+            mem = sim.members[0]
             for _ in range(5):
-                w = rng.normal(scale=0.05 * scale, size=(len(sim.y), 2))
-                y = sim.y + (w[:, 0] + 1j * w[:, 1])
+                w = rng.normal(scale=0.05 * scale, size=(mem.m, 2))
+                y = sim.y[0] + (w[:, 0] + 1j * w[:, 1])
                 held = None
                 if sample_hz is not None:
-                    held = rng.normal(size=sim._ns) + 1j * rng.normal(size=sim._ns)
-                    sim._hold(held)
+                    held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
+                    sim._hold(held[None])
                 sp = sim._stepped
-                want, i_o = oracle_derivative(sim, y, held)
-                got = sp.a @ y + sim._nonlinear(y, sp)
+                want, i_o = oracle_derivative(mem, y, held)
+                got = sp.a[0] @ y + sim._nonlinear(y, sp)
                 npt.assert_allclose(got, want, rtol=1e-12,
                                     atol=1e-12 * np.abs(want).max())
-                npt.assert_allclose(sim._outputs(y)[1], i_o, rtol=1e-12,
+                npt.assert_allclose(sim._outputs(y[None])[1][0], i_o, rtol=1e-12,
                                     atol=1e-12 * np.abs(i_o).max())
 
     @staticmethod
@@ -362,12 +366,12 @@ class TestExponentialSplit:
         integrate = pytest.importorskip("scipy.integrate")
         sim = Simulation(sc, replace(sc.sim, t_end=t_end))
         sp = sim._stepped
-        states = [sim.y.copy()]
+        states = [sim.y[0].copy()]
         for _ in range(int(round(t_end / sim.config.dt))):
             sim.step()
-            states.append(sim.y.copy())
+            states.append(sim.y[0].copy())
         t = sim.config.dt * np.arange(len(states))
-        sol = integrate.solve_ivp(lambda _, yv: sp.a @ yv + sim._nonlinear(yv, sp),
+        sol = integrate.solve_ivp(lambda _, yv: sp.a[0] @ yv + sim._nonlinear(yv, sp),
                                   (0.0, t[-1]), states[0], method="DOP853",
                                   rtol=1e-12, atol=1e-12, t_eval=t)
         assert sol.success
@@ -378,7 +382,8 @@ class TestExponentialSplit:
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario("paper-fig7")
         sim, got, want = self.dop853(sc, 0.02)
-        dev = np.abs(got[:, :sim._ns] - want[:, :sim._ns]).max()
+        ns = sim.members[0].ns
+        dev = np.abs(got[:, :ns] - want[:, :ns]).max()
         assert dev / sc.inverters[0].params.v_star <= 1e-9, dev
 
     def test_exponential_matches_dop853_on_blackstart_branch_currents(self):
@@ -387,7 +392,8 @@ class TestExponentialSplit:
         # be weighted by phi-functions, not by h/6.  Measured: 1.8e-9.
         from dvocsim.scenario import builtin_scenario
         sim, got, want = self.dop853(builtin_scenario("paper-fig4"), 0.02)
-        ib, ib_ref = got[:, sim._ns:], want[:, sim._ns:]
+        ns = sim.members[0].ns
+        ib, ib_ref = got[:, ns:], want[:, ns:]
         dev = np.abs(ib - ib_ref).max() / np.abs(ib_ref).max()
         assert dev <= 1e-7, dev
 
@@ -396,7 +402,7 @@ class TestExponentialSplit:
         # at dt = 1e-4 (|lambda| dt ~ 4.9).  Measured: 6.8e-8 v*.
         sc = parse_scenario_dict(mixed_live_grid_dict())
         sim, got, want = self.dop853(sc, 0.2)
-        ns = sim._ns
+        ns = sim.members[0].ns
         dev = np.abs(got[:, :ns] - want[:, :ns]).max() / sc.inverters[0].params.v_star
         assert dev <= 1e-5, dev
 
@@ -553,3 +559,139 @@ class TestFailureModes:
         cfg = replace(sc.sim, t_end=0.002)
         tr = run_scenario(sc, cfg)
         assert tr.t[-1] == pytest.approx(0.002)
+
+
+def on_grid(sc, **sim):
+    """``sc`` on the batch tests' step grid (dt 1e-4, 0.3 s, every 10th step
+    recorded, dynamic network), with its other settings kept or overridden."""
+    grid = dict(dt=1e-4, t_end=0.3, record_decimation=10, network_model="dynamic")
+    return replace(sc, sim=replace(sc.sim, **grid, **sim))
+
+
+def heterogeneous_batch():
+    """fig5; the live mixed grid with droop rows and events; a sampled, noisy
+    grid whose timeline connects, steps a load, opens and recloses the tie;
+    two dynamic q-sweep points, the second with the extra actuator branch."""
+    from dvocsim.analysis import _actuated_scenario
+    from dvocsim.scenario import builtin_scenario
+    live = mixed_live_grid_dict()
+    live["events"] = [
+        {"t_s": 0.05, "type": "load_step", "node": "busB", "g_siemens": 0.01},
+        {"t_s": 0.12, "type": "disconnect", "branch": "tie"},
+        {"t_s": 0.2, "type": "set_point", "inverter": "inv3", "p_star_w": 180.0}]
+    sampled = mixed_live_grid_dict(droop_first=True)
+    sampled["name"] = "mixed-sampled"
+    sampled["network"]["branches"][1]["connected"] = False
+    sampled["events"] = [
+        {"t_s": 0.05, "type": "connect", "branch": "b2"},
+        {"t_s": 0.1, "type": "load_step", "node": "busA", "g_siemens": 0.02},
+        {"t_s": 0.15, "type": "disconnect", "branch": "tie"},
+        {"t_s": 0.22, "type": "connect", "branch": "tie"}]
+    template = pu_scenario(branch_l=2e-4, cap=1e-4)
+    return [on_grid(builtin_scenario("paper-fig5")),
+            on_grid(parse_scenario_dict(live)),
+            on_grid(parse_scenario_dict(sampled), controller_sample_hz=2500.0,
+                    noise_amplitude=0.5, noise_seed=5),
+            on_grid(_actuated_scenario(template, "q", -0.04)),
+            on_grid(_actuated_scenario(template, "q", 0.04))]
+
+
+def batch_against_single_runs(members):
+    """Run ``members`` as one batch and each alone; every trace column must
+    agree to 1e-12 of its scale.  Returns the names of the members whose
+    traces are not bit-identical to their single runs."""
+    traces = Simulation(members).run()
+    assert len(traces) == len(members)
+    not_bitwise = []
+    for sc, tr in zip(members, traces):
+        single = run_scenario(sc)
+        assert tr.inverter_ids == single.inverter_ids
+        assert tr.events == single.events and tr.meta == single.meta
+        assert np.array_equal(tr.t, single.t)
+        for name in ("v", "i_o", "p", "q", "vmag", "theta"):
+            got, want = getattr(tr, name), getattr(single, name)
+            if not np.array_equal(got, want):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                    err_msg=f"{sc.name} {name}")
+                if sc.name not in not_bitwise:
+                    not_bitwise.append(sc.name)
+    return not_bitwise
+
+
+class TestBatch:
+    def test_heterogeneous_members_match_their_single_runs(self):
+        # A member's stage products run over its zero-padded rows of the
+        # stacked matrices, and BLAS may sum a longer row in another order:
+        # every member here is narrower than the batch for part of the run,
+        # so each may round differently from its single run (measured: all
+        # five, by at most 2.5e-14 of a column's scale).
+        not_bitwise = batch_against_single_runs(heterogeneous_batch())
+        print("members not bit-identical to their single runs:", not_bitwise or "none")
+
+    def test_widest_member_is_bit_identical(self):
+        # The live mixed grid (7 states, no events) is never padded; the two
+        # q-sweep points (2 and 3 states) are.
+        from dvocsim.analysis import _actuated_scenario
+        template = pu_scenario(branch_l=2e-4, cap=1e-4)
+        members = [on_grid(parse_scenario_dict(mixed_live_grid_dict()))] + [
+            on_grid(_actuated_scenario(template, "q", q)) for q in (-0.04, 0.04)]
+        not_bitwise = batch_against_single_runs(members)
+        assert "mixed-live" not in not_bitwise
+        print("members not bit-identical to their single runs:", not_bitwise or "none")
+
+    def test_padded_slots_stay_zero(self):
+        sim = Simulation(heterogeneous_batch())
+        widths = set()
+        for _ in range(int(round(sim.config.t_end / sim.config.dt))):
+            sim.step()
+            widths.add(sim.y.shape[1])
+            for b, mem in enumerate(sim.members):
+                assert not sim.y[b, mem.m:].any(), (b, sim.step_index)
+        assert len(widths) > 1  # events changed the batch's width
+
+    def test_batched_rerun_is_bit_identical(self):
+        first, second = (Simulation(heterogeneous_batch()).run() for _ in range(2))
+        for a, b in zip(first, second):
+            for name in ("t", "v", "i_o", "p", "q", "vmag", "theta"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_single_scenario_returns_one_trace(self):
+        sc = pu_scenario(sim={"dt_s": 1e-4, "t_end_s": 0.01,
+                              "network_model": "quasistatic",
+                              "record_decimation": 1, "noise_seed": 0})
+        single = Simulation(sc).run()
+        (member,) = Simulation([sc]).run()
+        assert np.array_equal(single.v, member.v)
+
+    @pytest.mark.parametrize("field, value", [("dt", 2e-4), ("t_end", 0.2),
+                                              ("record_decimation", 5),
+                                              ("network_model", "quasistatic")])
+    def test_mismatched_step_grid_rejected(self, field, value):
+        members = heterogeneous_batch()[:2]
+        members[1] = replace(members[1], sim=replace(members[1].sim, **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            Simulation(members)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            Simulation([])
+
+    def test_diverging_member_names_itself(self):
+        # A 1000x oversized capacitor drives the oscillator unstable at
+        # dt = 1e-4 (at step 3); the other members settle.
+        from dvocsim.analysis import _actuated_scenario
+        template = pu_scenario(sim={"dt_s": 1e-4, "t_end_s": 0.05,
+                                    "network_model": "quasistatic",
+                                    "record_decimation": 1, "noise_seed": 0})
+        members = [_actuated_scenario(template, "q", q) for q in (-10.0, -1000.0, -1.0)]
+        with pytest.raises(SimulationDiverged) as single:
+            run_scenario(members[1])
+        with pytest.raises(SimulationDiverged) as batch:
+            Simulation(members).run()
+        got, want = batch.value, single.value
+        assert (got.member, got.scenario) == (1, "pu-test q=-1000.0")
+        assert (want.member, want.scenario) == (0, "pu-test q=-1000.0")
+        assert (got.step, got.time, got.inverter) == (want.step, want.time, want.inverter)
+        assert got.magnitude == want.magnitude or (math.isnan(got.magnitude)
+                                                   and math.isnan(want.magnitude))
+        assert "member 1 'pu-test q=-1000.0'" in str(got)

@@ -19,6 +19,7 @@ from .control import (PolarState, droop_approx_freq, droop_approx_vmag_ss,
                       droop_vmag_tangent_ss, dvoc_rhs_polar)
 from .network import Branch, reduced_admittance
 from .numerics import bracketed_root, gauss_newton, rk4_scalar
+from .scenario import ScenarioError
 from .sim import Simulation
 
 
@@ -394,7 +395,12 @@ def _actuated_scenario(template, axis, target):
     r_series = _series_resistance_into_load(topo)
 
     def load_g(p_target):
-        return p_target / (vs2 - r_series * p_target)
+        headroom = vs2 - r_series * p_target
+        if headroom <= 0.0:
+            raise ScenarioError([
+                f"droop-sweep {axis}={target!r}: a load drawing p = {p_target!r} through "
+                f"R = {r_series!r} needs p < v*^2/R = {vs2 / r_series!r}"])
+        return p_target / headroom
 
     if axis == "p":
         loads = dict(topo.loads)

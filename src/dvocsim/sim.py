@@ -25,7 +25,11 @@ the branch R/L and, where the controllers measure the live current, the
 capacitor feedthrough; on a droop row it holds the linear part of the droop
 law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
 N holds the rest: the cubic amplitude term, the remainder of the droop law
-and, in sampled mode, the held measurement.  Every step is one Cox-Matthews
+and, in sampled mode, the held measurement.  The droop law is evaluated
+without trigonometry, as a gain on v = r e^{j theta}: dv/dt - A v =
+((dr/dt + r)/r - j kp p) v with dr/dt + r = v* + kq (q* - q); where the
+capacitor loop is live, its closed form (below) gives dr/dt from the same
+r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews
 ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
 and hA/2 come from one augmented matrix exponential per compile, so the fast
 branch-current pole does not bound the step.  The members' stage matrices
@@ -41,6 +45,16 @@ it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
 
 Events are applied atomically between steps, at the first step boundary at or
 after their timestamp.
+
+Recording is deferred.  Each step makes a new state array (additive noise,
+drawn NOISE_BLOCK steps at a time per member, is added to it in place before
+the record point), so a record point only keeps a reference to the state.
+The pending states are checked finite and turned into v and i_o together,
+with one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them
+have gathered, before every event restack (so each block is derived with the
+matrices of the compile segment it was taken in) and at the end of the run.
+The first non-finite record raises SimulationDiverged with its own time and
+step, as a check at every record point would.
 """
 
 import math
@@ -149,6 +163,15 @@ class InitialCondition:
 
 BLACKSTART_MAGNITUDE_RATIO = 1e-3
 
+# Steps of noise drawn per generator call, and records derived per batch of
+# the step loop.
+NOISE_BLOCK = 256
+RECORD_BLOCK = 256
+
+# Floor of a droop inverter's |v| and the offset that gives v = 0 a direction:
+# v + _EPS == v once |Re v| >= 2^-446, and v*/_EPS stays finite.
+_EPS = 2.0**-500
+
 
 @dataclass
 class Trace:
@@ -224,8 +247,9 @@ class _Split:
     c1    -- gain of the cubic amplitude term (zero off the oscillator rows)
     meas  -- droop-terminal rows of the live measured current, cap current
              excluded; None when the controllers see the held current
-    cap   -- filter capacitance at each droop terminal, for the droop law's
-             capacitor loop (live, dynamic network); None when no law has one
+    cap   -- (c, kq c, kp kq c^2) of the filter capacitance c at each droop
+             terminal, for the droop law's capacitor loop (live, dynamic
+             network); None when no law has one
     held  -- N adds the held measurement
 
     A member's split is over its own state; ``Simulation._stack_split``
@@ -298,6 +322,8 @@ class _Member:
         self.dynamic = config.network_model == "dynamic"
         self.sample_steps = config.sample_steps
         self.rng = np.random.default_rng(config.noise_seed)
+        self.noise_scale = config.noise_amplitude * math.sqrt(config.dt)
+        self._noise, self._noise_row = np.empty((0, len(self.dvoc_pos)), dtype=complex), 0
         self.pending = []
         for ev in sorted(scenario.events, key=lambda e: e.time):
             boundary = max(0, int(math.ceil(ev.time / config.dt - 1e-9)))
@@ -321,6 +347,17 @@ class _Member:
                 ang = math.atan2(b, a) if mag > 0.0 else 0.0
             y[k] = mag * complex(math.cos(ang), math.sin(ang))
         return y
+
+    def noise(self):
+        """This step's additive noise on the oscillator slots, alpha + j beta.
+        The generator fills NOISE_BLOCK steps per call, the same numbers as
+        one ``standard_normal(2 n)`` call per step; the block stays with the
+        member, so a restack at an event discards no draws."""
+        if self._noise_row == len(self._noise):
+            w = self.rng.standard_normal((NOISE_BLOCK, 2 * len(self.dvoc_pos)))
+            self._noise, self._noise_row = (self.noise_scale * w).view(complex), 0
+        self._noise_row += 1
+        return self._noise[self._noise_row - 1]
 
     def compile(self, y):
         """Rebuild the splits and step matrices for the current topology and
@@ -388,9 +425,10 @@ class _Member:
         full[dr, dr] = -1.0 + 1j * self.a_dr
         c1 = np.zeros(m, dtype=complex)
         c1[dv] = feed * self.c1
-        cap = live and self.dynamic and bool(np.any(self.caps[dr]))
-        return _Split(full, c1, self.g[dr] if live else None,
-                      self.caps[dr] if cap else None, not live)
+        c = self.caps[dr]
+        cap = (c, self.kq * c, self.kp * self.kq * c * c) \
+            if live and self.dynamic and c.any() else None
+        return _Split(full, c1, self.g[dr] if live else None, cap, not live)
 
     def apply_event(self, action, y):
         """Update the parameters or the topology, then recompile; returns
@@ -438,6 +476,8 @@ class Simulation:
         self._has_dvoc = any(len(mem.dvoc_pos) for mem in self.members)
         self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
         self._held = None
+        self._pending = []  # states at record points, not yet derived
+        # Conjugate of each droop inverter's held current, so v times it is p + j q.
         self._held_droop = np.zeros(sum(len(mem.droop_pos) for mem in self.members),
                                     dtype=complex)
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
@@ -473,12 +513,12 @@ class Simulation:
         rows = owner * self._droop_rows + np.concatenate(
             [np.arange(len(mem.droop_pos)) for mem in ms])
         self._dr_rows = None if len(rows) == n * self._droop_rows else rows  # None: unpadded
-        # Noise generator, scale and flat oscillator slots of each noisy member.
-        self._noisy = [(mem.rng, mem.config.noise_amplitude * math.sqrt(mem.config.dt),
-                        b * width + mem.dvoc_pos) for b, mem in enumerate(ms)
+        # Each noisy member and its flat oscillator slots.
+        self._noisy = [(mem, b * width + mem.dvoc_pos) for b, mem in enumerate(ms)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
         for name in ("a_dr", "b_dr", "kp", "kq"):
             setattr(self, "_" + name, np.concatenate([getattr(mem, name) for mem in ms]))
+        self._jkp = 1j * self._kp
         self._live = self._stack_split([mem.live for mem in ms])
         self._stepped = self._live if all(mem.stepped is mem.live for mem in ms) \
             else self._stack_split([mem.stepped for mem in ms])
@@ -494,7 +534,6 @@ class Simulation:
         self._stage_in = tuple(z.reshape(n, 5 * width, 1)[:, :k * width] for k in (2, 3, 4, 5))
         self._stage_out = np.zeros((n, width, 1), dtype=complex)
         self._stage_flat = self._stage_out.reshape(-1)
-        self._n_y = None
         # A recompiled member with a sampled controller holds at the next step.
         self._next_hold = self.step_index if self._sampled else math.inf
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
@@ -506,19 +545,20 @@ class Simulation:
         live = rows and any(sp.meas is not None for sp in splits)
         meas = [np.zeros((0, 0), dtype=complex) if sp.meas is None else sp.meas
                 for sp in splits]
-        cap = [np.zeros(len(mem.droop_pos)) if sp.cap is None else sp.cap
+        cap = [(np.zeros(len(mem.droop_pos)),) * 3 if sp.cap is None else sp.cap
                for mem, sp in zip(self.members, splits)]
         return _Split(_padded([sp.a for sp in splits], (width, width)),
                       _padded([sp.c1 for sp in splits], (width,)).reshape(-1),
                       _padded(meas, (rows, width)) if live else None,
-                      np.concatenate(cap) if any(sp.cap is not None for sp in splits) else None,
+                      tuple(map(np.concatenate, zip(*cap)))
+                      if any(sp.cap is not None for sp in splits) else None,
                       any(sp.held for sp in splits))
 
     def _hold(self, i_o, due=None):
         """Zero-order hold: the controllers of the members listed in ``due``
         (all if None) measure ``i_o`` (B, ns) until their next sample."""
         n, ns = i_o.shape
-        held, droop = -self._c2 * i_o, i_o.reshape(-1)[self._dr_io]
+        held, droop = -self._c2 * i_o, np.conj(i_o.reshape(-1)[self._dr_io])
         if due is None:
             self._held.reshape(n, -1)[:, :ns] = held
             self._held_droop[:] = droop
@@ -530,6 +570,7 @@ class Simulation:
     def _apply_due_events(self):
         if self.step_index < self._next_event:
             return
+        self._derive_records()  # under the matrices they were taken with
         states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
         for b, mem in enumerate(self.members):
             while mem.pending and mem.pending[0][0] <= self.step_index:
@@ -541,55 +582,63 @@ class Simulation:
     # -- right-hand side -----------------------------------------------------
 
     def _nonlinear(self, y, sp):
-        """N(y) of stacked split ``sp`` for the flattened batch state y, (B M,)."""
+        """N(y) of stacked split ``sp`` for the flattened batch state y, (B M,),
+        or for a stack of such states, (K, B M).  The droop slots are picked
+        on the last axis through ``.T``, which on the per-step 1-D state costs
+        a tenth of ``[..., dr]``."""
         if self._has_dvoc:
             # c1 and 1/v*^2 are zero outside the oscillator slots.
             out = sp.c1 * (1.0 - (y.real**2 + y.imag**2) * self._inv_vs2) * y
         else:
-            out = np.zeros(len(y), dtype=complex)
+            out = np.zeros(y.shape, dtype=complex)
         if sp.held:
             out += self._held
         dr = self._dr
         if len(dr):
-            # v = r exp(j theta); the angle of v = 0 is taken as theta = 0.
-            v = y[dr]
-            r, th = np.abs(v), np.arctan2(v.imag, v.real)
+            # The droop law without trigonometry, as a gain on v: dv/dt =
+            # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
+            # offset by as much, so v = 0 reads as theta = 0.
+            v = y.T[dr].T
+            r = np.maximum(np.abs(v), _EPS)
             if sp.meas is None:
-                iod = self._held_droop
+                i_conj = self._held_droop
             else:
-                iod = np.matmul(sp.meas, y.reshape(len(sp.meas), -1, 1)).reshape(-1)
+                lead = y.shape[:-1]
+                i_conj = np.matmul(sp.meas, y.reshape(lead + (len(sp.meas), -1, 1)))
+                i_conj = np.conj(i_conj.reshape(lead + (-1,)))
                 if self._dr_rows is not None:
-                    iod = iod[self._dr_rows]
+                    i_conj = i_conj.T[self._dr_rows].T
                 if sp.held:
-                    iod = iod + self._held_droop
-            pq = np.conj(v) * iod
-            thdot = self._a_dr - self._kp * pq.real
-            rdot = self._b_dr - r + self._kq * pq.imag
+                    i_conj = i_conj + self._held_droop
+            s = v * i_conj  # p + j q
+            p = s.real
+            rr = self._b_dr - self._kq * s.imag  # dr/dt + r
             if sp.cap is not None:
-                # i_o = i_net + C dv/dt with dv/dt = (dr/dt + j r dtheta/dt)
-                # exp(j theta): linear in (dr/dt, dtheta/dt), solved in closed form.
-                c = sp.cap
-                rdot = (rdot + self._kq * c * r**2 * thdot) \
-                    / (1.0 + self._kp * self._kq * c**2 * r**3)
-                thdot = thdot - self._kp * c * r * rdot
-            # dv/dt = (dr/dt + j r dtheta/dt) exp(j theta), less A's diagonal.
-            out[dr] = (rdot + r + 1j * r * (thdot - self._a_dr)) * np.exp(1j * th)
+                # i_o = i_net + C dv/dt is linear in (dr/dt, dtheta/dt) and
+                # solved in closed form; the capacitor adds c r dr/dt to the
+                # p that dtheta/dt sees.
+                c, kq_c, kpkq_c2 = sp.cap
+                r2 = r * r
+                rdot = (rr - r + kq_c * r2 * (self._a_dr - self._kp * p)) \
+                    / (1.0 + kpkq_c2 * (r2 * r))
+                rr, p = rdot + r, p + c * r * rdot
+            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p.
+            out.T[dr] = ((rr / r - self._jkp * p) * (v + _EPS)).T
         return out
 
     def _outputs(self, y):
         """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
-        the capacitor current included, whose dv/dt is A y + N(y) with the
-        live measurement."""
+        for a batch state y, (B, M), or (K, B, ns) each for a stack of them,
+        (K, B, M).  i_o includes the capacitor current, whose dv/dt is
+        A y + N(y) with the live measurement."""
         ns, y3 = self._ns, y[..., None]
         i_net = np.matmul(self._g, y3)[..., 0]
         if not self._dynamic:
-            return y[:, :ns], i_net
+            return y[..., :ns], i_net
         sp = self._live
-        n = self._nonlinear(y.reshape(-1), sp)
-        if sp is self._stepped and y is self.y:
-            self._n_y = (y, n)  # the next step starts from this y
+        n = self._nonlinear(y.reshape(y.shape[:-2] + (-1,)), sp)
         d = np.matmul(sp.a, y3)[..., 0] + n.reshape(y.shape)
-        return y[:, :ns], i_net + self._caps * d[:, :ns]
+        return y[..., :ns], i_net + self._caps * d[..., :ns]
 
     # -- time stepping -------------------------------------------------------
 
@@ -610,9 +659,8 @@ class Simulation:
         self._step_etdrk4()
         if self._noisy:
             y = self.y.reshape(-1)  # a view: the step's result is contiguous
-            for rng, scale, slots in self._noisy:
-                w = scale * rng.standard_normal(2 * len(slots))
-                y[slots] += w[0::2] + 1j * w[1::2]
+            for mem, slots in self._noisy:
+                y[slots] += mem.noise()
         self.step_index += 1
         self.t = self.step_index * self.config.dt
 
@@ -624,8 +672,7 @@ class Simulation:
         (zy, zn, za, zb, zc), (sa, sb, sc, s) = self._slots, self._stage_in
         (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
         zy[...] = y
-        reuse, self._n_y = self._n_y, None
-        zn.flat = reuse[1] if reuse is not None and reuse[0] is y else n(y.reshape(-1), sp)
+        zn.flat = n(y.reshape(-1), sp)
         np.matmul(wa, sa, out=u)
         za.flat = n(uf, sp)
         np.matmul(wb, sb, out=u)
@@ -634,17 +681,36 @@ class Simulation:
         zc.flat = n(uf, sp)
         self.y = np.matmul(wy, s)[..., 0]
 
-    def _check_finite(self):
-        if np.isfinite(self.y).all():
-            return
-        b = int(np.argmin(np.isfinite(self.y).all(axis=1)))
+    def _diverged(self, y, step):
+        """Raise SimulationDiverged for the non-finite batch state y at
+        ``step``: the first member with a non-finite entry and its inverter
+        of largest |v|, a non-finite one first."""
+        b = int(np.argmin(np.isfinite(y).all(axis=1)))
         mem = self.members[b]
         with np.errstate(invalid="ignore"):
-            mags = np.abs(self.y[b, :mem.ns])
+            mags = np.abs(y[b, :mem.ns])
         bad = ~np.isfinite(mags)
         worst = int(np.argmax(np.where(bad, np.inf, mags)))
-        raise SimulationDiverged(self.t, mem.ids[worst], float(mags[worst]),
-                                 self.step_index, b, getattr(mem.scenario, "name", ""))
+        raise SimulationDiverged(step * self.config.dt, mem.ids[worst], float(mags[worst]),
+                                 step, b, getattr(mem.scenario, "name", ""))
+
+    def _derive_records(self):
+        """Check the pending record states finite and turn them into v and
+        i_o, all in one pass.  Runs before every restack and every
+        RECORD_BLOCK records, so all pending states share the stacked
+        matrices they were taken with."""
+        if not self._pending:
+            return
+        ys, first = np.stack(self._pending), self._derived
+        self._pending = []
+        finite = np.isfinite(ys).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            self._diverged(ys[k], (first + k) * self.config.record_decimation)
+        self._derived += len(ys)
+        v, i_o = self._outputs(ys)
+        self._records[0, :, first:self._derived] = v.swapaxes(0, 1)
+        self._records[1, :, first:self._derived] = i_o.swapaxes(0, 1)
 
     def run(self):
         """Integrate from t = 0 to t_end and return the Trace, or one Trace
@@ -655,26 +721,28 @@ class Simulation:
         n_steps = int(round(cfg.t_end / cfg.dt))
         decim = cfg.record_decimation
         n_rec = n_steps // decim + 1
-        t_rec = np.empty(n_rec)
-        v_rec = np.empty((len(self.members), n_rec, self._ns), dtype=complex)
-        io_rec = np.empty_like(v_rec)
+        # v and i_o of every (member, record, inverter).
+        self._records = np.empty((2, len(self.members), n_rec, self._ns), dtype=complex)
+        self._derived = 0
 
         self._apply_due_events()
-        t_rec[0] = 0.0
-        v_rec[:, 0], io_rec[:, 0] = self._outputs(self.y)
-        ri = 1
-        # Overflow en route to a detected divergence is expected; the finite
-        # check below turns it into a diagnostic instead of warning spam.
+        # Each step makes a new state array, so a record is a reference to
+        # it, derived later in bulk.  Overflow en route to a detected
+        # divergence is expected; the finite checks turn it into a
+        # diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
+            self._pending.append(self.y)
             for _ in range(n_steps):
                 self.step()
-                if self.step_index % decim == 0 and ri < n_rec:
-                    self._check_finite()
-                    t_rec[ri] = self.t
-                    v_rec[:, ri], io_rec[:, ri] = self._outputs(self.y)
-                    ri += 1
-        self._check_finite()
-        traces = _finalize_traces(t_rec[:ri], v_rec[:, :ri], io_rec[:, :ri], self.members,
+                if self.step_index % decim == 0:
+                    self._pending.append(self.y)
+                    if len(self._pending) == RECORD_BLOCK:
+                        self._derive_records()
+            self._derive_records()
+            if not np.isfinite(self.y).all():
+                self._diverged(self.y, self.step_index)
+        t = np.arange(n_rec) * decim * cfg.dt
+        traces = _finalize_traces(t, self._records[0], self._records[1], self.members,
                                   n_steps)
         return traces[0] if self._single else traces
 

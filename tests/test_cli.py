@@ -196,6 +196,19 @@ class TestDroopSweepCommand:
                    "--range", "1:2", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_point_at_series_resistance_limit_is_a_validation_error(self, tmp_path, capsys):
+        # droop-ref has v* = 1 and R = 0.01: a load drawing p = v*^2/R = 100
+        # through R would need an infinite conductance.
+        out = tmp_path / "o"
+        rc = main(["droop-sweep", "droop-ref", "--axis", "p",
+                   "--range=99:100:2", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["details"] == ["droop-sweep p=100.0: a load drawing p = 100.0 through "
+                                  "R = 0.01 needs p < v*^2/R = 100.0"]
+        assert not out.exists()
+
     def test_multi_inverter_scenario_rejected(self, tmp_path):
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario("paper-fig5")

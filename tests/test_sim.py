@@ -330,11 +330,13 @@ def oracle_derivative(mem, yv, held=None):
 
 class TestExponentialSplit:
     @pytest.mark.parametrize("name", ["paper-fig5", "droop-ref", "mixed-live",
-                                      "mixed-droop-first"])
+                                      "mixed-droop-first", "mixed-droop-at-zero"])
     def test_split_rhs_matches_control_and_network_oracles(self, name, rng):
         # A y + N(y), live and held, against dy/dt rebuilt from
         # control.dvoc_rhs/droop_rhs and the network models; the recorded
-        # i_o of _outputs against the live oracle current.
+        # i_o of _outputs against the live oracle current.  In
+        # "mixed-droop-at-zero" every sampled state has the droop inverter
+        # at v = 0, whose direction both take as theta = 0.
         from dvocsim.scenario import builtin_scenario
         if name.startswith("mixed"):
             sc = parse_scenario_dict(mixed_live_grid_dict(name == "mixed-droop-first"))
@@ -347,6 +349,8 @@ class TestExponentialSplit:
             for _ in range(5):
                 w = rng.normal(scale=0.05 * scale, size=(mem.m, 2))
                 y = sim.y[0] + (w[:, 0] + 1j * w[:, 1])
+                if name == "mixed-droop-at-zero":
+                    y[mem.droop_pos] = 0.0
                 held = None
                 if sample_hz is not None:
                     held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
@@ -358,6 +362,31 @@ class TestExponentialSplit:
                                     atol=1e-12 * np.abs(want).max())
                 npt.assert_allclose(sim._outputs(y[None])[1][0], i_o, rtol=1e-12,
                                     atol=1e-12 * np.abs(i_o).max())
+
+    @pytest.mark.parametrize("sample_hz", [None, 2500.0])
+    def test_trig_free_droop_law_matches_polar_oracle(self, sample_hz, rng):
+        # The droop rows of A y + N(y) against droop_rhs in polar form
+        # (r, theta = atan2) at states whose droop |v| spans 1e-9 v* to 2 v*
+        # at every angle, and at v = 0.  Live, the capacitor loop at the
+        # droop terminal is solved too; sampled, the law sees a held current.
+        sc = parse_scenario_dict(mixed_live_grid_dict())
+        sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
+        mem, sp = sim.members[0], sim._stepped
+        (k,) = mem.droop_pos
+        v_star = mem.params[k].v_star
+        assert (sp.cap is not None) == (sample_hz is None)
+        mags = np.concatenate([[0.0], v_star * np.logspace(-9, np.log10(2.0), 24)])
+        for mag in mags:
+            w = rng.normal(scale=5.0, size=(mem.m, 2))
+            y = sim.y[0] + (w[:, 0] + 1j * w[:, 1])
+            y[k] = mag * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            held = None
+            if sample_hz is not None:
+                held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
+                sim._hold(held[None])
+            want = oracle_derivative(mem, y, held)[0][k]
+            got = (sp.a[0] @ y + sim._nonlinear(y, sp))[k]
+            assert abs(got - want) <= 1e-12 * abs(want), (mag, got, want)
 
     @staticmethod
     def dop853(sc, t_end):
@@ -486,6 +515,39 @@ class TestNetworkModes:
         tr = run_scenario(sc)
         assert tr.vmag[-1, 0] > 0.9
 
+    def test_noise_blocks_match_per_step_draws(self):
+        # Two noisy members over 600 steps: three noise blocks each, and
+        # member 0's load step restacks the batch at step 300.  Every step's
+        # draw equals one scale * standard_normal(2 n) call per step on a
+        # generator seeded as the member's, after its black-start angles.
+        from dvocsim.sim import NOISE_BLOCK, _Member
+        sim_cfg = {"dt_s": 1e-4, "t_end_s": 0.06, "network_model": "quasistatic",
+                   "record_decimation": 10, "noise_amplitude": 1e-3}
+        step = [{"t_s": 0.03, "type": "load_step", "node": "bus", "g_siemens": 0.3}]
+        members = [pu_scenario(initial={"mode": "blackstart"}, events=step,
+                               sim=dict(sim_cfg, noise_seed=5)),
+                   pu_scenario(sim=dict(sim_cfg, noise_seed=6))]
+        sim = Simulation(members)
+        n_steps = int(round(sim.config.t_end / sim.config.dt))
+        assert n_steps > 2 * NOISE_BLOCK
+        draws = [[], []]
+        for mem, got in zip(sim.members, draws):
+            def noise(mem=mem, draw=mem.noise, got=got):
+                got.append(draw().copy())
+                return got[-1]
+            mem.noise = noise
+        for _ in range(n_steps):
+            sim.step()
+        assert sim.members[0].events_applied
+        for sc, got in zip(members, draws):
+            ref = _Member(sc, sc.sim)
+            ref.initial_state()  # the black-start angles come first
+            scale = sc.sim.noise_amplitude * math.sqrt(sc.sim.dt)
+            assert len(got) == n_steps
+            for w_got in got:
+                w = scale * ref.rng.standard_normal(2 * len(ref.dvoc_pos))
+                assert np.array_equal(w_got, w[0::2] + 1j * w[1::2])
+
 
 class TestDroopInverter:
     def test_droop_settles_to_its_own_steady_state(self):
@@ -529,6 +591,46 @@ class TestFailureModes:
         assert exc.value.time > 0.0
         assert exc.value.step == round(exc.value.time / 1e-3)
         assert f"step {exc.value.step}," in str(exc.value)
+
+    @staticmethod
+    def divergent_batch(decim):
+        """Three per-unit members over 600 steps; at step 123 member 1's v*
+        drops to 1e-3, which drives its cubic term unstable at dt = 1e-4."""
+        sim = {"dt_s": 1e-4, "t_end_s": 0.06, "network_model": "quasistatic",
+               "record_decimation": decim, "noise_seed": 0}
+        drop = [{"t_s": 0.0123, "type": "set_point", "inverter": "inv1", "v_star_peak": 1e-3}]
+        members = [pu_scenario(sim=sim), pu_scenario(sim=sim, events=drop),
+                   pu_scenario(sim=sim, p_star=0.3)]
+        return [replace(m, name=f"m{b}") for b, m in enumerate(members)]
+
+    @pytest.mark.parametrize("case, want", [
+        ("divergence", (0.002, 2, 0, "pu-test", "inv1")),
+        ("divergence-before-event", (0.002, 2, 0, "pu-test", "inv1")),
+        ("batch-mid-block", (0.0125, 125, 1, "m1", "inv1")),
+        ("batch-mid-block-decimated", (0.0126, 126, 1, "m1", "inv1")),
+    ])
+    def test_divergence_fields_match_a_check_at_every_record(self, case, want):
+        # Records are checked finite in blocks, but the diagnostic names the
+        # first non-finite record as a check at every record point would
+        # (the expected fields were measured that way): the existing
+        # divergence case; the same with an event due at the diverging
+        # record, which flushes the block before the event is applied; and a
+        # batch whose member 1 diverges mid-block, every step recorded or
+        # every 7th.
+        if case.startswith("divergence"):
+            events = [{"t_s": 0.002, "type": "load_step", "node": "bus",
+                       "g_siemens": 0.3}] if case.endswith("event") else []
+            sim = Simulation(pu_scenario(
+                initial={"mode": "explicit", "v_alpha": 1e3, "v_beta": 0.0}, events=events,
+                sim={"dt_s": 1e-3, "t_end_s": 0.05, "network_model": "quasistatic",
+                     "record_decimation": 1, "noise_seed": 0}))
+        else:
+            sim = Simulation(self.divergent_batch(7 if case.endswith("decimated") else 1))
+        with pytest.raises(SimulationDiverged) as exc:
+            sim.run()
+        got = exc.value
+        assert (got.time, got.step, got.member, got.scenario, got.inverter) == want
+        assert math.isnan(got.magnitude)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -25,11 +25,14 @@ the branch R/L and, where the controllers measure the live current, the
 capacitor feedthrough; on a droop row it holds the linear part of the droop
 law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
 N holds the rest: the cubic amplitude term, the remainder of the droop law
-and, in sampled mode, the held measurement.  The droop law is evaluated
-without trigonometry, as a gain on v = r e^{j theta}: dv/dt - A v =
-((dr/dt + r)/r - j kp p) v with dr/dt + r = v* + kq (q* - q); where the
-capacitor loop is live, its closed form (below) gives dr/dt from the same
-r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews
+and, in sampled mode, the held measurement.  The cubic is evaluated whole,
+as a gain on v, (c1 - c1v |v|^2) v with c1v = c1 / v*^2 kept per split;
+moving its linear part c1 v into A would make N large on the limit cycle
+and the step-size error of the built-ins 50 to 45 000 times larger.  The
+droop law is evaluated without trigonometry, as a gain on v = r e^{j theta}:
+dv/dt - A v = ((dr/dt + r)/r - j kp p) v with dr/dt + r = v* + kq (q* - q);
+where the capacitor loop is live, its closed form (below) gives dr/dt from
+the same r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews
 ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
 and hA/2 come from one augmented matrix exponential per compile, so the fast
 branch-current pole does not bound the step.  The members' stage matrices
@@ -57,6 +60,7 @@ The first non-finite record raises SimulationDiverged with its own time and
 step, as a check at every record point would.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -245,6 +249,7 @@ class _Split:
 
     a     -- linear operator on the complex state
     c1    -- gain of the cubic amplitude term (zero off the oscillator rows)
+    c1v   -- c1 / v*^2, so the cubic term is (c1 - c1v |v|^2) v
     meas  -- droop-terminal rows of the live measured current, cap current
              excluded; None when the controllers see the held current
     cap   -- (c, kq c, kp kq c^2) of the filter capacitance c at each droop
@@ -256,8 +261,8 @@ class _Split:
     stacks the members' splits over the batch.
     """
 
-    def __init__(self, a, c1, meas, cap, held):
-        self.a, self.c1 = a, c1
+    def __init__(self, a, c1, c1v, meas, cap, held):
+        self.a, self.c1, self.c1v = a, c1, c1v
         self.meas, self.cap, self.held = meas, cap, held
 
 
@@ -321,7 +326,6 @@ class _Member:
             [k for k, p in enumerate(self.params) if isinstance(p, DroopParams)], dtype=int)
         self.dynamic = config.network_model == "dynamic"
         self.sample_steps = config.sample_steps
-        self.rng = np.random.default_rng(config.noise_seed)
         self.noise_scale = config.noise_amplitude * math.sqrt(config.dt)
         self._noise, self._noise_row = np.empty((0, len(self.dvoc_pos)), dtype=complex), 0
         self.pending = []
@@ -330,6 +334,13 @@ class _Member:
             self.pending.append((boundary, ev))
         self.events_applied = []
         self.branch_ids = []
+
+    @functools.cached_property
+    def rng(self):
+        """The member's generator, seeded with ``noise_seed``.  Made on first
+        use, because importing ``numpy.random`` costs about 10 ms and a
+        run without black start or noise never draws."""
+        return np.random.default_rng(self.config.noise_seed)
 
     def initial_state(self):
         """Initial terminal voltage of every inverter."""
@@ -428,7 +439,8 @@ class _Member:
         c = self.caps[dr]
         cap = (c, self.kq * c, self.kp * self.kq * c * c) \
             if live and self.dynamic and c.any() else None
-        return _Split(full, c1, self.g[dr] if live else None, cap, not live)
+        return _Split(full, c1, c1 * self.inv_vs2, self.g[dr] if live else None, cap,
+                      not live)
 
     def apply_event(self, action, y):
         """Update the parameters or the topology, then recompile; returns
@@ -493,7 +505,6 @@ class Simulation:
         self.y = _padded(states, (width,))
         self._g = _padded([mem.g for mem in ms], (ns, width))
         self._caps = _padded([mem.caps for mem in ms], (ns,))
-        self._inv_vs2 = _padded([mem.inv_vs2 for mem in ms], (width,)).reshape(-1)
         self._c2 = np.zeros((n, ns), dtype=complex)
         for b, mem in enumerate(ms):
             self._c2[b, mem.dvoc_pos] = mem.c2
@@ -549,6 +560,7 @@ class Simulation:
                for mem, sp in zip(self.members, splits)]
         return _Split(_padded([sp.a for sp in splits], (width, width)),
                       _padded([sp.c1 for sp in splits], (width,)).reshape(-1),
+                      _padded([sp.c1v for sp in splits], (width,)).reshape(-1),
                       _padded(meas, (rows, width)) if live else None,
                       tuple(map(np.concatenate, zip(*cap)))
                       if any(sp.cap is not None for sp in splits) else None,
@@ -583,12 +595,13 @@ class Simulation:
 
     def _nonlinear(self, y, sp):
         """N(y) of stacked split ``sp`` for the flattened batch state y, (B M,),
-        or for a stack of such states, (K, B M).  The droop slots are picked
-        on the last axis through ``.T``, which on the per-step 1-D state costs
-        a tenth of ``[..., dr]``."""
+        or for a stack of such states, (K, B M).  The cubic is the gain
+        (c1 - c1v |v|^2) on v, in five numpy calls.  The droop slots are
+        picked on the last axis through ``.T``, which on the per-step 1-D
+        state costs a tenth of ``[..., dr]``."""
         if self._has_dvoc:
-            # c1 and 1/v*^2 are zero outside the oscillator slots.
-            out = sp.c1 * (1.0 - (y.real**2 + y.imag**2) * self._inv_vs2) * y
+            # c1 and c1v are zero outside the oscillator slots.
+            out = (sp.c1 - sp.c1v * np.abs(y)**2) * y
         else:
             out = np.zeros(y.shape, dtype=complex)
         if sp.held:
@@ -667,7 +680,9 @@ class Simulation:
     def _step_etdrk4(self):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
         propagated exactly and N's stages are weighted by phi-functions of
-        hA, so stiff modes see N with the right weight."""
+        hA, so stiff modes see N with the right weight.  Each N is copied
+        into its slot of the stage vectors: for B > 1 a slot is a 2-stride
+        view, which a flat N cannot be written into."""
         y, sp, n = self.y, self._stepped, self._nonlinear
         (zy, zn, za, zb, zc), (sa, sb, sc, s) = self._slots, self._stage_in
         (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat

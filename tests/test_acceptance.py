@@ -287,7 +287,7 @@ def test_c09_consistency_checker_round_trip():
 
 
 def test_c10_determinism_and_integrator_order():
-    with criterion(10, "bit-identical reruns under one seed; observed RK4 "
+    with criterion(10, "bit-identical reruns under one seed; observed ETDRK4 "
                        "order >= 3.8"):
         # dynamic-model rerun, truncated dispatch scenario
         sc = builtin_scenario("paper-fig7")

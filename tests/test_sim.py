@@ -435,6 +435,54 @@ class TestExponentialSplit:
         dev = np.abs(got[:, :ns] - want[:, :ns]).max() / sc.inverters[0].params.v_star
         assert dev <= 1e-5, dev
 
+    @pytest.mark.parametrize("name", ["paper-fig7", "paper-fig5", "droop-ref"])
+    def test_step_size_error_stays_small_on_the_limit_cycle(self, name):
+        # The split leaves N small near the limit cycle, so the run at dt and
+        # at dt/8 agree over 0-0.05 s at their shared record times.  The
+        # DOP853 tests integrate the same split and cannot see a worse one.
+        # Measured: 2.2e-11 v* (fig7), 2.0e-12 (fig5), 7.3e-14 (droop-ref);
+        # with the cubic's linear part c1 v moved into A, 1.1e-9 to 3.3e-9.
+        from dvocsim.scenario import builtin_scenario
+        sc = builtin_scenario(name)
+        cfg = replace(sc.sim, t_end=0.05)
+        coarse = run_scenario(sc, cfg)
+        fine = run_scenario(sc, replace(cfg, dt=cfg.dt / 8,
+                                        record_decimation=8 * cfg.record_decimation))
+        npt.assert_allclose(fine.t, coarse.t, rtol=0, atol=1e-12)
+        v_star = max(spec.params.v_star for spec in sc.inverters)
+        dev = np.abs(coarse.v - fine.v).max() / v_star
+        assert dev <= 1e-10, dev
+
+    def test_nonlinear_evaluations_are_counted(self, monkeypatch):
+        # Four N per ETDRK4 step, one per block of derived records (i_o needs
+        # dv/dt) and, with sampled controllers on the dynamic network, one
+        # per controller sample.  A stray fifth N per step fails by count.
+        from dvocsim.scenario import builtin_scenario
+        from dvocsim.sim import RECORD_BLOCK
+        calls = [0]
+        nonlinear = Simulation._nonlinear
+
+        def counted(self, y, sp):
+            calls[0] += 1
+            return nonlinear(self, y, sp)
+
+        monkeypatch.setattr(Simulation, "_nonlinear", counted)
+        # paper-fig7: 9000 steps; the set-point event at step 4000 splits
+        # its 9001 records into 4001 and 5000, 16 + 20 blocks of 256.
+        assert RECORD_BLOCK == 256
+        run_scenario(builtin_scenario("paper-fig7"))
+        assert calls[0] == 4 * 9000 + 36
+        # The mixed grid sampled every 4th of 2000 steps: 500 samples on that
+        # grid and one more at the load step applied at step 503, which
+        # splits the 201 records into two blocks.
+        doc = mixed_live_grid_dict()
+        doc["events"] = [{"t_s": 0.0503, "type": "load_step", "node": "busB",
+                          "g_siemens": 0.01}]
+        sc = parse_scenario_dict(doc)
+        calls[0] = 0
+        run_scenario(sc, replace(sc.sim, controller_sample_hz=2500.0))
+        assert calls[0] == 4 * 2000 + 2 + 501
+
     @pytest.mark.parametrize("name, sample_hz", [("mixed-live", None), ("mixed-live", 2500.0),
                                                  ("paper-fig5", None), ("droop-ref", None)])
     def test_rotated_start_rotates_the_run(self, name, sample_hz):

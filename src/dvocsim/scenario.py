@@ -8,7 +8,9 @@ power rating ``p_w`` at a rated voltage, in which case
 g = p_w / v_rated_peak^2 (so the load absorbs p_w when the bus sits at the
 rated amplitude).  ``name`` and ``description`` are strings, ``noise_seed``
 is a non-negative integer, and t_end/dt must round to between 1 and
-``sim.MAX_STEPS`` steps.
+``sim.MAX_STEPS`` steps.  ``sim.step_multiple`` k (default 1) makes each
+integrator step k dt long; t_end, the controller sample interval and every
+event's step must then be whole multiples of k, and noise needs k = 1.
 
 The schema lives in one table per object (``_SCENARIO``, ``_INVERTER``, ...,
 ``_SIM``), each row giving a JSON key, the target field, its kind with
@@ -16,7 +18,8 @@ bounds, and whether it is required or its default.  One reader walks the
 tables to build the dataclasses and one writer emits them back out, so the
 parser and ``Scenario.to_dict`` cannot drift apart.  A short pass then checks
 cross-references: duplicate ids and nodes, undefined nodes, branches and
-inverters, event order, and the dynamic network model's structure.
+inverters, event order, events off the integrator's step grid, and the
+dynamic network model's structure.
 
 Parsing is strict: unknown keys are rejected to catch typos in physical
 parameters, and every problem, each with its path, is reported together in
@@ -426,7 +429,8 @@ _SIM = _Table((_Field("dt_s", "dt", _finite(">"), _KEEP),
                       _KEEP),
                _Field("record_decimation", "record_decimation", _int(1), _KEEP),
                _Field("noise_seed", "noise_seed", _int(0), _KEEP),
-               _Field("noise_amplitude", "noise_amplitude", _finite(">="), _KEEP)), SimConfig)
+               _Field("noise_amplitude", "noise_amplitude", _finite(">="), _KEEP),
+               _Field("step_multiple", "step_multiple", _int(1), _KEEP)), SimConfig)
 
 # Rows are read in order, so omega0 is known when the inverters inherit it.
 _SCENARIO = _Table((_Field("name", "name", _text(empty=True), ""),
@@ -500,6 +504,11 @@ def parse_scenario_dict(data):
                     b.branch_id for b in topo.branches]
             if defined is not None and ref not in defined:
                 errs.append(f"events[{k}].{key}: undefined {key} {ref!r}")
+            if sim is not _BAD:
+                try:
+                    sim.event_step(ev.time)
+                except ValueError as exc:
+                    errs.append(f"events[{k}].t_s: {exc}")
 
     # Structural check for the dynamic model, over the whole event timeline.
     if (topo is not None and events is not _BAD and len(errs) == n_errs
@@ -580,7 +589,8 @@ def _fig4():
         },
         "events": [],
         "sim": {"dt_s": 1e-4, "t_end_s": 0.7, "network_model": "dynamic",
-                "record_decimation": 1, "noise_seed": 1},
+                "record_decimation": 1, "noise_seed": 1,
+                "step_multiple": 2},
     })
 
 
@@ -605,7 +615,8 @@ def _fig5():
         },
         "events": [{"t_s": 0.2, "type": "connect", "branch": "b2"}],
         "sim": {"dt_s": 1e-4, "t_end_s": 0.7, "network_model": "dynamic",
-                "record_decimation": 1, "noise_seed": 1},
+                "record_decimation": 1, "noise_seed": 1,
+                "step_multiple": 5},
     })
 
 
@@ -630,7 +641,8 @@ def _fig6():
         "events": [{"t_s": 0.4, "type": "load_step", "node": "bus",
                     "p_w": 750.0, "v_rated_vrms": V_RMS}],
         "sim": {"dt_s": 1e-4, "t_end_s": 0.8, "network_model": "dynamic",
-                "record_decimation": 1, "noise_seed": 1},
+                "record_decimation": 1, "noise_seed": 1,
+                "step_multiple": 5},
     })
 
 
@@ -694,7 +706,8 @@ def _fig7():
         "events": [{"t_s": 0.4, "type": "set_point", "inverter": "inv2",
                     "p_star_w": 500.0}],
         "sim": {"dt_s": 1e-4, "t_end_s": 0.9, "network_model": "dynamic",
-                "record_decimation": 1, "noise_seed": 1},
+                "record_decimation": 1, "noise_seed": 1,
+                "step_multiple": 5},
     })
 
 
@@ -720,7 +733,7 @@ def _droop_ref():
         },
         "events": [],
         "sim": {"dt_s": 1e-4, "t_end_s": 0.4, "network_model": "quasistatic",
-                "record_decimation": 2, "noise_seed": 1},
+                "record_decimation": 2, "noise_seed": 1, "step_multiple": 5},
     })
 
 

@@ -33,8 +33,9 @@ droop law is evaluated without trigonometry, as a gain on v = r e^{j theta}:
 dv/dt - A v = ((dr/dt + r)/r - j kp p) v with dr/dt + r = v* + kq (q* - q);
 where the capacitor loop is live, its closed form (below) gives dr/dt from
 the same r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews
-ETDRK4 step, whose matrices exp(hA), exp(hA/2) and the phi-functions of hA
-and hA/2 come from one augmented matrix exponential per compile, so the fast
+ETDRK4 step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default),
+whose matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come
+from one augmented matrix exponential per compile, so the fast
 branch-current pole does not bound the step.  The members' stage matrices
 are stacked as (B, M, k M), zero on the padding, so each stage is one
 ``np.matmul`` for the whole batch and a padded slot stays exactly 0.
@@ -46,18 +47,24 @@ loop is solved exactly: for the oscillator controller it is linear,
 (1 + eta C exp(j kappa)) dv/dt = rhs(v, i_branches), and the droop law solves
 it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
 
-Events are applied atomically between steps, at the first step boundary at or
-after their timestamp.
+Events are applied atomically between steps, at the first dt step boundary
+at or after their timestamp, which must start an integrator step.
 
-Recording is deferred.  Each step makes a new state array (additive noise,
-drawn NOISE_BLOCK steps at a time per member, is added to it in place before
-the record point), so a record point only keeps a reference to the state.
-The pending states are checked finite and turned into v and i_o together,
-with one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them
-have gathered, before every event restack (so each block is derived with the
-matrices of the compile segment it was taken in) and at the end of the run.
-The first non-finite record raises SimulationDiverged with its own time and
-step, as a check at every record point would.
+Recording is deferred, and records stay on the dt grid whatever k is.  Each
+step makes a new state array (additive noise, drawn NOISE_BLOCK steps at a
+time per member, is added to it in place before the record point), so a
+record at a step's end only keeps a reference to the state.  A step with
+records inside it keeps a copy of its stage vectors z = [y, N(y), N(a),
+N(b), N(c)]: ETDRK4's continuous extension gives the state at t + (j/k) h as
+W_j z, with W_j built once per compile from the same augmented exponential
+(``_dense_weights``).  At k = 1 no step has records inside it.  The pending
+records are turned into states (one batched ``np.matmul`` per offset j),
+checked finite and turned into v and i_o together, with one batched
+``np.matmul`` per product, whenever RECORD_BLOCK of them have gathered,
+before every event restack (so each block is derived with the matrices of
+the compile segment it was taken in) and at the end of the run.  The first
+non-finite record raises SimulationDiverged with its own time and dt step,
+as a check at every record point would.
 """
 
 import functools
@@ -89,6 +96,8 @@ class SimulationDiverged(RuntimeError):
 
 # Cap on the step count round(t_end / dt); the record arrays grow with it.
 MAX_STEPS = 10_000_000
+# Cap on step_multiple; each compile builds one dense weight matrix per offset.
+MAX_STEP_MULTIPLE = 100
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,11 @@ class SimConfig:
     noise_seed          -- seed for initial angles and additive noise
     noise_amplitude     -- per-step additive noise on the oscillator voltage
                            states, V/sqrt(s); 0 disables
+    step_multiple       -- None (1) or k: each integrator step is k dt long.
+                           Records, events, controller samples and t_end stay
+                           on the dt grid, so t_end, the controller sample
+                           interval and every event's step must be whole
+                           multiples of k; noise, drawn per dt, needs k = 1
     """
 
     dt: float = 1e-5
@@ -115,6 +129,7 @@ class SimConfig:
     record_decimation: int = 10
     noise_seed: int = 0
     noise_amplitude: float = 0.0
+    step_multiple: int = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -137,12 +152,43 @@ class SimConfig:
                 raise ValueError(
                     f"controller sample interval 1/(f_c dt) = {steps:g} must be a "
                     "whole number of steps >= 1")
+        k = self.step_multiple
+        if k is not None and not (isinstance(k, int) and 1 <= k <= MAX_STEP_MULTIPLE):
+            raise ValueError(f"step_multiple must be an integer from 1 to {MAX_STEP_MULTIPLE}")
+        k, n_steps = self.stride, round(self.t_end / self.dt)
+        if n_steps % k:
+            raise ValueError(f"t_end/dt = {n_steps} steps must be a multiple of "
+                             f"step_multiple {k}")
+        if self.sample_steps is not None and self.sample_steps % k:
+            raise ValueError(f"controller sample interval of {self.sample_steps} steps "
+                             f"must be a multiple of step_multiple {k}")
+        if k > 1 and self.noise_amplitude > 0.0:
+            raise ValueError("noise is drawn per dt step: noise_amplitude > 0 needs "
+                             "step_multiple 1")
 
     @property
     def sample_steps(self):
         if self.controller_sample_hz is None:
             return None
         return int(round(1.0 / (self.controller_sample_hz * self.dt)))
+
+    @property
+    def stride(self):
+        """dt steps per integrator step: step_multiple, or 1 if unset."""
+        return self.step_multiple or 1
+
+    def event_step(self, time):
+        """The dt step at which an event at ``time`` s is applied, the first
+        step boundary at or after it, or None if the run ends first.
+        ValueError if that step does not start an integrator step."""
+        x = time / self.dt - 1e-9
+        if not x <= round(self.t_end / self.dt) - 1:
+            return None
+        step = max(0, math.ceil(x))
+        if step % self.stride:
+            raise ValueError(f"an event at t = {time!r} s is applied at dt step {step}, "
+                             f"not a multiple of step_multiple {self.stride}")
+        return step
 
 
 @dataclass(frozen=True)
@@ -234,6 +280,8 @@ def _finalize_traces(t, v, i_o, members, n_steps):
             "noise_seed": cfg.noise_seed,
             "noise_amplitude": cfg.noise_amplitude,
             "scenario": getattr(mem.scenario, "name", ""),
+            "step_multiple": cfg.stride,
+            "steps": n_steps // cfg.stride,
         }
         events = [(time, _describe_action(a)) for time, a in mem.events_applied]
         traces.append(Trace(
@@ -281,11 +329,7 @@ def _etdrk4_weights(a, h):
     F3 = h (4 phi_3 - phi_2) of ha.  Returns the four block rows.
     """
     m = len(a)
-    z = np.zeros((4 * m, 4 * m), dtype=complex)
-    z[:m, :m] = 0.5 * h * a
-    for k in range(3):
-        z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
-    w = expm(z)
+    w = _phi_chain(a, 0.5 * h)
     half = w[:m]
     full = half @ w
     e2, e, p = half[:, :m], full[:, :m], 0.5 * h * half[:, m:2 * m]
@@ -296,6 +340,43 @@ def _etdrk4_weights(a, h):
             np.hstack([e, e2 @ p - p, zero, 2.0 * p]),
             np.hstack([e, h * (phi1 - 3.0 * phi2 + 4.0 * phi3), f2, f2,
                        h * (4.0 * phi3 - phi2)]))
+
+
+def _phi_chain(a, s):
+    """exp(Z) for Z = [[s a, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0], whose
+    top block row is [exp(sa), phi_1(sa), phi_2(sa), phi_3(sa)]."""
+    m = len(a)
+    z = np.zeros((4 * m, 4 * m), dtype=complex)
+    z[:m, :m] = s * a
+    for k in range(3):
+        z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
+    return expm(z)
+
+
+def _dense_weights(a, h, k):
+    """ETDRK4's continuous extension (Hochbruck & Ostermann 2010) at the
+    offsets theta = j / k, j = 1, ..., k, of a step of size h.  The state at
+    t + theta h is W_j z for the step's stage vector z = [y, N(y), N(a),
+    N(b), N(c)], with
+        W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
+        b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
+        b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
+    each phi of theta ha.  The top block row of exp(Z)^j = exp(jZ), Z as in
+    ``_phi_chain`` with s = h / k, is [exp(theta ha), j phi_1, j^2 phi_2,
+    j^3 phi_3] of theta ha, so one matrix exponential gives every W_j.  W_k
+    is the step's own last stage matrix."""
+    m = len(a)
+    w = _phi_chain(a, h / k)
+    row, out = w[:m], []
+    for j in range(1, k + 1):
+        if j > 1:
+            row = row @ w
+        # theta^i phi_i(theta ha) = j^i phi_i / k^i
+        p1, p2, p3 = (row[:, i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
+        b23 = h * (2.0 * p2 - 4.0 * p3)
+        out.append(np.hstack([row[:, :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
+                              h * (4.0 * p3 - p2)]))
+    return out
 
 
 def _padded(arrays, shape):
@@ -328,10 +409,11 @@ class _Member:
         self.sample_steps = config.sample_steps
         self.noise_scale = config.noise_amplitude * math.sqrt(config.dt)
         self._noise, self._noise_row = np.empty((0, len(self.dvoc_pos)), dtype=complex), 0
-        self.pending = []
+        self.pending = []  # (dt step, event) of every event the run reaches
         for ev in sorted(scenario.events, key=lambda e: e.time):
-            boundary = max(0, int(math.ceil(ev.time / config.dt - 1e-9)))
-            self.pending.append((boundary, ev))
+            step = config.event_step(ev.time)
+            if step is not None:
+                self.pending.append((step, ev))
         self.events_applied = []
         self.branch_ids = []
 
@@ -417,7 +499,11 @@ class _Member:
         self.stale = True  # a sampled controller holds anew at the next step
         self.live = self._split(live=True)
         self.stepped = self.live if self.sample_steps is None else self._split(live=False)
-        self.etd = _etdrk4_weights(self.stepped.a, self.config.dt)
+        k = self.config.stride
+        h = self.config.dt * k
+        self.etd = _etdrk4_weights(self.stepped.a, h)
+        # Dense output at the interior dt offsets of a step, for records.
+        self.dense = _dense_weights(self.stepped.a, h, k)[:-1] if k > 1 else []
         return y
 
     def _split(self, live):
@@ -463,8 +549,8 @@ class Simulation:
     Trace; ``Simulation([s1, ..., sB])`` runs B members and ``run()`` returns
     their Traces in member order.  ``config`` replaces every member's
     ``scenario.sim``.  Members must share one step grid (dt, t_end, record
-    decimation, network model), else ValueError; controller sampling, noise
-    and seed are their own.  ``config`` reads as member 0's.
+    decimation, network model, step multiple), else ValueError; controller
+    sampling, noise and seed are their own.  ``config`` reads as member 0's.
     """
 
     def __init__(self, scenarios, config=None):
@@ -474,21 +560,29 @@ class Simulation:
             raise ValueError("a simulation needs at least one scenario")
         configs = [config if config is not None else s.sim for s in scenarios]
         self.config = configs[0]
+        names = ("dt", "t_end", "record_decimation", "network_model", "step_multiple")
+
+        def grid(cfg):
+            return (cfg.dt, cfg.t_end, cfg.record_decimation, cfg.network_model, cfg.stride)
+
         for b, cfg in enumerate(configs):
-            diff = [name for name in ("dt", "t_end", "record_decimation", "network_model")
-                    if getattr(cfg, name) != getattr(self.config, name)]
+            diff = [name for name, mine, first in zip(names, grid(cfg), grid(self.config))
+                    if mine != first]
             if diff:
                 raise ValueError(f"member {b} does not share the step grid of member 0: "
                                  f"{', '.join(diff)} differ")
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
         self.t = 0.0
-        self.step_index = 0
+        self.step_index = 0  # in dt steps; an integrator step advances it by _k
+        self._k = self.config.stride
         self._dynamic = self.config.network_model == "dynamic"
         self._ns = max(mem.ns for mem in self.members)
         self._has_dvoc = any(len(mem.dvoc_pos) for mem in self.members)
         self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
         self._held = None
-        self._pending = []  # states at record points, not yet derived
+        # Records not yet derived, as (offset, array): the state itself at
+        # offset 0, else the stage vectors of the step the record is in.
+        self._pending = []
         # Conjugate of each droop inverter's held current, so v times it is p + j q.
         self._held_droop = np.zeros(sum(len(mem.droop_pos) for mem in self.members),
                                     dtype=complex)
@@ -533,14 +627,20 @@ class Simulation:
         self._live = self._stack_split([mem.live for mem in ms])
         self._stepped = self._live if all(mem.stepped is mem.live for mem in ms) \
             else self._stack_split([mem.stepped for mem in ms])
-        # Stage k of ETDRK4 is k + 2 blocks wide; each block is padded alone.
-        self._etd = tuple(
-            _padded([mem.etd[k].reshape(mem.m, k + 2, mem.m) for mem in ms],
-                    (width, k + 2, width)).reshape(n, width, (k + 2) * width)
-            for k in range(4))
+
+        def blocks(mats, c):
+            """(m, c m) stage matrices as (n, width, c width), each of the c
+            blocks padded alone."""
+            return _padded([w.reshape(len(w), c, -1) for w in mats],
+                           (width, c, width)).reshape(n, width, c * width)
+
+        # Stage k of ETDRK4 is k + 2 blocks wide; the dense weights are 5.
+        self._etd = tuple(blocks([mem.etd[k] for mem in ms], k + 2) for k in range(4))
+        self._dense = tuple(blocks([mem.dense[j] for mem in ms], 5)
+                            for j in range(self._k - 1))
         # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
         # and the leading parts each stage multiplies.
-        z = np.zeros((n, 5 * width), dtype=complex)
+        self._z = z = np.zeros((n, 5 * width), dtype=complex)
         self._slots = tuple(z[:, k * width:(k + 1) * width] for k in range(5))
         self._stage_in = tuple(z.reshape(n, 5 * width, 1)[:, :k * width] for k in (2, 3, 4, 5))
         self._stage_out = np.zeros((n, width, 1), dtype=complex)
@@ -657,7 +757,8 @@ class Simulation:
 
     def step(self):
         """Apply due events, sample the controller measurement of every
-        member with a sample due, then advance one ETDRK4 step of size dt."""
+        member with a sample due, then advance one ETDRK4 step of k dt,
+        k = ``step_multiple``."""
         self._apply_due_events()
         k = self.step_index
         if k >= self._next_hold:
@@ -674,7 +775,7 @@ class Simulation:
             y = self.y.reshape(-1)  # a view: the step's result is contiguous
             for mem, slots in self._noisy:
                 y[slots] += mem.noise()
-        self.step_index += 1
+        self.step_index += self._k
         self.t = self.step_index * self.config.dt
 
     def _step_etdrk4(self):
@@ -710,14 +811,22 @@ class Simulation:
                                  step, b, getattr(mem.scenario, "name", ""))
 
     def _derive_records(self):
-        """Check the pending record states finite and turn them into v and
-        i_o, all in one pass.  Runs before every restack and every
-        RECORD_BLOCK records, so all pending states share the stacked
-        matrices they were taken with."""
+        """Turn the pending records into states, check them finite and turn
+        them into v and i_o, all in one pass: a record inside a step is its
+        dense output, one batched ``np.matmul`` per offset.  Runs before
+        every restack and every RECORD_BLOCK records, so all pending records
+        share the stacked matrices they were taken with."""
         if not self._pending:
             return
-        ys, first = np.stack(self._pending), self._derived
+        pending, first = self._pending, self._derived
         self._pending = []
+        by_offset = {}
+        for r, (j, _) in enumerate(pending):
+            by_offset.setdefault(j, []).append(r)
+        ys = np.empty((len(pending),) + self.y.shape, dtype=complex)
+        for j, at in by_offset.items():
+            got = np.stack([pending[r][1] for r in at])
+            ys[at] = np.matmul(self._dense[j - 1], got[..., None])[..., 0] if j else got
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -733,7 +842,7 @@ class Simulation:
         cfg = self.config
         if self.step_index != 0:
             raise RuntimeError("run() must be called on a fresh Simulation")
-        n_steps = int(round(cfg.t_end / cfg.dt))
+        n_steps, k = int(round(cfg.t_end / cfg.dt)), self._k
         decim = cfg.record_decimation
         n_rec = n_steps // decim + 1
         # v and i_o of every (member, record, inverter).
@@ -741,18 +850,28 @@ class Simulation:
         self._derived = 0
 
         self._apply_due_events()
-        # Each step makes a new state array, so a record is a reference to
-        # it, derived later in bulk.  Overflow en route to a detected
-        # divergence is expected; the finite checks turn it into a
-        # diagnostic instead of warning spam.
+        # Each step makes a new state array, so a record at a step's end is a
+        # reference to it; a record inside a step keeps a copy of the step's
+        # stage vectors.  Both are derived later in bulk.  Overflow en route
+        # to a detected divergence is expected; the finite checks turn it
+        # into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._pending.append(self.y)
-            for _ in range(n_steps):
+            self._pending.append((0, self.y))
+            for _ in range(n_steps // k):
                 self.step()
-                if self.step_index % decim == 0:
-                    self._pending.append(self.y)
-                    if len(self._pending) == RECORD_BLOCK:
-                        self._derive_records()
+                # The step's records are at offsets j = k - r, k - r - decim,
+                # ... > 0 from its start, j = k being its end.
+                r = self.step_index % decim
+                if r >= k:
+                    continue
+                inner = range((k - r - 1) % decim + 1, k, decim)
+                if inner:
+                    z = self._z.copy()
+                    self._pending.extend((j, z) for j in inner)
+                if r == 0:
+                    self._pending.append((0, self.y))
+                if len(self._pending) >= RECORD_BLOCK:
+                    self._derive_records()
             self._derive_records()
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)

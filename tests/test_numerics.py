@@ -5,7 +5,7 @@ import pytest
 
 from dvocsim.numerics import expm
 from dvocsim.scenario import builtin_names, builtin_scenario
-from dvocsim.sim import Simulation, _etdrk4_weights
+from dvocsim.sim import Simulation, _dense_weights, _etdrk4_weights
 
 
 def rel_dev(got, want):
@@ -14,14 +14,16 @@ def rel_dev(got, want):
 
 def split_simulations():
     """(label, A, exp(hA), exp(hA/2), h) per built-in, before and after each
-    of its events, with the propagators read off the ETDRK4 stage matrices."""
+    of its events, with the propagators read off the ETDRK4 stage matrices
+    of its step h = step_multiple dt."""
     sims = []
 
     def entry(label, sim):
         mem = sim.members[0]
         m = len(mem.stepped.a)
         wa, _, _, wy = mem.etd
-        return (label, mem.stepped.a, wy[:, :m], wa[:, :m], sim.config.dt)
+        return (label, mem.stepped.a, wy[:, :m], wa[:, :m],
+                sim.config.dt * sim.config.stride)
 
     for name in builtin_names():
         sim = Simulation(builtin_scenario(name))
@@ -106,3 +108,32 @@ class TestEtdrk4Weights:
             for got, ref in zip((wy[:, m:2 * m], wy[:, 2 * m:3 * m], wy[:, 4 * m:]), want):
                 assert rel_dev(got, ref) <= 1e-12, label
             assert rel_dev(wy[:, 2 * m:3 * m], wy[:, 3 * m:4 * m]) == 0.0, label
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_dense_weights_match_scipy_and_the_step(self, k):
+        # W_j at theta = j/k against the phi-functions of theta hA from
+        # scipy's expm of the augmented matrix at theta h; W_k, at theta = 1,
+        # against the step's own last stage matrix, block by block.  Both
+        # W_k and the step's exp(hA) lie up to 5e-14 from scipy's (fig6,
+        # ||hA||_1 ~ 190), so they agree to 5e-14 (measured), not closer.
+        linalg = pytest.importorskip("scipy.linalg")
+        for label, a, _, _, h in split_simulations():
+            m = len(a)
+            dense = _dense_weights(a, h, k)
+            wy = _etdrk4_weights(a, h)[3]
+            for c in range(5):
+                block = slice(c * m, (c + 1) * m)
+                assert rel_dev(dense[-1][:, block], wy[:, block]) <= 1e-13, (label, c)
+            for j in (1, k // 2, k - 1):
+                theta = j / k
+                z = np.zeros((4 * m, 4 * m), dtype=complex)
+                z[:m, :m] = theta * h * a
+                for i in range(3):
+                    z[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
+                top = linalg.expm(z)[:m]
+                e, p1, p2, p3 = (top[:, i * m:(i + 1) * m] * theta**i for i in range(4))
+                b23 = h * (2 * p2 - 4 * p3)
+                want = [e, h * (p1 - 3 * p2 + 4 * p3), b23, b23, h * (4 * p3 - p2)]
+                for c, ref in enumerate(want):
+                    got = dense[j - 1][:, c * m:(c + 1) * m]
+                    assert rel_dev(got, ref) <= 1e-12, (label, j, c)

@@ -165,11 +165,30 @@ class TestParsing:
         (("name",), 5, "name"),
         (("description",), ["text"], "description"),
         (("network", "loads", 0, "g_siemens"), 10**400, "network.loads[0].g_siemens"),
+        (("sim", "step_multiple"), 0, "sim.step_multiple"),
+        (("sim", "step_multiple"), 101, "sim: step_multiple"),
+        (("sim", "step_multiple"), 7, "sim: t_end/dt"),  # 15000 steps
     ], ids=["negative-seed", "float-seed", "steps-overflow", "no-step", "name",
-            "description", "huge-int"])
+            "description", "huge-int", "zero-multiple", "huge-multiple",
+            "end-off-the-step-grid"])
     def test_malformed_value_rejected_with_its_path(self, path, value, where):
         d = pu_scenario_dict()
         _at(d, path[:-1])[path[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(d)
+        assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
+
+    @pytest.mark.parametrize("sim, events, where", [
+        ({"noise_amplitude": 0.1}, [], "sim: noise is drawn per dt step"),
+        ({"controller_sample_hz": 1.0 / (3 * 2e-5)}, [], "sim: controller sample"),
+        ({}, [{"t_s": 0.10002, "type": "load_step", "node": "bus", "g_siemens": 0.4}],
+         "events[0].t_s: an event at t = 0.10002 s is applied at dt step 5001"),
+    ], ids=["noise", "sample-interval", "event"])
+    def test_step_multiple_off_the_grid_rejected_with_its_path(self, sim, events, where):
+        # Two dt per step: noise, a 3-step sample interval and an event at
+        # dt step 5001 each fall off the integrator's step grid.
+        d = pu_scenario_dict(events=events)
+        d["sim"].update(sim, step_multiple=2)
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_dict(d)
         assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
@@ -219,6 +238,7 @@ class TestRoundTrip:
         again = parse_scenario(path)
         assert again == sc
         assert again.to_dict() == sc.to_dict()
+        assert "step_multiple" not in sc.to_dict()["sim"]  # unset, left out
 
 
 BUILTINS = ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7", "droop-ref")
@@ -298,8 +318,10 @@ def test_parser_raises_only_scenario_error():
     @st.composite
     def mutations(draw):
         name = draw(st.sampled_from(sorted(docs)))
+        op = draw(st.sampled_from(("replace", "delete", "add", "step_multiple")))
+        if op == "step_multiple":  # mostly inconsistent with t_end and the events
+            return name, ("sim", "step_multiple"), draw(st.integers(1, 12)), False
         path = draw(st.sampled_from(paths[name]))
-        op = draw(st.sampled_from(("replace", "delete", "add")))
         if op == "add" and isinstance(_at(docs[name], path), dict):
             path += (draw(st.text(max_size=6)),)
         return name, path, draw(json_values), op == "delete" and bool(path)
@@ -316,6 +338,8 @@ def test_parser_raises_only_scenario_error():
     @hyp.example(("paper-fig5", ("sim", "noise_seed"), -1, False))
     @hyp.example(("paper-fig5", ("sim", "t_end_s"), 1e300, False))
     @hyp.example(("paper-fig5", ("name",), 5, False))
+    @hyp.example(("paper-fig5", ("sim", "step_multiple"), 10**30, False))
+    @hyp.example(("pu-forms", ("sim", "step_multiple"), 3, False))
     @hyp.example(("pu-forms", ("sim",), {"dt_s": 1e-200, "t_end_s": 1e-196,
                                           "controller_sample_hz": 1e-200}, False))
     def check(mutation):
@@ -378,8 +402,13 @@ def test_valid_documents_round_trip_exactly():
                           "connected", st.booleans()) for k in range(1, n + 1)]
         caps = [{"node": f"n{k}", "c_farad": draw(st.floats(0.0, 1e-3))}
                 for k in range(1, n + 1) if draw(st.booleans())]
+        # Two to ten dt per step, or one; t_end, the sample interval and the
+        # events are drawn on that step grid.
+        dt, mult = draw(st.floats(1e-6, 1e-3)), draw(st.integers(1, 10))
+        times = st.floats(0.0, 1.0) if mult == 1 else \
+            st.integers(0, 12_000).map(lambda i: dt * mult * i)
         events = []
-        for t in sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4))):
+        for t in sorted(draw(st.lists(times, max_size=4))):
             k = draw(st.integers(1, n))
             kind = draw(st.sampled_from(["connect", "disconnect", "load_step",
                                          "set_point"]))
@@ -395,14 +424,15 @@ def test_valid_documents_round_trip_exactly():
                                "q": {"q_star_var": draw(finite)}}.get(key)
                               or peak(draw, "v_star"))
             events.append(ev)
-        dt = draw(st.floats(1e-6, 1e-3))
-        sim = {"dt_s": dt, "t_end_s": dt * draw(st.integers(1, 100_000))}
+        sim = {"dt_s": dt, "t_end_s": dt * mult * draw(st.integers(1, 100_000 // mult))}
+        if mult > 1 or draw(st.booleans()):
+            sim["step_multiple"] = mult
         maybe(draw, sim, "controller_sample_hz",
-              st.integers(1, 10).map(lambda steps: 1.0 / (steps * dt)))
+              st.integers(1, 10).map(lambda steps: 1.0 / (steps * mult * dt)))
         maybe(draw, sim, "network_model", st.sampled_from(["dynamic", "quasistatic"]))
         maybe(draw, sim, "record_decimation", st.integers(1, 100))
         maybe(draw, sim, "noise_seed", st.integers(0, 2**70))
-        maybe(draw, sim, "noise_amplitude", st.floats(0.0, 1.0))
+        maybe(draw, sim, "noise_amplitude", st.floats(0.0, 1.0) if mult == 1 else st.just(0.0))
         doc = {"omega0_rad_per_s": draw(positive), "inverters": inverters,
                "network": {"branches": branches,
                            "loads": [{"node": "bus", **conductance(draw)}],

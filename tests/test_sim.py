@@ -344,7 +344,8 @@ class TestExponentialSplit:
             sc = builtin_scenario(name)
         scale = 100.0 if name != "droop-ref" else 1.0
         for sample_hz in (None, 1.0 / (4.0 * sc.sim.dt)):
-            sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
+            sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz,
+                                         step_multiple=None))
             mem = sim.members[0]
             for _ in range(5):
                 w = rng.normal(scale=0.05 * scale, size=(mem.m, 2))
@@ -390,10 +391,10 @@ class TestExponentialSplit:
 
     @staticmethod
     def dop853(sc, t_end):
-        """The run and scipy's DOP853 at rtol 1e-12 on the same A y + N(y),
-        as complex states at every step."""
+        """The run at one dt per step and scipy's DOP853 at rtol 1e-12 on the
+        same A y + N(y), as complex states at every step."""
         integrate = pytest.importorskip("scipy.integrate")
-        sim = Simulation(sc, replace(sc.sim, t_end=t_end))
+        sim = Simulation(sc, replace(sc.sim, t_end=t_end, step_multiple=None))
         sp = sim._stepped
         states = [sim.y[0].copy()]
         for _ in range(int(round(t_end / sim.config.dt))):
@@ -444,7 +445,7 @@ class TestExponentialSplit:
         # with the cubic's linear part c1 v moved into A, 1.1e-9 to 3.3e-9.
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario(name)
-        cfg = replace(sc.sim, t_end=0.05)
+        cfg = replace(sc.sim, t_end=0.05, step_multiple=1)
         coarse = run_scenario(sc, cfg)
         fine = run_scenario(sc, replace(cfg, dt=cfg.dt / 8,
                                         record_decimation=8 * cfg.record_decimation))
@@ -467,11 +468,12 @@ class TestExponentialSplit:
             return nonlinear(self, y, sp)
 
         monkeypatch.setattr(Simulation, "_nonlinear", counted)
-        # paper-fig7: 9000 steps; the set-point event at step 4000 splits
-        # its 9001 records into 4001 and 5000, 16 + 20 blocks of 256.
+        # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
+        # splits its 9001 records into 4001 and 5000, derived in 16 + 20
+        # blocks of at least 256 (a step adds its 5 records together).
         assert RECORD_BLOCK == 256
         run_scenario(builtin_scenario("paper-fig7"))
-        assert calls[0] == 4 * 9000 + 36
+        assert calls[0] == 4 * 1800 + 36
         # The mixed grid sampled every 4th of 2000 steps: 500 samples on that
         # grid and one more at the load step applied at step 503, which
         # splits the 201 records into two blocks.
@@ -504,6 +506,55 @@ class TestExponentialSplit:
                                  (tr_rot.i_o, rot * tr.i_o, np.abs(tr.i_o).max()),
                                  (tr_rot.p, tr.p, s_max), (tr_rot.q, tr.q, s_max)):
             npt.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+class TestStepMultiple:
+    @pytest.mark.parametrize("decim", [1, 2, 3])
+    def test_records_inside_steps_land_on_the_dt_grid(self, decim):
+        # Four dt per step: with every 1st, 2nd or 3rd dt recorded, records
+        # fall at every offset inside a step and at its end, interleaved in
+        # time order, across a load step.  Each must match the one-dt run at
+        # its own time (measured: 7.9e-8 of max |v|, 3.9e-8 of max |i_o|);
+        # a record one dt early or late is off by 3.9e-2 or more.
+        sc = pu_scenario(branch_l=2e-4, cap=1e-4,
+                         events=[{"t_s": 0.1, "type": "load_step", "node": "bus",
+                                  "g_siemens": 0.3}],
+                         sim={"dt_s": 1e-4, "t_end_s": 0.3, "network_model": "dynamic",
+                              "record_decimation": decim, "noise_seed": 0})
+        one = run_scenario(sc)
+        tr = run_scenario(sc, replace(sc.sim, step_multiple=4))
+        assert np.array_equal(tr.t, one.t) and tr.events == one.events
+        assert (tr.meta["step_multiple"], tr.meta["steps"]) == (4, 750)
+        for got, want in ((tr.v, one.v), (tr.i_o, one.i_o)):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, q, k", [("paper-fig4", None, 2), ("paper-fig5", None, 5),
+                                            ("paper-fig6", None, 5), ("paper-fig7", None, 5),
+                                            ("droop-ref", None, 5), ("droop-ref", -0.05, 5),
+                                            ("droop-ref", 0.05, 5)])
+    def test_builtins_stay_within_the_accuracy_bound(self, name, q, k):
+        # Each built-in steps k dt at a time; every record stays within 1e-6
+        # of its signal group's largest magnitude (v, i_o, p and q) of a run
+        # at one step per dt / 8, and so do droop-ref's q-sweep points at the
+        # ends of the README's range.  Measured: 1.2e-7 (fig4), 3.5e-7
+        # (fig5), 3.3e-7 (fig6), 2.8e-7 (fig7), 3.2e-13 (droop-ref), 9.0e-8
+        # (q = +-0.05); at k = 10 the sweep points reach 1.5e-6.
+        from dvocsim.analysis import _actuated_scenario
+        from dvocsim.scenario import builtin_scenario
+        sc = builtin_scenario(name)
+        if q is not None:
+            sc = _actuated_scenario(sc, "q", q)
+        tr = run_scenario(sc)
+        assert (tr.meta["step_multiple"], tr.meta["steps"]) == \
+            (k, round(sc.sim.t_end / sc.sim.dt) // k)
+        fine = run_scenario(sc, replace(sc.sim, dt=sc.sim.dt / 8, step_multiple=None,
+                                        record_decimation=8 * sc.sim.record_decimation))
+        npt.assert_allclose(fine.t, tr.t, rtol=0, atol=1e-12)
+        s_max = max(np.abs(fine.p).max(), np.abs(fine.q).max())
+        for got, want, scale in ((tr.v, fine.v, np.abs(fine.v).max()),
+                                 (tr.i_o, fine.i_o, np.abs(fine.i_o).max()),
+                                 (tr.p, fine.p, s_max), (tr.q, fine.q, s_max)):
+            assert np.abs(got - want).max() <= 1e-6 * scale
 
 
 class TestNetworkModes:
@@ -656,6 +707,7 @@ class TestFailureModes:
         ("divergence-before-event", (0.002, 2, 0, "pu-test", "inv1")),
         ("batch-mid-block", (0.0125, 125, 1, "m1", "inv1")),
         ("batch-mid-block-decimated", (0.0126, 126, 1, "m1", "inv1")),
+        ("divergence-inside-a-step", (0.003, 3, 0, "pu-test", "inv1")),
     ])
     def test_divergence_fields_match_a_check_at_every_record(self, case, want):
         # Records are checked finite in blocks, but the diagnostic names the
@@ -664,14 +716,16 @@ class TestFailureModes:
         # divergence case; the same with an event due at the diverging
         # record, which flushes the block before the event is applied; and a
         # batch whose member 1 diverges mid-block, every step recorded or
-        # every 7th.
+        # every 7th; and, at two dt per step, a first non-finite record
+        # inside a step, named by its own dt step.
         if case.startswith("divergence"):
             events = [{"t_s": 0.002, "type": "load_step", "node": "bus",
                        "g_siemens": 0.3}] if case.endswith("event") else []
             sim = Simulation(pu_scenario(
                 initial={"mode": "explicit", "v_alpha": 1e3, "v_beta": 0.0}, events=events,
                 sim={"dt_s": 1e-3, "t_end_s": 0.05, "network_model": "quasistatic",
-                     "record_decimation": 1, "noise_seed": 0}))
+                     "record_decimation": 1, "noise_seed": 0,
+                     "step_multiple": 2 if case.endswith("step") else None}))
         else:
             sim = Simulation(self.divergent_batch(7 if case.endswith("decimated") else 1))
         with pytest.raises(SimulationDiverged) as exc:
@@ -694,6 +748,31 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-5, controller_sample_hz=8000.0)  # 12.5 steps
         assert SimConfig(dt=1e-5, controller_sample_hz=1250.0).sample_steps == 80
+        with pytest.raises(ValueError, match="t_end/dt = 100000 steps"):
+            SimConfig(step_multiple=3)
+        with pytest.raises(ValueError, match="sample interval of 80 steps"):
+            SimConfig(controller_sample_hz=1250.0, step_multiple=25)
+        with pytest.raises(ValueError, match="noise"):
+            SimConfig(noise_amplitude=1e-3, step_multiple=2)
+        for bad in (0, 2.0, 101):
+            with pytest.raises(ValueError, match="step_multiple"):
+                SimConfig(step_multiple=bad)
+        assert SimConfig(controller_sample_hz=1250.0, step_multiple=40).stride == 40
+
+    def test_event_off_the_step_grid_rejected_unless_never_reached(self):
+        # A load step at dt step 5001 cannot start a step of 2 dt.
+        sc = pu_scenario(events=[{"t_s": 0.10002, "type": "load_step", "node": "bus",
+                                  "g_siemens": 0.4}])
+        with pytest.raises(ValueError, match="applied at dt step 5001"):
+            Simulation(sc, replace(sc.sim, step_multiple=2))
+        Simulation(sc, replace(sc.sim, step_multiple=2, t_end=0.1))  # never reached
+        # An event far beyond the run, whose t/dt overflows a float, is never
+        # reached either (it once raised OverflowError).
+        far = pu_scenario(events=[{"t_s": 1e300, "type": "load_step", "node": "bus",
+                                   "g_siemens": 0.4}],
+                          sim={"dt_s": 1e-10, "t_end_s": 1e-7, "network_model": "quasistatic",
+                               "record_decimation": 100, "noise_seed": 0})
+        assert run_scenario(far).events == []
 
     def test_run_is_single_use(self):
         sc = pu_scenario(sim={"dt_s": 1e-4, "t_end_s": 0.001,
@@ -713,8 +792,10 @@ class TestFailureModes:
 
 def on_grid(sc, **sim):
     """``sc`` on the batch tests' step grid (dt 1e-4, 0.3 s, every 10th step
-    recorded, dynamic network), with its other settings kept or overridden."""
-    grid = dict(dt=1e-4, t_end=0.3, record_decimation=10, network_model="dynamic")
+    recorded, dynamic network, one dt per step), with its other settings
+    kept or overridden."""
+    grid = dict(dt=1e-4, t_end=0.3, record_decimation=10, network_model="dynamic",
+                step_multiple=None)
     return replace(sc, sim=replace(sc.sim, **grid, **sim))
 
 
@@ -799,6 +880,14 @@ class TestBatch:
                 assert not sim.y[b, mem.m:].any(), (b, sim.step_index)
         assert len(widths) > 1  # events changed the batch's width
 
+    def test_members_at_a_step_multiple_match_their_single_runs(self):
+        # The heterogeneous batch at two dt per step, without noise: records
+        # inside a step come from each member's padded dense weights.
+        members = [replace(m, sim=replace(m.sim, step_multiple=2, noise_amplitude=0.0))
+                   for m in heterogeneous_batch()]
+        not_bitwise = batch_against_single_runs(members)
+        print("members not bit-identical to their single runs:", not_bitwise or "none")
+
     def test_batched_rerun_is_bit_identical(self):
         first, second = (Simulation(heterogeneous_batch()).run() for _ in range(2))
         for a, b in zip(first, second):
@@ -815,7 +904,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("field, value", [("dt", 2e-4), ("t_end", 0.2),
                                               ("record_decimation", 5),
-                                              ("network_model", "quasistatic")])
+                                              ("network_model", "quasistatic"),
+                                              ("step_multiple", 2)])
     def test_mismatched_step_grid_rejected(self, field, value):
         members = heterogeneous_batch()[:2]
         members[1] = replace(members[1], sim=replace(members[1].sim, **{field: value}))

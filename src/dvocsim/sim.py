@@ -26,7 +26,7 @@ capacitor feedthrough; on a droop row it holds the linear part of the droop
 law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
 N holds the rest: the cubic amplitude term, the remainder of the droop law
 and, in sampled mode, the held measurement.  The cubic is evaluated whole,
-as a gain on v, (c1 - c1v |v|^2) v with c1v = c1 / v*^2 kept per split;
+as a gain on v, (c1 - c1v |v|^2) v with c1v = c1 / v*^2 kept per slot;
 moving its linear part c1 v into A would make N large on the limit cycle
 and the step-size error of the built-ins 50 to 45 000 times larger.  The
 droop law is evaluated without trigonometry, as a gain on v = r e^{j theta}:
@@ -39,6 +39,11 @@ from one augmented matrix exponential per compile, so the fast
 branch-current pole does not bound the step.  The members' stage matrices
 are stacked as (B, M, k M), zero on the padding, so each stage is one
 ``np.matmul`` for the whole batch and a padded slot stays exactly 0.
+
+The batch's split is one model object, ``_Split``, built from the members
+at every restack.  It holds the stacked A and every constant N reads, and
+gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
+member keeps its coefficients and the A its ETDRK4 weights are built from.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
@@ -100,6 +105,11 @@ MAX_STEPS = 10_000_000
 MAX_STEP_MULTIPLE = 100
 
 
+def _whole(value, lo):
+    """An int, not a bool, at or above ``lo``: the scenario parser's rule."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings.
@@ -141,8 +151,10 @@ class SimConfig:
             raise ValueError(f"t_end/dt = {steps:g} must round to between 1 and {MAX_STEPS} steps")
         if self.network_model not in ("dynamic", "quasistatic"):
             raise ValueError(f"unknown network model {self.network_model!r}")
-        if int(self.record_decimation) != self.record_decimation or self.record_decimation < 1:
+        if not _whole(self.record_decimation, 1):
             raise ValueError("record_decimation must be an integer >= 1")
+        if not _whole(self.noise_seed, 0):
+            raise ValueError("noise_seed must be an integer >= 0")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError("noise_amplitude must be >= 0")
         if self.controller_sample_hz is not None:
@@ -153,7 +165,7 @@ class SimConfig:
                     f"controller sample interval 1/(f_c dt) = {steps:g} must be a "
                     "whole number of steps >= 1")
         k = self.step_multiple
-        if k is not None and not (isinstance(k, int) and 1 <= k <= MAX_STEP_MULTIPLE):
+        if k is not None and not (_whole(k, 1) and k <= MAX_STEP_MULTIPLE):
             raise ValueError(f"step_multiple must be an integer from 1 to {MAX_STEP_MULTIPLE}")
         k, n_steps = self.stride, round(self.t_end / self.dt)
         if n_steps % k:
@@ -292,28 +304,6 @@ def _finalize_traces(t, v, i_o, members, n_steps):
     return traces
 
 
-class _Split:
-    """dy/dt = a @ y + N(y) for one kind of controller measurement.
-
-    a     -- linear operator on the complex state
-    c1    -- gain of the cubic amplitude term (zero off the oscillator rows)
-    c1v   -- c1 / v*^2, so the cubic term is (c1 - c1v |v|^2) v
-    meas  -- droop-terminal rows of the live measured current, cap current
-             excluded; None when the controllers see the held current
-    cap   -- (c, kq c, kp kq c^2) of the filter capacitance c at each droop
-             terminal, for the droop law's capacitor loop (live, dynamic
-             network); None when no law has one
-    held  -- N adds the held measurement
-
-    A member's split is over its own state; ``Simulation._stack_split``
-    stacks the members' splits over the batch.
-    """
-
-    def __init__(self, a, c1, c1v, meas, cap, held):
-        self.a, self.c1, self.c1v = a, c1, c1v
-        self.meas, self.cap, self.held = meas, cap, held
-
-
 def _etdrk4_weights(a, h):
     """Stage matrices of Cox-Matthews ETDRK4 for dy/dt = a y + N(y).
 
@@ -390,8 +380,8 @@ def _padded(arrays, shape):
 
 class _Member:
     """One scenario of a batch: its parameters, topology, event timeline,
-    noise generator and splits over its own state (inverter voltages, then
-    branch currents)."""
+    noise generator, and the coefficients and A matrices of its model over
+    its own state (inverter voltages, then branch currents)."""
 
     def __init__(self, scenario, config):
         self.scenario, self.config = scenario, config
@@ -453,9 +443,9 @@ class _Member:
         return self._noise[self._noise_row - 1]
 
     def compile(self, y):
-        """Rebuild the splits and step matrices for the current topology and
-        parameter set; returns the state y with the branch currents carried
-        over by branch id."""
+        """Rebuild the coefficients, A and the step matrices for the current
+        topology and parameter set; returns the state y with the branch
+        currents carried over by branch id."""
         self.caps = np.array([self.topology.shunt_caps.get(n, 0.0)
                               for n in self.topology.inverter_nodes])
 
@@ -465,9 +455,9 @@ class _Member:
         # Oscillator controller coefficients, vectorized over dvoc inverters.
         dv, dr = self.dvoc_pos, self.droop_pos
         eta, ek = param("eta", dv), np.exp(1j * param("kappa", dv))
-        inv_vs2 = 1.0 / param("v_star", dv)**2
+        self.inv_vs2 = 1.0 / param("v_star", dv)**2
         self.c0 = 1j * param("omega0", dv) \
-            + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * inv_vs2
+            + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * self.inv_vs2
         self.c1 = eta * param("alpha", dv)
         self.c2 = eta * ek
         # Droop law: dtheta/dt = a_dr - kp p, dr/dt = b_dr - r - kq q.
@@ -493,40 +483,31 @@ class _Member:
         y = np.concatenate([y[:ns], [carry.get(b, 0j) for b in ids]])
         self.branch_ids = ids
         self.m = len(y)
-        self.inv_vs2 = np.zeros(self.m)
-        self.inv_vs2[dv] = inv_vs2
 
+        # The live current's feedthrough: the capacitor loop, solved exactly.
+        self.feed = 1.0 / (1.0 + self.c2 * self.caps[dv]) if self.dynamic else np.ones(len(dv))
         self.stale = True  # a sampled controller holds anew at the next step
-        self.live = self._split(live=True)
-        self.stepped = self.live if self.sample_steps is None else self._split(live=False)
+        self.a_live = self._a(live=True)
+        self.a_held = None if self.sample_steps is None else self._a(live=False)
+        a = self.a_live if self.a_held is None else self.a_held
         k = self.config.stride
         h = self.config.dt * k
-        self.etd = _etdrk4_weights(self.stepped.a, h)
+        self.etd = _etdrk4_weights(a, h)
         # Dense output at the interior dt offsets of a step, for records.
-        self.dense = _dense_weights(self.stepped.a, h, k)[:-1] if k > 1 else []
+        self.dense = _dense_weights(a, h, k)[:-1] if k > 1 else []
         return y
 
-    def _split(self, live):
-        """A and the constants of N, with the controllers measuring the live
-        current (the capacitor loop solved exactly in the dynamic model) or
-        the held one."""
+    def _a(self, live):
+        """A, with the controllers measuring the live current or the held one."""
         dv, dr, m = self.dvoc_pos, self.droop_pos, self.m
-        full = np.zeros((m, m), dtype=complex)
-        full[self.ns:] = self.branch
-        feed = np.ones(len(dv))
+        a = np.zeros((m, m), dtype=complex)
+        a[self.ns:] = self.branch
+        feed = self.feed if live else 1.0
         if live:
-            if self.dynamic:
-                feed = 1.0 / (1.0 + self.c2 * self.caps[dv])
-            full[dv] = -(feed * self.c2)[:, None] * self.g[dv]
-        full[dv, dv] += feed * self.c0
-        full[dr, dr] = -1.0 + 1j * self.a_dr
-        c1 = np.zeros(m, dtype=complex)
-        c1[dv] = feed * self.c1
-        c = self.caps[dr]
-        cap = (c, self.kq * c, self.kp * self.kq * c * c) \
-            if live and self.dynamic and c.any() else None
-        return _Split(full, c1, c1 * self.inv_vs2, self.g[dr] if live else None, cap,
-                      not live)
+            a[dv] = -(feed * self.c2)[:, None] * self.g[dv]
+        a[dv, dv] += feed * self.c0
+        a[dr, dr] = -1.0 + 1j * self.a_dr
+        return a
 
     def apply_event(self, action, y):
         """Update the parameters or the topology, then recompile; returns
@@ -541,6 +522,144 @@ class _Member:
         return self.compile(y)
 
 
+class _Split:
+    """The model of a batch: dy/dt = A y + N(y) over its flattened state
+    (B M,), each member's slots padded with zeros to the widest state M and
+    zero in every constant.  With ``live`` every controller measures the
+    live current; else a member with sampled controllers measures the held
+    one, which ``hold`` sets and a restack carries over from ``prev``.
+
+    a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot
+    meas, cap  -- droop rows of the live current, cap current excluded
+                  (None: every droop law is held), and (c, kq c, kp kq c^2)
+                  of each droop terminal's capacitance (None: no live loop)
+    g, caps, c2 -- network injection, terminal capacitances and oscillator
+                  current gains, for ``outputs`` and ``hold``
+    _dr, _dr_io, _dr_owner, _dr_rows -- each droop inverter's flat slot in
+                  y and in i_o, its member and its measurement row (None:
+                  unpadded)
+    a_dr, b_dr, kp, kq, jkp -- the constants of its law, jkp = j kp
+    """
+
+    def __init__(self, members, width, live, prev=None):
+        n, ns = len(members), max(mem.ns for mem in members)
+        self.ns, self.dynamic = ns, members[0].dynamic
+        # Whether each member's controllers measure the live current here.
+        lives = [live or mem.sample_steps is None for mem in members]
+        self.held = not all(lives)
+        self.has_dvoc = any(len(mem.dvoc_pos) for mem in members)
+        self.a = _padded([mem.a_live if lv else mem.a_held for mem, lv in zip(members, lives)],
+                         (width, width))
+        c1, c1v, self.c2 = (np.zeros((n, k), dtype=complex) for k in (width, width, ns))
+        for b, (mem, lv) in enumerate(zip(members, lives)):
+            dv = mem.dvoc_pos
+            c1[b, dv] = (mem.feed if lv else 1.0) * mem.c1
+            c1v[b, dv] = c1[b, dv] * mem.inv_vs2
+            self.c2[b, dv] = mem.c2
+        self.c1, self.c1v = c1.reshape(-1), c1v.reshape(-1)
+        self.g = _padded([mem.g for mem in members], (ns, width))
+        self.caps = _padded([mem.caps for mem in members], (ns,))
+
+        rows = max(len(mem.droop_pos) for mem in members)
+        owner = np.concatenate([np.full(len(mem.droop_pos), b, dtype=int)
+                                for b, mem in enumerate(members)])
+        pos = np.concatenate([mem.droop_pos for mem in members])
+        self._dr_owner, self._dr, self._dr_io = owner, owner * width + pos, owner * ns + pos
+        row = owner * rows + np.concatenate([np.arange(len(mem.droop_pos)) for mem in members])
+        self._dr_rows = None if len(row) == n * rows else row
+        for name in ("a_dr", "b_dr", "kp", "kq"):
+            setattr(self, name, np.concatenate([getattr(mem, name) for mem in members]))
+        self.jkp = 1j * self.kp
+        self.meas = _padded([mem.g[mem.droop_pos] if lv else np.zeros((0, 0), dtype=complex)
+                             for mem, lv in zip(members, lives)], (rows, width)) \
+            if rows and any(lives) else None
+        c = np.concatenate([mem.caps[mem.droop_pos] if lv and self.dynamic
+                            else np.zeros(len(mem.droop_pos))
+                            for mem, lv in zip(members, lives)])
+        self.cap = (c, self.kq * c, self.kp * self.kq * c * c) if c.any() else None
+
+        self._held = np.zeros(n * width, dtype=complex)
+        if prev is not None:  # held values sit in the inverter slots
+            self._held.reshape(n, -1)[:, :ns] = prev._held.reshape(n, -1)[:, :ns]
+        self._held_droop = np.zeros(len(pos), dtype=complex) if prev is None else prev._held_droop
+
+    def nonlinear(self, y):
+        """N(y) for the flattened batch state y, (B M,), or for a stack of
+        such states, (K, B M).  The cubic is the gain (c1 - c1v |v|^2) on v,
+        in five numpy calls.  The droop slots are picked on the last axis
+        through ``.T``, which on the per-step 1-D state costs a tenth of
+        ``[..., dr]``."""
+        if self.has_dvoc:
+            # c1 and c1v are zero outside the oscillator slots.
+            out = (self.c1 - self.c1v * np.abs(y)**2) * y
+        else:
+            out = np.zeros(y.shape, dtype=complex)
+        if self.held:
+            out += self._held
+        dr = self._dr
+        if len(dr):
+            # The droop law without trigonometry, as a gain on v: dv/dt =
+            # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
+            # offset by as much, so v = 0 reads as theta = 0.
+            v = y.T[dr].T
+            r = np.maximum(np.abs(v), _EPS)
+            if self.meas is None:
+                i_conj = self._held_droop
+            else:
+                lead = y.shape[:-1]
+                i_conj = np.matmul(self.meas, y.reshape(lead + (len(self.meas), -1, 1)))
+                i_conj = np.conj(i_conj.reshape(lead + (-1,)))
+                if self._dr_rows is not None:
+                    i_conj = i_conj.T[self._dr_rows].T
+                if self.held:
+                    i_conj = i_conj + self._held_droop
+            s = v * i_conj  # p + j q
+            p = s.real
+            rr = self.b_dr - self.kq * s.imag  # dr/dt + r
+            if self.cap is not None:
+                # i_o = i_net + C dv/dt is linear in (dr/dt, dtheta/dt) and
+                # solved in closed form; the capacitor adds c r dr/dt to the
+                # p that dtheta/dt sees.
+                c, kq_c, kpkq_c2 = self.cap
+                r2 = r * r
+                rdot = (rr - r + kq_c * r2 * (self.a_dr - self.kp * p)) \
+                    / (1.0 + kpkq_c2 * (r2 * r))
+                rr, p = rdot + r, p + c * r * rdot
+            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p.
+            out.T[dr] = ((rr / r - self.jkp * p) * (v + _EPS)).T
+        return out
+
+    def rate(self, y):
+        """dy/dt = A y + N(y) for a batch state y, (B, M), or a stack of
+        them, (K, B, M)."""
+        n = self.nonlinear(y.reshape(y.shape[:-2] + (-1,)))
+        return np.matmul(self.a, y[..., None])[..., 0] + n.reshape(y.shape)
+
+    def outputs(self, y):
+        """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
+        for a batch state y, (B, M), or (K, B, ns) each for a stack of them,
+        (K, B, M).  i_o includes the capacitor current, whose dv/dt is
+        ``rate(y)`` of the live model."""
+        ns = self.ns
+        i_net = np.matmul(self.g, y[..., None])[..., 0]
+        if not self.dynamic:
+            return y[..., :ns], i_net
+        return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
+
+    def hold(self, i_o, due=None):
+        """Zero-order hold: the controllers of the members listed in ``due``
+        (all if None) measure ``i_o`` (B, ns) until their next sample."""
+        n, ns = i_o.shape
+        held, droop = -self.c2 * i_o, np.conj(i_o.reshape(-1)[self._dr_io])
+        if due is None:
+            self._held.reshape(n, -1)[:, :ns] = held
+            self._held_droop[:] = droop
+        else:
+            self._held.reshape(n, -1)[due, :ns] = held[due]
+            mine = np.isin(self._dr_owner, due)
+            self._held_droop[mine] = droop[mine]
+
+
 class Simulation:
     """One compiled simulation run over a batch of scenarios.  Construct,
     then ``run()`` (or ``step()``).
@@ -551,6 +670,8 @@ class Simulation:
     ``scenario.sim``.  Members must share one step grid (dt, t_end, record
     decimation, network model, step multiple), else ValueError; controller
     sampling, noise and seed are their own.  ``config`` reads as member 0's.
+    ``model`` is the batch's model as stepped, ``live_model`` the one whose
+    ``outputs`` are recorded: one object unless a member samples.
     """
 
     def __init__(self, scenarios, config=None):
@@ -575,58 +696,27 @@ class Simulation:
         self.t = 0.0
         self.step_index = 0  # in dt steps; an integrator step advances it by _k
         self._k = self.config.stride
-        self._dynamic = self.config.network_model == "dynamic"
-        self._ns = max(mem.ns for mem in self.members)
-        self._has_dvoc = any(len(mem.dvoc_pos) for mem in self.members)
         self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
-        self._held = None
         # Records not yet derived, as (offset, array): the state itself at
         # offset 0, else the stage vectors of the step the record is in.
         self._pending = []
-        # Conjugate of each droop inverter's held current, so v times it is p + j q.
-        self._held_droop = np.zeros(sum(len(mem.droop_pos) for mem in self.members),
-                                    dtype=complex)
+        self.model = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
 
     # -- batch ---------------------------------------------------------------
 
     def _stack(self, states):
-        """Stack the members' states, splits and step matrices over the
-        batch, each padded with zeros to the widest state.  N works on the
-        flattened (B M,) state, so its per-slot constants are flat too."""
-        ms, n, ns = self.members, len(self.members), self._ns
+        """Stack the members' states, models and step matrices over the
+        batch, each padded with zeros to the widest state."""
+        ms, n = self.members, len(self.members)
         width = max(len(y) for y in states)
         self.y = _padded(states, (width,))
-        self._g = _padded([mem.g for mem in ms], (ns, width))
-        self._caps = _padded([mem.caps for mem in ms], (ns,))
-        self._c2 = np.zeros((n, ns), dtype=complex)
-        for b, mem in enumerate(ms):
-            self._c2[b, mem.dvoc_pos] = mem.c2
-        held = np.zeros((n, width), dtype=complex)
-        if self._held is not None:  # held values sit in the inverter slots
-            held[:, :ns] = self._held.reshape(n, -1)[:, :ns]
-        self._held = held.reshape(-1)
-        # Every droop inverter of the batch: its flat slot in the state, in
-        # i_o and in the stacked droop measurement, then the constants of
-        # its law in the same order.
-        self._droop_rows = max(len(mem.droop_pos) for mem in ms)
-        owner = np.concatenate([np.full(len(mem.droop_pos), b, dtype=int)
-                                for b, mem in enumerate(ms)])
-        pos = np.concatenate([mem.droop_pos for mem in ms])
-        self._dr_owner = owner
-        self._dr, self._dr_io = owner * width + pos, owner * ns + pos
-        rows = owner * self._droop_rows + np.concatenate(
-            [np.arange(len(mem.droop_pos)) for mem in ms])
-        self._dr_rows = None if len(rows) == n * self._droop_rows else rows  # None: unpadded
+        self.live_model = _Split(ms, width, live=True)
+        self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
+            else self.live_model
         # Each noisy member and its flat oscillator slots.
         self._noisy = [(mem, b * width + mem.dvoc_pos) for b, mem in enumerate(ms)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
-        for name in ("a_dr", "b_dr", "kp", "kq"):
-            setattr(self, "_" + name, np.concatenate([getattr(mem, name) for mem in ms]))
-        self._jkp = 1j * self._kp
-        self._live = self._stack_split([mem.live for mem in ms])
-        self._stepped = self._live if all(mem.stepped is mem.live for mem in ms) \
-            else self._stack_split([mem.stepped for mem in ms])
 
         def blocks(mats, c):
             """(m, c m) stage matrices as (n, width, c width), each of the c
@@ -650,35 +740,6 @@ class Simulation:
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
 
-    def _stack_split(self, splits):
-        """The members' splits as one, zero where a member has no entry."""
-        width, rows = self.y.shape[1], self._droop_rows
-        live = rows and any(sp.meas is not None for sp in splits)
-        meas = [np.zeros((0, 0), dtype=complex) if sp.meas is None else sp.meas
-                for sp in splits]
-        cap = [(np.zeros(len(mem.droop_pos)),) * 3 if sp.cap is None else sp.cap
-               for mem, sp in zip(self.members, splits)]
-        return _Split(_padded([sp.a for sp in splits], (width, width)),
-                      _padded([sp.c1 for sp in splits], (width,)).reshape(-1),
-                      _padded([sp.c1v for sp in splits], (width,)).reshape(-1),
-                      _padded(meas, (rows, width)) if live else None,
-                      tuple(map(np.concatenate, zip(*cap)))
-                      if any(sp.cap is not None for sp in splits) else None,
-                      any(sp.held for sp in splits))
-
-    def _hold(self, i_o, due=None):
-        """Zero-order hold: the controllers of the members listed in ``due``
-        (all if None) measure ``i_o`` (B, ns) until their next sample."""
-        n, ns = i_o.shape
-        held, droop = -self._c2 * i_o, np.conj(i_o.reshape(-1)[self._dr_io])
-        if due is None:
-            self._held.reshape(n, -1)[:, :ns] = held
-            self._held_droop[:] = droop
-        else:
-            self._held.reshape(n, -1)[due, :ns] = held[due]
-            mine = np.isin(self._dr_owner, due)
-            self._held_droop[mine] = droop[mine]
-
     def _apply_due_events(self):
         if self.step_index < self._next_event:
             return
@@ -691,68 +752,6 @@ class Simulation:
                 mem.events_applied.append((self.t, ev.action))
         self._stack(states)
 
-    # -- right-hand side -----------------------------------------------------
-
-    def _nonlinear(self, y, sp):
-        """N(y) of stacked split ``sp`` for the flattened batch state y, (B M,),
-        or for a stack of such states, (K, B M).  The cubic is the gain
-        (c1 - c1v |v|^2) on v, in five numpy calls.  The droop slots are
-        picked on the last axis through ``.T``, which on the per-step 1-D
-        state costs a tenth of ``[..., dr]``."""
-        if self._has_dvoc:
-            # c1 and c1v are zero outside the oscillator slots.
-            out = (sp.c1 - sp.c1v * np.abs(y)**2) * y
-        else:
-            out = np.zeros(y.shape, dtype=complex)
-        if sp.held:
-            out += self._held
-        dr = self._dr
-        if len(dr):
-            # The droop law without trigonometry, as a gain on v: dv/dt =
-            # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
-            # offset by as much, so v = 0 reads as theta = 0.
-            v = y.T[dr].T
-            r = np.maximum(np.abs(v), _EPS)
-            if sp.meas is None:
-                i_conj = self._held_droop
-            else:
-                lead = y.shape[:-1]
-                i_conj = np.matmul(sp.meas, y.reshape(lead + (len(sp.meas), -1, 1)))
-                i_conj = np.conj(i_conj.reshape(lead + (-1,)))
-                if self._dr_rows is not None:
-                    i_conj = i_conj.T[self._dr_rows].T
-                if sp.held:
-                    i_conj = i_conj + self._held_droop
-            s = v * i_conj  # p + j q
-            p = s.real
-            rr = self._b_dr - self._kq * s.imag  # dr/dt + r
-            if sp.cap is not None:
-                # i_o = i_net + C dv/dt is linear in (dr/dt, dtheta/dt) and
-                # solved in closed form; the capacitor adds c r dr/dt to the
-                # p that dtheta/dt sees.
-                c, kq_c, kpkq_c2 = sp.cap
-                r2 = r * r
-                rdot = (rr - r + kq_c * r2 * (self._a_dr - self._kp * p)) \
-                    / (1.0 + kpkq_c2 * (r2 * r))
-                rr, p = rdot + r, p + c * r * rdot
-            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p.
-            out.T[dr] = ((rr / r - self._jkp * p) * (v + _EPS)).T
-        return out
-
-    def _outputs(self, y):
-        """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
-        for a batch state y, (B, M), or (K, B, ns) each for a stack of them,
-        (K, B, M).  i_o includes the capacitor current, whose dv/dt is
-        A y + N(y) with the live measurement."""
-        ns, y3 = self._ns, y[..., None]
-        i_net = np.matmul(self._g, y3)[..., 0]
-        if not self._dynamic:
-            return y[..., :ns], i_net
-        sp = self._live
-        n = self._nonlinear(y.reshape(y.shape[:-2] + (-1,)), sp)
-        d = np.matmul(sp.a, y3)[..., 0] + n.reshape(y.shape)
-        return y[..., :ns], i_net + self._caps * d[..., :ns]
-
     # -- time stepping -------------------------------------------------------
 
     def step(self):
@@ -764,8 +763,8 @@ class Simulation:
         if k >= self._next_hold:
             due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
             if due:
-                self._hold(self._outputs(self.y)[1],
-                           None if len(due) == len(self.members) else due)
+                self.model.hold(self.live_model.outputs(self.y)[1],
+                                None if len(due) == len(self.members) else due)
             for b in due:
                 self.members[b].stale = False
             self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
@@ -784,17 +783,17 @@ class Simulation:
         hA, so stiff modes see N with the right weight.  Each N is copied
         into its slot of the stage vectors: for B > 1 a slot is a 2-stride
         view, which a flat N cannot be written into."""
-        y, sp, n = self.y, self._stepped, self._nonlinear
+        y, n = self.y, self.model.nonlinear
         (zy, zn, za, zb, zc), (sa, sb, sc, s) = self._slots, self._stage_in
         (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
         zy[...] = y
-        zn.flat = n(y.reshape(-1), sp)
+        zn.flat = n(y.reshape(-1))
         np.matmul(wa, sa, out=u)
-        za.flat = n(uf, sp)
+        za.flat = n(uf)
         np.matmul(wb, sb, out=u)
-        zb.flat = n(uf, sp)
+        zb.flat = n(uf)
         np.matmul(wc, sc, out=u)
-        zc.flat = n(uf, sp)
+        zc.flat = n(uf)
         self.y = np.matmul(wy, s)[..., 0]
 
     def _diverged(self, y, step):
@@ -832,7 +831,7 @@ class Simulation:
             k = int(np.argmin(finite))
             self._diverged(ys[k], (first + k) * self.config.record_decimation)
         self._derived += len(ys)
-        v, i_o = self._outputs(ys)
+        v, i_o = self.live_model.outputs(ys)
         self._records[0, :, first:self._derived] = v.swapaxes(0, 1)
         self._records[1, :, first:self._derived] = i_o.swapaxes(0, 1)
 
@@ -846,7 +845,7 @@ class Simulation:
         decim = cfg.record_decimation
         n_rec = n_steps // decim + 1
         # v and i_o of every (member, record, inverter).
-        self._records = np.empty((2, len(self.members), n_rec, self._ns), dtype=complex)
+        self._records = np.empty((2, len(self.members), n_rec, self.live_model.ns), complex)
         self._derived = 0
 
         self._apply_due_events()

@@ -19,10 +19,10 @@ def split_simulations():
     sims = []
 
     def entry(label, sim):
-        mem = sim.members[0]
-        m = len(mem.stepped.a)
-        wa, _, _, wy = mem.etd
-        return (label, mem.stepped.a, wy[:, :m], wa[:, :m],
+        a = sim.model.a[0]
+        m = len(a)
+        wa, _, _, wy = sim.members[0].etd
+        return (label, a, wy[:, :m], wa[:, :m],
                 sim.config.dt * sim.config.stride)
 
     for name in builtin_names():

@@ -332,11 +332,11 @@ class TestExponentialSplit:
     @pytest.mark.parametrize("name", ["paper-fig5", "droop-ref", "mixed-live",
                                       "mixed-droop-first", "mixed-droop-at-zero"])
     def test_split_rhs_matches_control_and_network_oracles(self, name, rng):
-        # A y + N(y), live and held, against dy/dt rebuilt from
-        # control.dvoc_rhs/droop_rhs and the network models; the recorded
-        # i_o of _outputs against the live oracle current.  In
-        # "mixed-droop-at-zero" every sampled state has the droop inverter
-        # at v = 0, whose direction both take as theta = 0.
+        # The model's rate A y + N(y), live and held, against dy/dt rebuilt
+        # from control.dvoc_rhs/droop_rhs and the network models; the
+        # recorded i_o of the live model's outputs against the live oracle
+        # current.  In "mixed-droop-at-zero" every sampled state has the
+        # droop inverter at v = 0, whose direction both take as theta = 0.
         from dvocsim.scenario import builtin_scenario
         if name.startswith("mixed"):
             sc = parse_scenario_dict(mixed_live_grid_dict(name == "mixed-droop-first"))
@@ -355,13 +355,12 @@ class TestExponentialSplit:
                 held = None
                 if sample_hz is not None:
                     held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
-                    sim._hold(held[None])
-                sp = sim._stepped
+                    sim.model.hold(held[None])
                 want, i_o = oracle_derivative(mem, y, held)
-                got = sp.a[0] @ y + sim._nonlinear(y, sp)
+                got = sim.model.rate(y[None])[0]
                 npt.assert_allclose(got, want, rtol=1e-12,
                                     atol=1e-12 * np.abs(want).max())
-                npt.assert_allclose(sim._outputs(y[None])[1][0], i_o, rtol=1e-12,
+                npt.assert_allclose(sim.live_model.outputs(y[None])[1][0], i_o, rtol=1e-12,
                                     atol=1e-12 * np.abs(i_o).max())
 
     @pytest.mark.parametrize("sample_hz", [None, 2500.0])
@@ -372,10 +371,10 @@ class TestExponentialSplit:
         # droop terminal is solved too; sampled, the law sees a held current.
         sc = parse_scenario_dict(mixed_live_grid_dict())
         sim = Simulation(sc, replace(sc.sim, controller_sample_hz=sample_hz))
-        mem, sp = sim.members[0], sim._stepped
+        mem, model = sim.members[0], sim.model
         (k,) = mem.droop_pos
         v_star = mem.params[k].v_star
-        assert (sp.cap is not None) == (sample_hz is None)
+        assert (model.cap is not None) == (sample_hz is None)
         mags = np.concatenate([[0.0], v_star * np.logspace(-9, np.log10(2.0), 24)])
         for mag in mags:
             w = rng.normal(scale=5.0, size=(mem.m, 2))
@@ -384,9 +383,9 @@ class TestExponentialSplit:
             held = None
             if sample_hz is not None:
                 held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
-                sim._hold(held[None])
+                model.hold(held[None])
             want = oracle_derivative(mem, y, held)[0][k]
-            got = (sp.a[0] @ y + sim._nonlinear(y, sp))[k]
+            got = model.rate(y[None])[0, k]
             assert abs(got - want) <= 1e-12 * abs(want), (mag, got, want)
 
     @staticmethod
@@ -395,13 +394,13 @@ class TestExponentialSplit:
         same A y + N(y), as complex states at every step."""
         integrate = pytest.importorskip("scipy.integrate")
         sim = Simulation(sc, replace(sc.sim, t_end=t_end, step_multiple=None))
-        sp = sim._stepped
+        model = sim.model
         states = [sim.y[0].copy()]
         for _ in range(int(round(t_end / sim.config.dt))):
             sim.step()
             states.append(sim.y[0].copy())
         t = sim.config.dt * np.arange(len(states))
-        sol = integrate.solve_ivp(lambda _, yv: sp.a[0] @ yv + sim._nonlinear(yv, sp),
+        sol = integrate.solve_ivp(lambda _, yv: model.rate(yv[None])[0],
                                   (0.0, t[-1]), states[0], method="DOP853",
                                   rtol=1e-12, atol=1e-12, t_eval=t)
         assert sol.success
@@ -459,15 +458,15 @@ class TestExponentialSplit:
         # dv/dt) and, with sampled controllers on the dynamic network, one
         # per controller sample.  A stray fifth N per step fails by count.
         from dvocsim.scenario import builtin_scenario
-        from dvocsim.sim import RECORD_BLOCK
+        from dvocsim.sim import RECORD_BLOCK, _Split
         calls = [0]
-        nonlinear = Simulation._nonlinear
+        nonlinear = _Split.nonlinear
 
-        def counted(self, y, sp):
+        def counted(self, y):
             calls[0] += 1
-            return nonlinear(self, y, sp)
+            return nonlinear(self, y)
 
-        monkeypatch.setattr(Simulation, "_nonlinear", counted)
+        monkeypatch.setattr(_Split, "nonlinear", counted)
         # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
         # splits its 9001 records into 4001 and 5000, derived in 16 + 20
         # blocks of at least 256 (a step adds its 5 records together).
@@ -754,9 +753,15 @@ class TestFailureModes:
             SimConfig(controller_sample_hz=1250.0, step_multiple=25)
         with pytest.raises(ValueError, match="noise"):
             SimConfig(noise_amplitude=1e-3, step_multiple=2)
-        for bad in (0, 2.0, 101):
+        for bad in (0, 2.0, 101, True):
             with pytest.raises(ValueError, match="step_multiple"):
                 SimConfig(step_multiple=bad)
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="record_decimation"):
+                SimConfig(record_decimation=bad)
+        for bad in (-1, 1.0, True):
+            with pytest.raises(ValueError, match="noise_seed"):
+                SimConfig(noise_seed=bad)
         assert SimConfig(controller_sample_hz=1250.0, step_multiple=40).stride == 40
 
     def test_event_off_the_step_grid_rejected_unless_never_reached(self):
@@ -887,6 +892,20 @@ class TestBatch:
                    for m in heterogeneous_batch()]
         not_bitwise = batch_against_single_runs(members)
         print("members not bit-identical to their single runs:", not_bitwise or "none")
+
+    def test_held_measurement_survives_another_members_restack(self):
+        # The live member's load step at dt step 503 restacks the batch
+        # between the sampled member's samples (every 4th step), so the
+        # sampled member's held measurement must carry into the new model.
+        # Neither member is padded, so both stay bit-identical.
+        live = mixed_live_grid_dict()
+        live["events"] = [{"t_s": 0.0503, "type": "load_step", "node": "busB",
+                           "g_siemens": 0.01}]
+        sampled = mixed_live_grid_dict(droop_first=True)
+        sampled["name"] = "mixed-sampled"
+        members = [on_grid(parse_scenario_dict(live)),
+                   on_grid(parse_scenario_dict(sampled), controller_sample_hz=2500.0)]
+        assert batch_against_single_runs(members) == []
 
     def test_batched_rerun_is_bit_identical(self):
         first, second = (Simulation(heterogeneous_batch()).run() for _ in range(2))

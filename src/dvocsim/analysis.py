@@ -17,8 +17,8 @@ import numpy as np
 
 from .control import (PolarState, droop_approx_freq, droop_approx_vmag_ss,
                       droop_vmag_tangent_ss, dvoc_rhs_polar)
-from .network import Branch, reduced_admittance
-from .numerics import bracketed_root, gauss_newton, rk4_scalar
+from .network import Branch, forward_power_flow
+from .numerics import gauss_newton, rk4_scalar
 from .scenario import ScenarioError
 from .sim import Simulation
 
@@ -279,30 +279,31 @@ class DroopCurve:
             raise ValueError("droop curve abscissa must be strictly increasing")
 
 
-def stationary_magnitude(params, p, q, bracket=(0.2, 2.0)):
-    """Amplitude at which d|v|/dt of the polar oscillator law vanishes.
+def stationary_magnitude(params, p, q):
+    """Amplitude r at which d|v|/dt of the polar oscillator law vanishes.
 
-    Scans bracket * v_star for the rightmost sign change (reactive demand
-    above the set-point splits the condition into a stable high-voltage root
-    and a collapse root below it), then polishes by bisection + Newton.
-    Raises when no stationary point exists in the bracket.
+    Divided by eta r and times u = r^2, the condition is a quadratic for any
+    kappa k: a u^2 - b u + c = 0 with a = alpha/v*^2, c = cos k p + sin k q
+    and b = alpha + (cos k p* + sin k q*)/v*^2.  Reactive demand above the
+    set-point gives a stable high-voltage root and a collapse root below it:
+    the larger root with r in [0.2, 2] v* is returned, and ValueError raised
+    if neither is.
     """
-    lo, hi = bracket[0] * params.v_star, bracket[1] * params.v_star
-
-    def f(r):
-        return dvoc_rhs_polar(PolarState(r, 0.0), p, q, params)[0]
-
-    grid = np.linspace(lo, hi, 81)
-    vals = np.array([f(r) for r in grid])
-    zero = np.nonzero(vals == 0.0)[0]
-    if len(zero):
-        return float(grid[zero[-1]])
-    signs = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    if not len(signs):
-        raise ValueError(
-            f"no stationary amplitude in [{lo:g}, {hi:g}] for p={p:g}, q={q:g}")
-    k = signs[-1]
-    return bracketed_root(f, grid[k], grid[k + 1])
+    vs2 = params.v_star**2
+    ck, sk = math.cos(params.kappa), math.sin(params.kappa)
+    a = params.alpha / vs2
+    b = params.alpha + (ck * params.p_star + sk * params.q_star) / vs2
+    c = ck * p + sk * q
+    disc = b * b - 4.0 * a * c
+    lo, hi = 0.2 * params.v_star, 2.0 * params.v_star
+    if disc >= 0.0:
+        # The roots as s/2a and 2c/s: neither subtracts two nearly equal terms.
+        s = b + math.copysign(math.sqrt(disc), b)
+        for u in sorted((s / (2.0 * a), 2.0 * c / s if s else 0.0), reverse=True):
+            r = math.sqrt(max(u, 0.0))
+            if lo <= r <= hi:
+                return r
+    raise ValueError(f"no stationary amplitude in [{lo:g}, {hi:g}] for p={p:g}, q={q:g}")
 
 
 @dataclass
@@ -324,31 +325,24 @@ def droop_sweep_closed_form(params, grid, axis):
     """Steady-state droop curve from the stationarity conditions of the
     polar law, with linear approximations for overlay.
 
-    axis "p": ordinate is the stationary frequency at q = q_star;
-    axis "q": ordinate is the stationary amplitude at p = p_star.
+    axis "p": ordinate is the frequency of the polar law at q = q_star and
+    the stationary amplitude; axis "q": ordinate is the stationary amplitude
+    at p = p_star.  Raises ValueError where a point has none.
     """
     grid = np.asarray(sorted(grid), dtype=float)
     if axis == "p":
-        omegas = np.empty_like(grid)
-        for k, p in enumerate(grid):
-            r = stationary_magnitude(params, p, params.q_star)
-            omegas[k] = dvoc_rhs_polar(PolarState(r, 0.0), p, params.q_star, params)[1]
-        lin = np.array([droop_approx_freq(p, params) for p in grid])
-        return DroopSweepResult(
-            exact=DroopCurve(grid, omegas, "p", "omega", "closed_form"),
-            linear=DroopCurve(grid, lin, "p", "omega", "closed_form"),
-            coarse=DroopCurve(grid, lin.copy(), "p", "omega", "closed_form"))
-    if axis == "q":
-        mags = np.empty_like(grid)
-        for k, q in enumerate(grid):
-            mags[k] = stationary_magnitude(params, params.p_star, q)
-        lin = np.array([droop_vmag_tangent_ss(q, params) for q in grid])
-        coarse = np.array([droop_approx_vmag_ss(q, params) for q in grid])
-        return DroopSweepResult(
-            exact=DroopCurve(grid, mags, "q", "vmag", "closed_form"),
-            linear=DroopCurve(grid, lin, "q", "vmag", "closed_form"),
-            coarse=DroopCurve(grid, coarse, "q", "vmag", "closed_form"))
-    raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
+        q, kind = params.q_star, "omega"
+        exact = [dvoc_rhs_polar(PolarState(stationary_magnitude(params, p, q)), p, q, params)[1]
+                 for p in grid]
+        linear = coarse = droop_approx_freq(grid, params)
+    elif axis == "q":
+        kind = "vmag"
+        exact = [stationary_magnitude(params, params.p_star, q) for q in grid]
+        linear, coarse = droop_vmag_tangent_ss(grid, params), droop_approx_vmag_ss(grid, params)
+    else:
+        raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
+    return DroopSweepResult(*(DroopCurve(grid, np.array(y, dtype=float), axis, kind,
+                                         "closed_form") for y in (exact, linear, coarse)))
 
 
 @dataclass
@@ -480,16 +474,6 @@ class ConsistencyReport:
     p: np.ndarray
     q: np.ndarray
     iterations: int
-
-
-def forward_power_flow(topo, omega, v_stars, angles):
-    """(p, q) injected by each inverter at fixed amplitudes and angles."""
-    v_stars = np.asarray(v_stars, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    m = reduced_admittance(topo, omega)
-    v = v_stars * np.exp(1j * angles)
-    s = np.conj(v) * (m @ v)
-    return s.real, -s.imag
 
 
 def check_setpoint_consistency(topo, setpoints, omega, tol=1e-6):

@@ -287,6 +287,16 @@ def reduced_admittance(topo, omega):
                                                    topo.live_nodes()[ns:], "admittance")
 
 
+def forward_power_flow(topo, omega, v_stars, angles):
+    """(p, q) injected by each inverter at fixed amplitudes and angles."""
+    v_stars = np.asarray(v_stars, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    m = reduced_admittance(topo, omega)
+    v = v_stars * np.exp(1j * angles)
+    s = np.conj(v) * (m @ v)
+    return s.real, -s.imag
+
+
 def solve_currents_quasistatic(topo, omega, inverter_voltages):
     """Phasor current injected by each inverter, shunt-cap current included.
 

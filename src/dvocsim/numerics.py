@@ -28,47 +28,6 @@ def rk4_scalar(f, y0, t_grid, max_dt):
     return np.array(ys)
 
 
-def bracketed_root(f, lo, hi, bisect_iters=60, newton_iters=10):
-    """Root of f on [lo, hi]: bisection to localize, then Newton polish.
-
-    Requires a sign change on the bracket; the Newton stage uses a numeric
-    derivative and never leaves the bisection interval.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no sign change on bracket [{lo:g}, {hi:g}]")
-    a, b, fa = float(lo), float(hi), flo
-    for _ in range(bisect_iters):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    x = 0.5 * (a + b)
-    for _ in range(newton_iters):
-        fx = f(x)
-        h = 1e-7 * max(1.0, abs(x))
-        dfx = (f(x + h) - f(x - h)) / (2.0 * h)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        xn = x - step
-        if not (a <= xn <= b):
-            break
-        x = xn
-        if abs(step) <= 1e-15 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def _numeric_jacobian(residual, x, r0):
     m = len(np.atleast_1d(r0))
     n = len(x)

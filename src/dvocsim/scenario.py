@@ -38,7 +38,7 @@ import numpy as np
 from .control import DroopParams, DvocParams
 from .network import (Branch, ConnectBranch, DisconnectBranch, DynamicNetwork, Event,
                       LoadStep, SetPointUpdate, Topology, apply_event,
-                      reduced_admittance)
+                      forward_power_flow)
 from .numerics import gauss_newton
 from .sim import InitialCondition, SimConfig
 
@@ -654,22 +654,16 @@ def _fig7_consistent_operating_point():
     frequency)."""
     targets = np.array([250.0, 500.0])
 
-    def topo_for(g):
-        return Topology(
+    def powers(x):
+        g, th2 = x
+        topo = Topology(
             inverter_nodes=("n1", "n2"),
             branches=(Branch("b1", "n1", "bus", R_BRANCH, L_BRANCH),
                       Branch("b2", "n2", "bus", R_BRANCH, L_BRANCH)),
             loads={"bus": g},
             shunt_caps={"n1": C_FILTER, "n2": C_FILTER},
         )
-
-    def powers(x):
-        g, th2 = x
-        m = reduced_admittance(topo_for(g), OMEGA0)
-        v = np.array([V_PEAK, V_PEAK * np.exp(1j * th2)])
-        i = m @ v
-        s = np.conj(v) * i
-        return s.real, -s.imag
+        return forward_power_flow(topo, OMEGA0, [V_PEAK, V_PEAK], [0.0, th2])
 
     def residual(x):
         p, _ = powers(x)

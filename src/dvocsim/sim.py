@@ -73,6 +73,7 @@ as a check at every record point would.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -105,9 +106,10 @@ MAX_STEPS = 10_000_000
 MAX_STEP_MULTIPLE = 100
 
 
-def _whole(value, lo):
-    """An int, not a bool, at or above ``lo``: the scenario parser's rule."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+def _number(value, kind=(int, float)):
+    """A finite ``kind``, not a bool: the scenario parser's rule."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 @dataclass(frozen=True)
@@ -142,22 +144,25 @@ class SimConfig:
     step_multiple: int = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (_number(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+        if not (_number(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and 1 <= round(steps) <= MAX_STEPS):
             raise ValueError(f"t_end/dt = {steps:g} must round to between 1 and {MAX_STEPS} steps")
         if self.network_model not in ("dynamic", "quasistatic"):
             raise ValueError(f"unknown network model {self.network_model!r}")
-        if not _whole(self.record_decimation, 1):
+        if not (_number(self.record_decimation, int) and self.record_decimation >= 1):
             raise ValueError("record_decimation must be an integer >= 1")
-        if not _whole(self.noise_seed, 0):
+        if not (_number(self.noise_seed, int) and self.noise_seed >= 0):
             raise ValueError("noise_seed must be an integer >= 0")
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+        if not (_number(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError("noise_amplitude must be >= 0")
         if self.controller_sample_hz is not None:
+            if not _number(self.controller_sample_hz):
+                raise ValueError(f"controller_sample_hz must be a number, "
+                                 f"got {self.controller_sample_hz!r}")
             period = self.controller_sample_hz * self.dt
             steps = 1.0 / period if period > 0.0 else math.inf
             if not 1.0 - 1e-9 <= steps < math.inf or abs(steps - round(steps)) > 1e-6 * steps:
@@ -165,7 +170,7 @@ class SimConfig:
                     f"controller sample interval 1/(f_c dt) = {steps:g} must be a "
                     "whole number of steps >= 1")
         k = self.step_multiple
-        if k is not None and not (_whole(k, 1) and k <= MAX_STEP_MULTIPLE):
+        if k is not None and not (_number(k, int) and 1 <= k <= MAX_STEP_MULTIPLE):
             raise ValueError(f"step_multiple must be an integer from 1 to {MAX_STEP_MULTIPLE}")
         k, n_steps = self.stride, round(self.t_end / self.dt)
         if n_steps % k:
@@ -314,22 +319,18 @@ def _etdrk4_weights(a, h):
     and the stage vector z = [y, N(y), N(a), N(b), N(c)], one step is
         a  = [E2, P] z,      b = [E2, 0, P] z,
         c  = [E, E2 P - P, 0, 2P] z   (= E2 a + P (2 N(b) - N(y))),
-        y' = [E, F1, F2, F2, F3] z,
-    with F1 = h (phi_1 - 3 phi_2 + 4 phi_3), F2 = 2h (phi_2 - 2 phi_3) and
-    F3 = h (4 phi_3 - phi_2) of ha.  Returns the four block rows.
+        y' = W z,
+    W the continuous extension of ``_dense_weights`` at theta = 1 (k = j = 2:
+    ``_extension`` of exp(2Z)).  Returns the four block rows.
     """
     m = len(a)
     w = _phi_chain(a, 0.5 * h)
     half = w[:m]
     full = half @ w
     e2, e, p = half[:, :m], full[:, :m], 0.5 * h * half[:, m:2 * m]
-    phi1, phi2, phi3 = (full[:, k * m:(k + 1) * m] / 2.0**k for k in (1, 2, 3))
-    f2 = 2.0 * h * (phi2 - 2.0 * phi3)
     zero = np.zeros_like(p)
     return (np.hstack([e2, p]), np.hstack([e2, zero, p]),
-            np.hstack([e, e2 @ p - p, zero, 2.0 * p]),
-            np.hstack([e, h * (phi1 - 3.0 * phi2 + 4.0 * phi3), f2, f2,
-                       h * (4.0 * phi3 - phi2)]))
+            np.hstack([e, e2 @ p - p, zero, 2.0 * p]), _extension(full, h, 2))
 
 
 def _phi_chain(a, s):
@@ -355,18 +356,20 @@ def _dense_weights(a, h, k):
     ``_phi_chain`` with s = h / k, is [exp(theta ha), j phi_1, j^2 phi_2,
     j^3 phi_3] of theta ha, so one matrix exponential gives every W_j.  W_k
     is the step's own last stage matrix."""
-    m = len(a)
     w = _phi_chain(a, h / k)
-    row, out = w[:m], []
-    for j in range(1, k + 1):
-        if j > 1:
-            row = row @ w
-        # theta^i phi_i(theta ha) = j^i phi_i / k^i
-        p1, p2, p3 = (row[:, i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
-        b23 = h * (2.0 * p2 - 4.0 * p3)
-        out.append(np.hstack([row[:, :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
-                              h * (4.0 * p3 - p2)]))
-    return out
+    rows = itertools.accumulate([w[:len(a)]] + [w] * (k - 1), np.matmul)
+    return [_extension(row, h, k) for row in rows]
+
+
+def _extension(row, h, k):
+    """W_j of ``_dense_weights`` from the top block row of exp(jZ), Z as in
+    ``_phi_chain`` with s = h / k."""
+    m = len(row)
+    # theta^i phi_i(theta ha) = j^i phi_i / k^i
+    p1, p2, p3 = (row[:, i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
+    b23 = h * (2.0 * p2 - 4.0 * p3)
+    return np.hstack([row[:, :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
+                      h * (4.0 * p3 - p2)])
 
 
 def _padded(arrays, shape):

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from dvocsim import analysis
-from dvocsim.control import DvocParams, droop_approx_freq, droop_approx_vmag_ss, \
-    droop_vmag_tangent_ss
+from dvocsim.control import (DvocParams, PolarState, droop_approx_freq, droop_approx_vmag_ss,
+                             droop_vmag_tangent_ss, dvoc_rhs_polar)
 from dvocsim.network import Branch, Topology
 from dvocsim.sim import Trace, run_scenario
 
@@ -207,6 +207,57 @@ class TestStationaryMagnitude:
     def test_no_bracket_sign_change_raises(self):
         with pytest.raises(ValueError):
             analysis.stationary_magnitude(PU_PARAMS, 0.5, 5.0)
+
+    def test_collapse_root_when_high_root_leaves_bracket(self):
+        # u = r^2 solves u^2 - 5u + 3 = 0: the high root r = 2.074 lies above
+        # 2 v*, so the collapse root is the one in the bracket.
+        p = DvocParams(eta=10.0, alpha=1.0, kappa=math.pi / 2.0, p_star=0.5,
+                       q_star=4.0, v_star=1.0, omega0=OMEGA0)
+        r = analysis.stationary_magnitude(p, p.p_star, 3.0)
+        assert r == pytest.approx(0.834999618124467, rel=1e-14)
+
+    def test_matches_a_dense_scan_of_the_polar_law(self):
+        """For any kappa, the returned r zeroes d|v|/dt of ``dvoc_rhs_polar``,
+        and the law keeps one sign above it up to 2 v*; it raises exactly
+        where a scan of [0.2, 2] v* sees no sign change.  A pair of roots
+        closer than one scan cell shows as |d|v|/dt| within 1e-3 of its
+        terms at a scan point, where the scan cannot see the root."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        unit = st.floats(-3.0, 3.0)
+
+        def rate(params, p, q, r):
+            """d|v|/dt and the sum of its terms' magnitudes."""
+            vs2 = params.v_star**2
+            scale = params.eta * r * (abs(params.p_star) / vs2 + abs(p) / r**2
+                                      + abs(params.q_star) / vs2 + abs(q) / r**2
+                                      + params.alpha * (1.0 + r**2 / vs2))
+            return dvoc_rhs_polar(PolarState(r), p, q, params)[0], scale
+
+        @hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hyp.given(st.floats(0.1, 100.0), st.floats(0.01, 10.0), st.floats(0.0, math.pi),
+                   st.floats(0.1, 1000.0), unit, unit, unit, unit)
+        def check(eta, alpha, kappa, v_star, p_star, q_star, p, q):
+            power = alpha * v_star**2
+            params = DvocParams(eta=eta, alpha=alpha, kappa=kappa, p_star=p_star * power,
+                                q_star=q_star * power, v_star=v_star, omega0=OMEGA0)
+            p, q = p * power, q * power
+            grid = np.linspace(0.2 * v_star, 2.0 * v_star, 1001)
+            f, scale = np.array([rate(params, p, q, r) for r in grid]).T
+            crossed = bool(np.any(f == 0.0) or np.any(f[:-1] * f[1:] < 0.0))
+            try:
+                r = analysis.stationary_magnitude(params, p, q)
+            except ValueError:
+                assert not crossed
+                return
+            assert crossed or np.min(np.abs(f) / scale) < 1e-3
+            assert 0.2 * v_star <= r <= 2.0 * v_star
+            f_r, scale_r = rate(params, p, q, r)
+            assert abs(f_r) <= 1e-13 * scale_r
+            above = f[grid > r + 1e-6 * v_star]
+            assert np.all(above > 0.0) or np.all(above < 0.0)
+
+        check()
 
 
 class TestDroopSweepClosedForm:

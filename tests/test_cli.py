@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -272,3 +275,18 @@ class TestListScenarios:
         for name in ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7"):
             assert name in out
         assert "alias" in out
+
+    def test_runtime_needs_numpy_only(self):
+        """scipy and hypothesis are test dependencies: the CLI imports
+        neither, checked in a fresh interpreter."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from dvocsim.cli import main\n"
+                "assert main(['list-scenarios']) == 0\n"
+                "print(sorted({m.partition('.')[0] for m in sys.modules}"
+                " & {'scipy', 'hypothesis'}))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[]"

@@ -762,6 +762,12 @@ class TestFailureModes:
         for bad in (-1, 1.0, True):
             with pytest.raises(ValueError, match="noise_seed"):
                 SimConfig(noise_seed=bad)
+        # The parser's number rule: a bool is not a number, so a config
+        # Scenario.to_dict would write and the parser reject is refused here.
+        for name in ("dt", "t_end", "controller_sample_hz", "noise_amplitude"):
+            for bad in (True, False, "1", float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must"):
+                    SimConfig(**{name: bad})
         assert SimConfig(controller_sample_hz=1250.0, step_multiple=40).stride == 40
 
     def test_event_off_the_step_grid_rejected_unless_never_reached(self):

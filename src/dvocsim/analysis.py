@@ -330,19 +330,48 @@ def droop_sweep_closed_form(params, grid, axis):
     at p = p_star.  Raises ValueError where a point has none.
     """
     grid = np.asarray(sorted(grid), dtype=float)
-    if axis == "p":
-        q, kind = params.q_star, "omega"
-        exact = [dvoc_rhs_polar(PolarState(stationary_magnitude(params, p, q)), p, q, params)[1]
-                 for p in grid]
-        linear = coarse = droop_approx_freq(grid, params)
-    elif axis == "q":
-        kind = "vmag"
-        exact = [stationary_magnitude(params, params.p_star, q) for q in grid]
-        linear, coarse = droop_vmag_tangent_ss(grid, params), droop_approx_vmag_ss(grid, params)
-    else:
-        raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
+    linear, coarse = _linear_ordinates(params, grid, axis)
+    exact = [_exact_ordinate(params, x, axis) for x in grid]
+    kind = "omega" if axis == "p" else "vmag"
     return DroopSweepResult(*(DroopCurve(grid, np.array(y, dtype=float), axis, kind,
                                          "closed_form") for y in (exact, linear, coarse)))
+
+
+def droop_overlays(params, abscissae, axis):
+    """The exact, linear and coarse ordinates of ``droop_sweep_closed_form``
+    at each of the abscissae, in their order, as three arrays: the linear
+    forms in one call each, the exact one per point.  A point without a
+    stationary amplitude reads NaN in all three."""
+    x = np.asarray(abscissae, dtype=float)
+    linear, coarse = _linear_ordinates(params, x, axis)
+    exact = np.full(len(x), math.nan)
+    for k, xk in enumerate(x):
+        try:
+            exact[k] = _exact_ordinate(params, xk, axis)
+        except ValueError:
+            pass  # no stationary point at this abscissa
+    missing = np.isnan(exact)
+    return exact, np.where(missing, math.nan, linear), np.where(missing, math.nan, coarse)
+
+
+def _linear_ordinates(params, x, axis):
+    """The linear and coarse overlays at the abscissae x."""
+    if axis == "p":
+        omega = droop_approx_freq(x, params)
+        return omega, omega
+    if axis == "q":
+        return droop_vmag_tangent_ss(x, params), droop_approx_vmag_ss(x, params)
+    raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
+
+
+def _exact_ordinate(params, x, axis):
+    """The exact curve's ordinate at abscissa x: on the p axis the polar
+    law's frequency at the stationary amplitude, on the q axis that
+    amplitude.  ValueError where there is none."""
+    if axis == "p":
+        q = params.q_star
+        return dvoc_rhs_polar(PolarState(stationary_magnitude(params, x, q)), x, q, params)[1]
+    return stationary_magnitude(params, params.p_star, x)
 
 
 @dataclass

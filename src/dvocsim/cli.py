@@ -158,20 +158,19 @@ def _cmd_droop_sweep(args, argv):
     header = ["target", "p", "q", "vmag", "omega_rad_per_s", "settled",
               "ordinate_simulated", "ordinate_closed_form", "ordinate_linear",
               "ordinate_coarse"]
-    rows = []
     nan = float("nan")
+    settled = [pt for pt in sweep.points if pt.settled]
+    try:
+        overlays = zip(*analysis.droop_overlays(
+            params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis))
+    except ValueError:  # the tangent is undefined: no overlay at any point
+        overlays = iter([(nan, nan, nan)] * len(settled))
+    rows = []
     for pt in sweep.points:
         if pt.settled:
-            abscissa = pt.p if args.axis == "p" else pt.q
-            try:
-                cf = analysis.droop_sweep_closed_form(params, [abscissa], args.axis)
-                overlay = [cf.exact.ordinate[0], cf.linear.ordinate[0],
-                           cf.coarse.ordinate[0]]
-            except ValueError:
-                overlay = [nan, nan, nan]  # no stationary point at this abscissa
             ordinate = pt.omega if args.axis == "p" else pt.vmag
             rows.append([pt.target, pt.p, pt.q, pt.vmag, pt.omega, True, ordinate]
-                        + overlay)
+                        + list(next(overlays)))
         else:
             rows.append([pt.target, nan, nan, nan, nan, False, nan, nan, nan, nan])
     _write_csv(os.path.join(args.out, "curve.csv"), header, rows)

@@ -25,20 +25,22 @@ the branch R/L and, where the controllers measure the live current, the
 capacitor feedthrough; on a droop row it holds the linear part of the droop
 law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
 N holds the rest: the cubic amplitude term, the remainder of the droop law
-and, in sampled mode, the held measurement.  The cubic is evaluated whole,
-as a gain on v, (c1 - c1v |v|^2) v with c1v = c1 / v*^2 kept per slot;
-moving its linear part c1 v into A would make N large on the limit cycle
-and the step-size error of the built-ins 50 to 45 000 times larger.  The
-droop law is evaluated without trigonometry, as a gain on v = r e^{j theta}:
-dv/dt - A v = ((dr/dt + r)/r - j kp p) v with dr/dt + r = v* + kq (q* - q);
-where the capacitor loop is live, its closed form (below) gives dr/dt from
-the same r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews
-ETDRK4 step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default),
-whose matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come
-from one augmented matrix exponential per compile, so the fast
-branch-current pole does not bound the step.  The members' stage matrices
-are stacked as (B, M, k M), zero on the padding, so each stage is one
-``np.matmul`` for the whole batch and a padded slot stays exactly 0.
+and, in sampled mode, the held measurement, as one gain on v over the whole
+flattened state with every constant zero off its own law's slots.  The
+cubic is (c1 - c1v |v|^2) v with c1v = c1 / v*^2; moving its linear part
+c1 v into A would make N large on the limit cycle and the step-size error
+of the built-ins 50 to 45 000 times larger.  The droop law, skipped by a
+batch without a droop slot, is evaluated without trigonometry, as a gain
+on v = r e^{j theta}: dv/dt - A v = ((dr/dt + r)/r - j kp p) v with
+dr/dt + r = v* + kq (q* - q) and q - j p = -j v conj(i_o); where the
+capacitor loop is live, its closed form (below) gives dr/dt from the same
+r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews ETDRK4
+step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default), whose
+matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come from
+one augmented matrix exponential per compile, so the fast branch-current
+pole does not bound the step.  The members' stage matrices are stacked as
+(B, M, k M), zero on the padding, so each stage is one ``np.matmul`` for
+the whole batch and a padded slot stays exactly 0.
 
 The batch's split is one model object, ``_Split``, built from the members
 at every restack.  It holds the stacked A and every constant N reads, and
@@ -533,15 +535,15 @@ class _Split:
     one, which ``hold`` sets and a restack carries over from ``prev``.
 
     a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot
-    meas, cap  -- droop rows of the live current, cap current excluded
-                  (None: every droop law is held), and (c, kq c, kp kq c^2)
-                  of each droop terminal's capacitance (None: no live loop)
     g, caps, c2 -- network injection, terminal capacitances and oscillator
                   current gains, for ``outputs`` and ``hold``
-    _dr, _dr_io, _dr_owner, _dr_rows -- each droop inverter's flat slot in
-                  y and in i_o, its member and its measurement row (None:
-                  unpadded)
-    a_dr, b_dr, kp, kq, jkp -- the constants of its law, jkp = j kp
+    droop, floor -- whether any slot holds a droop inverter; _EPS per slot
+    a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
+                  constants of the droop law and the offset _EPS of v
+    meas, cap  -- (B, M, M), the droop rows of the live current, cap current
+                  excluded (None: every droop law is held), and (c, kq c,
+                  kp kq c^2) of each droop terminal's capacitance (None: no
+                  live loop)
     """
 
     def __init__(self, members, width, live, prev=None):
@@ -550,86 +552,86 @@ class _Split:
         # Whether each member's controllers measure the live current here.
         lives = [live or mem.sample_steps is None for mem in members]
         self.held = not all(lives)
-        self.has_dvoc = any(len(mem.dvoc_pos) for mem in members)
         self.a = _padded([mem.a_live if lv else mem.a_held for mem, lv in zip(members, lives)],
                          (width, width))
-        c1, c1v, self.c2 = (np.zeros((n, k), dtype=complex) for k in (width, width, ns))
+        self.g = _padded([mem.g for mem in members], (ns, width))
+        self.caps = _padded([mem.caps for mem in members], (ns,))
+        self.droop = any(len(mem.droop_pos) for mem in members)
+        c1, c1v, eps = np.zeros((3, n, width), dtype=complex)
+        law = np.zeros((5, n, width))  # a_dr, b_dr, kp, kq and c of the droop laws
+        self.c2 = np.zeros((n, ns), dtype=complex)
+        meas = np.zeros((n, width, width), dtype=complex)
         for b, (mem, lv) in enumerate(zip(members, lives)):
-            dv = mem.dvoc_pos
+            dv, dr = mem.dvoc_pos, mem.droop_pos
             c1[b, dv] = (mem.feed if lv else 1.0) * mem.c1
             c1v[b, dv] = c1[b, dv] * mem.inv_vs2
             self.c2[b, dv] = mem.c2
-        self.c1, self.c1v = c1.reshape(-1), c1v.reshape(-1)
-        self.g = _padded([mem.g for mem in members], (ns, width))
-        self.caps = _padded([mem.caps for mem in members], (ns,))
-
-        rows = max(len(mem.droop_pos) for mem in members)
-        owner = np.concatenate([np.full(len(mem.droop_pos), b, dtype=int)
-                                for b, mem in enumerate(members)])
-        pos = np.concatenate([mem.droop_pos for mem in members])
-        self._dr_owner, self._dr, self._dr_io = owner, owner * width + pos, owner * ns + pos
-        row = owner * rows + np.concatenate([np.arange(len(mem.droop_pos)) for mem in members])
-        self._dr_rows = None if len(row) == n * rows else row
-        for name in ("a_dr", "b_dr", "kp", "kq"):
-            setattr(self, name, np.concatenate([getattr(mem, name) for mem in members]))
-        self.jkp = 1j * self.kp
-        self.meas = _padded([mem.g[mem.droop_pos] if lv else np.zeros((0, 0), dtype=complex)
-                             for mem, lv in zip(members, lives)], (rows, width)) \
-            if rows and any(lives) else None
-        c = np.concatenate([mem.caps[mem.droop_pos] if lv and self.dynamic
-                            else np.zeros(len(mem.droop_pos))
-                            for mem, lv in zip(members, lives)])
+            law[:4, b, dr] = mem.a_dr, mem.b_dr, mem.kp, mem.kq
+            eps[b, dr] = _EPS
+            if lv:
+                meas[b, dr, :mem.m] = mem.g[dr]
+                law[4, b, dr] = mem.caps[dr] if self.dynamic else 0.0
+        self.c1, self.c1v, self.eps = c1.reshape(-1), c1v.reshape(-1), eps.reshape(-1)
+        self.a_dr, self.b_dr, self.kp, self.kq, c = law.reshape(5, -1)
+        self.floor = np.full(n * width, _EPS)
+        # Interleaved (real, imag) pairs (-kq, kp) and (b_dr, 0).
+        self._kqp, self._b_dr = (-self.kq + 1j * self.kp).view(float), (self.b_dr + 0j).view(float)
+        self.meas = meas if self.droop and any(lives) else None
         self.cap = (c, self.kq * c, self.kp * self.kq * c * c) if c.any() else None
 
-        self._held = np.zeros(n * width, dtype=complex)
+        # The held -c2 i_o of the oscillators and -j conj(i_o) of the droop laws.
+        self._holds = np.zeros((2, n, width), dtype=complex)
         if prev is not None:  # held values sit in the inverter slots
-            self._held.reshape(n, -1)[:, :ns] = prev._held.reshape(n, -1)[:, :ns]
-        self._held_droop = np.zeros(len(pos), dtype=complex) if prev is None else prev._held_droop
+            self._holds[..., :ns] = prev._holds[..., :ns]
+        self._held, self._held_rot = self._holds.reshape(2, -1)
 
-    def nonlinear(self, y):
+    def nonlinear(self, y, out=None):
         """N(y) for the flattened batch state y, (B M,), or for a stack of
-        such states, (K, B M).  The cubic is the gain (c1 - c1v |v|^2) on v,
-        in five numpy calls.  The droop slots are picked on the last axis
-        through ``.T``, which on the per-step 1-D state costs a tenth of
-        ``[..., dr]``."""
-        if self.has_dvoc:
-            # c1 and c1v are zero outside the oscillator slots.
-            out = (self.c1 - self.c1v * np.abs(y)**2) * y
+        such states, (K, B M), its last product written into ``out`` if
+        given: y's shape or a (B, M) stage slot.  Without a droop slot, N is
+        the cubic's gain on v in five numpy calls; with one, the droop law
+        joins that gain, its terms exactly 0 off the droop slots."""
+        if not self.droop:
+            gain, w = self.c1 - self.c1v * np.abs(y)**2, y
         else:
-            out = np.zeros(y.shape, dtype=complex)
-        if self.held:
-            out += self._held
-        dr = self._dr
-        if len(dr):
             # The droop law without trigonometry, as a gain on v: dv/dt =
             # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
             # offset by as much, so v = 0 reads as theta = 0.
-            v = y.T[dr].T
-            r = np.maximum(np.abs(v), _EPS)
+            mag = np.abs(y)
+            r = np.maximum(mag, self.floor)
+            # t = -j v conj(i_o) = q - j p: the exact quarter turn of
+            # s = p + j q puts q, the term that r divides, in the real part.
             if self.meas is None:
-                i_conj = self._held_droop
+                t = y * self._held_rot
             else:
-                lead = y.shape[:-1]
-                i_conj = np.matmul(self.meas, y.reshape(lead + (len(self.meas), -1, 1)))
-                i_conj = np.conj(i_conj.reshape(lead + (-1,)))
-                if self._dr_rows is not None:
-                    i_conj = i_conj.T[self._dr_rows].T
+                rot = np.matmul(self.meas, y.reshape(y.shape[:-1] + self.meas.shape[:2] + (1,)))
+                rot = -1j * np.conj(rot.reshape(y.shape))
                 if self.held:
-                    i_conj = i_conj + self._held_droop
-            s = v * i_conj  # p + j q
-            p = s.real
-            rr = self.b_dr - self.kq * s.imag  # dr/dt + r
-            if self.cap is not None:
+                    rot += self._held_rot
+                t = y * rot
+            if self.cap is None:
+                u = t.view(float)  # (q, -p) per slot
+                u *= self._kqp
+                u += self._b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
+            else:
                 # i_o = i_net + C dv/dt is linear in (dr/dt, dtheta/dt) and
                 # solved in closed form; the capacitor adds c r dr/dt to the
                 # p that dtheta/dt sees.
                 c, kq_c, kpkq_c2 = self.cap
-                r2 = r * r
+                p, r2 = -t.imag, r * r
+                rr = self.b_dr - self.kq * t.real
                 rdot = (rr - r + kq_c * r2 * (self.a_dr - self.kp * p)) \
                     / (1.0 + kpkq_c2 * (r2 * r))
-                rr, p = rdot + r, p + c * r * rdot
+                t.real, t.imag = rdot + r, -self.kp * (p + c * r * rdot)
             # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p.
-            out.T[dr] = ((rr / r - self.jkp * p) * (v + _EPS)).T
+            t.real /= r
+            gain, w = self.c1 - self.c1v * mag**2 + t, y + self.eps
+        held = self._held
+        if out is not None and out.shape != y.shape:  # a slot with no 1-D view
+            gain, w, held = (x.reshape(out.shape) for x in (gain, w, held))
+        out = np.multiply(gain, w, out=out)
+        if self.held:
+            out += held
         return out
 
     def rate(self, y):
@@ -651,16 +653,11 @@ class _Split:
 
     def hold(self, i_o, due=None):
         """Zero-order hold: the controllers of the members listed in ``due``
-        (all if None) measure ``i_o`` (B, ns) until their next sample."""
-        n, ns = i_o.shape
-        held, droop = -self.c2 * i_o, np.conj(i_o.reshape(-1)[self._dr_io])
-        if due is None:
-            self._held.reshape(n, -1)[:, :ns] = held
-            self._held_droop[:] = droop
-        else:
-            self._held.reshape(n, -1)[due, :ns] = held[due]
-            mine = np.isin(self._dr_owner, due)
-            self._held_droop[mine] = droop[mine]
+        (all if None) measure ``i_o`` (B, ns) until their next sample.  The
+        oscillators hold -c2 i_o, the droop laws -j conj(i_o); off its own
+        law's slots each meets only zero constants."""
+        due = slice(None) if due is None else due
+        self._holds[:, due, :self.ns] = (-self.c2 * i_o)[due], (-1j * np.conj(i_o))[due]
 
 
 class Simulation:
@@ -738,6 +735,9 @@ class Simulation:
         self._stage_in = tuple(z.reshape(n, 5 * width, 1)[:, :k * width] for k in (2, 3, 4, 5))
         self._stage_out = np.zeros((n, width, 1), dtype=complex)
         self._stage_flat = self._stage_out.reshape(-1)
+        # Each N slot, as a 1-D view where it has one (B = 1 or M = 1): numpy
+        # writes that as fast as a contiguous array, a 2-stride slot slower.
+        self._n_slots = [z.reshape(-1) if 1 in z.shape else z for z in self._slots[1:]]
         # A recompiled member with a sampled controller holds at the next step.
         self._next_hold = self.step_index if self._sampled else math.inf
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
@@ -783,20 +783,20 @@ class Simulation:
     def _step_etdrk4(self):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
         propagated exactly and N's stages are weighted by phi-functions of
-        hA, so stiff modes see N with the right weight.  Each N is copied
-        into its slot of the stage vectors: for B > 1 a slot is a 2-stride
-        view, which a flat N cannot be written into."""
+        hA, so stiff modes see N with the right weight.  Each N is written
+        straight into its slot of the stage vectors."""
         y, n = self.y, self.model.nonlinear
-        (zy, zn, za, zb, zc), (sa, sb, sc, s) = self._slots, self._stage_in
+        zy, (sa, sb, sc, s) = self._slots[0], self._stage_in
         (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
+        zn, za, zb, zc = self._n_slots
         zy[...] = y
-        zn.flat = n(y.reshape(-1))
+        n(y.reshape(-1), out=zn)
         np.matmul(wa, sa, out=u)
-        za.flat = n(uf)
+        n(uf, out=za)
         np.matmul(wb, sb, out=u)
-        zb.flat = n(uf)
+        n(uf, out=zb)
         np.matmul(wc, sc, out=u)
-        zc.flat = n(uf)
+        n(uf, out=zc)
         self.y = np.matmul(wy, s)[..., 0]
 
     def _diverged(self, y, step):

@@ -315,6 +315,21 @@ class TestDroopSweepClosedForm:
             expected_gap = abs(dq) / (2.0 * p.alpha * p.v_star)
             assert abs(coarse - exact) == pytest.approx(expected_gap, rel=0.25)
 
+    @pytest.mark.parametrize("axis, grid", [("p", [0.7, 0.3, 0.5]), ("q", [0.05, -0.2, 0.0])])
+    def test_overlays_match_the_curves_point_by_point(self, axis, grid):
+        # The CLI's overlays, in the sweep's order, against the sorted curves;
+        # a point with no stationary amplitude (q = 10: the quadratic has no
+        # real root) reads NaN in all three and leaves the others as they are.
+        res = analysis.droop_sweep_closed_form(PU_PARAMS, grid, axis)
+        got = np.array(analysis.droop_overlays(PU_PARAMS, grid, axis))
+        order = np.argsort(grid)
+        for row, curve in zip(got, (res.exact, res.linear, res.coarse)):
+            assert np.array_equal(row[order], curve.ordinate)
+        if axis == "q":
+            with_missing = np.array(analysis.droop_overlays(PU_PARAMS, grid + [10.0], axis))
+            assert np.isnan(with_missing[:, -1]).all()
+            assert np.array_equal(with_missing[:, :-1], got)
+
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):
             analysis.DroopCurve([0.0, 0.0], [1.0, 2.0], "p", "omega", "closed_form")

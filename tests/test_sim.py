@@ -462,9 +462,9 @@ class TestExponentialSplit:
         calls = [0]
         nonlinear = _Split.nonlinear
 
-        def counted(self, y):
+        def counted(self, y, out=None):
             calls[0] += 1
-            return nonlinear(self, y)
+            return nonlinear(self, y, out)
 
         monkeypatch.setattr(_Split, "nonlinear", counted)
         # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
@@ -890,6 +890,39 @@ class TestBatch:
             for b, mem in enumerate(sim.members):
                 assert not sim.y[b, mem.m:].any(), (b, sim.step_index)
         assert len(widths) > 1  # events changed the batch's width
+
+    def test_batched_nonlinear_matches_each_members_own(self, rng):
+        # N over the whole batch state, live and held, against each member's
+        # own N, bit for bit: a live droop member, a sampled one with its
+        # droop inverter first and a narrower all-oscillator member, at
+        # random states with a droop v = 0 among them.  Off a member's slots
+        # N stays exactly 0, whatever the zero coefficients meet there.
+        live = on_grid(parse_scenario_dict(mixed_live_grid_dict()))
+        sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True)),
+                          controller_sample_hz=2500.0)
+        members = [live, sampled, on_grid(pu_scenario(branch_l=2e-4, cap=1e-4))]
+        batch, singles = Simulation(members), [Simulation(m) for m in members]
+        n, width = batch.y.shape
+        assert [mem.m for mem in batch.members] == [width, width, 2]
+        i_o = rng.normal(size=(n, batch.model.ns)) + 1j * rng.normal(size=(n, batch.model.ns))
+        batch.model.hold(i_o, [1])
+        singles[1].model.hold(i_o[1:2])
+        slot = np.zeros((n, 3 * width), dtype=complex)[:, width:2 * width]  # a stage slot
+        for k in range(20):
+            y = np.zeros((n, width), dtype=complex)
+            for b, mem in enumerate(batch.members):
+                w = rng.normal(scale=50.0, size=(mem.m, 2))
+                y[b, :mem.m] = w[:, 0] + 1j * w[:, 1]
+                if k % 4 == 0:
+                    y[b, mem.droop_pos] = 0.0
+            for which in ("model", "live_model"):
+                got = getattr(batch, which).nonlinear(y.reshape(-1)).reshape(n, width)
+                getattr(batch, which).nonlinear(y.reshape(-1), out=slot)
+                assert np.array_equal(slot, got)
+                for b, (mem, single) in enumerate(zip(batch.members, singles)):
+                    want = getattr(single, which).nonlinear(y[b, :mem.m])
+                    assert np.array_equal(got[b, :mem.m], want), (which, b, k)
+                    assert not got[b, mem.m:].any(), (which, b, k)
 
     def test_members_at_a_step_multiple_match_their_single_runs(self):
         # The heterogeneous batch at two dt per step, without noise: records

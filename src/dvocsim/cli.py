@@ -60,19 +60,20 @@ def _write_csv(path, header, rows, fmt=_fmt):
 def _sha256_file(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
 def _write_manifest(outdir, scenario, source, argv, written, extra=None):
+    resolved = scenario.to_dict()
     manifest = {
         "tool": "dvocsim",
         "version": __version__,
         "command": list(argv),
         "scenario_source": source,
-        "scenario_sha256": hashlib.sha256(
-            _canonical_json(scenario.to_dict())).hexdigest(),
-        "resolved_scenario": scenario.to_dict(),
+        "scenario_sha256": hashlib.sha256(_canonical_json(resolved)).hexdigest(),
+        "resolved_scenario": resolved,
         "outputs": {name: _sha256_file(os.path.join(outdir, name)) for name in written},
     }
     if extra:

@@ -47,6 +47,12 @@ at every restack.  It holds the stacked A and every constant N reads, and
 gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
 member keeps its coefficients and the A its ETDRK4 weights are built from.
 
+A controller sample on the dynamic network evaluates the live N(y) once:
+it gives the measured i_o = g y + C dv/dt.  With the measurement just held,
+the held law at y gives the live dv/dt, so when every sampled member is due
+the stepped model's N(y) = N_live(y) + (A_live - A) y fills the step's
+first stage slot, and the step makes no N call of its own there.
+
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
 C dv/dt, which itself depends on the controller derivative.  That algebraic
@@ -59,7 +65,8 @@ at or after their timestamp, which must start an integrator step.
 
 Recording is deferred, and records stay on the dt grid whatever k is.  Each
 step makes a new state array (additive noise, drawn NOISE_BLOCK steps at a
-time per member, is added to it in place before the record point), so a
+time per member and scattered into one full-width row per step, is added to
+it in place before the record point), so a
 record at a step's end only keeps a reference to the state.  A step with
 records inside it keeps a copy of its stage vectors z = [y, N(y), N(a),
 N(b), N(c)]: ETDRK4's continuous extension gives the state at t + (j/k) h as
@@ -403,7 +410,7 @@ class _Member:
         self.dynamic = config.network_model == "dynamic"
         self.sample_steps = config.sample_steps
         self.noise_scale = config.noise_amplitude * math.sqrt(config.dt)
-        self._noise, self._noise_row = np.empty((0, len(self.dvoc_pos)), dtype=complex), 0
+        self.noise = np.zeros((NOISE_BLOCK, len(self.dvoc_pos)), dtype=complex)
         self.pending = []  # (dt step, event) of every event the run reaches
         for ev in sorted(scenario.events, key=lambda e: e.time):
             step = config.event_step(ev.time)
@@ -436,16 +443,13 @@ class _Member:
             y[k] = mag * complex(math.cos(ang), math.sin(ang))
         return y
 
-    def noise(self):
-        """This step's additive noise on the oscillator slots, alpha + j beta.
-        The generator fills NOISE_BLOCK steps per call, the same numbers as
-        one ``standard_normal(2 n)`` call per step; the block stays with the
+    def draw_noise(self):
+        """The additive noise on the oscillator slots, alpha + j beta, of the
+        next NOISE_BLOCK steps, one row each: the same numbers as one
+        ``standard_normal(2 n)`` call per step.  The block stays with the
         member, so a restack at an event discards no draws."""
-        if self._noise_row == len(self._noise):
-            w = self.rng.standard_normal((NOISE_BLOCK, 2 * len(self.dvoc_pos)))
-            self._noise, self._noise_row = (self.noise_scale * w).view(complex), 0
-        self._noise_row += 1
-        return self._noise[self._noise_row - 1]
+        w = self.rng.standard_normal((NOISE_BLOCK, 2 * len(self.dvoc_pos)))
+        self.noise = (self.noise_scale * w).view(complex)
 
     def compile(self, y):
         """Rebuild the coefficients, A and the step matrices for the current
@@ -534,15 +538,16 @@ class _Split:
     live current; else a member with sampled controllers measures the held
     one, which ``hold`` sets and a restack carries over from ``prev``.
 
-    a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot
-    g, caps, c2 -- network injection, terminal capacitances and oscillator
-                  current gains, for ``outputs`` and ``hold``
+    a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot,
+                  real where no member's oscillator gain is (every held model)
+    g, caps, neg_c2 -- network injection, terminal capacitances and minus the
+                  oscillator current gains, for ``outputs`` and ``hold``
     droop, floor -- whether any slot holds a droop inverter; _EPS per slot
     a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
                   constants of the droop law and the offset _EPS of v
     meas, cap  -- (B, M, M), the droop rows of the live current, cap current
-                  excluded (None: every droop law is held), and (c, kq c,
-                  kp kq c^2) of each droop terminal's capacitance (None: no
+                  excluded (None: every droop law is held), and (kp c, kq c,
+                  kp kq c^2) of each droop terminal's capacitance c (None: no
                   live loop)
     """
 
@@ -559,25 +564,27 @@ class _Split:
         self.droop = any(len(mem.droop_pos) for mem in members)
         c1, c1v, eps = np.zeros((3, n, width), dtype=complex)
         law = np.zeros((5, n, width))  # a_dr, b_dr, kp, kq and c of the droop laws
-        self.c2 = np.zeros((n, ns), dtype=complex)
+        self.neg_c2 = np.zeros((n, ns), dtype=complex)
         meas = np.zeros((n, width, width), dtype=complex)
         for b, (mem, lv) in enumerate(zip(members, lives)):
             dv, dr = mem.dvoc_pos, mem.droop_pos
             c1[b, dv] = (mem.feed if lv else 1.0) * mem.c1
             c1v[b, dv] = c1[b, dv] * mem.inv_vs2
-            self.c2[b, dv] = mem.c2
+            self.neg_c2[b, dv] = -mem.c2
             law[:4, b, dr] = mem.a_dr, mem.b_dr, mem.kp, mem.kq
             eps[b, dr] = _EPS
             if lv:
                 meas[b, dr, :mem.m] = mem.g[dr]
                 law[4, b, dr] = mem.caps[dr] if self.dynamic else 0.0
+        if not c1.imag.any():
+            c1, c1v = c1.real.copy(), c1v.real.copy()
         self.c1, self.c1v, self.eps = c1.reshape(-1), c1v.reshape(-1), eps.reshape(-1)
         self.a_dr, self.b_dr, self.kp, self.kq, c = law.reshape(5, -1)
         self.floor = np.full(n * width, _EPS)
         # Interleaved (real, imag) pairs (-kq, kp) and (b_dr, 0).
         self._kqp, self._b_dr = (-self.kq + 1j * self.kp).view(float), (self.b_dr + 0j).view(float)
         self.meas = meas if self.droop and any(lives) else None
-        self.cap = (c, self.kq * c, self.kp * self.kq * c * c) if c.any() else None
+        self.cap = (self.kp * c, self.kq * c, self.kp * self.kq * c * c) if c.any() else None
 
         # The held -c2 i_o of the oscillators and -j conj(i_o) of the droop laws.
         self._holds = np.zeros((2, n, width), dtype=complex)
@@ -609,23 +616,43 @@ class _Split:
                 if self.held:
                     rot += self._held_rot
                 t = y * rot
-            if self.cap is None:
-                u = t.view(float)  # (q, -p) per slot
-                u *= self._kqp
-                u += self._b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
+            u = t.view(float)  # (q, -p) per slot
+            u *= self._kqp
+            u += self._b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
+            re = t.real
+            if self.cap is not None:
+                # i_o = i_net + C dv/dt adds c r dr/dt to p and -c r^2
+                # dtheta/dt to q, linear in both rates: in closed form,
+                #   dr/dt = (b_dr - kq q - r + kq c r^2 (a_dr - kp p))
+                #           / (1 + kp kq c^2 r^3),
+                # and the p that dtheta/dt sees gains c r dr/dt.
+                kp_c, kq_c, kpkq_c2 = self.cap
+                im = t.imag
+                r2 = r * r
+                den = kpkq_c2 * r2
+                den *= r
+                den += 1.0
+                num = self.a_dr + im
+                num *= kq_c
+                num *= r2
+                re -= r
+                re += num
+                re /= den  # dr/dt
+                np.multiply(kp_c, r, out=num)
+                num *= re
+                im -= num
+                re += r
+            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p,
+            # plus the cubic's gain, in real arithmetic where c1 is real.
+            re /= r
+            mag *= mag
+            cubic = self.c1v * mag
+            np.subtract(self.c1, cubic, out=cubic)
+            if cubic.dtype == float:
+                re += cubic
             else:
-                # i_o = i_net + C dv/dt is linear in (dr/dt, dtheta/dt) and
-                # solved in closed form; the capacitor adds c r dr/dt to the
-                # p that dtheta/dt sees.
-                c, kq_c, kpkq_c2 = self.cap
-                p, r2 = -t.imag, r * r
-                rr = self.b_dr - self.kq * t.real
-                rdot = (rr - r + kq_c * r2 * (self.a_dr - self.kp * p)) \
-                    / (1.0 + kpkq_c2 * (r2 * r))
-                t.real, t.imag = rdot + r, -self.kp * (p + c * r * rdot)
-            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p.
-            t.real /= r
-            gain, w = self.c1 - self.c1v * mag**2 + t, y + self.eps
+                t += cubic
+            gain, w = t, y + self.eps
         held = self._held
         if out is not None and out.shape != y.shape:  # a slot with no 1-D view
             gain, w, held = (x.reshape(out.shape) for x in (gain, w, held))
@@ -654,10 +681,13 @@ class _Split:
     def hold(self, i_o, due=None):
         """Zero-order hold: the controllers of the members listed in ``due``
         (all if None) measure ``i_o`` (B, ns) until their next sample.  The
-        oscillators hold -c2 i_o, the droop laws -j conj(i_o); off its own
-        law's slots each meets only zero constants."""
-        due = slice(None) if due is None else due
-        self._holds[:, due, :self.ns] = (-self.c2 * i_o)[due], (-1j * np.conj(i_o))[due]
+        oscillators hold -c2 i_o, the droop laws -j conj(i_o), both written
+        in place; off its own law's slots each meets only zero constants."""
+        osc, rot = self._holds[..., :self.ns]
+        on = True if due is None else np.isin(np.arange(len(osc)), due)[:, None]
+        np.multiply(self.neg_c2, i_o, out=osc, where=on)
+        np.conjugate(i_o, out=rot, where=on)
+        np.multiply(rot, -1j, out=rot, where=on)
 
 
 class Simulation:
@@ -714,9 +744,22 @@ class Simulation:
         self.live_model = _Split(ms, width, live=True)
         self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
             else self.live_model
-        # Each noisy member and its flat oscillator slots.
-        self._noisy = [(mem, b * width + mem.dvoc_pos) for b, mem in enumerate(ms)
+        if self._sampled and self.live_model.dynamic:
+            # A sample's live i_o = g y + C dv/dt and the stepped model's N
+            # less the live one, as products of one matrix with y: with dv/dt
+            # = A y + N(y) of the live model, (g + C A) y + C N(y), and the
+            # difference of the two A times y.
+            live, ns = self.live_model, self.live_model.ns
+            a = live.a[:, :ns]
+            self._measure = np.concatenate(
+                [live.g + live.caps[..., None] * a, a - self.model.a[:, :ns]], axis=1)
+        # Each noisy member's rows of additive noise, over the whole batch
+        # state: NOISE_BLOCK rows, zero off the oscillator slots.
+        self._noisy = [(b, mem) for b, mem in enumerate(ms)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
+        if self._noisy:
+            self._noise = np.zeros((NOISE_BLOCK, n, width), dtype=complex)
+            self._scatter_noise()
 
         def blocks(mats, c):
             """(m, c m) stage matrices as (n, width, c width), each of the c
@@ -743,9 +786,13 @@ class Simulation:
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
 
+    def _scatter_noise(self):
+        """Copy each noisy member's block into its oscillator slots."""
+        for b, mem in self._noisy:
+            self._noise[:, b, mem.dvoc_pos] = mem.noise
+
     def _apply_due_events(self):
-        if self.step_index < self._next_event:
-            return
+        """Apply every member's events due at this step and restack."""
         self._derive_records()  # under the matrices they were taken with
         states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
         for b, mem in enumerate(self.members):
@@ -760,37 +807,66 @@ class Simulation:
     def step(self):
         """Apply due events, sample the controller measurement of every
         member with a sample due, then advance one ETDRK4 step of k dt,
-        k = ``step_multiple``."""
-        self._apply_due_events()
+        k = ``step_multiple``.  A sample at which every sampled member is
+        due hands the step its first stage's N (``_sample``)."""
+        if self.step_index >= self._next_event:
+            self._apply_due_events()
         k = self.step_index
+        have_n = False
         if k >= self._next_hold:
             due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
             if due:
-                self.model.hold(self.live_model.outputs(self.y)[1],
-                                None if len(due) == len(self.members) else due)
+                have_n = self._sample(None if len(due) == len(self.members) else due,
+                                      len(due) == len(self._sampled))
             for b in due:
                 self.members[b].stale = False
             self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
                                   for _, mem in self._sampled)
-        self._step_etdrk4()
+        self._step_etdrk4(have_n)
         if self._noisy:
-            y = self.y.reshape(-1)  # a view: the step's result is contiguous
-            for mem, slots in self._noisy:
-                y[slots] += mem.noise()
+            row = k % NOISE_BLOCK  # noise needs k = 1: one row per step
+            if row == 0:
+                for _, mem in self._noisy:
+                    mem.draw_noise()
+                self._scatter_noise()
+            self.y += self._noise[row]  # the step's result is a fresh array
         self.step_index += self._k
         self.t = self.step_index * self.config.dt
 
-    def _step_etdrk4(self):
+    def _sample(self, due, every):
+        """Hold the live i_o at the state for the members listed in ``due``
+        (all if None).  On the dynamic network i_o = g y + C dv/dt takes
+        dv/dt from one live N(y), written into stage 1's N slot.  With
+        ``every`` sampled member due, the held law at y then gives the live
+        dv/dt, so the stepped model's N(y) is the live one plus (A_live -
+        A) y: it completes the slot and True is returned."""
+        y, live = self.y, self.live_model
+        if not live.dynamic:
+            self.model.hold(live.outputs(y)[1], due)
+            return False
+        ns, n = live.ns, self._slots[1]
+        live.nonlinear(y.reshape(-1), out=self._n_slots[0])
+        prod = np.matmul(self._measure, y[..., None])[..., 0]
+        i_o = prod[:, :ns]
+        i_o += live.caps * n[:, :ns]
+        self.model.hold(i_o, due)
+        if every:
+            n[:, :ns] += prod[:, ns:]
+        return every
+
+    def _step_etdrk4(self, have_n=False):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
         propagated exactly and N's stages are weighted by phi-functions of
         hA, so stiff modes see N with the right weight.  Each N is written
-        straight into its slot of the stage vectors."""
+        straight into its slot of the stage vectors; with ``have_n`` the
+        slot of N(y) is already filled."""
         y, n = self.y, self.model.nonlinear
         zy, (sa, sb, sc, s) = self._slots[0], self._stage_in
         (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
         zn, za, zb, zc = self._n_slots
         zy[...] = y
-        n(y.reshape(-1), out=zn)
+        if not have_n:
+            n(y.reshape(-1), out=zn)
         np.matmul(wa, sa, out=u)
         n(uf, out=za)
         np.matmul(wb, sb, out=u)
@@ -851,7 +927,8 @@ class Simulation:
         self._records = np.empty((2, len(self.members), n_rec, self.live_model.ns), complex)
         self._derived = 0
 
-        self._apply_due_events()
+        if self.step_index >= self._next_event:
+            self._apply_due_events()
         # Each step makes a new state array, so a record at a step's end is a
         # reference to it; a record inside a step keeps a copy of the step's
         # stage vectors.  Both are derived later in bulk.  Overflow en route

@@ -454,9 +454,11 @@ class TestExponentialSplit:
         assert dev <= 1e-10, dev
 
     def test_nonlinear_evaluations_are_counted(self, monkeypatch):
-        # Four N per ETDRK4 step, one per block of derived records (i_o needs
-        # dv/dt) and, with sampled controllers on the dynamic network, one
-        # per controller sample.  A stray fifth N per step fails by count.
+        # Four N per ETDRK4 step and one per block of derived records (i_o
+        # needs dv/dt).  With sampled controllers on the dynamic network a
+        # sample evaluates the live N once, for the held i_o, and that step's
+        # first stage reuses it instead of evaluating the held N: still four
+        # per step.  A stray fifth N per step fails by count.
         from dvocsim.scenario import builtin_scenario
         from dvocsim.sim import RECORD_BLOCK, _Split
         calls = [0]
@@ -475,14 +477,66 @@ class TestExponentialSplit:
         assert calls[0] == 4 * 1800 + 36
         # The mixed grid sampled every 4th of 2000 steps: 500 samples on that
         # grid and one more at the load step applied at step 503, which
-        # splits the 201 records into two blocks.
+        # splits the 201 records into two blocks.  Each of the 501 samples'
+        # live N stands in for its step's first held N.
         doc = mixed_live_grid_dict()
         doc["events"] = [{"t_s": 0.0503, "type": "load_step", "node": "busB",
                           "g_siemens": 0.01}]
         sc = parse_scenario_dict(doc)
         calls[0] = 0
         run_scenario(sc, replace(sc.sim, controller_sample_hz=2500.0))
-        assert calls[0] == 4 * 2000 + 2 + 501
+        assert calls[0] == 4 * 2000 + 2
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_sample_step_reuses_the_live_rate(self, batch, rng):
+        # With the live i_o just held, the held law at y gives the live
+        # dv/dt, so the stepped model's N(y) is the live rate less A y, and a
+        # sample with every sampled member due writes it into stage 1's N
+        # slot.  The mixed live grid sampled at 2.5 kHz alone, or beside a
+        # live member and a narrower sampled all-oscillator member, at
+        # random states with the droop v = 0 in every fourth; the steps
+        # between samples evaluate N themselves.
+        sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict()),
+                          controller_sample_hz=2500.0)
+        members = [sampled, on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True))),
+                   on_grid(pu_scenario(branch_l=2e-4, cap=1e-4), controller_sample_hz=2500.0)]
+        sim = Simulation(members if batch else sampled)
+        model, live = sim.model, sim.live_model
+        (n, width), y0 = sim.y.shape, sim.y
+        seen = []
+        sim._step_etdrk4 = lambda have_n=False: seen.append((have_n, sim._slots[1].copy()))
+        for k in range(20):
+            y = np.zeros((n, width), dtype=complex)
+            for b, mem in enumerate(sim.members):
+                w = rng.normal(scale=0.05 * np.abs(y0[b]).max(), size=(mem.m, 2))
+                y[b, :mem.m] = y0[b, :mem.m] + (w[:, 0] + 1j * w[:, 1])
+                if k % 4 == 0:
+                    y[b, mem.droop_pos] = 0.0
+            sim.y, seen[:] = y, []
+            for _ in range(4):  # one sample, then three steps without
+                sim.step()
+            assert [have_n for have_n, _ in seen] == [True, False, False, False]
+            slot = seen[0][1]
+            a_y = np.matmul(model.a, y[..., None])[..., 0]
+            rate = live.rate(y)
+            want = model.nonlinear(y.reshape(-1)).reshape(n, width)
+            scale = np.maximum(np.abs(rate), np.abs(a_y)).max(axis=1, keepdims=True)
+            assert (np.abs(want - (rate - a_y)) <= 1e-12 * scale).all(), k
+            assert (np.abs(slot - want) <= 1e-12 * scale).all(), k
+            if batch:  # the live member's N is its own, bit for bit
+                assert np.array_equal(slot[1], want[1])
+
+    def test_sampled_members_on_different_sample_grids_match_their_single_runs(self):
+        # A sample at which only one sampled member is due holds that
+        # member's i_o alone, and stage 1 evaluates the held N: reusing the
+        # live rate there would run the other member on a stale measurement.
+        sampled = mixed_live_grid_dict(droop_first=True)
+        sampled["name"] = "mixed-sampled"
+        members = [on_grid(parse_scenario_dict(mixed_live_grid_dict()),
+                           controller_sample_hz=2500.0),
+                   on_grid(parse_scenario_dict(sampled), controller_sample_hz=1250.0),
+                   on_grid(pu_scenario(branch_l=2e-4, cap=1e-4))]
+        batch_against_single_runs(members)
 
     @pytest.mark.parametrize("name, sample_hz", [("mixed-live", None), ("mixed-live", 2500.0),
                                                  ("paper-fig5", None), ("droop-ref", None)])
@@ -615,9 +669,11 @@ class TestNetworkModes:
 
     def test_noise_blocks_match_per_step_draws(self):
         # Two noisy members over 600 steps: three noise blocks each, and
-        # member 0's load step restacks the batch at step 300.  Every step's
-        # draw equals one scale * standard_normal(2 n) call per step on a
-        # generator seeded as the member's, after its black-start angles.
+        # member 0's load step restacks the batch at step 300.  Every step
+        # adds one row to the state, zero off the oscillator slots; a
+        # member's part of it equals one scale * standard_normal(2 n) call
+        # per step on a generator seeded as the member's, after its
+        # black-start angles.
         from dvocsim.sim import NOISE_BLOCK, _Member
         sim_cfg = {"dt_s": 1e-4, "t_end_s": 0.06, "network_model": "quasistatic",
                    "record_decimation": 10, "noise_amplitude": 1e-3}
@@ -628,14 +684,23 @@ class TestNetworkModes:
         sim = Simulation(members)
         n_steps = int(round(sim.config.t_end / sim.config.dt))
         assert n_steps > 2 * NOISE_BLOCK
+        stepped, step_etdrk4 = [], sim._step_etdrk4
+
+        def capture(*args):  # the state before the step's noise
+            step_etdrk4(*args)
+            stepped.append(sim.y.copy())
+
+        sim._step_etdrk4 = capture
         draws = [[], []]
-        for mem, got in zip(sim.members, draws):
-            def noise(mem=mem, draw=mem.noise, got=got):
-                got.append(draw().copy())
-                return got[-1]
-            mem.noise = noise
         for _ in range(n_steps):
             sim.step()
+            row = sim._noise[(sim.step_index - 1) % NOISE_BLOCK]
+            assert np.array_equal(sim.y, stepped[-1] + row)
+            for b, (mem, got) in enumerate(zip(sim.members, draws)):
+                got.append(row[b, mem.dvoc_pos])
+                off = np.ones(row.shape[1], dtype=bool)
+                off[mem.dvoc_pos] = False
+                assert not row[b, off].any()
         assert sim.members[0].events_applied
         for sc, got in zip(members, draws):
             ref = _Member(sc, sc.sim)

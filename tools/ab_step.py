@@ -13,8 +13,11 @@ change/parent ratios and how many pairs the change won.
 Workloads:
     fig7           -- paper-fig7, the all-oscillator dispatch run
     droop-ref-q10  -- droop-ref cloned at 10 q targets in +-0.05, one batch
-    mixed-grid     -- the benchmark's generated dVOC + droop grid, seed 0,
-                      sampled and noisy (``perfbench/gen_grid.py``)
+    mixed-grid     -- the benchmark's generated dVOC + droop grid at its
+                      seed 1, grid 1, sampled and noisy
+                      (``perfbench/gen_grid.py``)
+    mixed-live     -- the same grid without controller sampling, so every
+                      droop law solves the live capacitor loop
 """
 
 import argparse
@@ -25,6 +28,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The generated grid that ``perfbench/run.py --workload mixed-grid --seed 1``
+# runs: shipped grid 1 of ``perfbench/reference/mixed_grid.json``.
+MIXED_GRID = 1
+WORKLOADS = ("fig7", "droop-ref-q10", "mixed-grid", "mixed-live")
 
 
 def load(src):
@@ -55,13 +62,16 @@ def scenarios(mods, workload):
         template = scenario.builtin_scenario("droop-ref")
         return [analysis._actuated_scenario(template, "q", -0.05 + 0.1 * k / 9)
                 for k in range(10)]
-    if workload == "mixed-grid":
+    if workload in ("mixed-grid", "mixed-live"):
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
         try:
             import gen_grid
         finally:
             sys.path.pop(0)
-        return scenario.parse_scenario_dict(gen_grid.generate(0))
+        doc = gen_grid.generate(MIXED_GRID)
+        if workload == "mixed-live":
+            del doc["sim"]["controller_sample_hz"]
+        return scenario.parse_scenario_dict(doc)
     raise SystemExit(f"unknown workload {workload!r}")
 
 
@@ -84,13 +94,12 @@ def main(argv=None):
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append",
-                    choices=("fig7", "droop-ref-q10", "mixed-grid"))
+    ap.add_argument("--workload", action="append", choices=WORKLOADS)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
     sides = (load(args.parent_src), load(args.change_src))
-    for workload in args.workload or ("fig7", "droop-ref-q10", "mixed-grid"):
+    for workload in args.workload or WORKLOADS:
         members = [scenarios(mods, workload) for mods in sides]
         for mods, m in zip(sides, members):  # warm-up, untimed
             us_per_step(mods, m)

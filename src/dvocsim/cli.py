@@ -13,6 +13,7 @@ reported as a JSON summary on stderr.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -142,6 +143,8 @@ def _parse_range(spec):
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ScenarioError([f"--range must be a:b:n with numbers, got {spec!r}"]) from exc
+    if not math.isfinite(b - a):  # also nan or inf at either end
+        raise ScenarioError([f"--range needs finite a, b and b - a, got {spec!r}"])
     if n < 2 or b <= a:
         raise ScenarioError(["--range needs b > a and n >= 2"])
     return np.linspace(a, b, n)

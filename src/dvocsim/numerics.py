@@ -1,7 +1,5 @@
 """Small numerical utilities shared across the package."""
 
-import math
-
 import numpy as np
 
 
@@ -72,18 +70,9 @@ def gauss_newton(residual, x0, tol=1e-12, max_iter=100):
     return x, r, False, max_iter
 
 
-# Higham (2005), SIAM J. Matrix Anal. Appl. 26: Pade degrees m with the
-# largest 1-norm theta_m for which r_m(A) meets double-precision backward
-# error, and the numerator coefficients b_0..b_m of each approximant.
-_PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                               25200.0, 1512.0, 56.0, 1.0)),
-    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
-                              302702400.0, 30270240.0, 2162160.0, 110880.0,
-                              3960.0, 90.0, 1.0)),
-)
+# Higham (2005), SIAM J. Matrix Anal. Appl. 26: the largest 1-norm theta_13
+# for which the degree-13 Pade approximant r_13(A) meets double-precision
+# backward error, and its numerator coefficients b_0..b_13.
 _THETA13 = 5.371920351148152e0
 _B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
         1187353796428800.0, 129060195264000.0, 10559470521600.0,
@@ -92,31 +81,26 @@ _B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 
 
 def expm(a):
-    """Matrix exponential exp(a) of a square real or complex matrix.
+    """Matrix exponential exp(a) of a square real or complex matrix, or of
+    each matrix of a stack (..., n, n).
 
-    Pade scaling and squaring (Higham 2005): the lowest-degree approximant
-    whose theta bounds ||a||_1, else a / 2^s with the degree-13 approximant
-    and s squarings.  No eigendecomposition, so defective matrices are
-    handled like any other.
+    Pade scaling and squaring (Higham 2005) with the degree-13 approximant
+    only: each matrix is scaled by 2^-s, s >= 0 the fewest halvings that
+    bring its ||.||_1 within theta_13, and squared s times, so a matrix of
+    a stack gets the operations it would get alone.  Higham's lower degrees
+    would only save flops on small norms.  No eigendecomposition, so
+    defective matrices are handled like any other.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
-    eye = np.eye(len(a), dtype=a.dtype)
-    norm = np.linalg.norm(a, 1)
-    if not math.isfinite(norm):
-        raise ValueError(f"expm needs a finite matrix, got ||a||_1 = {norm}")
-    for m, theta, b in _PADE:
-        if norm <= theta:
-            powers = [eye, a @ a]
-            for _ in range(m // 2 - 1):
-                powers.append(powers[-1] @ powers[1])
-            u = a @ sum(b[2 * j + 1] * powers[j] for j in range(m // 2 + 1))
-            v = sum(b[2 * j] * powers[j] for j in range(m // 2 + 1))
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, int(math.ceil(math.log2(norm / _THETA13))))
-    a = a / 2.0**s
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expm needs square matrices, got shape {a.shape}")
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"expm needs finite matrices, got ||a||_1 = {np.max(norm)}")
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a / (2.0**s)[..., None, None]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     b = _B13
     a2 = a @ a
     a4 = a2 @ a2
@@ -126,6 +110,7 @@ def expm(a):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     e = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        e = e @ e
+    for i in range(s.max(initial=0)):
+        due = s > i  # the matrices with more than i squarings
+        e[due] = e[due] @ e[due]
     return e

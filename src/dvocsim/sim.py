@@ -14,9 +14,10 @@ branch currents in ``DynamicNetwork.branch_ids`` order.  Oscillator and droop
 rows are picked by index arrays.  ``Simulation.y`` is (B, M): member b's
 state in row b, padded with zeros to the widest member.  Each member keeps
 its own parameters, topology, event timeline, controller sampling and noise
-generator, seeded as its single run would be.  At an event only that member
-is rebuilt; its branch currents are carried over by branch id and a newly
-connected branch starts at zero.  A single run is the batch of one.
+generator, seeded as its single run would be.  At an event only that
+member's coefficients and A are rebuilt; its branch currents are carried
+over by branch id and a newly connected branch starts at zero.  A single run
+is the batch of one.
 
 Every configuration -- oscillator, droop or mixed inverters, dynamic or
 quasi-static network, continuous or sampled controllers -- is split into
@@ -37,15 +38,19 @@ capacitor loop is live, its closed form (below) gives dr/dt from the same
 r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews ETDRK4
 step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default), whose
 matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come from
-one augmented matrix exponential per compile, so the fast branch-current
-pole does not bound the step.  The members' stage matrices are stacked as
-(B, M, k M), zero on the padding, so each stage is one ``np.matmul`` for
-the whole batch and a padded slot stays exactly 0.
+an augmented matrix exponential, so the fast branch-current pole does not
+bound the step.  At every restack the batch's stage matrices, (B, M, c M)
+for c blocks, are built from the stepped model's padded A, (B, M, M), in
+one stacked ``expm`` call (one more for the dense output when k > 1), so
+each stage is one ``np.matmul`` for the whole batch.  The padded A is block
+diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded slot only multiply
+padded slots of y and N, which are exactly 0, and every weight between a
+member's slots and its padding is exactly 0, so a padded slot stays 0.
 
 The batch's split is one model object, ``_Split``, built from the members
 at every restack.  It holds the stacked A and every constant N reads, and
 gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
-member keeps its coefficients and the A its ETDRK4 weights are built from.
+member keeps its coefficients and its A, live and held, over its own state.
 
 A controller sample on the dynamic network evaluates the live N(y) once:
 it gives the measured i_o = g y + C dv/dt.  With the measurement just held,
@@ -70,7 +75,7 @@ it in place before the record point), so a
 record at a step's end only keeps a reference to the state.  A step with
 records inside it keeps a copy of its stage vectors z = [y, N(y), N(a),
 N(b), N(c)]: ETDRK4's continuous extension gives the state at t + (j/k) h as
-W_j z, with W_j built once per compile from the same augmented exponential
+W_j z, with W_j built at every restack from one more augmented exponential
 (``_dense_weights``).  At k = 1 no step has records inside it.  The pending
 records are turned into states (one batched ``np.matmul`` per offset j),
 checked finite and turned into v and i_o together, with one batched
@@ -111,7 +116,7 @@ class SimulationDiverged(RuntimeError):
 
 # Cap on the step count round(t_end / dt); the record arrays grow with it.
 MAX_STEPS = 10_000_000
-# Cap on step_multiple; each compile builds one dense weight matrix per offset.
+# Cap on step_multiple; each restack builds one dense weight matrix per offset.
 MAX_STEP_MULTIPLE = 100
 
 
@@ -319,7 +324,8 @@ def _finalize_traces(t, v, i_o, members, n_steps):
 
 
 def _etdrk4_weights(a, h):
-    """Stage matrices of Cox-Matthews ETDRK4 for dy/dt = a y + N(y).
+    """Stage matrices of Cox-Matthews ETDRK4 for dy/dt = a y + N(y), for a
+    matrix a or each of a stack (..., m, m).
 
     With Z = [[h a / 2, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0], the top
     block row of exp(Z) is [exp(ha/2), phi_1(ha/2), phi_2(ha/2), phi_3(ha/2)]
@@ -332,32 +338,33 @@ def _etdrk4_weights(a, h):
     W the continuous extension of ``_dense_weights`` at theta = 1 (k = j = 2:
     ``_extension`` of exp(2Z)).  Returns the four block rows.
     """
-    m = len(a)
+    m = a.shape[-1]
     w = _phi_chain(a, 0.5 * h)
-    half = w[:m]
+    half = w[..., :m, :]
     full = half @ w
-    e2, e, p = half[:, :m], full[:, :m], 0.5 * h * half[:, m:2 * m]
+    e2, e, p = half[..., :m], full[..., :m], 0.5 * h * half[..., m:2 * m]
     zero = np.zeros_like(p)
-    return (np.hstack([e2, p]), np.hstack([e2, zero, p]),
-            np.hstack([e, e2 @ p - p, zero, 2.0 * p]), _extension(full, h, 2))
+    return (np.concatenate([e2, p], axis=-1), np.concatenate([e2, zero, p], axis=-1),
+            np.concatenate([e, e2 @ p - p, zero, 2.0 * p], axis=-1), _extension(full, h, 2))
 
 
 def _phi_chain(a, s):
     """exp(Z) for Z = [[s a, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0], whose
-    top block row is [exp(sa), phi_1(sa), phi_2(sa), phi_3(sa)]."""
-    m = len(a)
-    z = np.zeros((4 * m, 4 * m), dtype=complex)
-    z[:m, :m] = s * a
+    top block row is [exp(sa), phi_1(sa), phi_2(sa), phi_3(sa)], for a
+    matrix a or each of a stack."""
+    m = a.shape[-1]
+    z = np.zeros(a.shape[:-2] + (4 * m, 4 * m), dtype=complex)
+    z[..., :m, :m] = s * a
     for k in range(3):
-        z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
+        z[..., k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
     return expm(z)
 
 
 def _dense_weights(a, h, k):
     """ETDRK4's continuous extension (Hochbruck & Ostermann 2010) at the
-    offsets theta = j / k, j = 1, ..., k, of a step of size h.  The state at
-    t + theta h is W_j z for the step's stage vector z = [y, N(y), N(a),
-    N(b), N(c)], with
+    offsets theta = j / k, j = 1, ..., k, of a step of size h, for a matrix
+    a or each of a stack.  The state at t + theta h is W_j z for the step's
+    stage vector z = [y, N(y), N(a), N(b), N(c)], with
         W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
         b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
         b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
@@ -366,19 +373,19 @@ def _dense_weights(a, h, k):
     j^3 phi_3] of theta ha, so one matrix exponential gives every W_j.  W_k
     is the step's own last stage matrix."""
     w = _phi_chain(a, h / k)
-    rows = itertools.accumulate([w[:len(a)]] + [w] * (k - 1), np.matmul)
+    rows = itertools.accumulate([w[..., :a.shape[-1], :]] + [w] * (k - 1), np.matmul)
     return [_extension(row, h, k) for row in rows]
 
 
 def _extension(row, h, k):
     """W_j of ``_dense_weights`` from the top block row of exp(jZ), Z as in
     ``_phi_chain`` with s = h / k."""
-    m = len(row)
+    m = row.shape[-2]
     # theta^i phi_i(theta ha) = j^i phi_i / k^i
-    p1, p2, p3 = (row[:, i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
+    p1, p2, p3 = (row[..., i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
     b23 = h * (2.0 * p2 - 4.0 * p3)
-    return np.hstack([row[:, :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
-                      h * (4.0 * p3 - p2)])
+    return np.concatenate([row[..., :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
+                           h * (4.0 * p3 - p2)], axis=-1)
 
 
 def _padded(arrays, shape):
@@ -452,7 +459,7 @@ class _Member:
         self.noise = (self.noise_scale * w).view(complex)
 
     def compile(self, y):
-        """Rebuild the coefficients, A and the step matrices for the current
+        """Rebuild the coefficients and A, live and held, for the current
         topology and parameter set; returns the state y with the branch
         currents carried over by branch id."""
         self.caps = np.array([self.topology.shunt_caps.get(n, 0.0)
@@ -498,12 +505,6 @@ class _Member:
         self.stale = True  # a sampled controller holds anew at the next step
         self.a_live = self._a(live=True)
         self.a_held = None if self.sample_steps is None else self._a(live=False)
-        a = self.a_live if self.a_held is None else self.a_held
-        k = self.config.stride
-        h = self.config.dt * k
-        self.etd = _etdrk4_weights(a, h)
-        # Dense output at the interior dt offsets of a step, for records.
-        self.dense = _dense_weights(a, h, k)[:-1] if k > 1 else []
         return y
 
     def _a(self, live):
@@ -761,16 +762,11 @@ class Simulation:
             self._noise = np.zeros((NOISE_BLOCK, n, width), dtype=complex)
             self._scatter_noise()
 
-        def blocks(mats, c):
-            """(m, c m) stage matrices as (n, width, c width), each of the c
-            blocks padded alone."""
-            return _padded([w.reshape(len(w), c, -1) for w in mats],
-                           (width, c, width)).reshape(n, width, c * width)
-
-        # Stage k of ETDRK4 is k + 2 blocks wide; the dense weights are 5.
-        self._etd = tuple(blocks([mem.etd[k] for mem in ms], k + 2) for k in range(4))
-        self._dense = tuple(blocks([mem.dense[j] for mem in ms], 5)
-                            for j in range(self._k - 1))
+        # ETDRK4's stage matrices (stage k is k + 2 blocks wide) and the dense
+        # output at a step's interior dt offsets, from the stepped padded A.
+        k, a = self._k, self.model.a
+        self._etd = _etdrk4_weights(a, self.config.dt * k)
+        self._dense = _dense_weights(a, self.config.dt * k, k)[:-1] if k > 1 else []
         # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
         # and the leading parts each stage multiplies.
         self._z = z = np.zeros((n, 5 * width), dtype=complex)

@@ -194,10 +194,17 @@ class TestDroopSweepCommand:
         assert header[0] == "target"
         np.testing.assert_allclose(data["f0"], [-0.05, 0.0, 0.05])
 
-    def test_bad_range_rejected(self, tiny_scenario, tmp_path, capsys):
+    # Non-finite ends and a span b - a that overflows are rejected as
+    # --range errors, before the grid is built or any point is run.
+    @pytest.mark.parametrize("spec", ["1:2", "nan:0.05:3", "0.05:nan:3", "-0.05:inf:3",
+                                      "-1e308:1e308:3"])
+    def test_bad_range_rejected(self, tiny_scenario, tmp_path, capsys, spec):
         rc = main(["droop-sweep", tiny_scenario, "--axis", "p",
-                   "--range", "1:2", "--out", str(tmp_path / "o")])
+                   f"--range={spec}", "--out", str(tmp_path / "o")])
         assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "--range" in err["details"][0]
 
     def test_point_at_series_resistance_limit_is_a_validation_error(self, tmp_path, capsys):
         # droop-ref has v* = 1 and R = 0.01: a load drawing p = v*^2/R = 100

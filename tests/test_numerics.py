@@ -14,14 +14,14 @@ def rel_dev(got, want):
 
 def split_simulations():
     """(label, A, exp(hA), exp(hA/2), h) per built-in, before and after each
-    of its events, with the propagators read off the ETDRK4 stage matrices
-    of its step h = step_multiple dt."""
+    of its events, with the propagators read off the batch's stacked ETDRK4
+    stage matrices of its step h = step_multiple dt."""
     sims = []
 
     def entry(label, sim):
         a = sim.model.a[0]
         m = len(a)
-        wa, _, _, wy = sim.members[0].etd
+        wa, _, _, wy = (w[0] for w in sim._etd)
         return (label, a, wy[:, :m], wa[:, :m],
                 sim.config.dt * sim.config.stride)
 
@@ -76,6 +76,27 @@ class TestExpm:
         # An infinite norm once raised OverflowError choosing the squarings.
         with pytest.raises(ValueError):
             expm(np.array([[1.0, bad], [0.0, 1.0]]))
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = bad
+        with pytest.raises(ValueError):  # one bad matrix anywhere in a stack
+            expm(stack)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_matches_each_matrix_alone(self, rng, dtype):
+        # ||a||_1 from 1e-3 to 200: no squaring up to six.  Every slice of
+        # the stacked call is expm of that matrix alone, bit for bit.
+        base = rng.normal(size=(6, 5, 5)).astype(dtype)
+        if dtype is complex:
+            base += 1j * rng.normal(size=(6, 5, 5))
+        base /= np.abs(base).sum(axis=-2).max(axis=-1)[:, None, None]
+        stack = base * np.array([1e-3, 0.5, 4.0, 60.0, 200.0, 1.0])[:, None, None]
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for a, e in zip(stack, got):
+            alone = expm(a)
+            assert alone.shape == a.shape
+            assert np.array_equal(e, alone)
+        assert np.array_equal(expm(stack.reshape(2, 3, 5, 5)), got.reshape(2, 3, 5, 5))
 
 
 class TestEtdrk4Weights:
@@ -108,6 +129,18 @@ class TestEtdrk4Weights:
             for got, ref in zip((wy[:, m:2 * m], wy[:, 2 * m:3 * m], wy[:, 4 * m:]), want):
                 assert rel_dev(got, ref) <= 1e-12, label
             assert rel_dev(wy[:, 2 * m:3 * m], wy[:, 3 * m:4 * m]) == 0.0, label
+
+    def test_stacked_weights_match_each_matrix_alone(self, rng):
+        # ||hA||_1 from 0.07 to 440: the augmented matrices take no
+        # squaring, four or up to six.
+        h = 1e-3
+        a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        a *= np.array([1e1, 1e3, 3e4, 1e5])[:, None, None]
+        stacked = _etdrk4_weights(a, h) + tuple(_dense_weights(a, h, 3))
+        for b in range(len(a)):
+            alone = _etdrk4_weights(a[b], h) + tuple(_dense_weights(a[b], h, 3))
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[b], want), b
 
     @pytest.mark.parametrize("k", [2, 5, 10])
     def test_dense_weights_match_scipy_and_the_step(self, k):

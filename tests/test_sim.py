@@ -8,7 +8,8 @@ import pytest
 from dvocsim.control import DroopParams, PolarState, droop_rhs, dvoc_rhs
 from dvocsim.network import DynamicNetwork, measure_power, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
-from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, run_scenario
+from dvocsim.sim import (SimConfig, Simulation, SimulationDiverged, _dense_weights,
+                         _etdrk4_weights, run_scenario)
 
 from conftest import OMEGA0, pu_scenario, pu_scenario_dict
 
@@ -928,10 +929,11 @@ def batch_against_single_runs(members):
 class TestBatch:
     def test_heterogeneous_members_match_their_single_runs(self):
         # A member's stage products run over its zero-padded rows of the
-        # stacked matrices, and BLAS may sum a longer row in another order:
-        # every member here is narrower than the batch for part of the run,
-        # so each may round differently from its single run (measured: all
-        # five, by at most 2.5e-14 of a column's scale).
+        # stacked matrices, and BLAS may sum a longer row in another order,
+        # in the steps and in the weights built from the padded A: every
+        # member here is narrower than the batch for part of the run, so
+        # each may round differently from its single run (measured: all
+        # five, by at most 4e-14 of a v, i_o, p or |v| column's scale).
         not_bitwise = batch_against_single_runs(heterogeneous_batch())
         print("members not bit-identical to their single runs:", not_bitwise or "none")
 
@@ -955,6 +957,60 @@ class TestBatch:
             for b, mem in enumerate(sim.members):
                 assert not sim.y[b, mem.m:].any(), (b, sim.step_index)
         assert len(widths) > 1  # events changed the batch's width
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stage_matrices_are_block_diagonal(self, k):
+        # The batch's weights come from the padded A in one stacked call.
+        # After every restack each member's blocks match the weights of its
+        # own A, and every weight between its slots and its padding is 0.
+        members = heterogeneous_batch()
+        if k > 1:  # without noise, which needs one dt per step
+            members = [replace(m, sim=replace(m.sim, step_multiple=k, noise_amplitude=0.0))
+                       for m in members]
+        sim, widths, h = Simulation(members), set(), members[0].sim.dt * k
+        while True:
+            width = sim.y.shape[1]
+            widths.add(width)
+            for b, mem in enumerate(sim.members):
+                m = mem.m
+                a = mem.a_live if mem.a_held is None else mem.a_held
+                own = _etdrk4_weights(a, h) + tuple(_dense_weights(a, h, k)[:-1])
+                assert len(own) == len(sim._etd) + len(sim._dense) == 3 + k
+                for got, want in zip(sim._etd + tuple(sim._dense), own):
+                    got = got[b].reshape(width, -1, width)
+                    want = want.reshape(m, -1, m)
+                    for c in range(want.shape[1]):
+                        scale = np.abs(want[:, c]).max()
+                        assert np.abs(got[:m, c, :m] - want[:, c]).max() <= 1e-13 * scale
+                    assert not got[:m, :, m:].any() and not got[m:, :, :m].any(), b
+            steps = [mem.pending[0][0] for mem in sim.members if mem.pending]
+            if not steps:
+                break
+            sim.step_index = min(steps)
+            sim._apply_due_events()
+        assert len(widths) > 1  # events changed the batch's width
+
+    @pytest.mark.parametrize("k, calls", [(5, 2), (1, 1)])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_one_stacked_compile_per_batch(self, monkeypatch, n, k, calls):
+        # A droop-ref sweep batch builds its ETDRK4 weights with one stacked
+        # expm, plus one for the dense output when k > 1, whatever B is.
+        from dvocsim.analysis import _actuated_scenario
+        from dvocsim.numerics import expm
+        from dvocsim.scenario import builtin_scenario
+        template = builtin_scenario("droop-ref")
+        template = replace(template, sim=replace(template.sim, step_multiple=k))
+        members = [_actuated_scenario(template, "q", q) for q in np.linspace(-0.05, 0.05, n)]
+        shapes = []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr("dvocsim.sim.expm", counted)
+        Simulation(members)
+        assert len(shapes) == calls
+        assert all(shape[0] == n for shape in shapes)
 
     def test_batched_nonlinear_matches_each_members_own(self, rng):
         # N over the whole batch state, live and held, against each member's

@@ -1,9 +1,9 @@
 """Closed-form oracles and trace post-processing.
 
-Contains the black-start amplitude solution and its brute-force ODE oracle,
-steady-state droop curves (exact stationary solve plus linear overlays),
-frequency/amplitude/synchronization metrics extracted from traces, and the
-set-point consistency checker (Gauss-Newton on the quasi-static power flow).
+Contains the black-start amplitude solution, steady-state droop curves
+(exact stationary solve plus linear overlays), frequency/amplitude/
+synchronization metrics extracted from traces, and the set-point
+consistency checker (Gauss-Newton on the quasi-static power flow).
 
 Everything here is pure post-processing, except the simulated droop sweep,
 which runs all its grid points as the members of one batched simulation
@@ -18,7 +18,7 @@ import numpy as np
 from .control import (PolarState, droop_approx_freq, droop_approx_vmag_ss,
                       droop_vmag_tangent_ss, dvoc_rhs_polar)
 from .network import Branch, forward_power_flow
-from .numerics import gauss_newton, rk4_scalar
+from .numerics import gauss_newton
 from .scenario import ScenarioError
 from .sim import Simulation
 
@@ -68,24 +68,6 @@ def blackstart_analytic(v0, params, times):
     else:
         mags = vs / np.sqrt(1.0 - ginv2)
     return BlackStartCurve(times=times, magnitudes=mags, h0=h0, degenerate=False)
-
-
-def integrate_magnitude_ode(v0, params, times, max_dt=None):
-    """Brute-force RK4 oracle for the scalar black-start amplitude ODE.
-
-    Independent of blackstart_analytic: integrates
-    d|v|/dt = (eta alpha / v_star^2)(v_star^2 - |v|^2)|v| directly and
-    reports |v| on ``times``.
-    """
-    rate = params.eta * params.alpha
-    vs2 = params.v_star**2
-    if max_dt is None:
-        max_dt = 0.02 / rate
-
-    def rhs(r):
-        return rate / vs2 * (vs2 - r * r) * r
-
-    return rk4_scalar(rhs, v0, np.asarray(times, dtype=float), max_dt)
 
 
 @dataclass

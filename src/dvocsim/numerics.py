@@ -3,29 +3,6 @@
 import numpy as np
 
 
-def rk4_scalar(f, y0, t_grid, max_dt):
-    """Classic RK4 on an autonomous scalar ODE dy/dt = f(y).
-
-    Integrates along ``t_grid`` (plain floats for speed), subdividing each
-    interval into equal substeps no longer than ``max_dt``.  Returns the
-    solution sampled at ``t_grid``.
-    """
-    y = float(y0)
-    ys = [y]
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        span = float(t1 - t0)
-        n = max(1, int(np.ceil(span / max_dt - 1e-12)))
-        h = span / n
-        for _ in range(n):
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys.append(y)
-    return np.array(ys)
-
-
 def _numeric_jacobian(residual, x, r0):
     m = len(np.atleast_1d(r0))
     n = len(x)

@@ -42,7 +42,10 @@ an augmented matrix exponential, so the fast branch-current pole does not
 bound the step.  At every restack the batch's stage matrices, (B, M, c M)
 for c blocks, are built from the stepped model's padded A, (B, M, M), in
 one stacked ``expm`` call (one more for the dense output when k > 1), so
-each stage is one ``np.matmul`` for the whole batch.  The padded A is block
+each stage is one ``np.matmul`` for the whole batch.  A single run (B = 1)
+takes the same products through ``ndarray.dot`` on 2-D views of them and
+1-D views of z: BLAS gemv, bit-identical to the stacked product and about
+half its fixed cost per call, which is most of a step.  The padded A is block
 diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded slot only multiply
 padded slots of y and N, which are exactly 0, and every weight between a
 member's slots and its padding is exactly 0, so a padded slot stays 0.
@@ -51,6 +54,9 @@ The batch's split is one model object, ``_Split``, built from the members
 at every restack.  It holds the stacked A and every constant N reads, and
 gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
 member keeps its coefficients and its A, live and held, over its own state.
+N writes every intermediate into scratch arrays made once per input shape
+(``_Scratch``) and keeps the live droop current's rows times j, so its
+quarter turn -j conj(i_o) is one conjugate.
 
 A controller sample on the dynamic network evaluates the live N(y) once:
 it gives the measured i_o = g y + C dv/dt.  With the measurement just held,
@@ -73,17 +79,18 @@ step makes a new state array (additive noise, drawn NOISE_BLOCK steps at a
 time per member and scattered into one full-width row per step, is added to
 it in place before the record point), so a
 record at a step's end only keeps a reference to the state.  A step with
-records inside it keeps a copy of its stage vectors z = [y, N(y), N(a),
-N(b), N(c)]: ETDRK4's continuous extension gives the state at t + (j/k) h as
-W_j z, with W_j built at every restack from one more augmented exponential
-(``_dense_weights``).  At k = 1 no step has records inside it.  The pending
-records are turned into states (one batched ``np.matmul`` per offset j),
-checked finite and turned into v and i_o together, with one batched
-``np.matmul`` per product, whenever RECORD_BLOCK of them have gathered,
-before every event restack (so each block is derived with the matrices of
-the compile segment it was taken in) and at the end of the run.  The first
-non-finite record raises SimulationDiverged with its own time and dt step,
-as a check at every record point would.
+records inside it copies its stage vectors z = [y, N(y), N(a), N(b), N(c)]
+into the next row of a RECORD_BLOCK-row block: ETDRK4's continuous
+extension gives the state at t + (j/k) h as W_j z, with W_j built at every
+restack from one more augmented exponential (``_dense_weights``).  At k = 1
+no step has records inside it.  The pending records are turned into states
+(one batched ``np.matmul`` per offset j, over the block's rows or one
+gather of them), checked finite and turned into v and i_o together, with
+one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them have
+gathered, before every event restack (so each block is derived with the
+matrices of the compile segment it was taken in) and at the end of the
+run.  The first non-finite record raises SimulationDiverged with its own
+time and dt step, as a check at every record point would.
 """
 
 import functools
@@ -546,10 +553,10 @@ class _Split:
     droop, floor -- whether any slot holds a droop inverter; _EPS per slot
     a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
                   constants of the droop law and the offset _EPS of v
-    meas, cap  -- (B, M, M), the droop rows of the live current, cap current
-                  excluded (None: every droop law is held), and (kp c, kq c,
-                  kp kq c^2) of each droop terminal's capacitance c (None: no
-                  live loop)
+    meas, cap  -- (B, M, M), j times the droop rows of the live current, cap
+                  current excluded (None: every droop law is held), and (kp c,
+                  kq c, kp kq c^2) of each droop terminal's capacitance c
+                  (None: no live loop)
     """
 
     def __init__(self, members, width, live, prev=None):
@@ -575,11 +582,12 @@ class _Split:
             law[:4, b, dr] = mem.a_dr, mem.b_dr, mem.kp, mem.kq
             eps[b, dr] = _EPS
             if lv:
-                meas[b, dr, :mem.m] = mem.g[dr]
+                meas[b, dr, :mem.m] = 1j * mem.g[dr]
                 law[4, b, dr] = mem.caps[dr] if self.dynamic else 0.0
         if not c1.imag.any():
             c1, c1v = c1.real.copy(), c1v.real.copy()
         self.c1, self.c1v, self.eps = c1.reshape(-1), c1v.reshape(-1), eps.reshape(-1)
+        self._real_c1 = c1.dtype == float
         self.a_dr, self.b_dr, self.kp, self.kq, c = law.reshape(5, -1)
         self.floor = np.full(n * width, _EPS)
         # Interleaved (real, imag) pairs (-kq, kp) and (b_dr, 0).
@@ -592,35 +600,49 @@ class _Split:
         if prev is not None:  # held values sit in the inverter slots
             self._holds[..., :ns] = prev._holds[..., :ns]
         self._held, self._held_rot = self._holds.reshape(2, -1)
+        self._hold_slots = self._holds[..., :ns]
+        self._scratch = {}  # input shape -> _Scratch of N
 
     def nonlinear(self, y, out=None):
         """N(y) for the flattened batch state y, (B M,), or for a stack of
         such states, (K, B M), its last product written into ``out`` if
         given: y's shape or a (B, M) stage slot.  Without a droop slot, N is
-        the cubic's gain on v in five numpy calls; with one, the droop law
-        joins that gain, its terms exactly 0 off the droop slots."""
+        the cubic's gain on v; with one, the droop law joins that gain, its
+        terms exactly 0 off the droop slots.  Every intermediate lives in
+        the scratch arrays of y's shape; the result is ``out`` or a fresh
+        array, never one of them."""
+        s = self._scratch.get(y.shape)
+        if s is None:
+            s = self._scratch[y.shape] = _Scratch(self, y.shape)
+        mag = np.abs(y, s.mag)
         if not self.droop:
-            gain, w = self.c1 - self.c1v * np.abs(y)**2, y
+            gain, w = s.cubic, y
+            np.square(mag, mag)
+            np.multiply(self.c1v, mag, gain)
+            np.subtract(self.c1, gain, gain)
         else:
             # The droop law without trigonometry, as a gain on v: dv/dt =
             # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
             # offset by as much, so v = 0 reads as theta = 0.
-            mag = np.abs(y)
-            r = np.maximum(mag, self.floor)
+            r = np.maximum(mag, self.floor, out=s.r)
             # t = -j v conj(i_o) = q - j p: the exact quarter turn of
             # s = p + j q puts q, the term that r divides, in the real part.
+            # meas is stored times j, so the live -j conj(i_o) is conj(meas y).
+            t = s.t
             if self.meas is None:
-                t = y * self._held_rot
+                np.multiply(y, self._held_rot, t)
             else:
-                rot = np.matmul(self.meas, y.reshape(y.shape[:-1] + self.meas.shape[:2] + (1,)))
-                rot = -1j * np.conj(rot.reshape(y.shape))
+                if s.col is None:  # one member's state: BLAS gemv
+                    self.meas[0].dot(y, t)
+                else:
+                    np.matmul(self.meas, y.reshape(s.col), s.t_col)
+                np.conjugate(t, t)
                 if self.held:
-                    rot += self._held_rot
-                t = y * rot
-            u = t.view(float)  # (q, -p) per slot
+                    t += self._held_rot
+                np.multiply(y, t, t)
+            u, re = s.u, s.re  # (q, -p) per slot and q
             u *= self._kqp
             u += self._b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
-            re = t.real
             if self.cap is not None:
                 # i_o = i_net + C dv/dt adds c r dr/dt to p and -c r^2
                 # dtheta/dt to q, linear in both rates: in closed form,
@@ -628,18 +650,18 @@ class _Split:
                 #           / (1 + kp kq c^2 r^3),
                 # and the p that dtheta/dt sees gains c r dr/dt.
                 kp_c, kq_c, kpkq_c2 = self.cap
-                im = t.imag
-                r2 = r * r
-                den = kpkq_c2 * r2
+                im, r2, den, num = s.im, s.r2, s.den, s.num
+                np.multiply(r, r, r2)
+                np.multiply(kpkq_c2, r2, den)
                 den *= r
                 den += 1.0
-                num = self.a_dr + im
+                np.add(self.a_dr, im, num)
                 num *= kq_c
                 num *= r2
                 re -= r
                 re += num
                 re /= den  # dr/dt
-                np.multiply(kp_c, r, out=num)
+                np.multiply(kp_c, r, num)
                 num *= re
                 im -= num
                 re += r
@@ -647,17 +669,18 @@ class _Split:
             # plus the cubic's gain, in real arithmetic where c1 is real.
             re /= r
             mag *= mag
-            cubic = self.c1v * mag
-            np.subtract(self.c1, cubic, out=cubic)
-            if cubic.dtype == float:
+            cubic = s.cubic
+            np.multiply(self.c1v, mag, cubic)
+            np.subtract(self.c1, cubic, cubic)
+            if self._real_c1:
                 re += cubic
             else:
                 t += cubic
-            gain, w = t, y + self.eps
+            gain, w = t, np.add(y, self.eps, s.w)
         held = self._held
         if out is not None and out.shape != y.shape:  # a slot with no 1-D view
             gain, w, held = (x.reshape(out.shape) for x in (gain, w, held))
-        out = np.multiply(gain, w, out=out)
+        out = np.multiply(gain, w, out)
         if self.held:
             out += held
         return out
@@ -684,11 +707,36 @@ class _Split:
         (all if None) measure ``i_o`` (B, ns) until their next sample.  The
         oscillators hold -c2 i_o, the droop laws -j conj(i_o), both written
         in place; off its own law's slots each meets only zero constants."""
-        osc, rot = self._holds[..., :self.ns]
-        on = True if due is None else np.isin(np.arange(len(osc)), due)[:, None]
+        osc, rot = self._hold_slots
+        if due is None:
+            np.multiply(self.neg_c2, i_o, osc)
+            np.conjugate(i_o, rot)
+            np.multiply(rot, -1j, rot)
+            return
+        on = np.isin(np.arange(len(osc)), due)[:, None]
         np.multiply(self.neg_c2, i_o, out=osc, where=on)
         np.conjugate(i_o, out=rot, where=on)
         np.multiply(rot, -1j, out=rot, where=on)
+
+
+class _Scratch:
+    """The work arrays of ``_Split.nonlinear`` for one input shape, made on
+    its first call with that shape and reused by every later one."""
+
+    def __init__(self, model, shape):
+        self.mag = np.empty(shape)
+        self.cubic = np.empty(shape, dtype=model.c1.dtype)
+        if not model.droop:
+            return
+        self.r, self.r2, self.den, self.num = np.empty((4,) + shape)
+        self.t, self.w = np.empty((2,) + shape, dtype=complex)
+        self.u, self.re, self.im = self.t.view(float), self.t.real, self.t.imag
+        # The live current's product: gemv on one member's state, else
+        # (..., B, M, 1) stacks of the batch's matrices and states.
+        self.col = self.t_col = None
+        if model.meas is not None and (len(shape) > 1 or len(model.meas) > 1):
+            self.col = shape[:-1] + model.meas.shape[:2] + (1,)
+            self.t_col = self.t.reshape(self.col)
 
 
 class Simulation:
@@ -728,8 +776,14 @@ class Simulation:
         self.step_index = 0  # in dt steps; an integrator step advances it by _k
         self._k = self.config.stride
         self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
-        # Records not yet derived, as (offset, array): the state itself at
-        # offset 0, else the stage vectors of the step the record is in.
+        # The sample period every sampled member shares (None: they differ),
+        # and the ``due`` list of a sample of all of them (None: every member).
+        periods = {mem.sample_steps for _, mem in self._sampled}
+        self._period = periods.pop() if len(periods) == 1 else None
+        self._sampled_ids = None if len(self._sampled) == len(self.members) \
+            else [b for b, _ in self._sampled]
+        # Records not yet derived, as (offset, state) at offset 0, else as
+        # (offset, the row of _zs with the stage vectors of its step).
         self._pending = []
         self.model = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
@@ -745,15 +799,6 @@ class Simulation:
         self.live_model = _Split(ms, width, live=True)
         self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
             else self.live_model
-        if self._sampled and self.live_model.dynamic:
-            # A sample's live i_o = g y + C dv/dt and the stepped model's N
-            # less the live one, as products of one matrix with y: with dv/dt
-            # = A y + N(y) of the live model, (g + C A) y + C N(y), and the
-            # difference of the two A times y.
-            live, ns = self.live_model, self.live_model.ns
-            a = live.a[:, :ns]
-            self._measure = np.concatenate(
-                [live.g + live.caps[..., None] * a, a - self.model.a[:, :ns]], axis=1)
         # Each noisy member's rows of additive noise, over the whole batch
         # state: NOISE_BLOCK rows, zero off the oscillator slots.
         self._noisy = [(b, mem) for b, mem in enumerate(ms)
@@ -771,14 +816,48 @@ class Simulation:
         # and the leading parts each stage multiplies.
         self._z = z = np.zeros((n, 5 * width), dtype=complex)
         self._slots = tuple(z[:, k * width:(k + 1) * width] for k in range(5))
-        self._stage_in = tuple(z.reshape(n, 5 * width, 1)[:, :k * width] for k in (2, 3, 4, 5))
-        self._stage_out = np.zeros((n, width, 1), dtype=complex)
-        self._stage_flat = self._stage_out.reshape(-1)
         # Each N slot, as a 1-D view where it has one (B = 1 or M = 1): numpy
         # writes that as fast as a contiguous array, a 2-stride slot slower.
         self._n_slots = [z.reshape(-1) if 1 in z.shape else z for z in self._slots[1:]]
+        # A single run multiplies 2-D matrices with 1-D vectors through
+        # ndarray.dot, BLAS gemv at about half the fixed cost of the batch's
+        # stacked np.matmul, and as exact: both sum in gemv's order.  Its
+        # last stage takes the z row times W^T, the same gemv, for a fresh
+        # (1, M) state.
+        self._one = n == 1
+        if self._one:
+            self._mul, col = np.ndarray.dot, z[0]
+            self._stage_w = tuple(w[0] for w in self._etd[:3]) + (self._etd[3][0].T,)
+            self._stage_in = tuple(col[:c * width] for c in (2, 3, 4)) + (z,)
+            self._stage_out = self._stage_flat = np.zeros(width, dtype=complex)
+        else:
+            self._mul, col = np.matmul, z.reshape(n, 5 * width, 1)
+            self._stage_w = self._etd
+            self._stage_in = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
+            self._stage_out = np.zeros((n, width, 1), dtype=complex)
+            self._stage_flat = self._stage_out.reshape(-1)
+        if self._sampled and self.live_model.dynamic:
+            # A sample's live i_o = g y + C dv/dt and the stepped model's N
+            # less the live one, as products of one matrix with y: with dv/dt
+            # = A y + N(y) of the live model, (g + C A) y + C N(y), and the
+            # difference of the two A times y.  The arguments of that
+            # product, written into i_o and the difference of each member.
+            live, ns = self.live_model, self.live_model.ns
+            a = live.a[:, :ns]
+            measure = np.concatenate(
+                [live.g + live.caps[..., None] * a, a - self.model.a[:, :ns]], axis=1)
+            prod = np.empty((n, 2 * ns), dtype=complex)
+            self._i_o, self._n_diff = prod[:, :ns], prod[:, ns:]
+            self._cap_i = np.empty((n, ns), dtype=complex)
+            self._n_ns = self._slots[1][:, :ns]
+            self._measure = ((measure[0], col[:width], prod[0]) if self._one
+                             else (measure, col[:, :width], prod[..., None]))
+        # A step with records inside it keeps its z in the next row here.
+        self._zs = np.empty((RECORD_BLOCK,) + z.shape, dtype=complex) if k > 1 else None
+        self._z_rows = 0
         # A recompiled member with a sampled controller holds at the next step.
         self._next_hold = self.step_index if self._sampled else math.inf
+        self._in_step = False  # every sampled member due at each _next_hold
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
 
@@ -808,17 +887,8 @@ class Simulation:
         if self.step_index >= self._next_event:
             self._apply_due_events()
         k = self.step_index
-        have_n = False
-        if k >= self._next_hold:
-            due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
-            if due:
-                have_n = self._sample(None if len(due) == len(self.members) else due,
-                                      len(due) == len(self._sampled))
-            for b in due:
-                self.members[b].stale = False
-            self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
-                                  for _, mem in self._sampled)
-        self._step_etdrk4(have_n)
+        self._slots[0][...] = self.y
+        self._step_etdrk4(k >= self._next_hold and self._hold_due(k))
         if self._noisy:
             row = k % NOISE_BLOCK  # noise needs k = 1: one row per step
             if row == 0:
@@ -828,6 +898,26 @@ class Simulation:
             self.y += self._noise[row]  # the step's result is a fresh array
         self.step_index += self._k
         self.t = self.step_index * self.config.dt
+
+    def _hold_due(self, k):
+        """Sample every member due at dt step k, a recompiled one or one on
+        its sample grid, and schedule the next sample; whether stage 1's N
+        is filled (``_sample``)."""
+        if self._in_step:  # every sampled member due, none scanned
+            self._next_hold = k + self._period
+            return self._sample(self._sampled_ids, True)
+        have_n = False
+        due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
+        if due:
+            have_n = self._sample(None if len(due) == len(self.members) else due,
+                                  len(due) == len(self._sampled))
+        for b in due:
+            self.members[b].stale = False
+        self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
+                              for _, mem in self._sampled)
+        # Past this sample a shared period keeps every member on one grid.
+        self._in_step = self._period is not None
+        return have_n
 
     def _sample(self, due, every):
         """Hold the live i_o at the state for the members listed in ``due``
@@ -840,14 +930,14 @@ class Simulation:
         if not live.dynamic:
             self.model.hold(live.outputs(y)[1], due)
             return False
-        ns, n = live.ns, self._slots[1]
         live.nonlinear(y.reshape(-1), out=self._n_slots[0])
-        prod = np.matmul(self._measure, y[..., None])[..., 0]
-        i_o = prod[:, :ns]
-        i_o += live.caps * n[:, :ns]
+        self._mul(*self._measure)
+        i_o, n = self._i_o, self._n_ns
+        np.multiply(live.caps, n, self._cap_i)
+        i_o += self._cap_i
         self.model.hold(i_o, due)
         if every:
-            n[:, :ns] += prod[:, ns:]
+            n += self._n_diff
         return every
 
     def _step_etdrk4(self, have_n=False):
@@ -855,21 +945,20 @@ class Simulation:
         propagated exactly and N's stages are weighted by phi-functions of
         hA, so stiff modes see N with the right weight.  Each N is written
         straight into its slot of the stage vectors; with ``have_n`` the
-        slot of N(y) is already filled."""
-        y, n = self.y, self.model.nonlinear
-        zy, (sa, sb, sc, s) = self._slots[0], self._stage_in
-        (wa, wb, wc, wy), u, uf = self._etd, self._stage_out, self._stage_flat
+        slot of N(y) is already filled.  ``step`` has put y in z."""
+        n, mul = self.model.nonlinear, self._mul
+        (wa, wb, wc, wy), (sa, sb, sc, s) = self._stage_w, self._stage_in
+        u, uf = self._stage_out, self._stage_flat
         zn, za, zb, zc = self._n_slots
-        zy[...] = y
         if not have_n:
-            n(y.reshape(-1), out=zn)
-        np.matmul(wa, sa, out=u)
+            n(self.y.reshape(-1), out=zn)
+        mul(wa, sa, u)
         n(uf, out=za)
-        np.matmul(wb, sb, out=u)
+        mul(wb, sb, u)
         n(uf, out=zb)
-        np.matmul(wc, sc, out=u)
+        mul(wc, sc, u)
         n(uf, out=zc)
-        self.y = np.matmul(wy, s)[..., 0]
+        self.y = s.dot(wy) if self._one else np.matmul(wy, s)[..., 0]
 
     def _diverged(self, y, step):
         """Raise SimulationDiverged for the non-finite batch state y at
@@ -893,14 +982,19 @@ class Simulation:
         if not self._pending:
             return
         pending, first = self._pending, self._derived
-        self._pending = []
+        zs = self._zs[:self._z_rows] if self._z_rows else None
+        self._pending, self._z_rows = [], 0
         by_offset = {}
         for r, (j, _) in enumerate(pending):
             by_offset.setdefault(j, []).append(r)
         ys = np.empty((len(pending),) + self.y.shape, dtype=complex)
         for j, at in by_offset.items():
-            got = np.stack([pending[r][1] for r in at])
-            ys[at] = np.matmul(self._dense[j - 1], got[..., None])[..., 0] if j else got
+            got = [pending[r][1] for r in at]
+            if j == 0:
+                ys[at] = np.stack(got)
+            else:  # rows of zs: all of them, or one gather
+                z = zs if len(got) == len(zs) else zs[got]
+                ys[at] = np.matmul(self._dense[j - 1], z[..., None])[..., 0]
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -926,28 +1020,32 @@ class Simulation:
         if self.step_index >= self._next_event:
             self._apply_due_events()
         # Each step makes a new state array, so a record at a step's end is a
-        # reference to it; a record inside a step keeps a copy of the step's
-        # stage vectors.  Both are derived later in bulk.  Overflow en route
-        # to a detected divergence is expected; the finite checks turn it
-        # into a diagnostic instead of warning spam.
+        # reference to it; a step with records inside it copies its stage
+        # vectors into the next row of a block.  Both are derived later in
+        # bulk.  Overflow en route to a detected divergence is expected; the
+        # finite checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pending.append((0, self.y))
+            at = decim  # the dt step of the next record
             for _ in range(n_steps // k):
                 self.step()
-                # The step's records are at offsets j = k - r, k - r - decim,
-                # ... > 0 from its start, j = k being its end.
-                r = self.step_index % decim
-                if r >= k:
+                end = self.step_index
+                if end < at:
                     continue
-                inner = range((k - r - 1) % decim + 1, k, decim)
-                if inner:
-                    z = self._z.copy()
-                    self._pending.extend((j, z) for j in inner)
-                if r == 0:
+                if at < end:  # at offset j = at - (end - k) into the step
+                    row = self._z_rows
+                    self._zs[row] = self._z
+                    self._z_rows += 1
+                    while at < end:
+                        self._pending.append((at - end + k, row))
+                        at += decim
+                if at == end:
                     self._pending.append((0, self.y))
+                    at += decim
                 if len(self._pending) >= RECORD_BLOCK:
                     self._derive_records()
             self._derive_records()
+            self._zs = None  # its written rows stay resident while it lives
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)
         t = np.arange(n_rec) * decim * cfg.dt

@@ -25,6 +25,7 @@ from dvocsim.scenario import builtin_scenario, parse_scenario_dict
 from dvocsim.sim import run_scenario
 
 from conftest import OMEGA0, pu_scenario_dict
+from oracles import integrate_magnitude_ode
 
 V_PEAK = 120.0 * math.sqrt(2.0)
 
@@ -88,7 +89,7 @@ def test_c01_blackstart_closed_form_vs_ode_oracle():
                            q_star=0.0, v_star=v_star, omega0=OMEGA0)
             horizon = 8.0 / (eta * alpha)
             times = np.linspace(0.0, horizon, 1000)
-            oracle = analysis.integrate_magnitude_ode(v0, p, times)
+            oracle = integrate_magnitude_ode(v0, p, times)
             curve = analysis.blackstart_analytic(v0, p, times)
             rel = np.abs(curve.magnitudes - oracle) / oracle
             assert rel.max() <= 1e-6, f"combo {(v0, eta, alpha, v_star)}: {rel.max()}"

@@ -11,6 +11,7 @@ from dvocsim.network import Branch, Topology
 from dvocsim.sim import Trace, run_scenario
 
 from conftest import OMEGA0, PU_PARAMS, pu_scenario
+from oracles import integrate_magnitude_ode
 
 TABLE_PARAMS = DvocParams(eta=21.71, alpha=0.9722, kappa=math.pi / 2.0,
                           p_star=500.0, q_star=-125.0,
@@ -82,7 +83,7 @@ class TestBlackstartAnalytic:
         p = TABLE_PARAMS
         v0 = 1e-3 * p.v_star
         times = np.linspace(0.0, 0.45, 200)
-        oracle = analysis.integrate_magnitude_ode(v0, p, times, max_dt=1e-5)
+        oracle = integrate_magnitude_ode(v0, p, times, max_dt=1e-5)
         curve = analysis.blackstart_analytic(v0, p, times)
         rel = np.abs(curve.magnitudes[1:] - oracle[1:]) / oracle[1:]
         assert rel.max() < 1e-6

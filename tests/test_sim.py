@@ -1114,3 +1114,88 @@ class TestBatch:
         assert got.magnitude == want.magnitude or (math.isnan(got.magnitude)
                                                    and math.isnan(want.magnitude))
         assert "member 1 'pu-test q=-1000.0'" in str(got)
+
+
+class TestSingleRun:
+    @staticmethod
+    def single_run_scenarios():
+        """paper-fig7 at five dt per step, and the droop-first mixed grid
+        sampled every fourth dt step."""
+        from dvocsim.scenario import builtin_scenario
+        sampled = parse_scenario_dict(mixed_live_grid_dict(droop_first=True))
+        return {"paper-fig7": builtin_scenario("paper-fig7"),
+                "mixed-sampled": on_grid(sampled, controller_sample_hz=2500.0)}
+
+    @pytest.mark.parametrize("name", ["paper-fig7", "mixed-sampled"])
+    def test_dot_step_matches_stacked_matmul(self, name):
+        # A single run takes its products through ndarray.dot on 2-D views,
+        # a batch through np.matmul on (B, M, cM) stacks.  Each step's stage
+        # vectors and result against the step redone with np.matmul from the
+        # same _etd and the same N(y), which a sample (steps 0 and 4 of the
+        # sampled grid) fills; and against a batch of two copies, stepped
+        # alongside, whose samples and live products are stacked too.  Both
+        # bit for bit.
+        sc = self.single_run_scenarios()[name]
+        sim, pair = Simulation(sc), Simulation([sc, sc])
+        width = sim.y.shape[1]
+        for k in range(6):
+            y = sim.y
+            sim.step()
+            pair.step()
+            z = np.zeros_like(sim._z)
+            z[:, :2 * width] = sim._z[:, :2 * width]
+            for c, w in zip((2, 3, 4), sim._etd):
+                u = np.matmul(w, z[:, :c * width, None])[..., 0]
+                z[:, c * width:(c + 1) * width] = sim.model.nonlinear(u.reshape(-1))
+            assert np.array_equal(sim._z[:, :width], y), k
+            assert np.array_equal(sim._z, z), k
+            assert np.array_equal(sim.y, np.matmul(sim._etd[3], z[..., None])[..., 0]), k
+            assert np.array_equal(pair.y, np.concatenate([sim.y, sim.y])), k
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nonlinear_scratch_never_leaks(self, batch, rng):
+        # N keeps its intermediates in scratch arrays per input shape and
+        # returns ``out`` or a fresh array.  Calls on a flat state, into a
+        # (B, M) stage slot and on a (K, B M) record stack, interleaved and
+        # each shape twice, held and live: every result equals that of one
+        # call on a fresh model, and no later call changes an earlier one.
+        sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True)),
+                          controller_sample_hz=2500.0)
+        members = [sampled]
+        if batch:
+            members = [on_grid(parse_scenario_dict(mixed_live_grid_dict())), sampled,
+                       on_grid(pu_scenario(branch_l=2e-4, cap=1e-4))]
+        sim = Simulation(members)
+        n, width = sim.y.shape
+        i_o = rng.normal(size=(n, sim.model.ns)) + 1j * rng.normal(size=(n, sim.model.ns))
+        sim.model.hold(i_o)
+
+        def fresh(which):
+            other = Simulation(members)
+            other.model.hold(i_o)
+            return getattr(other, which)
+
+        def state(*shape):
+            y = rng.normal(scale=50.0, size=shape + (n, width, 2)) @ [1.0, 1.0j]
+            for b, mem in enumerate(sim.members):
+                y[..., b, mem.m:] = 0.0
+            if shape:  # the first member's droop inverter at v = 0
+                y[0, 0, sim.members[0].droop_pos] = 0.0
+            return y.reshape(shape + (n * width,))
+
+        for which in ("model", "live_model"):
+            model, results = getattr(sim, which), []
+            for y, slot in [(state(), False), (state(), True), (state(5), False),
+                            (state(), False), (state(), True), (state(5), False)]:
+                if slot:
+                    out = np.zeros((n, 3 * width), dtype=complex)[:, width:2 * width]
+                    got = model.nonlinear(y, out=out)
+                    assert got is out
+                    want = fresh(which).nonlinear(y).reshape(n, width)
+                else:
+                    got = model.nonlinear(y)
+                    want = fresh(which).nonlinear(y)
+                assert np.array_equal(got, want), (which, len(results))
+                results.append((got, got.copy()))
+            for k, (got, copy) in enumerate(results):
+                assert np.array_equal(got, copy), (which, k)

@@ -25,6 +25,9 @@ from .network import TopologyError
 from .scenario import ScenarioError, builtin_names, builtin_scenario, parse_scenario
 from .sim import SimulationDiverged, run_scenario
 
+# Cap on droop-sweep's grid points: every point is one member of a single
+# batch, which holds them all in memory (1000 points peak near 170 MB).
+MAX_RANGE_POINTS = 10_000
 
 def _canonical_json(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
@@ -147,6 +150,8 @@ def _parse_range(spec):
         raise ScenarioError([f"--range needs finite a, b and b - a, got {spec!r}"])
     if n < 2 or b <= a:
         raise ScenarioError(["--range needs b > a and n >= 2"])
+    if n > MAX_RANGE_POINTS:
+        raise ScenarioError([f"--range needs n <= {MAX_RANGE_POINTS}, got {n}"])
     return np.linspace(a, b, n)
 
 

@@ -40,15 +40,16 @@ step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default), whose
 matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come from
 an augmented matrix exponential, so the fast branch-current pole does not
 bound the step.  At every restack the batch's stage matrices, (B, M, c M)
-for c blocks, are built from the stepped model's padded A, (B, M, M), in
-one stacked ``expm`` call (one more for the dense output when k > 1), so
-each stage is one ``np.matmul`` for the whole batch.  A single run (B = 1)
-takes the same products through ``ndarray.dot`` on 2-D views of them and
-1-D views of z: BLAS gemv, bit-identical to the stacked product and about
-half its fixed cost per call, which is most of a step.  The padded A is block
-diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded slot only multiply
-padded slots of y and N, which are exactly 0, and every weight between a
-member's slots and its padding is exactly 0, so a padded slot stays 0.
+for c blocks, and with k > 1 the dense output's weights are built from the
+stepped model's padded A, (B, M, M), by one stacked ``expm`` call and its
+powers, so each stage is one ``np.matmul`` for the whole batch.  A single
+run (B = 1) takes the same products through ``ndarray.dot`` on 2-D views
+of them and 1-D views of z: BLAS gemv, bit-identical to the stacked
+product and about half its fixed cost per call, which is most of a step.
+The padded A is block diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded
+slot only multiply padded slots of y and N, which are exactly 0, and every
+weight between a member's slots and its padding is exactly 0, so a padded
+slot stays 0.
 
 The batch's split is one model object, ``_Split``, built from the members
 at every restack.  It holds the stacked A and every constant N reads, and
@@ -58,11 +59,15 @@ N writes every intermediate into scratch arrays made once per input shape
 (``_Scratch``) and keeps the live droop current's rows times j, so its
 quarter turn -j conj(i_o) is one conjugate.
 
-A controller sample on the dynamic network evaluates the live N(y) once:
-it gives the measured i_o = g y + C dv/dt.  With the measurement just held,
-the held law at y gives the live dv/dt, so when every sampled member is due
-the stepped model's N(y) = N_live(y) + (A_live - A) y fills the step's
-first stage slot, and the step makes no N call of its own there.
+A controller sample evaluates the live N(y) once: it gives the measured
+i_o = g y + C dv/dt, C the terminal capacitances outside the network model
+(0 on the quasi-static network, whose reduced admittance holds them).  With
+the measurement just held, the held law at y gives the live dv/dt, so when
+every sampled member is due the stepped model's N(y) = N_live(y) + (A_live
+- A) y fills the step's first stage slot, and the step makes no N call of
+its own there.  Each member keeps the dt step of its next sample: 0 at the
+start, the step of a restack at its own event, else the next point of its
+own sample grid.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
@@ -76,14 +81,14 @@ at or after their timestamp, which must start an integrator step.
 
 Recording is deferred, and records stay on the dt grid whatever k is.  Each
 step makes a new state array (additive noise, drawn NOISE_BLOCK steps at a
-time per member and scattered into one full-width row per step, is added to
-it in place before the record point), so a
-record at a step's end only keeps a reference to the state.  A step with
+time per member straight into one full-width row per step of a block that a
+restack carries over, is added to it in place before the record point), so
+a record at a step's end only keeps a reference to the state.  A step with
 records inside it copies its stage vectors z = [y, N(y), N(a), N(b), N(c)]
 into the next row of a RECORD_BLOCK-row block: ETDRK4's continuous
 extension gives the state at t + (j/k) h as W_j z, with W_j built at every
-restack from one more augmented exponential (``_dense_weights``).  At k = 1
-no step has records inside it.  The pending records are turned into states
+restack beside the stage matrices (``_etdrk4_weights``).  At k = 1 no step
+has records inside it.  The pending records are turned into states
 (one batched ``np.matmul`` per offset j, over the block's rows or one
 gather of them), checked finite and turned into v and i_o together, with
 one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them have
@@ -330,29 +335,36 @@ def _finalize_traces(t, v, i_o, members, n_steps):
     return traces
 
 
-def _etdrk4_weights(a, h):
-    """Stage matrices of Cox-Matthews ETDRK4 for dy/dt = a y + N(y), for a
-    matrix a or each of a stack (..., m, m).
+def _etdrk4_weights(a, h, k=1):
+    """Cox-Matthews ETDRK4 for dy/dt = a y + N(y), a step of size h, for a
+    matrix a or each of a stack (..., m, m): its four stage matrices, then
+    its continuous extension (Hochbruck & Ostermann 2010) at the step's
+    interior offsets theta = j / k, W_1, ..., W_{k-1}.
 
-    With Z = [[h a / 2, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0], the top
-    block row of exp(Z) is [exp(ha/2), phi_1(ha/2), phi_2(ha/2), phi_3(ha/2)]
-    and that of exp(Z)^2 = exp(2Z) is [exp(ha), 2 phi_1(ha), 4 phi_2(ha),
-    8 phi_3(ha)].  With E2 = exp(ha/2), E = exp(ha), P = (h/2) phi_1(ha/2)
-    and the stage vector z = [y, N(y), N(a), N(b), N(c)], one step is
+    With Z as in ``_phi_chain`` at s = h / 2k, the top block row of
+    exp(iZ) = exp(Z)^i is [exp(theta ha), i phi_1, i^2 phi_2, i^3 phi_3]
+    of theta ha, theta = i / 2k, so one matrix exponential and its powers
+    give every weight.  With E2 = exp(ha/2), E = exp(ha) and P = (h/2)
+    phi_1(ha/2) from i = k and 2k, and the stage vector z = [y, N(y), N(a),
+    N(b), N(c)], one step is
         a  = [E2, P] z,      b = [E2, 0, P] z,
         c  = [E, E2 P - P, 0, 2P] z   (= E2 a + P (2 N(b) - N(y))),
-        y' = W z,
-    W the continuous extension of ``_dense_weights`` at theta = 1 (k = j = 2:
-    ``_extension`` of exp(2Z)).  Returns the four block rows.
+        y' = W_k z,
+    and the state at t + theta h is W_j z, theta = j / k, from i = 2j:
+        W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
+        b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
+        b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
+    each phi of theta ha.  The step's last stage matrix is W_k itself.
     """
     m = a.shape[-1]
-    w = _phi_chain(a, 0.5 * h)
-    half = w[..., :m, :]
-    full = half @ w
-    e2, e, p = half[..., :m], full[..., :m], 0.5 * h * half[..., m:2 * m]
+    w = _phi_chain(a, 0.5 * h / k)
+    rows = list(itertools.accumulate([w[..., :m, :]] + [w] * (2 * k - 1), np.matmul))
+    half, full = rows[k - 1], rows[-1]
+    e2, e, p = half[..., :m], full[..., :m], 0.5 * h / k * half[..., m:2 * m]
     zero = np.zeros_like(p)
+    dense = [_extension(row, h, 2 * k) for row in rows[1::2]]
     return (np.concatenate([e2, p], axis=-1), np.concatenate([e2, zero, p], axis=-1),
-            np.concatenate([e, e2 @ p - p, zero, 2.0 * p], axis=-1), _extension(full, h, 2))
+            np.concatenate([e, e2 @ p - p, zero, 2.0 * p], axis=-1), dense[-1], *dense[:-1])
 
 
 def _phi_chain(a, s):
@@ -367,26 +379,9 @@ def _phi_chain(a, s):
     return expm(z)
 
 
-def _dense_weights(a, h, k):
-    """ETDRK4's continuous extension (Hochbruck & Ostermann 2010) at the
-    offsets theta = j / k, j = 1, ..., k, of a step of size h, for a matrix
-    a or each of a stack.  The state at t + theta h is W_j z for the step's
-    stage vector z = [y, N(y), N(a), N(b), N(c)], with
-        W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
-        b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
-        b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
-    each phi of theta ha.  The top block row of exp(Z)^j = exp(jZ), Z as in
-    ``_phi_chain`` with s = h / k, is [exp(theta ha), j phi_1, j^2 phi_2,
-    j^3 phi_3] of theta ha, so one matrix exponential gives every W_j.  W_k
-    is the step's own last stage matrix."""
-    w = _phi_chain(a, h / k)
-    rows = itertools.accumulate([w[..., :a.shape[-1], :]] + [w] * (k - 1), np.matmul)
-    return [_extension(row, h, k) for row in rows]
-
-
 def _extension(row, h, k):
-    """W_j of ``_dense_weights`` from the top block row of exp(jZ), Z as in
-    ``_phi_chain`` with s = h / k."""
+    """The continuous extension of ``_etdrk4_weights`` at theta = j / k from
+    the top block row of exp(jZ), Z as in ``_phi_chain`` with s = h / k."""
     m = row.shape[-2]
     # theta^i phi_i(theta ha) = j^i phi_i / k^i
     p1, p2, p3 = (row[..., i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
@@ -424,7 +419,6 @@ class _Member:
         self.dynamic = config.network_model == "dynamic"
         self.sample_steps = config.sample_steps
         self.noise_scale = config.noise_amplitude * math.sqrt(config.dt)
-        self.noise = np.zeros((NOISE_BLOCK, len(self.dvoc_pos)), dtype=complex)
         self.pending = []  # (dt step, event) of every event the run reaches
         for ev in sorted(scenario.events, key=lambda e: e.time):
             step = config.event_step(ev.time)
@@ -460,18 +454,14 @@ class _Member:
     def draw_noise(self):
         """The additive noise on the oscillator slots, alpha + j beta, of the
         next NOISE_BLOCK steps, one row each: the same numbers as one
-        ``standard_normal(2 n)`` call per step.  The block stays with the
-        member, so a restack at an event discards no draws."""
+        ``standard_normal(2 n)`` call per step."""
         w = self.rng.standard_normal((NOISE_BLOCK, 2 * len(self.dvoc_pos)))
-        self.noise = (self.noise_scale * w).view(complex)
+        return (self.noise_scale * w).view(complex)
 
     def compile(self, y):
         """Rebuild the coefficients and A, live and held, for the current
         topology and parameter set; returns the state y with the branch
         currents carried over by branch id."""
-        self.caps = np.array([self.topology.shunt_caps.get(n, 0.0)
-                              for n in self.topology.inverter_nodes])
-
         def param(name, pos):
             return np.array([getattr(self.params[k], name) for k in pos])
 
@@ -491,6 +481,8 @@ class _Member:
         # Network as matrices over the state y: the current into the network
         # at each inverter terminal, cap current excluded, is g @ y, and the
         # branch-current derivatives are branch @ y.
+        # The terminal capacitances outside the network model: the
+        # quasi-static network's reduced admittance holds them already.
         ns = self.ns
         if self.dynamic:
             net = DynamicNetwork(self.topology)
@@ -498,9 +490,12 @@ class _Member:
             for bid, row in zip(ids, self.branch):
                 if not np.isfinite(row).all():
                     raise ValueError(f"branch {bid!r}: R/L overflows float64")
+            self.caps = np.array([self.topology.shunt_caps.get(n, 0.0)
+                                  for n in self.topology.inverter_nodes])
         else:
             g = reduced_admittance(self.topology, self.omega_nominal)
             self.branch, ids = np.zeros((0, ns)), []
+            self.caps = np.zeros(ns)
         self.g = g.astype(complex)
         carry = dict(zip(self.branch_ids, y[ns:]))
         y = np.concatenate([y[:ns], [carry.get(b, 0j) for b in ids]])
@@ -508,8 +503,7 @@ class _Member:
         self.m = len(y)
 
         # The live current's feedthrough: the capacitor loop, solved exactly.
-        self.feed = 1.0 / (1.0 + self.c2 * self.caps[dv]) if self.dynamic else np.ones(len(dv))
-        self.stale = True  # a sampled controller holds anew at the next step
+        self.feed = 1.0 / (1.0 + self.c2 * self.caps[dv])
         self.a_live = self._a(live=True)
         self.a_held = None if self.sample_steps is None else self._a(live=False)
         return y
@@ -548,8 +542,8 @@ class _Split:
 
     a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot,
                   real where no member's oscillator gain is (every held model)
-    g, caps, neg_c2 -- network injection, terminal capacitances and minus the
-                  oscillator current gains, for ``outputs`` and ``hold``
+    g, caps, neg_c2 -- network injection, terminal capacitances outside the
+                  network model and minus the oscillator current gains
     droop, floor -- whether any slot holds a droop inverter; _EPS per slot
     a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
                   constants of the droop law and the offset _EPS of v
@@ -583,7 +577,7 @@ class _Split:
             eps[b, dr] = _EPS
             if lv:
                 meas[b, dr, :mem.m] = 1j * mem.g[dr]
-                law[4, b, dr] = mem.caps[dr] if self.dynamic else 0.0
+                law[4, b, dr] = mem.caps[dr]
         if not c1.imag.any():
             c1, c1v = c1.real.copy(), c1v.real.copy()
         self.c1, self.c1v, self.eps = c1.reshape(-1), c1v.reshape(-1), eps.reshape(-1)
@@ -775,17 +769,17 @@ class Simulation:
         self.t = 0.0
         self.step_index = 0  # in dt steps; an integrator step advances it by _k
         self._k = self.config.stride
-        self._sampled = [(b, mem) for b, mem in enumerate(self.members) if mem.sample_steps]
-        # The sample period every sampled member shares (None: they differ),
-        # and the ``due`` list of a sample of all of them (None: every member).
-        periods = {mem.sample_steps for _, mem in self._sampled}
-        self._period = periods.pop() if len(periods) == 1 else None
-        self._sampled_ids = None if len(self._sampled) == len(self.members) \
-            else [b for b, _ in self._sampled]
+        # How many members sample their controllers, the dt step of each
+        # member's next sample (inf: unsampled) and the earliest of them.
+        self._sampled = sum(mem.sample_steps is not None for mem in self.members)
+        self._sample_at = [0 if mem.sample_steps else math.inf for mem in self.members]
+        self._next_hold = min(self._sample_at)
+        self._noisy = [(b, mem) for b, mem in enumerate(self.members)
+                       if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
         # Records not yet derived, as (offset, state) at offset 0, else as
         # (offset, the row of _zs with the stage vectors of its step).
         self._pending = []
-        self.model = None
+        self.model = self._noise = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
 
     # -- batch ---------------------------------------------------------------
@@ -799,19 +793,21 @@ class Simulation:
         self.live_model = _Split(ms, width, live=True)
         self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
             else self.live_model
-        # Each noisy member's rows of additive noise, over the whole batch
-        # state: NOISE_BLOCK rows, zero off the oscillator slots.
-        self._noisy = [(b, mem) for b, mem in enumerate(ms)
-                       if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
+        ns = self.model.ns
         if self._noisy:
-            self._noise = np.zeros((NOISE_BLOCK, n, width), dtype=complex)
-            self._scatter_noise()
+            # The noisy members' additive noise over the whole batch state,
+            # NOISE_BLOCK rows zero off the oscillator slots; a restack
+            # carries the drawn rows over by the inverter slots.
+            noise = np.zeros((NOISE_BLOCK, n, width), dtype=complex)
+            if self._noise is not None:
+                noise[..., :ns] = self._noise[..., :ns]
+            self._noise = noise
 
         # ETDRK4's stage matrices (stage k is k + 2 blocks wide) and the dense
         # output at a step's interior dt offsets, from the stepped padded A.
-        k, a = self._k, self.model.a
-        self._etd = _etdrk4_weights(a, self.config.dt * k)
-        self._dense = _dense_weights(a, self.config.dt * k, k)[:-1] if k > 1 else []
+        k = self._k
+        w = _etdrk4_weights(self.model.a, self.config.dt * k, k)
+        self._etd, self._dense = w[:4], w[4:]
         # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
         # and the leading parts each stage multiplies.
         self._z = z = np.zeros((n, 5 * width), dtype=complex)
@@ -836,35 +832,29 @@ class Simulation:
             self._stage_in = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
             self._stage_out = np.zeros((n, width, 1), dtype=complex)
             self._stage_flat = self._stage_out.reshape(-1)
-        if self._sampled and self.live_model.dynamic:
+        if self._sampled:
             # A sample's live i_o = g y + C dv/dt and the stepped model's N
-            # less the live one, as products of one matrix with y: with dv/dt
-            # = A y + N(y) of the live model, (g + C A) y + C N(y), and the
-            # difference of the two A times y.  The arguments of that
-            # product, written into i_o and the difference of each member.
-            live, ns = self.live_model, self.live_model.ns
+            # less the live one, as one product of a matrix with [y, N(y)],
+            # the live N(y) in stage 1's slot: with dv/dt = A y + N(y) of
+            # the live model, (g + C A) y + C N(y), and the difference of
+            # the two A times y.  The arguments of that product, written
+            # into i_o and the difference of each member.
+            live = self.live_model
             a = live.a[:, :ns]
-            measure = np.concatenate(
-                [live.g + live.caps[..., None] * a, a - self.model.a[:, :ns]], axis=1)
+            measure = np.zeros((n, 2 * ns, 2 * width), dtype=complex)
+            measure[:, :ns, :width] = live.g + live.caps[..., None] * a
+            measure[:, :ns, width:width + ns] = live.caps[:, None, :] * np.eye(ns)
+            measure[:, ns:, :width] = a - self.model.a[:, :ns]
             prod = np.empty((n, 2 * ns), dtype=complex)
             self._i_o, self._n_diff = prod[:, :ns], prod[:, ns:]
-            self._cap_i = np.empty((n, ns), dtype=complex)
             self._n_ns = self._slots[1][:, :ns]
-            self._measure = ((measure[0], col[:width], prod[0]) if self._one
-                             else (measure, col[:, :width], prod[..., None]))
+            self._measure = ((measure[0], col[:2 * width], prod[0]) if self._one
+                             else (measure, col[:, :2 * width], prod[..., None]))
         # A step with records inside it keeps its z in the next row here.
         self._zs = np.empty((RECORD_BLOCK,) + z.shape, dtype=complex) if k > 1 else None
         self._z_rows = 0
-        # A recompiled member with a sampled controller holds at the next step.
-        self._next_hold = self.step_index if self._sampled else math.inf
-        self._in_step = False  # every sampled member due at each _next_hold
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
-
-    def _scatter_noise(self):
-        """Copy each noisy member's block into its oscillator slots."""
-        for b, mem in self._noisy:
-            self._noise[:, b, mem.dvoc_pos] = mem.noise
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
@@ -875,6 +865,9 @@ class Simulation:
                 _, ev = mem.pending.pop(0)
                 states[b] = mem.apply_event(ev.action, states[b])
                 mem.events_applied.append((self.t, ev.action))
+                if mem.sample_steps:  # a recompiled controller holds anew
+                    self._sample_at[b] = self.step_index
+        self._next_hold = min(self._sample_at)
         self._stack(states)
 
     # -- time stepping -------------------------------------------------------
@@ -883,7 +876,7 @@ class Simulation:
         """Apply due events, sample the controller measurement of every
         member with a sample due, then advance one ETDRK4 step of k dt,
         k = ``step_multiple``.  A sample at which every sampled member is
-        due hands the step its first stage's N (``_sample``)."""
+        due hands the step its first stage's N (``_hold_due``)."""
         if self.step_index >= self._next_event:
             self._apply_due_events()
         k = self.step_index
@@ -892,53 +885,34 @@ class Simulation:
         if self._noisy:
             row = k % NOISE_BLOCK  # noise needs k = 1: one row per step
             if row == 0:
-                for _, mem in self._noisy:
-                    mem.draw_noise()
-                self._scatter_noise()
+                for b, mem in self._noisy:
+                    self._noise[:, b, mem.dvoc_pos] = mem.draw_noise()
             self.y += self._noise[row]  # the step's result is a fresh array
         self.step_index += self._k
         self.t = self.step_index * self.config.dt
 
     def _hold_due(self, k):
-        """Sample every member due at dt step k, a recompiled one or one on
-        its sample grid, and schedule the next sample; whether stage 1's N
-        is filled (``_sample``)."""
-        if self._in_step:  # every sampled member due, none scanned
-            self._next_hold = k + self._period
-            return self._sample(self._sampled_ids, True)
-        have_n = False
-        due = [b for b, mem in self._sampled if mem.stale or k % mem.sample_steps == 0]
-        if due:
-            have_n = self._sample(None if len(due) == len(self.members) else due,
-                                  len(due) == len(self._sampled))
-        for b in due:
-            self.members[b].stale = False
-        self._next_hold = min(k - k % mem.sample_steps + mem.sample_steps
-                              for _, mem in self._sampled)
-        # Past this sample a shared period keeps every member on one grid.
-        self._in_step = self._period is not None
-        return have_n
-
-    def _sample(self, due, every):
-        """Hold the live i_o at the state for the members listed in ``due``
-        (all if None).  On the dynamic network i_o = g y + C dv/dt takes
-        dv/dt from one live N(y), written into stage 1's N slot.  With
-        ``every`` sampled member due, the held law at y then gives the live
-        dv/dt, so the stepped model's N(y) is the live one plus (A_live -
-        A) y: it completes the slot and True is returned."""
-        y, live = self.y, self.live_model
-        if not live.dynamic:
-            self.model.hold(live.outputs(y)[1], due)
-            return False
-        live.nonlinear(y.reshape(-1), out=self._n_slots[0])
+        """Sample every member due at dt step k, hold its live i_o and
+        schedule its next sample, the next point of its own grid; whether
+        stage 1's N is filled.  i_o = g y + C dv/dt takes dv/dt from one
+        live N(y), written into stage 1's N slot (C = 0 on the quasi-static
+        network).  With every sampled member due, the held law at y then
+        gives the live dv/dt, so the stepped model's N(y) is the live one
+        plus (A_live - A) y, and it completes the slot."""
+        at, due = self._sample_at, []
+        for b, t in enumerate(at):
+            if t <= k:
+                s = self.members[b].sample_steps
+                at[b] = k - k % s + s
+                due.append(b)
+        self._next_hold = min(at)
+        self.live_model.nonlinear(self.y.reshape(-1), out=self._n_slots[0])
         self._mul(*self._measure)
-        i_o, n = self._i_o, self._n_ns
-        np.multiply(live.caps, n, self._cap_i)
-        i_o += self._cap_i
-        self.model.hold(i_o, due)
-        if every:
-            n += self._n_diff
-        return every
+        self.model.hold(self._i_o, None if len(due) == len(at) else due)
+        if len(due) < self._sampled:
+            return False
+        self._n_ns += self._n_diff
+        return True
 
     def _step_etdrk4(self, have_n=False):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is

@@ -194,10 +194,11 @@ class TestDroopSweepCommand:
         assert header[0] == "target"
         np.testing.assert_allclose(data["f0"], [-0.05, 0.0, 0.05])
 
-    # Non-finite ends and a span b - a that overflows are rejected as
-    # --range errors, before the grid is built or any point is run.
+    # Non-finite ends, a span b - a that overflows and more points than
+    # MAX_RANGE_POINTS are rejected as --range errors, before the grid is
+    # built or any point is run.
     @pytest.mark.parametrize("spec", ["1:2", "nan:0.05:3", "0.05:nan:3", "-0.05:inf:3",
-                                      "-1e308:1e308:3"])
+                                      "-1e308:1e308:3", "0:1:10001"])
     def test_bad_range_rejected(self, tiny_scenario, tmp_path, capsys, spec):
         rc = main(["droop-sweep", tiny_scenario, "--axis", "p",
                    f"--range={spec}", "--out", str(tmp_path / "o")])

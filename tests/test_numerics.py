@@ -5,7 +5,7 @@ import pytest
 
 from dvocsim.numerics import expm
 from dvocsim.scenario import builtin_names, builtin_scenario
-from dvocsim.sim import Simulation, _dense_weights, _etdrk4_weights
+from dvocsim.sim import Simulation, _etdrk4_weights, _extension, _phi_chain
 
 
 def rel_dev(got, want):
@@ -136,28 +136,30 @@ class TestEtdrk4Weights:
         h = 1e-3
         a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
         a *= np.array([1e1, 1e3, 3e4, 1e5])[:, None, None]
-        stacked = _etdrk4_weights(a, h) + tuple(_dense_weights(a, h, 3))
+        stacked = _etdrk4_weights(a, h, 3)
         for b in range(len(a)):
-            alone = _etdrk4_weights(a[b], h) + tuple(_dense_weights(a[b], h, 3))
+            alone = _etdrk4_weights(a[b], h, 3)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[b], want), b
 
     @pytest.mark.parametrize("k", [2, 5, 10])
     def test_dense_weights_match_scipy_and_the_step(self, k):
         # W_j at theta = j/k against the phi-functions of theta hA from
-        # scipy's expm of the augmented matrix at theta h; W_k, at theta = 1,
-        # against the step's own last stage matrix, block by block.  Both
-        # W_k and the step's exp(hA) lie up to 5e-14 from scipy's (fig6,
-        # ||hA||_1 ~ 190), so they agree to 5e-14 (measured), not closer.
+        # scipy's expm of the augmented matrix at theta h.  W_k, at theta =
+        # 1, is the continuous extension of the chain's top row exp(2kZ),
+        # bit for bit the step's own last stage matrix.
         linalg = pytest.importorskip("scipy.linalg")
         for label, a, _, _, h in split_simulations():
             m = len(a)
-            dense = _dense_weights(a, h, k)
-            wy = _etdrk4_weights(a, h)[3]
-            for c in range(5):
-                block = slice(c * m, (c + 1) * m)
-                assert rel_dev(dense[-1][:, block], wy[:, block]) <= 1e-13, (label, c)
-            for j in (1, k // 2, k - 1):
+            weights = _etdrk4_weights(a, h, k)
+            assert len(weights) == 3 + k
+            w = _phi_chain(a, 0.5 * h / k)
+            row = w[:m]
+            for _ in range(2 * k - 1):
+                row = row @ w
+            dense = weights[4:] + (_extension(row, h, 2 * k),)
+            assert np.array_equal(dense[-1], weights[3]), label
+            for j in (1, k // 2, k - 1, k):
                 theta = j / k
                 z = np.zeros((4 * m, 4 * m), dtype=complex)
                 z[:m, :m] = theta * h * a

@@ -8,8 +8,8 @@ import pytest
 from dvocsim.control import DroopParams, PolarState, droop_rhs, dvoc_rhs
 from dvocsim.network import DynamicNetwork, measure_power, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
-from dvocsim.sim import (SimConfig, Simulation, SimulationDiverged, _dense_weights,
-                         _etdrk4_weights, run_scenario)
+from dvocsim.sim import (SimConfig, Simulation, SimulationDiverged, _etdrk4_weights,
+                         run_scenario)
 
 from conftest import OMEGA0, pu_scenario, pu_scenario_dict
 
@@ -456,20 +456,25 @@ class TestExponentialSplit:
 
     def test_nonlinear_evaluations_are_counted(self, monkeypatch):
         # Four N per ETDRK4 step and one per block of derived records (i_o
-        # needs dv/dt).  With sampled controllers on the dynamic network a
-        # sample evaluates the live N once, for the held i_o, and that step's
-        # first stage reuses it instead of evaluating the held N: still four
-        # per step.  A stray fifth N per step fails by count.
+        # needs dv/dt).  With sampled controllers a sample evaluates the
+        # live N once, for the held i_o, and that step's first stage reuses
+        # it instead of evaluating the held N: still four per step.  A stray
+        # fifth N per step fails by count.
         from dvocsim.scenario import builtin_scenario
         from dvocsim.sim import RECORD_BLOCK, _Split
-        calls = [0]
-        nonlinear = _Split.nonlinear
+        calls, samples = [0], []
+        nonlinear, hold_due = _Split.nonlinear, Simulation._hold_due
 
         def counted(self, y, out=None):
             calls[0] += 1
             return nonlinear(self, y, out)
 
+        def sampled_at(self, k):
+            samples.append(k)
+            return hold_due(self, k)
+
         monkeypatch.setattr(_Split, "nonlinear", counted)
+        monkeypatch.setattr(Simulation, "_hold_due", sampled_at)
         # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
         # splits its 9001 records into 4001 and 5000, derived in 16 + 20
         # blocks of at least 256 (a step adds its 5 records together).
@@ -487,20 +492,24 @@ class TestExponentialSplit:
         calls[0] = 0
         run_scenario(sc, replace(sc.sim, controller_sample_hz=2500.0))
         assert calls[0] == 4 * 2000 + 2
+        assert samples == sorted([*range(0, 2000, 4), 503])
 
+    @pytest.mark.parametrize("network_model", ["dynamic", "quasistatic"])
     @pytest.mark.parametrize("batch", [False, True])
-    def test_sample_step_reuses_the_live_rate(self, batch, rng):
+    def test_sample_step_reuses_the_live_rate(self, batch, network_model, rng):
         # With the live i_o just held, the held law at y gives the live
         # dv/dt, so the stepped model's N(y) is the live rate less A y, and a
         # sample with every sampled member due writes it into stage 1's N
-        # slot.  The mixed live grid sampled at 2.5 kHz alone, or beside a
-        # live member and a narrower sampled all-oscillator member, at
-        # random states with the droop v = 0 in every fourth; the steps
-        # between samples evaluate N themselves.
+        # slot, on either network model.  The mixed live grid sampled at
+        # 2.5 kHz alone, or beside a live member and a narrower sampled
+        # all-oscillator member, at random states with the droop v = 0 in
+        # every fourth; the steps between samples evaluate N themselves.
         sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict()),
-                          controller_sample_hz=2500.0)
-        members = [sampled, on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True))),
-                   on_grid(pu_scenario(branch_l=2e-4, cap=1e-4), controller_sample_hz=2500.0)]
+                          controller_sample_hz=2500.0, network_model=network_model)
+        members = [sampled, on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True)),
+                                    network_model=network_model),
+                   on_grid(pu_scenario(branch_l=2e-4, cap=1e-4), controller_sample_hz=2500.0,
+                           network_model=network_model)]
         sim = Simulation(members if batch else sampled)
         model, live = sim.model, sim.live_model
         (n, width), y0 = sim.y.shape, sim.y
@@ -869,11 +878,11 @@ class TestFailureModes:
 
 def on_grid(sc, **sim):
     """``sc`` on the batch tests' step grid (dt 1e-4, 0.3 s, every 10th step
-    recorded, dynamic network, one dt per step), with its other settings
-    kept or overridden."""
+    recorded, dynamic network, one dt per step), with any setting, of the
+    grid or not, overridden by ``sim``."""
     grid = dict(dt=1e-4, t_end=0.3, record_decimation=10, network_model="dynamic",
                 step_multiple=None)
-    return replace(sc, sim=replace(sc.sim, **grid, **sim))
+    return replace(sc, sim=replace(sc.sim, **dict(grid, **sim)))
 
 
 def heterogeneous_batch():
@@ -974,7 +983,7 @@ class TestBatch:
             for b, mem in enumerate(sim.members):
                 m = mem.m
                 a = mem.a_live if mem.a_held is None else mem.a_held
-                own = _etdrk4_weights(a, h) + tuple(_dense_weights(a, h, k)[:-1])
+                own = _etdrk4_weights(a, h, k)
                 assert len(own) == len(sim._etd) + len(sim._dense) == 3 + k
                 for got, want in zip(sim._etd + tuple(sim._dense), own):
                     got = got[b].reshape(width, -1, width)
@@ -990,11 +999,12 @@ class TestBatch:
             sim._apply_due_events()
         assert len(widths) > 1  # events changed the batch's width
 
-    @pytest.mark.parametrize("k, calls", [(5, 2), (1, 1)])
+    @pytest.mark.parametrize("k, calls", [(5, 1), (1, 1)])
     @pytest.mark.parametrize("n", [1, 10])
     def test_one_stacked_compile_per_batch(self, monkeypatch, n, k, calls):
-        # A droop-ref sweep batch builds its ETDRK4 weights with one stacked
-        # expm, plus one for the dense output when k > 1, whatever B is.
+        # A droop-ref sweep batch builds its ETDRK4 weights, the dense
+        # output's among them when k > 1, with one stacked expm, whatever B
+        # is.
         from dvocsim.analysis import _actuated_scenario
         from dvocsim.numerics import expm
         from dvocsim.scenario import builtin_scenario

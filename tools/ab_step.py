@@ -1,7 +1,9 @@
-"""A/B of two source trees: the integrator's step cost, or whole CLI runs.
+"""A/B of two source trees: the integrator's step cost, whole CLI runs, or
+their outputs.
 
     python tools/ab_step.py PARENT_SRC CHANGE_SRC [--pairs 10] [--workload NAME ...]
     python tools/ab_step.py PARENT_SRC CHANGE_SRC --cli [--pairs 10] [--op NAME ...]
+    python tools/ab_step.py PARENT_SRC CHANGE_SRC --outputs
 
 Step mode imports each tree's ``dvocsim`` package side by side in this one
 interpreter, so both sides share the process, its numpy and its warm caches.
@@ -19,6 +21,19 @@ Printed per workload or operation: each side's median and quartiles (us per
 step, or s per run), the median of the paired change/parent ratios and how
 many pairs the change won.
 
+``--outputs`` checks what a change does to the results instead: it runs
+every operation listed under OUTPUT_OPS once per tree, each into its own
+scratch directory, and prints per operation either "identical" (every
+file byte for byte, ``manifest.json`` with its ``command`` masked, since
+that names the output directory) or the largest deviation of each signal
+group over its files: v (v_*, vmag, *_v), i (i_*) and p/q (p_*, q_*,
+steady_p_w, steady_q_var), each relative to the group's largest parent
+magnitude in any of the operation's files, so a metric is measured
+against the signal it summarises, and "other" (t, theta, frequencies,
+ratios, ordinates, ...) relative to each column's own.  A difference in a
+text cell, a NaN, the file list, the exit code or a manifest field is
+named as such.
+
 Workloads:
     fig7           -- paper-fig7, the all-oscillator dispatch run
     droop-ref-q10  -- droop-ref cloned at 10 q targets in +-0.05, one batch
@@ -27,15 +42,29 @@ Workloads:
                       (``perfbench/gen_grid.py``)
     mixed-live     -- the same grid without controller sampling, so every
                       droop law solves the live capacitor loop
+    mixed-quasi    -- the same grid, sampled and noisy, on the quasi-static
+                      network
 
 CLI operations, the benchmark's three workloads (``perfbench/README.md``):
     mixed-grid     -- ``simulate`` of that generated grid
     dispatch       -- ``simulate paper-fig7``
     droop-sweep    -- ``droop-sweep droop-ref --axis q`` on 10 points in +-0.05
+
+OUTPUT_OPS, for ``--outputs``:
+    the five built-ins     -- ``simulate NAME``
+    grid<n>-<model>        -- ``simulate`` of shipped grid n = 0..15 of
+                              ``perfbench/reference/mixed_grid.json`` on the
+                              dynamic and on the quasi-static network
+    mixed-live             -- ``simulate`` of grid 1 without controller sampling
+    droop-sweep-<axis><n>  -- ``droop-sweep droop-ref`` at n = 10 and 1000
+                              points, p in [0.3, 0.7] and q in +-0.05
 """
 
 import argparse
+import csv
 import importlib
+import json
+import math
 import os
 import shutil
 import statistics
@@ -48,12 +77,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The generated grid that ``perfbench/run.py --workload mixed-grid --seed 1``
 # runs: shipped grid 1 of ``perfbench/reference/mixed_grid.json``.
 MIXED_GRID = 1
-WORKLOADS = ("fig7", "droop-ref-q10", "mixed-grid", "mixed-live")
+WORKLOADS = ("fig7", "droop-ref-q10", "mixed-grid", "mixed-live", "mixed-quasi")
 CLI_OPS = {
     "mixed-grid": ["simulate", "{grid}"],
     "dispatch": ["simulate", "paper-fig7"],
     "droop-sweep": ["droop-sweep", "droop-ref", "--axis", "q", "--range=-0.05:0.05:10"],
 }
+BUILTINS = ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7", "droop-ref")
+SHIPPED_GRIDS = 16
+SWEEP_SPANS = {"p": "0.3:0.7", "q": "-0.05:0.05"}
 
 
 def gen_grid():
@@ -94,10 +126,12 @@ def scenarios(mods, workload):
         template = scenario.builtin_scenario("droop-ref")
         return [analysis._actuated_scenario(template, "q", -0.05 + 0.1 * k / 9)
                 for k in range(10)]
-    if workload in ("mixed-grid", "mixed-live"):
+    if workload in ("mixed-grid", "mixed-live", "mixed-quasi"):
         doc = gen_grid().generate(MIXED_GRID)
         if workload == "mixed-live":
             del doc["sim"]["controller_sample_hz"]
+        if workload == "mixed-quasi":
+            doc["sim"]["network_model"] = "quasistatic"
         return scenario.parse_scenario_dict(doc)
     raise SystemExit(f"unknown workload {workload!r}")
 
@@ -111,16 +145,151 @@ def us_per_step(mods, members):
     return (time.perf_counter() - t0) / steps * 1e6
 
 
-def cli_seconds(src, args, out):
-    """Wall time of one CLI operation of the tree under ``src`` in a fresh
-    process, its outputs written under ``out`` and then removed."""
+def cli_run(src, args, out):
+    """Exit code and stdout (``out`` masked) of one CLI operation of the
+    tree under ``src`` in a fresh process, its outputs written under
+    ``out``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-m", "dvocsim.cli", *args, "--out", out],
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout.replace(out, "OUT")
+
+
+def cli_seconds(src, args, out):
+    """Wall time of one CLI operation (``cli_run``), which must succeed; its
+    outputs are removed."""
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "dvocsim.cli", *args, "--out", out],
-                   env=env, check=True, stdout=subprocess.DEVNULL)
+    code, _ = cli_run(src, args, out)
     seconds = time.perf_counter() - t0
+    if code:
+        raise SystemExit(f"{' '.join(args)} exited with {code}")
     shutil.rmtree(out)
     return seconds
+
+
+def output_ops(tmp):
+    """OUTPUT_OPS as (name, CLI arguments), the grids written under ``tmp``."""
+    gg = gen_grid()
+    ops = [(name, ["simulate", name]) for name in BUILTINS]
+
+    def grid(name, doc):
+        path = os.path.join(tmp, name + ".json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(gg.dumps(doc))
+        ops.append((name, ["simulate", path]))
+
+    for model in ("dynamic", "quasistatic"):
+        for n in range(SHIPPED_GRIDS):
+            doc = gg.generate(n)
+            doc["sim"]["network_model"] = model
+            grid(f"grid{n}-{model}", doc)
+    doc = gg.generate(MIXED_GRID)
+    del doc["sim"]["controller_sample_hz"]
+    grid("mixed-live", doc)
+    for axis, span in SWEEP_SPANS.items():
+        for n in (10, 1000):
+            ops.append((f"droop-sweep-{axis}{n}", ["droop-sweep", "droop-ref", "--axis", axis,
+                                                    f"--range={span}:{n}"]))
+    return ops
+
+
+def signal_group(column):
+    """The signal group of an output column: v, i, p/q or other."""
+    head = column.split("_")
+    if head[0] in ("v", "vmag") or "vmag" in head or head[-1] == "v":
+        return "v"
+    if head[0] == "i":
+        return "i"
+    if head[0] in ("p", "q") or head[:2] in (["steady", "p"], ["steady", "q"]):
+        return "p/q"
+    return "other"
+
+
+def csv_deviations(path_a, path_b, columns, notes):
+    """Append (group, largest |parent - change|, largest |parent|) of each
+    numeric column of one CSV file pair to ``columns``; differences that are
+    not numbers go to ``notes``."""
+    name = os.path.basename(path_a)
+    tables = []
+    for path in (path_a, path_b):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    (head_a, *rows_a), (head_b, *rows_b) = tables
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        notes.append(f"{name}: header or row count differs")
+        return
+    for c, column in enumerate(head_a):
+        a = [row[c] for row in rows_a]
+        b = [row[c] for row in rows_b]
+        try:
+            xa, xb = [float(x) for x in a], [float(x) for x in b]
+        except ValueError:
+            if a != b:
+                notes.append(f"{name}: text column {column} differs")
+            continue
+        if [math.isnan(x) for x in xa] != [math.isnan(x) for x in xb]:
+            notes.append(f"{name}: NaNs of {column} differ")
+            continue
+        finite = [(x, y) for x, y in zip(xa, xb) if not math.isnan(x)]
+        columns.append((signal_group(column),
+                        max((abs(x - y) for x, y in finite), default=0.0),
+                        max((abs(x) for x, _ in finite), default=0.0)))
+
+
+def compare_outputs(dir_a, dir_b):
+    """The verdict on two output directories: "identical", or what differs,
+    each signal group's deviation on its scale (see the module docstring)."""
+    files = [sorted(os.listdir(d)) if os.path.isdir(d) else [] for d in (dir_a, dir_b)]
+    if files[0] != files[1]:
+        return f"file lists differ: {files[0]} against {files[1]}"
+    columns, notes, same = [], [], True
+    for name in files[0]:
+        path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if name == "manifest.json":
+            docs = []
+            for path in (path_a, path_b):
+                with open(path, encoding="utf-8") as fh:
+                    docs.append(dict(json.load(fh), command=None))
+            keys = sorted(k for k in docs[0].keys() | docs[1].keys()
+                          if docs[0].get(k) != docs[1].get(k))
+            if keys:
+                notes.append(f"manifest differs in {', '.join(keys)}")
+            continue
+        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+            equal = fa.read() == fb.read()
+        same = same and equal
+        if name.endswith(".csv"):  # for the scales, also when equal
+            csv_deviations(path_a, path_b, columns, notes)
+        elif not equal:
+            notes.append(f"{name} differs")
+    if same and not notes:
+        return "identical"
+    scale, devs = {}, {}
+    for group, _, mag in columns:
+        scale[group] = max(scale.get(group, 0.0), mag)
+    for group, diff, mag in columns:
+        mag = mag if group == "other" else scale[group]
+        rel = diff / mag if mag else (math.inf if diff else 0.0)
+        devs[group] = max(devs.get(group, 0.0), rel)
+    groups = "  ".join(f"{g} {devs[g]:.1e}" for g in ("v", "i", "p/q", "other") if g in devs)
+    return "; ".join([groups] * bool(groups) + notes)
+
+
+def check_outputs(srcs):
+    """Run every OUTPUT_OPS operation once per tree and print what differs."""
+    tmp = tempfile.mkdtemp(prefix="ab_step_")
+    try:
+        for name, cmd in output_ops(tmp):
+            outs = [os.path.join(tmp, "out", name, side) for side in ("parent", "change")]
+            runs = [cli_run(src, cmd, out) for src, out in zip(srcs, outs)]
+            if runs[0] != runs[1]:
+                verdict = f"exit code or stdout differs: {runs[0]} against {runs[1]}"
+            else:
+                verdict = compare_outputs(*outs)
+            print(f"{name:22s} {verdict}", flush=True)
+            shutil.rmtree(os.path.join(tmp, "out", name), ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp)
 
 
 def quartiles(xs, digits):
@@ -154,10 +323,15 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
     ap.add_argument("--cli", action="store_true", help="time whole CLI operations")
     ap.add_argument("--op", action="append", choices=tuple(CLI_OPS))
+    ap.add_argument("--outputs", action="store_true",
+                    help="compare the outputs of every OUTPUT_OPS operation")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
     srcs = (args.parent_src, args.change_src)
+    if args.outputs:
+        check_outputs(srcs)
+        return
     if args.cli:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # children inherit it
         tmp = tempfile.mkdtemp(prefix="ab_step_")

@@ -235,8 +235,11 @@ def compute_metrics(trace, omega0, v_ref=None, periods=5, sync_threshold=0.02):
             st = sync_time(trace, threshold=sync_threshold, v_ref=v_ref, omega0=omega0)
         except ValueError:
             st = None
+    # NaN when no inverter's frequency is defined (a window of fewer than
+    # three records), without nanmean's empty-slice warning.
+    steady_freq = float(np.nanmean(freqs)) if not np.isnan(freqs).all() else math.nan
     return SyncMetrics(sync_time=st, residual=resid, sharing_ratios=sharing,
-                       steady_freq=float(np.nanmean(freqs)), steady_amplitudes=amps,
+                       steady_freq=steady_freq, steady_amplitudes=amps,
                        steady_freq_per_inverter=freqs, steady_powers=p,
                        steady_reactive=q, settled=settled)
 

@@ -8,9 +8,11 @@ power rating ``p_w`` at a rated voltage, in which case
 g = p_w / v_rated_peak^2 (so the load absorbs p_w when the bus sits at the
 rated amplitude).  ``name`` and ``description`` are strings, ``noise_seed``
 is a non-negative integer, and t_end/dt must round to between 1 and
-``sim.MAX_STEPS`` steps.  ``sim.step_multiple`` k (default 1) makes each
-integrator step k dt long; t_end, the controller sample interval and every
-event's step must then be whole multiples of k, and noise needs k = 1.
+``sim.MAX_STEPS`` steps.  ``sim.step_multiple`` k makes each integrator
+step k dt long; t_end, the controller sample interval and every event's
+step must then be whole multiples of k.  Left out, each step's size is
+chosen by accuracy and stops at every event, controller sample and t_end.
+Noise works at any step size.
 
 The schema lives in one table per object (``_SCENARIO``, ``_INVERTER``, ...,
 ``_SIM``), each row giving a JSON key, the target field, its kind with

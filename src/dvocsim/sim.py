@@ -36,13 +36,26 @@ on v = r e^{j theta}: dv/dt - A v = ((dr/dt + r)/r - j kp p) v with
 dr/dt + r = v* + kq (q* - q) and q - j p = -j v conj(i_o); where the
 capacitor loop is live, its closed form (below) gives dr/dt from the same
 r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews ETDRK4
-step of h = k dt, k = ``SimConfig.step_multiple`` (1 by default), whose
-matrices exp(hA), exp(hA/2) and the phi-functions of hA and hA/2 come from
-an augmented matrix exponential, so the fast branch-current pole does not
-bound the step.  At every restack the batch's stage matrices, (B, M, c M)
-for c blocks, and with k > 1 the dense output's weights are built from the
-stepped model's padded A, (B, M, M), by one stacked ``expm`` call and its
-powers, so each stage is one ``np.matmul`` for the whole batch.  A single
+step of h = r dt, whose matrices exp(hA), exp(hA/2) and the phi-functions
+of hA and hA/2 come from an augmented matrix exponential, so the fast
+branch-current pole does not bound the step.  At every restack the batch's
+stage matrices, (B, M, c M) for c blocks, the dense output's weights and
+the noise propagators exp(i dt A) are built from the stepped model's padded
+A, (B, M, M), by one stacked ``expm`` call and its powers, so each stage is
+one ``np.matmul`` for the whole batch.
+
+The rung r is ``SimConfig.step_multiple`` where it is set.  Unset, it is
+chosen by accuracy: each compile segment (the run from a restack to the
+next) fixes K at its first step, the largest power of two up to MAX_RUNG,
+the batch's smallest controller sample interval and the segment's length
+whose step-doubling estimate from the segment's first state, |two steps of
+K dt - one of 2K dt| / 15 over the scale of each member's voltages and of
+its branch currents, is within STEP_TOL (Richardson extrapolation; Hairer,
+Norsett & Wanner, Solving ODEs I, II.4); K = 1 at the least.  Each step
+then takes the largest power of two up to K that passes no event,
+controller sample or t_end, so those stay on the dt grid.  An explicit
+step_multiple gets the same estimate, reported in ``Trace.meta["stats"]``
+and not acted on.  A single
 run (B = 1) takes the same products through ``ndarray.dot`` on 2-D views
 of them and 1-D views of z: BLAS gemv, bit-identical to the stacked
 product and about half its fixed cost per call, which is most of a step.
@@ -79,18 +92,25 @@ it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
 Events are applied atomically between steps, at the first dt step boundary
 at or after their timestamp, which must start an integrator step.
 
-Recording is deferred, and records stay on the dt grid whatever k is.  Each
-step makes a new state array (additive noise, drawn NOISE_BLOCK steps at a
-time per member straight into one full-width row per step of a block that a
-restack carries over, is added to it in place before the record point), so
-a record at a step's end only keeps a reference to the state.  A step with
-records inside it copies its stage vectors z = [y, N(y), N(a), N(b), N(c)]
-into the next row of a RECORD_BLOCK-row block: ETDRK4's continuous
-extension gives the state at t + (j/k) h as W_j z, with W_j built at every
-restack beside the stage matrices (``_etdrk4_weights``).  At k = 1 no step
-has records inside it.  The pending records are turned into states
-(one batched ``np.matmul`` per offset j, over the block's rows or one
-gather of them), checked finite and turned into v and i_o together, with
+Additive noise is drawn per dt step, NOISE_BLOCK dt steps at a time per
+member, straight into one full-width row per dt step of a block that a
+restack carries over.  It crosses a step of r dt exactly through the
+linear flow (the exponential schemes for additive noise of Jentzen &
+Kloeden, Proc. R. Soc. A 465, 2009): the step adds sum_{j=1..r}
+exp((r - j) dt A) xi_j of its draws xi_j in one product, and at r = 1 the
+plain row.
+
+Recording is deferred, and records stay on the dt grid whatever r is.  Each
+step makes a new state array, its noise added in place, so a record at a
+step's end only keeps a reference to the state.  A step with records inside
+it copies its stage vectors z = [y, N(y), N(a), N(b), N(c)] into the next
+row of a RECORD_BLOCK-row block: ETDRK4's continuous extension gives the
+state at t + (j/r) h as W_j z, with W_j built beside the rung's stage
+matrices (``_etdrk4_weights``), and the noise of the step's first j dt
+steps, summed as above, is kept beside it.  A step of one dt has no records
+inside it.  The pending records are turned into states (one batched
+``np.matmul`` per rung and offset j, over the block's rows or one gather of
+them), checked finite and turned into v and i_o together, with
 one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them have
 gathered, before every event restack (so each block is derived with the
 matrices of the compile segment it was taken in) and at the end of the
@@ -130,6 +150,10 @@ class SimulationDiverged(RuntimeError):
 MAX_STEPS = 10_000_000
 # Cap on step_multiple; each restack builds one dense weight matrix per offset.
 MAX_STEP_MULTIPLE = 100
+# Largest step, in dt, that the accuracy control takes, and the step-doubling
+# estimate of a step, relative to the scale of the state, that it must meet.
+MAX_RUNG = 64
+STEP_TOL = 1e-9
 
 
 def _number(value, kind=(int, float)):
@@ -151,13 +175,16 @@ class SimConfig:
                            (algebraic phasor solution at the nominal frequency)
     record_decimation   -- record every k-th step
     noise_seed          -- seed for initial angles and additive noise
-    noise_amplitude     -- per-step additive noise on the oscillator voltage
-                           states, V/sqrt(s); 0 disables
-    step_multiple       -- None (1) or k: each integrator step is k dt long.
-                           Records, events, controller samples and t_end stay
-                           on the dt grid, so t_end, the controller sample
-                           interval and every event's step must be whole
-                           multiples of k; noise, drawn per dt, needs k = 1
+    noise_amplitude     -- additive noise on the oscillator voltage states,
+                           drawn per dt step, V/sqrt(s); 0 disables
+    step_multiple       -- None or k.  None: each step's size is chosen by
+                           accuracy (``Simulation``), a power of two of dt
+                           that stops at every event, controller sample and
+                           t_end.  k: each integrator step is k dt long, so
+                           t_end, the controller sample interval and every
+                           event's step must be whole multiples of k.
+                           Records stay on the dt grid, and noise works at
+                           any step size
     """
 
     dt: float = 1e-5
@@ -205,9 +232,6 @@ class SimConfig:
         if self.sample_steps is not None and self.sample_steps % k:
             raise ValueError(f"controller sample interval of {self.sample_steps} steps "
                              f"must be a multiple of step_multiple {k}")
-        if k > 1 and self.noise_amplitude > 0.0:
-            raise ValueError("noise is drawn per dt step: noise_amplitude > 0 needs "
-                             "step_multiple 1")
 
     @property
     def sample_steps(self):
@@ -217,7 +241,8 @@ class SimConfig:
 
     @property
     def stride(self):
-        """dt steps per integrator step: step_multiple, or 1 if unset."""
+        """The dt steps an event's step must be a multiple of: step_multiple,
+        or 1 if unset (chosen steps stop at every event)."""
         return self.step_multiple or 1
 
     def event_step(self, time):
@@ -305,9 +330,10 @@ class Trace:
         return getattr(self, name)[:, k]
 
 
-def _finalize_traces(t, v, i_o, members, n_steps):
+def _finalize_traces(t, v, i_o, members, n_steps, stats):
     """One Trace per member from the (member, record, inverter) buffers; a
-    member's v and i_o are views of them."""
+    member's v and i_o are views of them.  ``stats`` holds the batch's
+    steps per rung and its compile segments (``Simulation.run``)."""
     traces = []
     for b, mem in enumerate(members):
         vb, ib = v[b, :, :mem.ns], i_o[b, :, :mem.ns]
@@ -323,8 +349,10 @@ def _finalize_traces(t, v, i_o, members, n_steps):
             "noise_seed": cfg.noise_seed,
             "noise_amplitude": cfg.noise_amplitude,
             "scenario": getattr(mem.scenario, "name", ""),
-            "step_multiple": cfg.stride,
-            "steps": n_steps // cfg.stride,
+            "step_multiple": cfg.step_multiple,
+            "steps": sum(stats["steps_per_rung"].values()),
+            "stats": {"steps_per_rung": dict(stats["steps_per_rung"]),
+                      "segments": [dict(seg) for seg in stats["segments"]]},
         }
         events = [(time, _describe_action(a)) for time, a in mem.events_applied]
         traces.append(Trace(
@@ -355,16 +383,36 @@ def _etdrk4_weights(a, h, k=1):
         b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
         b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
     each phi of theta ha.  The step's last stage matrix is W_k itself.
+    A longer chain of the same s serves every step of 2 s r for r up to
+    half its length (``_stages``, ``_dense``).
     """
+    rows = _chain_rows(a, 0.5 * h / k, 2 * k)
+    return _stages(rows, h, k) + _dense(rows, h, k)
+
+
+def _chain_rows(a, s, n):
+    """The top block rows of exp(iZ) = exp(Z)^i for i = 1, ..., n, Z as in
+    ``_phi_chain``: one matrix exponential and n - 1 products."""
     m = a.shape[-1]
-    w = _phi_chain(a, 0.5 * h / k)
-    rows = list(itertools.accumulate([w[..., :m, :]] + [w] * (2 * k - 1), np.matmul))
-    half, full = rows[k - 1], rows[-1]
-    e2, e, p = half[..., :m], full[..., :m], 0.5 * h / k * half[..., m:2 * m]
+    w = _phi_chain(a, s)
+    return list(itertools.accumulate([w[..., :m, :]] + [w] * (n - 1), np.matmul))
+
+
+def _stages(rows, h, k):
+    """ETDRK4's four stage matrices for a step of h = 2 k s from the chain
+    rows of ``_chain_rows`` at s, rows 1 to 2k used (``_etdrk4_weights``)."""
+    m = rows[0].shape[-2]
+    half = rows[k - 1]
+    e2, e, p = half[..., :m], rows[2 * k - 1][..., :m], 0.5 * h / k * half[..., m:2 * m]
     zero = np.zeros_like(p)
-    dense = [_extension(row, h, 2 * k) for row in rows[1::2]]
     return (np.concatenate([e2, p], axis=-1), np.concatenate([e2, zero, p], axis=-1),
-            np.concatenate([e, e2 @ p - p, zero, 2.0 * p], axis=-1), dense[-1], *dense[:-1])
+            np.concatenate([e, e2 @ p - p, zero, 2.0 * p], axis=-1),
+            _extension(rows[2 * k - 1], h, 2 * k))
+
+
+def _dense(rows, h, k):
+    """The continuous extension W_1, ..., W_{k-1} of the same step."""
+    return tuple(_extension(rows[2 * j - 1], h, 2 * k) for j in range(1, k))
 
 
 def _phi_chain(a, s):
@@ -453,8 +501,8 @@ class _Member:
 
     def draw_noise(self):
         """The additive noise on the oscillator slots, alpha + j beta, of the
-        next NOISE_BLOCK steps, one row each: the same numbers as one
-        ``standard_normal(2 n)`` call per step."""
+        next NOISE_BLOCK dt steps, one row each: the same numbers as one
+        ``standard_normal(2 n)`` call per dt step."""
         w = self.rng.standard_normal((NOISE_BLOCK, 2 * len(self.dvoc_pos)))
         return (self.noise_scale * w).view(complex)
 
@@ -757,7 +805,7 @@ class Simulation:
         names = ("dt", "t_end", "record_decimation", "network_model", "step_multiple")
 
         def grid(cfg):
-            return (cfg.dt, cfg.t_end, cfg.record_decimation, cfg.network_model, cfg.stride)
+            return tuple(getattr(cfg, name) for name in names)
 
         for b, cfg in enumerate(configs):
             diff = [name for name, mine, first in zip(names, grid(cfg), grid(self.config))
@@ -767,8 +815,9 @@ class Simulation:
                                  f"{', '.join(diff)} differ")
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
         self.t = 0.0
-        self.step_index = 0  # in dt steps; an integrator step advances it by _k
-        self._k = self.config.stride
+        self.step_index = 0  # in dt steps; a step of r dt advances it by r
+        self._n_steps = round(self.config.t_end / self.config.dt)
+        self._fixed = self.config.step_multiple  # None: K chosen per segment
         # How many members sample their controllers, the dt step of each
         # member's next sample (inf: unsampled) and the earliest of them.
         self._sampled = sum(mem.sample_steps is not None for mem in self.members)
@@ -776,9 +825,16 @@ class Simulation:
         self._next_hold = min(self._sample_at)
         self._noisy = [(b, mem) for b, mem in enumerate(self.members)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
-        # Records not yet derived, as (offset, state) at offset 0, else as
-        # (offset, the row of _zs with the stage vectors of its step).
+        # The dt steps of the noise block's first row and of the row after
+        # its last drawn one.
+        self._noise_at = self._noise_end = 0
+        # Records not yet derived, as (rung, offset, state, noise) at offset
+        # 0, else as (rung, offset, the row of _zs with the stage vectors of
+        # its step, the noise its step added up to the offset or None).
         self._pending = []
+        # Steps taken per rung, and per compile segment its dt step, K and
+        # step-doubling estimate.
+        self._rung_steps, self._segments = {}, []
         self.model = self._noise = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
 
@@ -786,28 +842,50 @@ class Simulation:
 
     def _stack(self, states):
         """Stack the members' states, models and step matrices over the
-        batch, each padded with zeros to the widest state."""
-        ms, n = self.members, len(self.members)
+        batch, each padded with zeros to the widest state, and open a
+        compile segment whose K the next step sizes."""
+        ms, n, dt = self.members, len(self.members), self.config.dt
         width = max(len(y) for y in states)
         self.y = _padded(states, (width,))
         self.live_model = _Split(ms, width, live=True)
         self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
             else self.live_model
         ns = self.model.ns
+        self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
+                               default=math.inf)
+        # The segment's largest rung: step_multiple, else the largest power
+        # of two within MAX_RUNG, every sample interval and the segment (of
+        # no step when an event is due at t = 0, before the first restack).
+        top = self._fixed
+        if top is None:
+            span = min([MAX_RUNG, min(self._next_event, self._n_steps) - self.step_index]
+                       + [mem.sample_steps for mem in ms if mem.sample_steps])
+            top = 1 << (max(span, 1).bit_length() - 1)
+        # One chain at s = dt / 2 gives every rung's weights up to 2 top,
+        # the step-doubling estimate's largest (``_size``).
+        fixed = self._fixed or 1
+        self._rows = _chain_rows(self.model.a, 0.5 * (dt * fixed) / fixed, 4 * top)
+        self._top, self._rungs, self._K, self._r = top, {}, None, None
+        # Each member's voltage and branch-current slots, the two groups of
+        # the estimate's scale.
+        slot = np.arange(width)
+        ends = np.array([(mem.ns, mem.m) for mem in ms])
+        self._groups = (slot < ends[:, :1], (slot >= ends[:, :1]) & (slot < ends[:, 1:]))
         if self._noisy:
             # The noisy members' additive noise over the whole batch state,
-            # NOISE_BLOCK rows zero off the oscillator slots; a restack
-            # carries the drawn rows over by the inverter slots.
-            noise = np.zeros((NOISE_BLOCK, n, width), dtype=complex)
+            # one row per dt step, zero off the oscillator slots; a restack
+            # carries the drawn rows over by the inverter slots.  The
+            # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
+            # them to a step's end.
+            noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
             self._noise = noise
+            eye = np.broadcast_to(np.eye(width), (n, width, width))
+            self._prop = np.concatenate(
+                [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
+                axis=-1)
 
-        # ETDRK4's stage matrices (stage k is k + 2 blocks wide) and the dense
-        # output at a step's interior dt offsets, from the stepped padded A.
-        k = self._k
-        w = _etdrk4_weights(self.model.a, self.config.dt * k, k)
-        self._etd, self._dense = w[:4], w[4:]
         # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
         # and the leading parts each stage multiplies.
         self._z = z = np.zeros((n, 5 * width), dtype=complex)
@@ -823,15 +901,15 @@ class Simulation:
         self._one = n == 1
         if self._one:
             self._mul, col = np.ndarray.dot, z[0]
-            self._stage_w = tuple(w[0] for w in self._etd[:3]) + (self._etd[3][0].T,)
             self._stage_in = tuple(col[:c * width] for c in (2, 3, 4)) + (z,)
             self._stage_out = self._stage_flat = np.zeros(width, dtype=complex)
         else:
             self._mul, col = np.matmul, z.reshape(n, 5 * width, 1)
-            self._stage_w = self._etd
             self._stage_in = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
             self._stage_out = np.zeros((n, width, 1), dtype=complex)
             self._stage_flat = self._stage_out.reshape(-1)
+        if self._fixed:
+            self._set_rung(top)
         if self._sampled:
             # A sample's live i_o = g y + C dv/dt and the stepped model's N
             # less the live one, as one product of a matrix with [y, N(y)],
@@ -851,10 +929,20 @@ class Simulation:
             self._measure = ((measure[0], col[:2 * width], prod[0]) if self._one
                              else (measure, col[:, :2 * width], prod[..., None]))
         # A step with records inside it keeps its z in the next row here.
-        self._zs = np.empty((RECORD_BLOCK,) + z.shape, dtype=complex) if k > 1 else None
+        self._zs = np.empty((RECORD_BLOCK,) + z.shape, dtype=complex) if top > 1 else None
         self._z_rows = 0
-        self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
-                               default=math.inf)
+
+    def _set_rung(self, r):
+        """Step r dt from now on: the segment's stage matrices and dense
+        weights of that step, built from its chain on first use."""
+        w = self._rungs.get(r)
+        if w is None:
+            h = self.config.dt * r
+            etd = _stages(self._rows, h, r)
+            stage_w = tuple(w[0] for w in etd[:3]) + (etd[3][0].T,) if self._one else etd
+            w = self._rungs[r] = (etd, _dense(self._rows, h, r), stage_w)
+        self._r = r
+        self._etd, self._dense, self._stage_w = w
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
@@ -870,26 +958,104 @@ class Simulation:
         self._next_hold = min(self._sample_at)
         self._stack(states)
 
+    # -- step size -----------------------------------------------------------
+
+    def _size(self):
+        """Fix this compile segment's K from its first state: step_multiple,
+        or the largest rung from the segment's top down whose step-doubling
+        estimate is within STEP_TOL, rung 1 at the least; record both."""
+        y0 = self.y
+        n0 = self.model.nonlinear(y0.reshape(-1)).reshape(y0.shape)
+        k = self._top
+        est = self._estimate(y0, n0, k)
+        while not (self._fixed or k == 1 or est <= STEP_TOL):
+            k //= 2
+            est = self._estimate(y0, n0, k)
+        self._K = k
+        self._segments.append({"step": self.step_index, "k": k, "estimate": est})
+
+    def _estimate(self, y0, n0, k):
+        """The step-doubling (Richardson) estimate of a step of k dt from the
+        batch state y0, N(y0) = n0: |two steps of k dt - one of 2k dt| / 15,
+        ETDRK4 being of order 4, in each member's voltages and in its branch
+        currents over that group's largest magnitude, the largest of all."""
+        dt = self.config.dt
+        w = _stages(self._rows, dt * k, k)
+        fine = self._advance(w, self._advance(w, y0, n0))
+        coarse = self._advance(_stages(self._rows, dt * 2 * k, 2 * k), y0, n0)
+        err = np.abs(fine - coarse) / 15.0
+        mag = np.maximum(np.abs(y0), np.abs(fine))
+        worst = []
+        for group in self._groups:
+            e, s = (np.where(group, x, 0.0).max(axis=1) for x in (err, mag))
+            worst.append(np.max(e / np.where(s > 0.0, s, 1.0)))
+        return float(np.max(worst))  # NaN after a non-finite step
+
+    def _advance(self, w, y, ny=None):
+        """One ETDRK4 step of the stepped model with stage matrices w from
+        the batch state y, whose N is ny or evaluated here, by np.matmul
+        on fresh arrays: the step's own stage vectors stay untouched."""
+        n, (b, width) = self.model.nonlinear, y.shape
+        z = np.empty((b, 5 * width), dtype=complex)
+        z[:, :width] = y
+        z[:, width:2 * width] = n(y.reshape(-1)).reshape(b, width) if ny is None else ny
+        for c, wc in zip((2, 3, 4), w):
+            u = np.matmul(wc, z[:, :c * width, None])[..., 0]
+            z[:, c * width:(c + 1) * width] = n(u.reshape(-1)).reshape(b, width)
+        return np.matmul(w[3], z[..., None])[..., 0]
+
     # -- time stepping -------------------------------------------------------
 
     def step(self):
         """Apply due events, sample the controller measurement of every
-        member with a sample due, then advance one ETDRK4 step of k dt,
-        k = ``step_multiple``.  A sample at which every sampled member is
-        due hands the step its first stage's N (``_hold_due``)."""
+        member with a sample due, then advance one ETDRK4 step of r dt: r
+        is ``step_multiple``, else the largest power of two up to the
+        segment's K that passes no event, controller sample or t_end.  A
+        sample at which every sampled member is due hands the step its
+        first stage's N (``_hold_due``)."""
         if self.step_index >= self._next_event:
             self._apply_due_events()
         k = self.step_index
         self._slots[0][...] = self.y
-        self._step_etdrk4(k >= self._next_hold and self._hold_due(k))
+        have_n = k >= self._next_hold and self._hold_due(k)
+        if self._K is None:
+            self._size()
+        r, span = self._K, min(self._next_event, self._next_hold, self._n_steps) - k
+        if 0 < span < r:
+            r = 1 << (span.bit_length() - 1)
+        if r != self._r:
+            self._set_rung(r)
+        self._step_etdrk4(have_n)
         if self._noisy:
-            row = k % NOISE_BLOCK  # noise needs k = 1: one row per step
-            if row == 0:
-                for b, mem in self._noisy:
-                    self._noise[:, b, mem.dvoc_pos] = mem.draw_noise()
-            self.y += self._noise[row]  # the step's result is a fresh array
-        self.step_index += self._k
+            self.y += self._noise_sum(k, r)  # the step's result is a fresh array
+        self._rung_steps[r] = self._rung_steps.get(r, 0) + 1
+        self.step_index += r
         self.t = self.step_index * self.config.dt
+
+    def _noise_sum(self, k, j):
+        """The additive noise of the j dt steps from dt step k, carried to
+        the end of the last by the linear flow: the sum over i = 1..j of
+        exp((j - i) dt A) xi_i, xi_i the draw of dt step k + i - 1, in one
+        product; the plain row xi_1 (a view) at j = 1."""
+        if k + j > self._noise_end:
+            self._draw(k)
+        noise, at = self._noise, k - self._noise_at
+        if j == 1:
+            return noise[:, at]
+        n, width = self.y.shape
+        xi = noise[:, at:at + j].reshape(n, j * width)
+        prop = self._prop[..., (self._top - j) * width:]
+        return prop[0].dot(xi[0]) if self._one else np.matmul(prop, xi[..., None])[..., 0]
+
+    def _draw(self, k):
+        """Move the drawn noise rows from dt step k on to the front of the
+        block and draw the next NOISE_BLOCK dt steps of every noisy member
+        behind them."""
+        noise, keep = self._noise, self._noise_end - k
+        noise[:, :keep] = noise[:, k - self._noise_at:self._noise_end - self._noise_at]
+        for b, mem in self._noisy:
+            noise[b][keep:keep + NOISE_BLOCK, mem.dvoc_pos] = mem.draw_noise()
+        self._noise_at, self._noise_end = k, k + keep + NOISE_BLOCK
 
     def _hold_due(self, k):
         """Sample every member due at dt step k, hold its live i_o and
@@ -950,8 +1116,9 @@ class Simulation:
     def _derive_records(self):
         """Turn the pending records into states, check them finite and turn
         them into v and i_o, all in one pass: a record inside a step is its
-        dense output, one batched ``np.matmul`` per offset.  Runs before
-        every restack and every RECORD_BLOCK records, so all pending records
+        dense output, one batched ``np.matmul`` per rung and offset, plus
+        the noise its step added up to the offset.  Runs before every
+        restack and every RECORD_BLOCK records, so all pending records
         share the stacked matrices they were taken with."""
         if not self._pending:
             return
@@ -959,16 +1126,20 @@ class Simulation:
         zs = self._zs[:self._z_rows] if self._z_rows else None
         self._pending, self._z_rows = [], 0
         by_offset = {}
-        for r, (j, _) in enumerate(pending):
-            by_offset.setdefault(j, []).append(r)
+        for i, (r, j, _, _) in enumerate(pending):
+            by_offset.setdefault((r, j), []).append(i)
         ys = np.empty((len(pending),) + self.y.shape, dtype=complex)
-        for j, at in by_offset.items():
-            got = [pending[r][1] for r in at]
+        for (r, j), at in by_offset.items():
+            got = [pending[i][2] for i in at]
             if j == 0:
                 ys[at] = np.stack(got)
             else:  # rows of zs: all of them, or one gather
                 z = zs if len(got) == len(zs) else zs[got]
-                ys[at] = np.matmul(self._dense[j - 1], z[..., None])[..., 0]
+                ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
+        if self._noisy:
+            for i, (_, _, _, noise) in enumerate(pending):
+                if noise is not None:
+                    ys[i] += noise
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -984,8 +1155,7 @@ class Simulation:
         cfg = self.config
         if self.step_index != 0:
             raise RuntimeError("run() must be called on a fresh Simulation")
-        n_steps, k = int(round(cfg.t_end / cfg.dt)), self._k
-        decim = cfg.record_decimation
+        n_steps, decim = self._n_steps, cfg.record_decimation
         n_rec = n_steps // decim + 1
         # v and i_o of every (member, record, inverter).
         self._records = np.empty((2, len(self.members), n_rec, self.live_model.ns), complex)
@@ -999,22 +1169,24 @@ class Simulation:
         # bulk.  Overflow en route to a detected divergence is expected; the
         # finite checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._pending.append((0, self.y))
+            self._pending.append((0, 0, self.y, None))
             at = decim  # the dt step of the next record
-            for _ in range(n_steps // k):
+            while self.step_index < n_steps:
                 self.step()
                 end = self.step_index
                 if end < at:
                     continue
-                if at < end:  # at offset j = at - (end - k) into the step
-                    row = self._z_rows
+                if at < end:  # at offset j = at - (end - r) into the step
+                    r, row = self._r, self._z_rows
                     self._zs[row] = self._z
                     self._z_rows += 1
                     while at < end:
-                        self._pending.append((at - end + k, row))
+                        j = at - end + r
+                        noise = self._noise_sum(end - r, j).copy() if self._noisy else None
+                        self._pending.append((r, j, row, noise))
                         at += decim
                 if at == end:
-                    self._pending.append((0, self.y))
+                    self._pending.append((0, 0, self.y, None))
                     at += decim
                 if len(self._pending) >= RECORD_BLOCK:
                     self._derive_records()
@@ -1023,8 +1195,10 @@ class Simulation:
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)
         t = np.arange(n_rec) * decim * cfg.dt
+        stats = {"steps_per_rung": dict(sorted(self._rung_steps.items())),
+                 "segments": self._segments}
         traces = _finalize_traces(t, self._records[0], self._records[1], self.members,
-                                  n_steps)
+                                  n_steps, stats)
         return traces[0] if self._single else traces
 
 

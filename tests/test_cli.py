@@ -45,6 +45,23 @@ class TestSimulate:
         assert "resolved_scenario" in manifest
         assert set(manifest["outputs"]) == {"trace.csv", "metrics.csv"}
 
+    @pytest.mark.parametrize("sim", [
+        {"dt_s": 2e-5, "t_end_s": 2e-5, "record_decimation": 1},  # one step
+        {"dt_s": 2e-5, "t_end_s": 0.01, "record_decimation": 1000},  # two records
+    ], ids=["one-step", "decimation-above-the-steps"])
+    def test_short_run_warns_nothing(self, sim, tmp_path):
+        # A trailing window of fewer than three records has no frequency:
+        # steady_freq is NaN, with no "Mean of empty slice" RuntimeWarning.
+        d = pu_scenario_dict(sim=dict(sim, network_model="quasistatic", noise_seed=0))
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+        header, data = read_csv(tmp_path / "out" / "metrics.csv")
+        row = dict(zip(header, np.atleast_1d(data)[0]))
+        assert np.isnan(float(row["steady_freq_hz"]))
+
     def test_manifest_reproduces_scenario(self, tiny_scenario, tmp_path):
         out = tmp_path / "out"
         main(["simulate", tiny_scenario, "--out", str(out)])

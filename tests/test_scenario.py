@@ -3,12 +3,14 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dvocsim import analysis
 from dvocsim.control import DroopParams, DvocParams
 from dvocsim.scenario import (ScenarioError, builtin_names, builtin_scenario,
                               parse_scenario, parse_scenario_dict)
+from dvocsim.sim import run_scenario
 
 from conftest import pu_scenario_dict
 
@@ -179,19 +181,29 @@ class TestParsing:
         assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
 
     @pytest.mark.parametrize("sim, events, where", [
-        ({"noise_amplitude": 0.1}, [], "sim: noise is drawn per dt step"),
         ({"controller_sample_hz": 1.0 / (3 * 2e-5)}, [], "sim: controller sample"),
         ({}, [{"t_s": 0.10002, "type": "load_step", "node": "bus", "g_siemens": 0.4}],
          "events[0].t_s: an event at t = 0.10002 s is applied at dt step 5001"),
-    ], ids=["noise", "sample-interval", "event"])
+    ], ids=["sample-interval", "event"])
     def test_step_multiple_off_the_grid_rejected_with_its_path(self, sim, events, where):
-        # Two dt per step: noise, a 3-step sample interval and an event at
-        # dt step 5001 each fall off the integrator's step grid.
+        # Two dt per step: a 3-step sample interval and an event at dt step
+        # 5001 each fall off the integrator's step grid.
         d = pu_scenario_dict(events=events)
         d["sim"].update(sim, step_multiple=2)
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_dict(d)
         assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
+
+    def test_noise_runs_at_two_dt_per_step(self):
+        # Noise, drawn per dt, crosses a step of several dt through the
+        # linear flow, so a noisy document parses and runs at k = 2.
+        d = pu_scenario_dict()
+        d["sim"].update(noise_amplitude=0.1, step_multiple=2, t_end_s=0.002)
+        sc = parse_scenario_dict(d)
+        assert (sc.sim.step_multiple, sc.sim.noise_amplitude) == (2, 0.1)
+        tr = run_scenario(sc)
+        assert tr.meta["stats"]["steps_per_rung"] == {2: 50}
+        assert np.isfinite(tr.v).all() and np.isfinite(tr.i_o).all()
 
     def test_droop_inverter_parses(self):
         sc = parse_scenario_dict(pu_scenario_dict(control="droop", kp=0.01,
@@ -432,7 +444,7 @@ def test_valid_documents_round_trip_exactly():
         maybe(draw, sim, "network_model", st.sampled_from(["dynamic", "quasistatic"]))
         maybe(draw, sim, "record_decimation", st.integers(1, 100))
         maybe(draw, sim, "noise_seed", st.integers(0, 2**70))
-        maybe(draw, sim, "noise_amplitude", st.floats(0.0, 1.0) if mult == 1 else st.just(0.0))
+        maybe(draw, sim, "noise_amplitude", st.floats(0.0, 1.0))
         doc = {"omega0_rad_per_s": draw(positive), "inverters": inverters,
                "network": {"branches": branches,
                            "loads": [{"node": "bus", **conductance(draw)}],

@@ -9,7 +9,9 @@ Step mode imports each tree's ``dvocsim`` package side by side in this one
 interpreter, so both sides share the process, its numpy and its warm caches.
 For each workload, every pair runs the parent and the change once each,
 alternating which runs first, and times ``Simulation.run`` (construction
-excluded) divided by the run's integrator steps.
+excluded) divided by the run's dt steps, t_end / dt, which two trees share
+whatever step sizes they take; the time per integrator step (the run's
+``meta["steps"]``) is printed beside it.
 
 ``--cli`` sizes an end-to-end gain instead: every pair runs one CLI operation
 of each tree, alternating which runs first, each in a fresh
@@ -18,8 +20,9 @@ children pinned to one core by ``os.sched_setaffinity``.  It times each
 process's wall time, interpreter start-up and imports included.
 
 Printed per workload or operation: each side's median and quartiles (us per
-step, or s per run), the median of the paired change/parent ratios and how
-many pairs the change won.
+dt step, or s per run), the median of the paired change/parent ratios and
+how many pairs the change won; in step mode also each side's median us per
+integrator step.
 
 ``--outputs`` checks what a change does to the results instead: it runs
 every operation listed under OUTPUT_OPS once per tree, each into its own
@@ -32,7 +35,9 @@ magnitude in any of the operation's files, so a metric is measured
 against the signal it summarises, and "other" (t, theta, frequencies,
 ratios, ordinates, ...) relative to each column's own.  A difference in a
 text cell, a NaN, the file list, the exit code or a manifest field is
-named as such.
+named as such.  Beside the verdict it prints each side's K per compile
+segment and integrator step count, from the same operation's
+``Simulation`` run again in this process (of a sweep, its first member).
 
 Workloads:
     fig7           -- paper-fig7, the all-oscillator dispatch run
@@ -137,12 +142,44 @@ def scenarios(mods, workload):
 
 
 def us_per_step(mods, members):
+    """us per dt step and per integrator step of one ``Simulation.run``."""
     sim = mods["sim"].Simulation(members)
     cfg = sim.config
-    steps = round(cfg.t_end / cfg.dt) // cfg.stride
     t0 = time.perf_counter()
-    sim.run()
-    return (time.perf_counter() - t0) / steps * 1e6
+    traces = sim.run()
+    seconds = time.perf_counter() - t0
+    meta = (traces[0] if isinstance(traces, list) else traces).meta
+    return seconds / round(cfg.t_end / cfg.dt) * 1e6, seconds / meta["steps"] * 1e6
+
+
+def step_sizes(meta):
+    """K per compile segment (one value if all agree) and the step count of
+    a run, from its trace's meta; a tree without run stats steps k =
+    step_multiple (1 if unset) throughout."""
+    if "stats" in meta:
+        ks = [seg["k"] for seg in meta["stats"]["segments"]]
+    else:
+        ks = [meta["step_multiple"]]
+    ks = ks if len(set(ks)) > 1 else ks[:1]
+    return f"K {','.join(map(str, ks))} steps {meta['steps']}"
+
+
+def op_meta(src, cmd):
+    """The trace meta of the ``Simulation`` behind a CLI operation, run in
+    this process from the tree under ``src``: the scenario of ``simulate``,
+    or the first member of a ``droop-sweep`` batch."""
+    mods = load(src)
+    scenario, sim = mods["scenario"], mods["sim"]
+    source = cmd[1]
+    sc = (scenario.parse_scenario(source) if source.endswith(".json")
+          else scenario.builtin_scenario(source))
+    if cmd[0] == "simulate":
+        return sim.Simulation(sc).run().meta
+    axis = cmd[cmd.index("--axis") + 1]
+    a, b, n = next(x for x in cmd if x.startswith("--range=")).split("=")[1].split(":")
+    grid = [float(a) + (float(b) - float(a)) * k / (int(n) - 1) for k in range(int(n))]
+    members = [mods["analysis"]._actuated_scenario(sc, axis, g) for g in grid]
+    return sim.Simulation(members).run()[0].meta
 
 
 def cli_run(src, args, out):
@@ -286,7 +323,8 @@ def check_outputs(srcs):
                 verdict = f"exit code or stdout differs: {runs[0]} against {runs[1]}"
             else:
                 verdict = compare_outputs(*outs)
-            print(f"{name:22s} {verdict}", flush=True)
+            sizes = [step_sizes(op_meta(src, cmd)) for src in srcs]
+            print(f"{name:22s} {verdict}  [parent {sizes[0]}; change {sizes[1]}]", flush=True)
             shutil.rmtree(os.path.join(tmp, "out", name), ignore_errors=True)
     finally:
         shutil.rmtree(tmp)
@@ -297,12 +335,12 @@ def quartiles(xs, digits):
     return f"{q2:8.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
-def report(name, unit, digits, times, pairs):
+def report(name, unit, digits, times, pairs, extra=""):
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(c < p for p, c in zip(*times))
     print(f"{name:14s} {unit}  parent {quartiles(times[0], digits)}  "
           f"change {quartiles(times[1], digits)}  ratio {statistics.median(ratios):.3f}  "
-          f"change faster in {wins}/{pairs} pairs")
+          f"change faster in {wins}/{pairs} pairs{extra}")
 
 
 def alternate(pairs, run):
@@ -353,8 +391,10 @@ def main(argv=None):
         members = [scenarios(mods, workload) for mods in sides]
         for mods, m in zip(sides, members):  # warm-up, untimed
             us_per_step(mods, m)
-        times = alternate(args.pairs, lambda side: us_per_step(sides[side], members[side]))
-        report(workload, "us/step", 2, times, args.pairs)
+        both = alternate(args.pairs, lambda side: us_per_step(sides[side], members[side]))
+        per_step = [statistics.median(t[1] for t in side) for side in both]
+        report(workload, "us/dt-step", 2, [[t[0] for t in side] for side in both], args.pairs,
+               f"  us/step parent {per_step[0]:.2f} change {per_step[1]:.2f}")
 
 
 if __name__ == "__main__":

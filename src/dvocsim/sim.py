@@ -70,17 +70,25 @@ gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
 member keeps its coefficients and its A, live and held, over its own state.
 N writes every intermediate into scratch arrays made once per input shape
 (``_Scratch``) and keeps the live droop current's rows times j, so its
-quarter turn -j conj(i_o) is one conjugate.
+quarter turn -j conj(i_o) is a conjugate: for a single run, folded into
+one real gemv on the (real, imaginary) pairs of the state.
 
-A controller sample evaluates the live N(y) once: it gives the measured
-i_o = g y + C dv/dt, C the terminal capacitances outside the network model
-(0 on the quasi-static network, whose reduced admittance holds them).  With
-the measurement just held, the held law at y gives the live dv/dt, so when
-every sampled member is due the stepped model's N(y) = N_live(y) + (A_live
-- A) y fills the step's first stage slot, and the step makes no N call of
-its own there.  Each member keeps the dt step of its next sample: 0 at the
-start, the step of a restack at its own event, else the next point of its
-own sample grid.
+A controller sample evaluates the live N(y) once, into the step's first
+stage slot, and takes one product of a matrix built per compile with [y,
+N(y)].  With dv/dt = A y + N(y) of the live model, the measured i_o = (g +
+C A) y + C N(y), C the terminal capacitances outside the network model (0
+on the quasi-static network, whose reduced admittance holds them), and
+the product's rows give the held values themselves: -c2 i_o in each
+oscillator's hold and -j conj(i_o) in each droop law's, then (A_live - A)
+y.  A single run's product is a real gemv that writes them straight into
+the held model's hold buffer, the conjugate folded into its droop rows; a
+batch's is one np.matmul, conjugated and copied into the holds of the
+members due.  With the measurement just held, the held law at y gives the
+live dv/dt, so when every sampled member is due the stepped model's N(y)
+= N_live(y) + (A_live - A) y completes the slot with one add, and the
+step makes no N call of its own there.  Each member keeps the dt step of
+its next sample: 0 at the start, the step of a restack at its own event,
+else the next point of its own sample grid.
 
 The filter capacitor sits at the inverter terminal, behind the current
 measurement, so in the dynamic network model the measured current contains
@@ -97,25 +105,29 @@ member, straight into one full-width row per dt step of a block that a
 restack carries over.  It crosses a step of r dt exactly through the
 linear flow (the exponential schemes for additive noise of Jentzen &
 Kloeden, Proc. R. Soc. A 465, 2009): the step adds sum_{j=1..r}
-exp((r - j) dt A) xi_j of its draws xi_j in one product, and at r = 1 the
-plain row.
+exp((r - j) dt A) xi_j of its draws xi_j.  The stage vectors z = [y, N(y),
+N(a), N(b), N(c)] sit in two buffers (``_Stages``), each followed by room
+for the noise rows of a segment's longest step: a step copies its rows
+there and its last product, with the propagators beside the last stage
+matrix, writes the next y, noise included, into the other buffer's y
+slot.  So no step copies its state, and the z of a step stays whole in
+the buffer it read until the step after next.
 
-Recording is deferred, and records stay on the dt grid whatever r is.  Each
-step makes a new state array, its noise added in place, so a record at a
-step's end only keeps a reference to the state.  A step with records inside
-it copies its stage vectors z = [y, N(y), N(a), N(b), N(c)] into the next
-row of a RECORD_BLOCK-row block: ETDRK4's continuous extension gives the
-state at t + (j/r) h as W_j z, with W_j built beside the rung's stage
-matrices (``_etdrk4_weights``), and the noise of the step's first j dt
-steps, summed as above, is kept beside it.  A step of one dt has no records
-inside it.  The pending records are turned into states (one batched
-``np.matmul`` per rung and offset j, over the block's rows or one gather of
-them), checked finite and turned into v and i_o together, with
-one batched ``np.matmul`` per product, whenever RECORD_BLOCK of them have
-gathered, before every event restack (so each block is derived with the
-matrices of the compile segment it was taken in) and at the end of the
-run.  The first non-finite record raises SimulationDiverged with its own
-time and dt step, as a check at every record point would.
+Recording is deferred, and records stay on the dt grid whatever r is.  A
+record at a step's end copies the state.  A step with records inside it
+copies its z into the next row of a RECORD_BLOCK-row block: ETDRK4's
+continuous extension gives the state at t + (j/r) h as W_j z, with W_j
+built beside the rung's stage matrices (``_etdrk4_weights``), and the
+noise of the step's first j dt steps, summed as above from its buffer's
+tail, is kept beside it.  A step of one dt has no records inside it.
+The pending records are turned into states (one batched ``np.matmul`` per
+rung and offset j, over the block's rows or one gather of them), checked
+finite and turned into v and i_o together, with one batched ``np.matmul``
+per product, whenever RECORD_BLOCK of them have gathered, before every
+event restack (so each block is derived with the matrices of the compile
+segment it was taken in) and at the end of the run.  The first non-finite
+record raises SimulationDiverged with its own time and dt step, as a check
+at every record point would.
 """
 
 import functools
@@ -333,7 +345,9 @@ class Trace:
 def _finalize_traces(t, v, i_o, members, n_steps, stats):
     """One Trace per member from the (member, record, inverter) buffers; a
     member's v and i_o are views of them.  ``stats`` holds the batch's
-    steps per rung and its compile segments (``Simulation.run``)."""
+    steps per rung, compile segments, restacks and samples that filled
+    stage 1, and each member's samples (``Simulation.run``); a member
+    without sampled controllers reports no stage-1 fills."""
     traces = []
     for b, mem in enumerate(members):
         vb, ib = v[b, :, :mem.ns], i_o[b, :, :mem.ns]
@@ -352,7 +366,11 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
             "step_multiple": cfg.step_multiple,
             "steps": sum(stats["steps_per_rung"].values()),
             "stats": {"steps_per_rung": dict(stats["steps_per_rung"]),
-                      "segments": [dict(seg) for seg in stats["segments"]]},
+                      "segments": [dict(seg) for seg in stats["segments"]],
+                      "samples": stats["samples"][b],
+                      "stage1_filled": stats["stage1_filled"] if mem.sample_steps else 0,
+                      "restacks": [dict(rs, members=list(rs["members"]))
+                                   for rs in stats["restacks"]]},
         }
         events = [(time, _describe_action(a)) for time, a in mem.events_applied]
         traces.append(Trace(
@@ -436,6 +454,18 @@ def _extension(row, h, k):
     b23 = h * (2.0 * p2 - 4.0 * p3)
     return np.concatenate([row[..., :m], h * (p1 - 3.0 * p2 + 4.0 * p3), b23, b23,
                            h * (4.0 * p3 - p2)], axis=-1)
+
+
+def _real_form(m, conj=False):
+    """The real matrix, (2 R, 2 C), of the complex (R, C) m on interleaved
+    (real, imaginary) pairs: x.view(float) to (m x).view(float), or with
+    ``conj`` to conj(m x).view(float), so a conjugate needs no call of its
+    own."""
+    out = np.empty((2 * m.shape[0], 2 * m.shape[1]))
+    sign = -1.0 if conj else 1.0
+    out[0::2, 0::2], out[0::2, 1::2] = m.real, -m.imag
+    out[1::2, 0::2], out[1::2, 1::2] = sign * m.imag, sign * m.real
+    return out
 
 
 def _padded(arrays, shape):
@@ -596,12 +626,15 @@ class _Split:
     a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
                   constants of the droop law and the offset _EPS of v
     meas, cap  -- (B, M, M), j times the droop rows of the live current, cap
-                  current excluded (None: every droop law is held), and (kp c,
-                  kq c, kp kq c^2) of each droop terminal's capacitance c
+                  current excluded (None: every droop law is held), and
+                  kq c + j kp c of each droop terminal's capacitance c
                   (None: no live loop)
+    holds      -- the held values, flat: -c2 i_o of every member's slots,
+                  then -j conj(i_o), zero off the inverter slots, then
+                  ``tail`` more slots for a caller's product to fill with them
     """
 
-    def __init__(self, members, width, live, prev=None):
+    def __init__(self, members, width, live, prev=None, tail=0):
         n, ns = len(members), max(mem.ns for mem in members)
         self.ns, self.dynamic = ns, members[0].dynamic
         # Whether each member's controllers measure the live current here.
@@ -635,15 +668,22 @@ class _Split:
         # Interleaved (real, imag) pairs (-kq, kp) and (b_dr, 0).
         self._kqp, self._b_dr = (-self.kq + 1j * self.kp).view(float), (self.b_dr + 0j).view(float)
         self.meas = meas if self.droop and any(lives) else None
-        self.cap = (self.kp * c, self.kq * c, self.kp * self.kq * c * c) if c.any() else None
+        # conj(meas y) of a single run's state, one real gemv
+        self._meas_one = _real_form(meas[0], conj=True) \
+            if n == 1 and self.meas is not None else None
+        self.cap = self.kq * c + 1j * self.kp * c if c.any() else None
 
-        # The held -c2 i_o of the oscillators and -j conj(i_o) of the droop laws.
-        self._holds = np.zeros((2, n, width), dtype=complex)
+        self.holds = np.zeros(2 * n * width + tail, dtype=complex)
+        self._holds = self.holds[:2 * n * width].reshape(2, n, width)
         if prev is not None:  # held values sit in the inverter slots
             self._holds[..., :ns] = prev._holds[..., :ns]
         self._held, self._held_rot = self._holds.reshape(2, -1)
         self._hold_slots = self._holds[..., :ns]
-        self._scratch = {}  # input shape -> _Scratch of N
+        # The constants N reads, unpacked once per call.
+        self._cubic = self.c1, self.c1v, self._held
+        self._law = self.floor, self._held_rot, self._kqp, self._b_dr, self.eps
+        # The _Scratch of N for the flat state, (B M,), and per stack shape.
+        self._flat, self._scratch = None, {}
 
     def nonlinear(self, y, out=None):
         """N(y) for the flattened batch state y, (B M,), or for a stack of
@@ -653,74 +693,87 @@ class _Split:
         terms exactly 0 off the droop slots.  Every intermediate lives in
         the scratch arrays of y's shape; the result is ``out`` or a fresh
         array, never one of them."""
-        s = self._scratch.get(y.shape)
+        s = self._flat if y.ndim == 1 else self._scratch.get(y.shape)
         if s is None:
-            s = self._scratch[y.shape] = _Scratch(self, y.shape)
-        mag = np.abs(y, s.mag)
+            s = _Scratch(self, y.shape)
+            if y.ndim == 1:
+                self._flat = s
+            else:
+                self._scratch[y.shape] = s
+        c1, c1v, held = self._cubic
         if not self.droop:
-            gain, w = s.cubic, y
-            np.square(mag, mag)
-            np.multiply(self.c1v, mag, gain)
-            np.subtract(self.c1, gain, gain)
+            r2, r2c, gain = s.cubic
+            np.abs(y, r2)
+            np.square(r2, r2)
+            np.multiply(c1v, r2 if self._real_c1 else r2c, gain)
+            np.subtract(c1, gain, gain)
+            w = y
         else:
             # The droop law without trigonometry, as a gain on v: dv/dt =
             # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
             # offset by as much, so v = 0 reads as theta = 0.
-            r = np.maximum(mag, self.floor, out=s.r)
+            r, t, u, re, im, r2, r2c, cubic, w = s.droop
+            floor, held_rot, kqp, b_dr, eps = self._law
+            np.abs(y, r)
+            np.maximum(r, floor, out=r)
             # t = -j v conj(i_o) = q - j p: the exact quarter turn of
             # s = p + j q puts q, the term that r divides, in the real part.
             # meas is stored times j, so the live -j conj(i_o) is conj(meas y).
-            t = s.t
             if self.meas is None:
-                np.multiply(y, self._held_rot, t)
+                np.multiply(y, held_rot, t)
             else:
-                if s.col is None:  # one member's state: BLAS gemv
-                    self.meas[0].dot(y, t)
+                if s.col is None:  # one member's state: one real BLAS gemv
+                    self._meas_one.dot(y.view(float), u)
                 else:
                     np.matmul(self.meas, y.reshape(s.col), s.t_col)
-                np.conjugate(t, t)
+                    np.conjugate(t, t)
                 if self.held:
-                    t += self._held_rot
+                    t += held_rot
                 np.multiply(y, t, t)
-            u, re = s.u, s.re  # (q, -p) per slot and q
-            u *= self._kqp
-            u += self._b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
-            if self.cap is not None:
+            # u: (q, -p) per slot, re: q, im: -p
+            u *= kqp
+            u += b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
+            np.multiply(r, r, r2)  # for the live loop and the cubic
+            # Less A's diagonal (-1 + j a_dr) v, the gain is (dr/dt + r) / r
+            # + j (dtheta/dt - a_dr), dtheta/dt - a_dr = -kp p.
+            if self.cap is None:
+                re /= r
+            else:
                 # i_o = i_net + C dv/dt adds c r dr/dt to p and -c r^2
-                # dtheta/dt to q, linear in both rates: in closed form,
-                #   dr/dt = (b_dr - kq q - r + kq c r^2 (a_dr - kp p))
-                #           / (1 + kp kq c^2 r^3),
-                # and the p that dtheta/dt sees gains c r dr/dt.
-                kp_c, kq_c, kpkq_c2 = self.cap
-                im, r2, den, num = s.im, s.r2, s.den, s.num
-                np.multiply(r, r, r2)
-                np.multiply(kpkq_c2, r2, den)
-                den *= r
-                den += 1.0
+                # dtheta/dt to q, linear in both rates.  In closed form, with
+                # h = kq c r^2 and k = kp c r^2 from one complex product and
+                # G = (dr/dt + r) / r,
+                #   G = (b_dr - kq q + h (a_dr - kp p + k)) / (r + h k),
+                #   dtheta/dt - a_dr = -kp p + k - k G,
+                # both exactly 0 off the droop slots.
+                hk, den, num = s.hk, s.den, s.num
+                np.multiply(self.cap, r2c, hk)
+                h, k = hk.real, hk.imag
+                np.multiply(h, k, den)
+                den += r
+                im += k
                 np.add(self.a_dr, im, num)
-                num *= kq_c
-                num *= r2
-                re -= r
+                num *= h
                 re += num
-                re /= den  # dr/dt
-                np.multiply(kp_c, r, num)
-                num *= re
+                re /= den
+                np.multiply(k, re, num)
                 im -= num
-                re += r
-            # Less A's diagonal (-1 + j a_dr) v, as dtheta/dt - a_dr = -kp p,
-            # plus the cubic's gain, in real arithmetic where c1 is real.
-            re /= r
-            mag *= mag
-            cubic = s.cubic
-            np.multiply(self.c1v, mag, cubic)
-            np.subtract(self.c1, cubic, cubic)
+            # Plus the cubic's gain, in real arithmetic where c1 is real, else
+            # on |v|^2 as a complex array with a zero imaginary part: either
+            # way one dtype per call.  r^2 = |v|^2 on the oscillator slots:
+            # r differs from |v| only below _EPS, where c1v r^2 rounds off c1
+            # as c1v |v|^2 does.
             if self._real_c1:
+                np.multiply(c1v, r2, cubic)
+                np.subtract(c1, cubic, cubic)
                 re += cubic
             else:
+                np.multiply(c1v, r2c, cubic)
+                np.subtract(c1, cubic, cubic)
                 t += cubic
-            gain, w = t, np.add(y, self.eps, s.w)
-        held = self._held
-        if out is not None and out.shape != y.shape:  # a slot with no 1-D view
+            gain = t
+            np.add(y, eps, w)
+        if out is not None and out.ndim != y.ndim:  # a slot with no 1-D view
             gain, w, held = (x.reshape(out.shape) for x in (gain, w, held))
         out = np.multiply(gain, w, out)
         if self.held:
@@ -744,18 +797,15 @@ class _Split:
             return y[..., :ns], i_net
         return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
 
-    def hold(self, i_o, due=None):
-        """Zero-order hold: the controllers of the members listed in ``due``
-        (all if None) measure ``i_o`` (B, ns) until their next sample.  The
-        oscillators hold -c2 i_o, the droop laws -j conj(i_o), both written
-        in place; off its own law's slots each meets only zero constants."""
+    def hold(self, i_o, due=True):
+        """Zero-order hold: the controllers of the members ``due``, a (B,)
+        boolean mask (all by default), measure ``i_o`` (B, ns) until their
+        next sample.  The oscillators hold -c2 i_o, the droop laws -j
+        conj(i_o), both written in place; off its own law's slots each
+        meets only zero constants.  A run's sample writes the same values
+        through one product (``Simulation._sample_matrix``)."""
         osc, rot = self._hold_slots
-        if due is None:
-            np.multiply(self.neg_c2, i_o, osc)
-            np.conjugate(i_o, rot)
-            np.multiply(rot, -1j, rot)
-            return
-        on = np.isin(np.arange(len(osc)), due)[:, None]
+        on = np.asarray(due)[..., None]
         np.multiply(self.neg_c2, i_o, out=osc, where=on)
         np.conjugate(i_o, out=rot, where=on)
         np.multiply(rot, -1j, out=rot, where=on)
@@ -766,19 +816,72 @@ class _Scratch:
     its first call with that shape and reused by every later one."""
 
     def __init__(self, model, shape):
-        self.mag = np.empty(shape)
-        self.cubic = np.empty(shape, dtype=model.c1.dtype)
+        # |v|^2 (r^2 beside a droop law) and the cubic's gain.  |v|^2 is the
+        # real part of a complex array, whose imaginary part stays 0, where
+        # a complex constant multiplies it, so every call has one dtype.
+        r2c = np.zeros(shape, dtype=complex)
+        r2 = np.empty(shape) if model._real_c1 and model.cap is None else r2c.real
+        cubic = np.empty(shape, dtype=model.c1.dtype)
+        self.cubic = r2, r2c, cubic
         if not model.droop:
             return
-        self.r, self.r2, self.den, self.num = np.empty((4,) + shape)
-        self.t, self.w = np.empty((2,) + shape, dtype=complex)
-        self.u, self.re, self.im = self.t.view(float), self.t.real, self.t.imag
-        # The live current's product: gemv on one member's state, else
-        # (..., B, M, 1) stacks of the batch's matrices and states.
+        self.r, self.den, self.num = np.empty((3,) + shape)
+        self.t, self.w, self.hk = np.empty((3,) + shape, dtype=complex)
+        # The droop law's arrays, unpacked once per call: r, t = q - j p,
+        # its (q, -p) pairs, q and -p, then r^2 and the cubic's arrays.
+        self.droop = (self.r, self.t, self.t.view(float), self.t.real, self.t.imag,
+                      r2, r2c, cubic, self.w)
+        # The live current's product: a real gemv on one member's flat
+        # state, else (..., B, M, 1) stacks of the batch's matrices and
+        # states.
         self.col = self.t_col = None
         if model.meas is not None and (len(shape) > 1 or len(model.meas) > 1):
             self.col = shape[:-1] + model.meas.shape[:2] + (1,)
             self.t_col = self.t.reshape(self.col)
+
+
+class _Stages:
+    """One of a batch's two buffers of ETDRK4 stage vectors z = [y, N(y),
+    N(a), N(b), N(c)], (B, 5 M), followed by ``tail`` slots for the noise
+    rows a step crosses, with the views of it that a step's products read
+    and write.  A step reads its y here and writes the next y into the y
+    slot of ``other``, so no step copies its state and the z of the last
+    step stays whole for the records inside it.
+
+    y, y_flat -- the y slot, (B, M), and its 1-D view (None for a batch)
+    n_slots   -- the N slots, each as a 1-D view where it has one (B = 1 or
+                 M = 1): numpy writes that as fast as a contiguous array, a
+                 2-stride slot slower
+    n_ns      -- stage 1's N slot over the inverter slots
+    ins       -- the parts of the buffer that each stage multiplies, the
+                 last with the tail: 1-D for ``ndarray.dot`` at B = 1 (the
+                 last (1, ...)), else (B, ..., 1) for np.matmul
+    sample_in -- [y, N(y)] as (real, imaginary) pairs at B = 1, else None
+    y_out     -- the y slot in the shape the last stage writes
+    z, tail   -- z, (B, 5 M), and the tail, (B, tail), 1-D at B = 1
+    """
+
+    __slots__ = ("y", "y_flat", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "tail",
+                 "other")
+
+    def __init__(self, n, width, ns, tail):
+        buf = np.zeros((n, 5 * width + tail), dtype=complex)
+        self.z = buf[:, :5 * width]
+        slots = [buf[:, k * width:(k + 1) * width] for k in range(5)]
+        self.y = slots[0]
+        self.n_slots = [s.reshape(-1) if 1 in s.shape else s for s in slots[1:]]
+        if n == 1:
+            col = buf[0]
+            self.y_flat, self.n_ns = col[:width], col[width:width + ns]
+            self.ins = tuple(col[:c * width] for c in (2, 3, 4)) + (buf,)
+            self.sample_in = self.ins[0].view(float)
+            self.y_out, self.tail = self.y, col[5 * width:]
+        else:
+            col = buf[..., None]
+            self.y_flat, self.n_ns = None, slots[1][:, :ns]
+            self.ins = tuple(col[:, :c * width] for c in (2, 3, 4)) + (col,)
+            self.sample_in = None
+            self.y_out, self.tail = self.y[..., None], buf[:, 5 * width:]
 
 
 class Simulation:
@@ -814,29 +917,41 @@ class Simulation:
                 raise ValueError(f"member {b} does not share the step grid of member 0: "
                                  f"{', '.join(diff)} differ")
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
-        self.t = 0.0
         self.step_index = 0  # in dt steps; a step of r dt advances it by r
         self._n_steps = round(self.config.t_end / self.config.dt)
         self._fixed = self.config.step_multiple  # None: K chosen per segment
-        # How many members sample their controllers, the dt step of each
-        # member's next sample (inf: unsampled) and the earliest of them.
+        # How many members sample their controllers, each member's sample
+        # interval and the dt step of its next sample (inf: unsampled), the
+        # earliest of them, and which members the last sample held.
         self._sampled = sum(mem.sample_steps is not None for mem in self.members)
+        self._grid = [mem.sample_steps for mem in self.members]
         self._sample_at = [0 if mem.sample_steps else math.inf for mem in self.members]
         self._next_hold = min(self._sample_at)
+        self._due = np.zeros(len(self.members), dtype=bool)
+        self._due_mask = self._due[None, :, None]
         self._noisy = [(b, mem) for b, mem in enumerate(self.members)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
         # The dt steps of the noise block's first row and of the row after
         # its last drawn one.
         self._noise_at = self._noise_end = 0
-        # Records not yet derived, as (rung, offset, state, noise) at offset
+        # Records not yet derived, as (rung, offset, state, None) at offset
         # 0, else as (rung, offset, the row of _zs with the stage vectors of
         # its step, the noise its step added up to the offset or None).
         self._pending = []
-        # Steps taken per rung, and per compile segment its dt step, K and
-        # step-doubling estimate.
-        self._rung_steps, self._segments = {}, []
+        # Run stats, counted per step, sample or restack: steps taken per
+        # rung, per compile segment its dt step, K and step-doubling
+        # estimate, the restacks at events, each member's samples and the
+        # samples whose live N filled stage 1.
+        self._rung_steps = [0] * (max(MAX_RUNG, MAX_STEP_MULTIPLE) + 1)
+        self._segments, self._restacks = [], []
+        self._samples, self._filled = [0] * len(self.members), 0
         self.model = self._noise = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
+
+    @property
+    def t(self):
+        """The time reached, s."""
+        return self.step_index * self.config.dt
 
     # -- batch ---------------------------------------------------------------
 
@@ -848,11 +963,17 @@ class Simulation:
         width = max(len(y) for y in states)
         self.y = _padded(states, (width,))
         self.live_model = _Split(ms, width, live=True)
-        self.model = _Split(ms, width, live=False, prev=self.model) if self._sampled \
-            else self.live_model
-        ns = self.model.ns
+        ns = self.live_model.ns
+        # A single run's sample writes its stage-1 correction behind the holds.
+        self.model = _Split(ms, width, live=False, prev=self.model,
+                            tail=ns if n == 1 else 0) if self._sampled else self.live_model
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
+        # The next step that ends a step whatever K is: an event, t_end or
+        # (with it) a sample.
+        self._end = min(self._next_event, self._n_steps)
+        self._stop = min(self._end, self._next_hold)
+        self._width = width
         # The segment's largest rung: step_multiple, else the largest power
         # of two within MAX_RUNG, every sample interval and the segment (of
         # no step when an event is due at t = 0, before the first restack).
@@ -876,61 +997,73 @@ class Simulation:
             # one row per dt step, zero off the oscillator slots; a restack
             # carries the drawn rows over by the inverter slots.  The
             # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
-            # them to a step's end.
+            # them to a step's end (``_set_rung``, ``_noise_sum``).  The
+            # rows flat per member, 1-D for a single run.
             noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
             self._noise = noise
+            self._noise_rows = noise.reshape(n, -1)[0] if n == 1 else noise.reshape(n, -1)
             eye = np.broadcast_to(np.eye(width), (n, width, width))
             self._prop = np.concatenate(
                 [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
                 axis=-1)
 
-        # The stage vectors z = [y, N(y), N(a), N(b), N(c)] of every member,
-        # and the leading parts each stage multiplies.
-        self._z = z = np.zeros((n, 5 * width), dtype=complex)
-        self._slots = tuple(z[:, k * width:(k + 1) * width] for k in range(5))
-        # Each N slot, as a 1-D view where it has one (B = 1 or M = 1): numpy
-        # writes that as fast as a contiguous array, a 2-stride slot slower.
-        self._n_slots = [z.reshape(-1) if 1 in z.shape else z for z in self._slots[1:]]
-        # A single run multiplies 2-D matrices with 1-D vectors through
-        # ndarray.dot, BLAS gemv at about half the fixed cost of the batch's
-        # stacked np.matmul, and as exact: both sum in gemv's order.  Its
-        # last stage takes the z row times W^T, the same gemv, for a fresh
-        # (1, M) state.
+        # The stage vectors of every member in two buffers that the steps
+        # alternate between.  A single run multiplies 2-D matrices with 1-D
+        # vectors through ndarray.dot, BLAS gemv at about half the fixed
+        # cost of the batch's stacked np.matmul, and as exact: both sum in
+        # gemv's order.
         self._one = n == 1
-        if self._one:
-            self._mul, col = np.ndarray.dot, z[0]
-            self._stage_in = tuple(col[:c * width] for c in (2, 3, 4)) + (z,)
-            self._stage_out = self._stage_flat = np.zeros(width, dtype=complex)
-        else:
-            self._mul, col = np.matmul, z.reshape(n, 5 * width, 1)
-            self._stage_in = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
-            self._stage_out = np.zeros((n, width, 1), dtype=complex)
-            self._stage_flat = self._stage_out.reshape(-1)
+        self._mul = np.ndarray.dot if self._one else np.matmul
+        self._tail = tail = top * width if self._noisy else 0
+        self._buf = _Stages(n, width, ns, tail)
+        self._buf.other = _Stages(n, width, ns, tail)
+        self._buf.other.other = self._buf
+        self._stage_out = np.zeros(width if self._one else (n, width, 1), dtype=complex)
+        self._stage_flat = self._stage_out.reshape(-1)
         if self._fixed:
             self._set_rung(top)
         if self._sampled:
-            # A sample's live i_o = g y + C dv/dt and the stepped model's N
-            # less the live one, as one product of a matrix with [y, N(y)],
-            # the live N(y) in stage 1's slot: with dv/dt = A y + N(y) of
-            # the live model, (g + C A) y + C N(y), and the difference of
-            # the two A times y.  The arguments of that product, written
-            # into i_o and the difference of each member.
-            live = self.live_model
-            a = live.a[:, :ns]
-            measure = np.zeros((n, 2 * ns, 2 * width), dtype=complex)
-            measure[:, :ns, :width] = live.g + live.caps[..., None] * a
-            measure[:, :ns, width:width + ns] = live.caps[:, None, :] * np.eye(ns)
-            measure[:, ns:, :width] = a - self.model.a[:, :ns]
-            prod = np.empty((n, 2 * ns), dtype=complex)
-            self._i_o, self._n_diff = prod[:, :ns], prod[:, ns:]
-            self._n_ns = self._slots[1][:, :ns]
-            self._measure = ((measure[0], col[:2 * width], prod[0]) if self._one
-                             else (measure, col[:, :2 * width], prod[..., None]))
+            self._sample_matrix(width)
         # A step with records inside it keeps its z in the next row here.
-        self._zs = np.empty((RECORD_BLOCK,) + z.shape, dtype=complex) if top > 1 else None
+        self._zs = np.empty((RECORD_BLOCK,) + self._buf.z.shape, dtype=complex) \
+            if top > 1 else None
         self._z_rows = 0
+
+    def _sample_matrix(self, width):
+        """The product of a controller sample: one matrix per member times
+        [y, N(y)], the live N(y) in stage 1's slot, with rows for the held
+        model's ``holds``.  With dv/dt = A y + N(y) of the live model, i_o =
+        (g + C A) y + C N(y), and the rows give -c2 i_o in the oscillator
+        hold, j i_o in the droop hold (a conjugate makes it -j conj(i_o)),
+        zero on their branch slots, then the stepped model's A less the
+        live one times y.  A single run's product is one real gemv on the
+        (real, imaginary) pairs, its conjugate folded into the rows of the
+        droop hold, straight into ``holds``; a batch's goes to ``_prod``,
+        is conjugated there and its rows of the members due are copied
+        into the holds."""
+        n, model, live = len(self.members), self.model, self.live_model
+        ns = model.ns
+        a = live.a[:, :ns]
+        i_o = np.zeros((n, ns, 2 * width), dtype=complex)
+        i_o[..., :width] = live.g + live.caps[..., None] * a
+        i_o[..., width:width + ns] = live.caps[:, None, :] * np.eye(ns)
+        measure = np.zeros((n, 2 * width + ns, 2 * width), dtype=complex)
+        measure[:, :ns] = model.neg_c2[..., None] * i_o
+        measure[:, width:width + ns] = 1j * i_o
+        measure[:, 2 * width:, :width] = a - model.a[:, :ns]
+        if self._one:
+            rows = [_real_form(m, conj=c) for m, c in (
+                (measure[0, :width], False), (measure[0, width:2 * width], True),
+                (measure[0, 2 * width:], False))]
+            self._measure = np.concatenate(rows), model.holds.view(float)
+            self._n_diff = model.holds[2 * width:]
+        else:
+            prod = np.empty((n, 2 * width + ns, 1), dtype=complex)
+            self._measure = measure, prod
+            self._rot, self._n_diff = prod[:, width:width + ns, 0], prod[:, 2 * width:, 0]
+            self._prod = prod[:, :2 * width, 0].reshape(n, 2, width).swapaxes(0, 1)
 
     def _set_rung(self, r):
         """Step r dt from now on: the segment's stage matrices and dense
@@ -939,15 +1072,33 @@ class Simulation:
         if w is None:
             h = self.config.dt * r
             etd = _stages(self._rows, h, r)
-            stage_w = tuple(w[0] for w in etd[:3]) + (etd[3][0].T,) if self._one else etd
+            last = etd[3]
+            if self._noisy:  # and the noise its r dt steps add, from the tail
+                prop = self._prop[..., (self._top - r) * self._width:]
+                pad = np.zeros(prop.shape[:-1] + (self._tail - prop.shape[-1],), dtype=complex)
+                last = np.concatenate([last, prop, pad], axis=-1)
+            stage_w = tuple(w[0] for w in etd[:3]) + (last[0].T,) if self._one \
+                else etd[:3] + (last,)
             w = self._rungs[r] = (etd, _dense(self._rows, h, r), stage_w)
         self._r = r
         self._etd, self._dense, self._stage_w = w
+
+    def _noise_sum(self, j):
+        """The additive noise of the first j dt steps of the last step,
+        carried to the end of the j-th by the linear flow: the sum over i =
+        1..j of exp((j - i) dt A) xi_i, xi_i the draw of its i-th dt step,
+        row i of the tail of the buffer the step read, in one product.
+        Shaped as the state, (B, M), or for a single run as its 1-D view."""
+        width = self._width
+        xi = self._buf.other.tail[..., :j * width]
+        prop = self._prop[..., (self._top - j) * width:]
+        return prop[0].dot(xi) if self._one else np.matmul(prop, xi[..., None])[..., 0]
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
         self._derive_records()  # under the matrices they were taken with
         states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
+        changed = []
         for b, mem in enumerate(self.members):
             while mem.pending and mem.pending[0][0] <= self.step_index:
                 _, ev = mem.pending.pop(0)
@@ -955,6 +1106,9 @@ class Simulation:
                 mem.events_applied.append((self.t, ev.action))
                 if mem.sample_steps:  # a recompiled controller holds anew
                     self._sample_at[b] = self.step_index
+                if b not in changed:
+                    changed.append(b)
+        self._restacks.append({"step": self.step_index, "members": changed})
         self._next_hold = min(self._sample_at)
         self._stack(states)
 
@@ -1013,39 +1167,29 @@ class Simulation:
         segment's K that passes no event, controller sample or t_end.  A
         sample at which every sampled member is due hands the step its
         first stage's N (``_hold_due``)."""
-        if self.step_index >= self._next_event:
-            self._apply_due_events()
         k = self.step_index
-        self._slots[0][...] = self.y
+        if k >= self._next_event:
+            self._apply_due_events()
+        buf = self._buf
+        if self.y is not buf.y:  # a fresh stack, or a state set from outside
+            buf.y[...] = self.y
+            self.y = buf.y
         have_n = k >= self._next_hold and self._hold_due(k)
         if self._K is None:
             self._size()
-        r, span = self._K, min(self._next_event, self._next_hold, self._n_steps) - k
-        if 0 < span < r:
-            r = 1 << (span.bit_length() - 1)
+        r = self._K
+        if k + r > self._stop:
+            r = 1 << ((self._stop - k).bit_length() - 1)
         if r != self._r:
             self._set_rung(r)
+        if self._noisy:  # the noise rows of the next top dt steps, into the tail
+            if k + self._top > self._noise_end:
+                self._draw(k)
+            at = (k - self._noise_at) * self._width
+            buf.tail[...] = self._noise_rows[..., at:at + self._tail]
         self._step_etdrk4(have_n)
-        if self._noisy:
-            self.y += self._noise_sum(k, r)  # the step's result is a fresh array
-        self._rung_steps[r] = self._rung_steps.get(r, 0) + 1
-        self.step_index += r
-        self.t = self.step_index * self.config.dt
-
-    def _noise_sum(self, k, j):
-        """The additive noise of the j dt steps from dt step k, carried to
-        the end of the last by the linear flow: the sum over i = 1..j of
-        exp((j - i) dt A) xi_i, xi_i the draw of dt step k + i - 1, in one
-        product; the plain row xi_1 (a view) at j = 1."""
-        if k + j > self._noise_end:
-            self._draw(k)
-        noise, at = self._noise, k - self._noise_at
-        if j == 1:
-            return noise[:, at]
-        n, width = self.y.shape
-        xi = noise[:, at:at + j].reshape(n, j * width)
-        prop = self._prop[..., (self._top - j) * width:]
-        return prop[0].dot(xi[0]) if self._one else np.matmul(prop, xi[..., None])[..., 0]
+        self._rung_steps[r] += 1
+        self.step_index = k + r
 
     def _draw(self, k):
         """Move the drawn noise rows from dt step k on to the front of the
@@ -1062,22 +1206,39 @@ class Simulation:
         schedule its next sample, the next point of its own grid; whether
         stage 1's N is filled.  i_o = g y + C dv/dt takes dv/dt from one
         live N(y), written into stage 1's N slot (C = 0 on the quasi-static
-        network).  With every sampled member due, the held law at y then
+        network), and one product (``_sample_matrix``) gives the held
+        values.  With every sampled member due, the held law at y then
         gives the live dv/dt, so the stepped model's N(y) is the live one
         plus (A_live - A) y, and it completes the slot."""
-        at, due = self._sample_at, []
+        at, due, samples, grid = self._sample_at, self._due, self._samples, self._grid
+        n_due, next_hold = 0, math.inf
         for b, t in enumerate(at):
             if t <= k:
-                s = self.members[b].sample_steps
-                at[b] = k - k % s + s
-                due.append(b)
-        self._next_hold = min(at)
-        self.live_model.nonlinear(self.y.reshape(-1), out=self._n_slots[0])
-        self._mul(*self._measure)
-        self.model.hold(self._i_o, None if len(due) == len(at) else due)
-        if len(due) < self._sampled:
+                s = grid[b]
+                t = at[b] = k - k % s + s
+                samples[b] += 1
+                n_due += 1
+                due[b] = True
+            else:
+                due[b] = False
+            if t < next_hold:
+                next_hold = t
+        self._next_hold = next_hold
+        self._stop = next_hold if next_hold < self._end else self._end
+        buf = self._buf
+        self.live_model.nonlinear(buf.y_flat if self._one else self.y.reshape(-1),
+                                  out=buf.n_slots[0])
+        measure, prod = self._measure
+        if self._one:
+            measure.dot(buf.sample_in, prod)
+        else:
+            np.matmul(measure, buf.ins[0], prod)
+            np.conjugate(self._rot, self._rot)
+            np.copyto(self.model._holds, self._prod, where=self._due_mask)
+        if n_due < self._sampled:
             return False
-        self._n_ns += self._n_diff
+        buf.n_ns += self._n_diff
+        self._filled += 1
         return True
 
     def _step_etdrk4(self, have_n=False):
@@ -1085,20 +1246,26 @@ class Simulation:
         propagated exactly and N's stages are weighted by phi-functions of
         hA, so stiff modes see N with the right weight.  Each N is written
         straight into its slot of the stage vectors; with ``have_n`` the
-        slot of N(y) is already filled.  ``step`` has put y in z."""
-        n, mul = self.model.nonlinear, self._mul
-        (wa, wb, wc, wy), (sa, sb, sc, s) = self._stage_w, self._stage_in
+        slot of N(y) is already filled.  ``step`` has put y in z.  The
+        last product writes the new y into the other buffer's y slot."""
+        n, mul, buf = self.model.nonlinear, self._mul, self._buf
+        (wa, wb, wc, wy), (sa, sb, sc, s) = self._stage_w, buf.ins
         u, uf = self._stage_out, self._stage_flat
-        zn, za, zb, zc = self._n_slots
+        zn, za, zb, zc = buf.n_slots
         if not have_n:
-            n(self.y.reshape(-1), out=zn)
+            n(buf.y_flat if self._one else self.y.reshape(-1), out=zn)
         mul(wa, sa, u)
         n(uf, out=za)
         mul(wb, sb, u)
         n(uf, out=zb)
         mul(wc, sc, u)
         n(uf, out=zc)
-        self.y = s.dot(wy) if self._one else np.matmul(wy, s)[..., 0]
+        buf = self._buf = buf.other
+        if self._one:
+            s.dot(wy, buf.y_out)
+        else:
+            np.matmul(wy, s, buf.y_out)
+        self.y = buf.y
 
     def _diverged(self, y, step):
         """Raise SimulationDiverged for the non-finite batch state y at
@@ -1137,9 +1304,10 @@ class Simulation:
                 z = zs if len(got) == len(zs) else zs[got]
                 ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
         if self._noisy:
-            for i, (_, _, _, noise) in enumerate(pending):
-                if noise is not None:
-                    ys[i] += noise
+            noisy = [i for i, rec in enumerate(pending) if rec[3] is not None]
+            if noisy:
+                ys[noisy] += np.stack([pending[i][3] for i in noisy]).reshape(
+                    (len(noisy),) + self.y.shape)
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -1163,11 +1331,12 @@ class Simulation:
 
         if self.step_index >= self._next_event:
             self._apply_due_events()
-        # Each step makes a new state array, so a record at a step's end is a
-        # reference to it; a step with records inside it copies its stage
-        # vectors into the next row of a block.  Both are derived later in
-        # bulk.  Overflow en route to a detected divergence is expected; the
-        # finite checks turn it into a diagnostic instead of warning spam.
+        # A record at a step's end copies the state; a step with records
+        # inside it copies its stage vectors, left whole in the buffer it
+        # read, into the next row of a block, and keeps the noise up to each
+        # record from that buffer's tail.  Both are derived later in bulk.
+        # Overflow en route to a detected divergence is expected; the finite
+        # checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pending.append((0, 0, self.y, None))
             at = decim  # the dt step of the next record
@@ -1178,15 +1347,15 @@ class Simulation:
                     continue
                 if at < end:  # at offset j = at - (end - r) into the step
                     r, row = self._r, self._z_rows
-                    self._zs[row] = self._z
+                    self._zs[row] = self._buf.other.z
                     self._z_rows += 1
                     while at < end:
                         j = at - end + r
-                        noise = self._noise_sum(end - r, j).copy() if self._noisy else None
+                        noise = self._noise_sum(j) if self._noisy else None
                         self._pending.append((r, j, row, noise))
                         at += decim
                 if at == end:
-                    self._pending.append((0, 0, self.y, None))
+                    self._pending.append((0, 0, self.y.copy(), None))
                     at += decim
                 if len(self._pending) >= RECORD_BLOCK:
                     self._derive_records()
@@ -1195,8 +1364,9 @@ class Simulation:
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)
         t = np.arange(n_rec) * decim * cfg.dt
-        stats = {"steps_per_rung": dict(sorted(self._rung_steps.items())),
-                 "segments": self._segments}
+        stats = {"steps_per_rung": {r: n for r, n in enumerate(self._rung_steps) if n},
+                 "segments": self._segments, "samples": self._samples,
+                 "stage1_filled": self._filled, "restacks": self._restacks}
         traces = _finalize_traces(t, self._records[0], self._records[1], self.members,
                                   n_steps, stats)
         return traces[0] if self._single else traces

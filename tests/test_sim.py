@@ -494,7 +494,8 @@ class TestExponentialSplit:
         # each segment estimates rungs 4 (the sample interval) and 2 and
         # takes 2 at this dt of 1e-4; the steps from 502 stop at the load
         # step and at the sample after it: 999 steps of 2 dt and two of 1,
-        # with the same samples.
+        # with the same samples.  The run stats count the 501 samples and
+        # the 501 whose live N filled stage 1.
         doc = mixed_live_grid_dict()
         doc["events"] = [{"t_s": 0.0503, "type": "load_step", "node": "busB",
                           "g_siemens": 0.01}]
@@ -506,6 +507,7 @@ class TestExponentialSplit:
             assert tr.meta["stats"]["steps_per_rung"] == rungs
             assert calls[0] == 4 * tr.meta["steps"] + 2 + 2 * (1 + 10 * tried)
             assert samples == sorted([*range(0, 2000, 4), 503])
+            assert tr.meta["stats"]["samples"] == tr.meta["stats"]["stage1_filled"] == 501
 
     @pytest.mark.parametrize("network_model", ["dynamic", "quasistatic"])
     @pytest.mark.parametrize("batch", [False, True])
@@ -527,7 +529,8 @@ class TestExponentialSplit:
         model, live = sim.model, sim.live_model
         (n, width), y0 = sim.y.shape, sim.y
         seen = []
-        sim._step_etdrk4 = lambda have_n=False: seen.append((have_n, sim._slots[1].copy()))
+        sim._step_etdrk4 = lambda have_n=False: seen.append(
+            (have_n, sim._buf.z[:, width:2 * width].copy()))
         for k in range(20):
             y = np.zeros((n, width), dtype=complex)
             for b, mem in enumerate(sim.members):
@@ -548,6 +551,68 @@ class TestExponentialSplit:
             assert (np.abs(slot - want) <= 1e-12 * scale).all(), k
             if batch:  # the live member's N is its own, bit for bit
                 assert np.array_equal(slot[1], want[1])
+
+    @staticmethod
+    def sample_hold_deviation(sim, steps):
+        """Step ``sim`` ``steps`` times; at every sample, the largest
+        deviation of the held values of each member due, -c2 i_o in its
+        oscillator slots and -j conj(i_o) in its droop slots, from those of
+        the live i_o of ``live_model.outputs`` at the sampled state, each
+        law's over its largest.  A member never sampled must hold zeros."""
+        worst = 0.0
+        for _ in range(steps):
+            k, y = sim.step_index, sim.y.copy()
+            due = [mem.sample_steps is not None and k % mem.sample_steps == 0
+                   for mem in sim.members]
+            sim.step()
+            _, i_o = sim.live_model.outputs(y)
+            osc, rot = sim.model._hold_slots
+            for b, mem in enumerate(sim.members):
+                dv, dr = mem.dvoc_pos, mem.droop_pos
+                if mem.sample_steps is None:
+                    assert not osc[b].any() and not rot[b].any(), b
+                if not due[b]:
+                    continue
+                for got, want in ((osc[b, dv], -mem.c2 * i_o[b, dv]),
+                                  (rot[b, dr], -1j * np.conj(i_o[b, dr]))):
+                    if len(want):
+                        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        return worst
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_sample_holds_the_live_current(self, batch):
+        # A sample's one product writes the held values themselves: at
+        # every sample of the mixed live grid sampled at 2.5 kHz, alone or
+        # beside a live member and a narrower sampled all-oscillator
+        # member, they match the recorded model's live i_o at the sampled
+        # state, each law's over its largest.  Measured: 2.8e-16 alone,
+        # 3.3e-16 batched; one row of the sample's matrix scaled by 1 + 1e-9
+        # reads 1.0e-9 (the next test).
+        sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict()),
+                          controller_sample_hz=2500.0)
+        members = [sampled, on_grid(parse_scenario_dict(mixed_live_grid_dict(droop_first=True))),
+                   on_grid(pu_scenario(branch_l=2e-4, cap=1e-4), controller_sample_hz=2500.0)]
+        sim = Simulation(members if batch else sampled)
+        dev = self.sample_hold_deviation(sim, 41)
+        assert dev <= 1e-13, dev
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("row", ["oscillator", "droop"])
+    def test_a_wrong_sample_row_fails_the_hold_check(self, batch, row):
+        # The check above on a sample matrix with one row of the given law
+        # scaled by 1 + 1e-9: the held values move by as much (1.0e-9), and
+        # the check sees it at the first sample, before any trace drifts.
+        sampled = on_grid(parse_scenario_dict(mixed_live_grid_dict()),
+                          controller_sample_hz=2500.0)
+        sim = Simulation([sampled, sampled] if batch else sampled)
+        mem, width = sim.members[0], sim.y.shape[1]
+        slot = mem.dvoc_pos[0] if row == "oscillator" else width + mem.droop_pos[0]
+        measure = sim._measure[0]
+        if sim._one:  # the real form: two rows per complex row
+            measure[2 * slot:2 * slot + 2] *= 1.0 + 1e-9
+        else:
+            measure[0, slot] *= 1.0 + 1e-9
+        assert self.sample_hold_deviation(sim, 5) > 1e-10
 
     def test_sampled_members_on_different_sample_grids_match_their_single_runs(self):
         # A sample at which only one sampled member is due holds that
@@ -740,19 +805,26 @@ class TestStepByAccuracy:
 
     def test_run_stats_report_steps_rungs_and_segments(self):
         # meta["steps"] counts the integrator steps taken, and meta["stats"]
-        # gives steps per rung and, per compile segment, its dt step, K and
-        # step-doubling estimate.  An explicit step_multiple is estimated
-        # too, reported and not acted on: paper-fig4 at its own k = 2 reads
-        # 3.6e-10, within STEP_TOL, and at k = 10, where its records lie
-        # 5.5e-5 off a run at dt / 8, 8.7e-7.
+        # gives steps per rung, per compile segment its dt step, K and
+        # step-doubling estimate, the restacks at events with the members
+        # whose events they apply, the controller samples and those whose
+        # live N filled stage 1: here every one of the 501 on the grid of
+        # 4 dt and the two at the events.  An explicit step_multiple is
+        # estimated too, reported and not acted on: paper-fig4 at its own
+        # k = 2 reads 3.6e-10, within STEP_TOL, and at k = 10, where its
+        # records lie 5.5e-5 off a run at dt / 8, 8.7e-7.
         from dvocsim.scenario import builtin_scenario
         from dvocsim.sim import STEP_TOL
         sc = parse_scenario_dict(noisy_grid_dict())
         tr = run_scenario(sc)
         stats = tr.meta["stats"]
-        assert set(stats) == {"steps_per_rung", "segments"}
+        assert set(stats) == {"steps_per_rung", "segments", "samples", "stage1_filled",
+                              "restacks"}
         assert all(set(seg) == {"step", "k", "estimate"} for seg in stats["segments"])
         assert [seg["step"] for seg in stats["segments"]] == [0, 503, 1201]
+        assert stats["restacks"] == [{"step": 503, "members": [0]},
+                                     {"step": 1201, "members": [0]}]
+        assert stats["samples"] == stats["stage1_filled"] == 501 + 2
         assert all(seg["estimate"] <= STEP_TOL for seg in stats["segments"])
         assert sum(r * n for r, n in stats["steps_per_rung"].items()) == 2003
         assert tr.meta["steps"] == sum(stats["steps_per_rung"].values()) < 2003
@@ -826,9 +898,11 @@ class TestNetworkModes:
         # Two noisy members over 600 steps: three noise blocks each, and
         # member 0's load step restacks the batch at step 300.  Every step
         # of one dt (step_multiple 1) adds one row to the state, zero off
-        # the oscillator slots; a member's part of it equals one scale *
-        # standard_normal(2 n) call per step on a generator seeded as the
-        # member's, after its black-start angles.
+        # the oscillator slots, in its last product (to round-off: 1.4e-16
+        # of the state here; the row of the dt step before reads 4.2e-6 or
+        # more); a member's part of
+        # it equals one scale * standard_normal(2 n) call per step on a
+        # generator seeded as the member's, after its black-start angles.
         from dvocsim.sim import NOISE_BLOCK, _Member
         sim_cfg = {"dt_s": 1e-4, "t_end_s": 0.06, "network_model": "quasistatic",
                    "record_decimation": 10, "noise_amplitude": 1e-3, "step_multiple": 1}
@@ -841,16 +915,17 @@ class TestNetworkModes:
         assert n_steps > 2 * NOISE_BLOCK
         stepped, step_etdrk4 = [], sim._step_etdrk4
 
-        def capture(*args):  # the state before the step's noise
+        def capture(*args):  # the state the step reaches without its noise
+            stages = sim._buf.z
             step_etdrk4(*args)
-            stepped.append(sim.y.copy())
+            stepped.append(np.matmul(sim._etd[3], stages[..., None])[..., 0])
 
         sim._step_etdrk4 = capture
         draws = [[], []]
         for _ in range(n_steps):
             sim.step()
             row = sim._noise[:, sim.step_index - 1 - sim._noise_at]
-            assert np.array_equal(sim.y, stepped[-1] + row)
+            npt.assert_allclose(sim.y, stepped[-1] + row, rtol=0, atol=1e-14)
             for b, (mem, got) in enumerate(zip(sim.members, draws)):
                 got.append(row[b, mem.dvoc_pos])
                 off = np.ones(row.shape[1], dtype=bool)
@@ -1060,9 +1135,12 @@ def heterogeneous_batch():
             on_grid(_actuated_scenario(template, "q", 0.04))]
 
 
-def without_segments(meta):
-    """A trace's meta without the compile segments of its run's stats."""
-    return dict(meta, stats=dict(meta["stats"], segments=None))
+def without_batch_stats(meta):
+    """A trace's meta without the stats that count the batch's own
+    restacks: its compile segments, its restacks and the samples that
+    filled stage 1, which wait for every sampled member to be due."""
+    return dict(meta, stats=dict(meta["stats"], segments=None, restacks=None,
+                                 stage1_filled=None))
 
 
 def batch_against_single_runs(members):
@@ -1077,8 +1155,8 @@ def batch_against_single_runs(members):
         assert tr.inverter_ids == single.inverter_ids
         # A batch restacks at every member's events, so its compile
         # segments, and their estimates, are the batch's own.
-        assert tr.events == single.events and without_segments(tr.meta) == \
-            without_segments(single.meta)
+        assert tr.events == single.events and without_batch_stats(tr.meta) == \
+            without_batch_stats(single.meta)
         assert np.array_equal(tr.t, single.t)
         for name in ("v", "i_o", "p", "q", "vmag", "theta"):
             got, want = getattr(tr, name), getattr(single, name)
@@ -1189,7 +1267,7 @@ class TestBatch:
         n, width = batch.y.shape
         assert [mem.m for mem in batch.members] == [width, width, 2]
         i_o = rng.normal(size=(n, batch.model.ns)) + 1j * rng.normal(size=(n, batch.model.ns))
-        batch.model.hold(i_o, [1])
+        batch.model.hold(i_o, [False, True, False])
         singles[1].model.hold(i_o[1:2])
         slot = np.zeros((n, 3 * width), dtype=complex)[:, width:2 * width]  # a stage slot
         for k in range(20):
@@ -1298,21 +1376,24 @@ class TestSingleRun:
         # same _etd and the same N(y), which a sample (steps 0 and 4 of the
         # sampled grid) fills; and against a batch of two copies, stepped
         # alongside, whose samples and live products are stacked too.  Both
-        # bit for bit.
+        # bit for bit.  The step's stage vectors stay whole in the buffer it
+        # read, its result in the other buffer's y slot.
         sc = self.single_run_scenarios()[name]
         sim, pair = Simulation(sc), Simulation([sc, sc])
         width = sim.y.shape[1]
         for k in range(6):
-            y = sim.y
+            y = sim.y.copy()
             sim.step()
             pair.step()
-            z = np.zeros_like(sim._z)
-            z[:, :2 * width] = sim._z[:, :2 * width]
+            stages = sim._buf.other.z
+            z = np.zeros_like(stages)
+            z[:, :2 * width] = stages[:, :2 * width]
             for c, w in zip((2, 3, 4), sim._etd):
                 u = np.matmul(w, z[:, :c * width, None])[..., 0]
                 z[:, c * width:(c + 1) * width] = sim.model.nonlinear(u.reshape(-1))
-            assert np.array_equal(sim._z[:, :width], y), k
-            assert np.array_equal(sim._z, z), k
+            assert np.array_equal(stages[:, :width], y), k
+            assert np.array_equal(stages, z), k
+            assert sim.y is sim._buf.y, k
             assert np.array_equal(sim.y, np.matmul(sim._etd[3], z[..., None])[..., 0]), k
             assert np.array_equal(pair.y, np.concatenate([sim.y, sim.y])), k
 

@@ -22,7 +22,10 @@ process's wall time, interpreter start-up and imports included.
 Printed per workload or operation: each side's median and quartiles (us per
 dt step, or s per run), the median of the paired change/parent ratios and
 how many pairs the change won; in step mode also each side's median us per
-integrator step.
+integrator step.  Each line ends in the verdict on a gain (``verdict``):
+"gain holds" when the change won at least nine tenths of the pairs and its
+median lies below the parent's by more than the distance between the
+parent's quartiles, else "unresolved".
 
 ``--outputs`` checks what a change does to the results instead: it runs
 every operation listed under OUTPUT_OPS once per tree, each into its own
@@ -335,12 +338,23 @@ def quartiles(xs, digits):
     return f"{q2:8.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
+def verdict(parent, change):
+    """"gain holds" if the change, timed in pairs with the parent (lower is
+    better), is faster in at least nine tenths of the pairs, ties counting
+    for neither, and its median is below the parent's by more than the
+    parent's interquartile distance; else "unresolved"."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gap = statistics.median(parent) - statistics.median(change)
+    return "gain holds" if 10 * wins >= 9 * len(parent) and gap > q3 - q1 else "unresolved"
+
+
 def report(name, unit, digits, times, pairs, extra=""):
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(c < p for p, c in zip(*times))
     print(f"{name:14s} {unit}  parent {quartiles(times[0], digits)}  "
           f"change {quartiles(times[1], digits)}  ratio {statistics.median(ratios):.3f}  "
-          f"change faster in {wins}/{pairs} pairs{extra}")
+          f"change faster in {wins}/{pairs} pairs{extra}  {verdict(*times)}")
 
 
 def alternate(pairs, run):

@@ -105,21 +105,21 @@ member, straight into one full-width row per dt step of a block that a
 restack carries over.  It crosses a step of r dt exactly through the
 linear flow (the exponential schemes for additive noise of Jentzen &
 Kloeden, Proc. R. Soc. A 465, 2009): the step adds sum_{j=1..r}
-exp((r - j) dt A) xi_j of its draws xi_j.  The stage vectors z = [y, N(y),
-N(a), N(b), N(c)] sit in two buffers (``_Stages``), each followed by room
-for the noise rows of a segment's longest step: a step copies its rows
-there and its last product, with the propagators beside the last stage
-matrix, writes the next y, noise included, into the other buffer's y
-slot.  So no step copies its state, and the z of a step stays whole in
-the buffer it read until the step after next.
+exp((r - j) dt A) xi_j of its draws xi_j in one product, and at r = 1 the
+plain row, added to the y that the step's last product wrote.
+
+The stage vectors z = [y, N(y), N(a), N(b), N(c)] sit in two buffers
+(``_Stages``): a step's last product writes the next y into the other
+buffer's y slot.  So no step copies its state, and the z of a step stays
+whole in the buffer it read until the step after next.
 
 Recording is deferred, and records stay on the dt grid whatever r is.  A
 record at a step's end copies the state.  A step with records inside it
 copies its z into the next row of a RECORD_BLOCK-row block: ETDRK4's
 continuous extension gives the state at t + (j/r) h as W_j z, with W_j
 built beside the rung's stage matrices (``_etdrk4_weights``), and the
-noise of the step's first j dt steps, summed as above from its buffer's
-tail, is kept beside it.  A step of one dt has no records inside it.
+noise of the step's first j dt steps, summed as above, is kept beside
+it.  A step of one dt has no records inside it.
 The pending records are turned into states (one batched ``np.matmul`` per
 rung and offset j, over the block's rows or one gather of them), checked
 finite and turned into v and i_o together, with one batched ``np.matmul``
@@ -678,7 +678,6 @@ class _Split:
         if prev is not None:  # held values sit in the inverter slots
             self._holds[..., :ns] = prev._holds[..., :ns]
         self._held, self._held_rot = self._holds.reshape(2, -1)
-        self._hold_slots = self._holds[..., :ns]
         # The constants N reads, unpacked once per call.
         self._cubic = self.c1, self.c1v, self._held
         self._law = self.floor, self._held_rot, self._kqp, self._b_dr, self.eps
@@ -797,19 +796,6 @@ class _Split:
             return y[..., :ns], i_net
         return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
 
-    def hold(self, i_o, due=True):
-        """Zero-order hold: the controllers of the members ``due``, a (B,)
-        boolean mask (all by default), measure ``i_o`` (B, ns) until their
-        next sample.  The oscillators hold -c2 i_o, the droop laws -j
-        conj(i_o), both written in place; off its own law's slots each
-        meets only zero constants.  A run's sample writes the same values
-        through one product (``Simulation._sample_matrix``)."""
-        osc, rot = self._hold_slots
-        on = np.asarray(due)[..., None]
-        np.multiply(self.neg_c2, i_o, out=osc, where=on)
-        np.conjugate(i_o, out=rot, where=on)
-        np.multiply(rot, -1j, out=rot, where=on)
-
 
 class _Scratch:
     """The work arrays of ``_Split.nonlinear`` for one input shape, made on
@@ -842,46 +828,42 @@ class _Scratch:
 
 class _Stages:
     """One of a batch's two buffers of ETDRK4 stage vectors z = [y, N(y),
-    N(a), N(b), N(c)], (B, 5 M), followed by ``tail`` slots for the noise
-    rows a step crosses, with the views of it that a step's products read
-    and write.  A step reads its y here and writes the next y into the y
-    slot of ``other``, so no step copies its state and the z of the last
-    step stays whole for the records inside it.
+    N(a), N(b), N(c)], (B, 5 M), with the views of it that a step's
+    products read and write.  A step reads its y here and writes the next y
+    into the y slot of ``other``, so no step copies its state and the z of
+    the last step stays whole for the records inside it.
 
     y, y_flat -- the y slot, (B, M), and its 1-D view (None for a batch)
     n_slots   -- the N slots, each as a 1-D view where it has one (B = 1 or
                  M = 1): numpy writes that as fast as a contiguous array, a
                  2-stride slot slower
     n_ns      -- stage 1's N slot over the inverter slots
-    ins       -- the parts of the buffer that each stage multiplies, the
-                 last with the tail: 1-D for ``ndarray.dot`` at B = 1 (the
-                 last (1, ...)), else (B, ..., 1) for np.matmul
+    ins       -- the parts of z that each stage multiplies: 1-D for
+                 ``ndarray.dot`` at B = 1 (the last (1, 5 M)), else
+                 (B, ..., 1) for np.matmul
     sample_in -- [y, N(y)] as (real, imaginary) pairs at B = 1, else None
     y_out     -- the y slot in the shape the last stage writes
-    z, tail   -- z, (B, 5 M), and the tail, (B, tail), 1-D at B = 1
     """
 
-    __slots__ = ("y", "y_flat", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "tail",
-                 "other")
+    __slots__ = ("y", "y_flat", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "other")
 
-    def __init__(self, n, width, ns, tail):
-        buf = np.zeros((n, 5 * width + tail), dtype=complex)
-        self.z = buf[:, :5 * width]
-        slots = [buf[:, k * width:(k + 1) * width] for k in range(5)]
+    def __init__(self, n, width, ns):
+        self.z = z = np.zeros((n, 5 * width), dtype=complex)
+        slots = [z[:, k * width:(k + 1) * width] for k in range(5)]
         self.y = slots[0]
         self.n_slots = [s.reshape(-1) if 1 in s.shape else s for s in slots[1:]]
         if n == 1:
-            col = buf[0]
+            col = z[0]
             self.y_flat, self.n_ns = col[:width], col[width:width + ns]
-            self.ins = tuple(col[:c * width] for c in (2, 3, 4)) + (buf,)
+            self.ins = tuple(col[:c * width] for c in (2, 3, 4)) + (z,)
             self.sample_in = self.ins[0].view(float)
-            self.y_out, self.tail = self.y, col[5 * width:]
+            self.y_out = self.y
         else:
-            col = buf[..., None]
+            col = z[..., None]
             self.y_flat, self.n_ns = None, slots[1][:, :ns]
-            self.ins = tuple(col[:, :c * width] for c in (2, 3, 4)) + (col,)
+            self.ins = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
             self.sample_in = None
-            self.y_out, self.tail = self.y[..., None], buf[:, 5 * width:]
+            self.y_out = self.y[..., None]
 
 
 class Simulation:
@@ -973,7 +955,6 @@ class Simulation:
         # (with it) a sample.
         self._end = min(self._next_event, self._n_steps)
         self._stop = min(self._end, self._next_hold)
-        self._width = width
         # The segment's largest rung: step_multiple, else the largest power
         # of two within MAX_RUNG, every sample interval and the segment (of
         # no step when an event is due at t = 0, before the first restack).
@@ -997,17 +978,18 @@ class Simulation:
             # one row per dt step, zero off the oscillator slots; a restack
             # carries the drawn rows over by the inverter slots.  The
             # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
-            # them to a step's end (``_set_rung``, ``_noise_sum``).  The
-            # rows flat per member, 1-D for a single run.
+            # them to a step's end: the last j of them, one view per j (2-D
+            # for a single run), those of j dt steps.
             noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
             self._noise = noise
-            self._noise_rows = noise.reshape(n, -1)[0] if n == 1 else noise.reshape(n, -1)
             eye = np.broadcast_to(np.eye(width), (n, width, width))
-            self._prop = np.concatenate(
+            prop = np.concatenate(
                 [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
                 axis=-1)
+            self._props = [prop[0 if n == 1 else ..., :, (top - j) * width:]
+                           for j in range(top + 1)]
 
         # The stage vectors of every member in two buffers that the steps
         # alternate between.  A single run multiplies 2-D matrices with 1-D
@@ -1016,9 +998,8 @@ class Simulation:
         # gemv's order.
         self._one = n == 1
         self._mul = np.ndarray.dot if self._one else np.matmul
-        self._tail = tail = top * width if self._noisy else 0
-        self._buf = _Stages(n, width, ns, tail)
-        self._buf.other = _Stages(n, width, ns, tail)
+        self._buf = _Stages(n, width, ns)
+        self._buf.other = _Stages(n, width, ns)
         self._buf.other.other = self._buf
         self._stage_out = np.zeros(width if self._one else (n, width, 1), dtype=complex)
         self._stage_flat = self._stage_out.reshape(-1)
@@ -1072,27 +1053,25 @@ class Simulation:
         if w is None:
             h = self.config.dt * r
             etd = _stages(self._rows, h, r)
-            last = etd[3]
-            if self._noisy:  # and the noise its r dt steps add, from the tail
-                prop = self._prop[..., (self._top - r) * self._width:]
-                pad = np.zeros(prop.shape[:-1] + (self._tail - prop.shape[-1],), dtype=complex)
-                last = np.concatenate([last, prop, pad], axis=-1)
-            stage_w = tuple(w[0] for w in etd[:3]) + (last[0].T,) if self._one \
-                else etd[:3] + (last,)
+            stage_w = tuple(w[0] for w in etd[:3]) + (etd[3][0].T,) if self._one else etd
             w = self._rungs[r] = (etd, _dense(self._rows, h, r), stage_w)
         self._r = r
         self._etd, self._dense, self._stage_w = w
 
-    def _noise_sum(self, j):
-        """The additive noise of the first j dt steps of the last step,
-        carried to the end of the j-th by the linear flow: the sum over i =
-        1..j of exp((j - i) dt A) xi_i, xi_i the draw of its i-th dt step,
-        row i of the tail of the buffer the step read, in one product.
-        Shaped as the state, (B, M), or for a single run as its 1-D view."""
-        width = self._width
-        xi = self._buf.other.tail[..., :j * width]
-        prop = self._prop[..., (self._top - j) * width:]
-        return prop[0].dot(xi) if self._one else np.matmul(prop, xi[..., None])[..., 0]
+    def _noise_sum(self, k, j):
+        """The additive noise of the j dt steps from dt step k, carried to
+        the end of the last by the linear flow: the sum over i = 1..j of
+        exp((j - i) dt A) xi_i, xi_i the draw of dt step k + i - 1, in one
+        product; the plain row xi_1 (a view) at j = 1."""
+        if k + j > self._noise_end:
+            self._draw(k)
+        noise, at = self._noise, k - self._noise_at
+        if j == 1:
+            return noise[:, at]
+        xi = noise[:, at:at + j].reshape(len(noise), -1)
+        if self._one:
+            return self._props[j].dot(xi[0])
+        return np.matmul(self._props[j], xi[..., None])[..., 0]
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
@@ -1178,16 +1157,13 @@ class Simulation:
         if self._K is None:
             self._size()
         r = self._K
-        if k + r > self._stop:
+        if k < self._stop < k + r:
             r = 1 << ((self._stop - k).bit_length() - 1)
         if r != self._r:
             self._set_rung(r)
-        if self._noisy:  # the noise rows of the next top dt steps, into the tail
-            if k + self._top > self._noise_end:
-                self._draw(k)
-            at = (k - self._noise_at) * self._width
-            buf.tail[...] = self._noise_rows[..., at:at + self._tail]
         self._step_etdrk4(have_n)
+        if self._noisy:
+            self.y += self._noise_sum(k, r)
         self._rung_steps[r] += 1
         self.step_index = k + r
 
@@ -1304,10 +1280,9 @@ class Simulation:
                 z = zs if len(got) == len(zs) else zs[got]
                 ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
         if self._noisy:
-            noisy = [i for i, rec in enumerate(pending) if rec[3] is not None]
-            if noisy:
-                ys[noisy] += np.stack([pending[i][3] for i in noisy]).reshape(
-                    (len(noisy),) + self.y.shape)
+            for i, (_, _, _, noise) in enumerate(pending):
+                if noise is not None:
+                    ys[i] += noise
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -1334,7 +1309,7 @@ class Simulation:
         # A record at a step's end copies the state; a step with records
         # inside it copies its stage vectors, left whole in the buffer it
         # read, into the next row of a block, and keeps the noise up to each
-        # record from that buffer's tail.  Both are derived later in bulk.
+        # record beside it.  Both are derived later in bulk.
         # Overflow en route to a detected divergence is expected; the finite
         # checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1351,7 +1326,7 @@ class Simulation:
                     self._z_rows += 1
                     while at < end:
                         j = at - end + r
-                        noise = self._noise_sum(j) if self._noisy else None
+                        noise = self._noise_sum(end - r, j).copy() if self._noisy else None
                         self._pending.append((r, j, row, noise))
                         at += decim
                 if at == end:

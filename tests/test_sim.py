@@ -286,6 +286,18 @@ def mixed_live_grid_dict(droop_first=False):
     }
 
 
+def hold(model, i_o, due=None):
+    """The zero-order hold of a controller sample, set by hand: the members
+    ``due`` (a (B,) mask, all by default) measure ``i_o`` (B, ns) until
+    their next sample.  The oscillators hold -c2 i_o, the droop laws
+    -j conj(i_o), as the sample's product writes them; off its own law's
+    slots each meets only zero constants."""
+    on = slice(None) if due is None else np.asarray(due)
+    osc, rot = model._holds[..., :model.ns]
+    osc[on] = (model.neg_c2 * i_o)[on]
+    rot[on] = (-1j * np.conj(i_o))[on]
+
+
 def oracle_derivative(mem, yv, held=None):
     """dy/dt and the live i_o of batch member ``mem`` rebuilt from the
     control laws and the network models, independently of the split: the
@@ -358,7 +370,7 @@ class TestExponentialSplit:
                 held = None
                 if sample_hz is not None:
                     held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
-                    sim.model.hold(held[None])
+                    hold(sim.model, held[None])
                 want, i_o = oracle_derivative(mem, y, held)
                 got = sim.model.rate(y[None])[0]
                 npt.assert_allclose(got, want, rtol=1e-12,
@@ -386,7 +398,7 @@ class TestExponentialSplit:
             held = None
             if sample_hz is not None:
                 held = rng.normal(size=mem.ns) + 1j * rng.normal(size=mem.ns)
-                model.hold(held[None])
+                hold(model, held[None])
             want = oracle_derivative(mem, y, held)[0][k]
             got = model.rate(y[None])[0, k]
             assert abs(got - want) <= 1e-12 * abs(want), (mag, got, want)
@@ -566,7 +578,7 @@ class TestExponentialSplit:
                    for mem in sim.members]
             sim.step()
             _, i_o = sim.live_model.outputs(y)
-            osc, rot = sim.model._hold_slots
+            osc, rot = sim.model._holds[..., :sim.model.ns]
             for b, mem in enumerate(sim.members):
                 dv, dr = mem.dvoc_pos, mem.droop_pos
                 if mem.sample_steps is None:
@@ -704,6 +716,23 @@ class TestStepMultiple:
                                      (run.i_o, fine.i_o, np.abs(fine.i_o).max()),
                                      (run.p, fine.p, s_max), (run.q, fine.q, s_max)):
                 assert np.abs(got - want).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("step_multiple", [None, 4])
+    def test_steps_by_hand_go_on_past_t_end(self, step_multiple):
+        # step() at t_end and past it takes whole steps of the segment's K,
+        # sampling the controllers and drawing noise as before: t_end
+        # bounds the steps of run(), not those taken by hand.
+        sc = parse_scenario_dict(mixed_live_grid_dict())
+        sim = Simulation(sc, replace(sc.sim, t_end=0.004, controller_sample_hz=2500.0,
+                                     noise_amplitude=1e-3, step_multiple=step_multiple))
+        while sim.step_index < 40:
+            sim.step()
+        assert sim.step_index == 40
+        for _ in range(3):
+            k = sim.step_index
+            sim.step()
+            assert sim.step_index == k + sim._K
+        assert np.isfinite(sim.y).all()
 
 
 def noisy_grid_dict():
@@ -898,11 +927,9 @@ class TestNetworkModes:
         # Two noisy members over 600 steps: three noise blocks each, and
         # member 0's load step restacks the batch at step 300.  Every step
         # of one dt (step_multiple 1) adds one row to the state, zero off
-        # the oscillator slots, in its last product (to round-off: 1.4e-16
-        # of the state here; the row of the dt step before reads 4.2e-6 or
-        # more); a member's part of
-        # it equals one scale * standard_normal(2 n) call per step on a
-        # generator seeded as the member's, after its black-start angles.
+        # the oscillator slots; a member's part of it equals one scale *
+        # standard_normal(2 n) call per step on a generator seeded as the
+        # member's, after its black-start angles.
         from dvocsim.sim import NOISE_BLOCK, _Member
         sim_cfg = {"dt_s": 1e-4, "t_end_s": 0.06, "network_model": "quasistatic",
                    "record_decimation": 10, "noise_amplitude": 1e-3, "step_multiple": 1}
@@ -915,17 +942,16 @@ class TestNetworkModes:
         assert n_steps > 2 * NOISE_BLOCK
         stepped, step_etdrk4 = [], sim._step_etdrk4
 
-        def capture(*args):  # the state the step reaches without its noise
-            stages = sim._buf.z
+        def capture(*args):  # the state before the step's noise
             step_etdrk4(*args)
-            stepped.append(np.matmul(sim._etd[3], stages[..., None])[..., 0])
+            stepped.append(sim.y.copy())
 
         sim._step_etdrk4 = capture
         draws = [[], []]
         for _ in range(n_steps):
             sim.step()
             row = sim._noise[:, sim.step_index - 1 - sim._noise_at]
-            npt.assert_allclose(sim.y, stepped[-1] + row, rtol=0, atol=1e-14)
+            assert np.array_equal(sim.y, stepped[-1] + row)
             for b, (mem, got) in enumerate(zip(sim.members, draws)):
                 got.append(row[b, mem.dvoc_pos])
                 off = np.ones(row.shape[1], dtype=bool)
@@ -1267,8 +1293,8 @@ class TestBatch:
         n, width = batch.y.shape
         assert [mem.m for mem in batch.members] == [width, width, 2]
         i_o = rng.normal(size=(n, batch.model.ns)) + 1j * rng.normal(size=(n, batch.model.ns))
-        batch.model.hold(i_o, [False, True, False])
-        singles[1].model.hold(i_o[1:2])
+        hold(batch.model, i_o, [False, True, False])
+        hold(singles[1].model, i_o[1:2])
         slot = np.zeros((n, 3 * width), dtype=complex)[:, width:2 * width]  # a stage slot
         for k in range(20):
             y = np.zeros((n, width), dtype=complex)
@@ -1413,11 +1439,11 @@ class TestSingleRun:
         sim = Simulation(members)
         n, width = sim.y.shape
         i_o = rng.normal(size=(n, sim.model.ns)) + 1j * rng.normal(size=(n, sim.model.ns))
-        sim.model.hold(i_o)
+        hold(sim.model, i_o)
 
         def fresh(which):
             other = Simulation(members)
-            other.model.hold(i_o)
+            hold(other.model, i_o)
             return getattr(other, which)
 
         def state(*shape):

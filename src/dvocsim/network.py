@@ -23,15 +23,12 @@ inverter nodes included, where their current is measured like the
 capacitor's.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import J
-
-log = logging.getLogger(__name__)
 
 
 class TopologyError(ValueError):
@@ -195,7 +192,9 @@ def apply_event(topo, action):
         if not want:
             dead = [n for n in new.loads if n not in _loads_reachable(new)]
             if dead:
-                log.warning("islanding: load node(s) %s disconnected from all sources", dead)
+                import logging  # here: its import costs every process a few ms
+                logging.getLogger(__name__).warning(
+                    "islanding: load node(s) %s disconnected from all sources", dead)
         return new
     if isinstance(action, LoadStep):
         if action.conductance < 0.0 or not math.isfinite(action.conductance):

@@ -1,133 +1,37 @@
-"""Fixed-step integration of the coupled controller + network system.
-
-A timeline event engine and trace recording around one exponential
-integrator.  Internally all alpha-beta pairs are packed as complex numbers
-(alpha + j beta): every matrix in the control law commutes with rotations, so
-rotation by kappa is multiplication by exp(j kappa) and the quarter turn is
-multiplication by j.
+"""Integration of the coupled controller + network system.
 
 A ``Simulation`` integrates a batch of members, one scenario each, on one
-step grid (dt, t_end, record decimation and network model).  A member's
-state is one complex vector: the terminal voltage v of every inverter in
-``scenario.inverters`` order, followed in the dynamic network model by the
-branch currents in ``DynamicNetwork.branch_ids`` order.  Oscillator and droop
-rows are picked by index arrays.  ``Simulation.y`` is (B, M): member b's
-state in row b, padded with zeros to the widest member.  Each member keeps
-its own parameters, topology, event timeline, controller sampling and noise
-generator, seeded as its single run would be.  At an event only that
-member's coefficients and A are rebuilt; its branch currents are carried
-over by branch id and a newly connected branch starts at zero.  A single run
-is the batch of one.
+step grid (dt, t_end, record decimation and network model); a single run is
+the batch of one.  A member's state is one complex vector, alpha + j beta:
+the terminal voltage v of every inverter in ``scenario.inverters`` order,
+then, in the dynamic network model, the branch currents in
+``DynamicNetwork.branch_ids`` order.  Every matrix of the control law
+commutes with rotations, so rotation by kappa is multiplication by
+exp(j kappa).  ``Simulation.y`` is (B, M): member b's state in row b, padded
+with zeros to the widest member.  Each member keeps its own parameters,
+topology, event timeline, controller sampling and noise generator, seeded as
+its single run would be.
 
-Every configuration -- oscillator, droop or mixed inverters, dynamic or
-quasi-static network, continuous or sampled controllers -- is split into
-dy/dt = A y + N(y).  A holds the rotation, the set-point gain, the network,
-the branch R/L and, where the controllers measure the live current, the
-capacitor feedthrough; on a droop row it holds the linear part of the droop
-law, -1 + j (omega0 + kp p*), on the diagonal.  A is constant between events.
-N holds the rest: the cubic amplitude term, the remainder of the droop law
-and, in sampled mode, the held measurement, as one gain on v over the whole
-flattened state with every constant zero off its own law's slots.  The
-cubic is (c1 - c1v |v|^2) v with c1v = c1 / v*^2; moving its linear part
-c1 v into A would make N large on the limit cycle and the step-size error
-of the built-ins 50 to 45 000 times larger.  The droop law, skipped by a
-batch without a droop slot, is evaluated without trigonometry, as a gain
-on v = r e^{j theta}: dv/dt - A v = ((dr/dt + r)/r - j kp p) v with
-dr/dt + r = v* + kq (q* - q) and q - j p = -j v conj(i_o); where the
-capacitor loop is live, its closed form (below) gives dr/dt from the same
-r, p and q and adds c r dr/dt to p.  Every step is one Cox-Matthews ETDRK4
-step of h = r dt, whose matrices exp(hA), exp(hA/2) and the phi-functions
-of hA and hA/2 come from an augmented matrix exponential, so the fast
-branch-current pole does not bound the step.  At every restack the batch's
-stage matrices, (B, M, c M) for c blocks, the dense output's weights and
-the noise propagators exp(i dt A) are built from the stepped model's padded
-A, (B, M, M), by one stacked ``expm`` call and its powers, so each stage is
-one ``np.matmul`` for the whole batch.
+Every configuration is split into dy/dt = A y + N(y) (``_Split``).  A is
+constant between events: the rotation, the set-point gain, the network, the
+branch R/L, the capacitor feedthrough where the controllers measure the live
+current, and the linear part -1 + j (omega0 + kp p*) of the droop law.  N
+holds the rest: the cubic amplitude term (c1 - c1v |v|^2) v, the remainder
+of the droop law, evaluated without trigonometry, and in sampled mode the
+held measurement.  (Moving the cubic's linear part c1 v into A would make N
+large on the limit cycle and the built-ins' step-size error 50 to 45 000
+times larger.)  The filter capacitor sits behind the current measurement,
+so the measured current contains C dv/dt; that algebraic loop is solved
+exactly, in A for the oscillators and in closed form in N for the droop laws.
 
-The rung r is ``SimConfig.step_multiple`` where it is set.  Unset, it is
-chosen by accuracy: each compile segment (the run from a restack to the
-next) fixes K at its first step, the largest power of two up to MAX_RUNG,
-the batch's smallest controller sample interval and the segment's length
-whose step-doubling estimate from the segment's first state, |two steps of
-K dt - one of 2K dt| / 15 over the scale of each member's voltages and of
-its branch currents, is within STEP_TOL (Richardson extrapolation; Hairer,
-Norsett & Wanner, Solving ODEs I, II.4); K = 1 at the least.  Each step
-then takes the largest power of two up to K that passes no event,
-controller sample or t_end, so those stay on the dt grid.  An explicit
-step_multiple gets the same estimate, reported in ``Trace.meta["stats"]``
-and not acted on.  A single
-run (B = 1) takes the same products through ``ndarray.dot`` on 2-D views
-of them and 1-D views of z: BLAS gemv, bit-identical to the stacked
-product and about half its fixed cost per call, which is most of a step.
-The padded A is block diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded
-slot only multiply padded slots of y and N, which are exactly 0, and every
-weight between a member's slots and its padding is exactly 0, so a padded
-slot stays 0.
-
-The batch's split is one model object, ``_Split``, built from the members
-at every restack.  It holds the stacked A and every constant N reads, and
-gives N, A y + N(y), the recorded v and i_o and the zero-order hold.  A
-member keeps its coefficients and its A, live and held, over its own state.
-N writes every intermediate into scratch arrays made once per input shape
-(``_Scratch``) and keeps the live droop current's rows times j, so its
-quarter turn -j conj(i_o) is a conjugate: for a single run, folded into
-one real gemv on the (real, imaginary) pairs of the state.
-
-A controller sample evaluates the live N(y) once, into the step's first
-stage slot, and takes one product of a matrix built per compile with [y,
-N(y)].  With dv/dt = A y + N(y) of the live model, the measured i_o = (g +
-C A) y + C N(y), C the terminal capacitances outside the network model (0
-on the quasi-static network, whose reduced admittance holds them), and
-the product's rows give the held values themselves: -c2 i_o in each
-oscillator's hold and -j conj(i_o) in each droop law's, then (A_live - A)
-y.  A single run's product is a real gemv that writes them straight into
-the held model's hold buffer, the conjugate folded into its droop rows; a
-batch's is one np.matmul, conjugated and copied into the holds of the
-members due.  With the measurement just held, the held law at y gives the
-live dv/dt, so when every sampled member is due the stepped model's N(y)
-= N_live(y) + (A_live - A) y completes the slot with one add, and the
-step makes no N call of its own there.  Each member keeps the dt step of
-its next sample: 0 at the start, the step of a restack at its own event,
-else the next point of its own sample grid.
-
-The filter capacitor sits at the inverter terminal, behind the current
-measurement, so in the dynamic network model the measured current contains
-C dv/dt, which itself depends on the controller derivative.  That algebraic
-loop is solved exactly: for the oscillator controller it is linear,
-(1 + eta C exp(j kappa)) dv/dt = rhs(v, i_branches), and the droop law solves
-it in closed form for (dr/dt, dtheta/dt) of v = r exp(j theta).
-
-Events are applied atomically between steps, at the first dt step boundary
-at or after their timestamp, which must start an integrator step.
-
-Additive noise is drawn per dt step, NOISE_BLOCK dt steps at a time per
-member, straight into one full-width row per dt step of a block that a
-restack carries over.  It crosses a step of r dt exactly through the
-linear flow (the exponential schemes for additive noise of Jentzen &
-Kloeden, Proc. R. Soc. A 465, 2009): the step adds sum_{j=1..r}
-exp((r - j) dt A) xi_j of its draws xi_j in one product, and at r = 1 the
-plain row, added to the y that the step's last product wrote.
-
-The stage vectors z = [y, N(y), N(a), N(b), N(c)] sit in two buffers
-(``_Stages``): a step's last product writes the next y into the other
-buffer's y slot.  So no step copies its state, and the z of a step stays
-whole in the buffer it read until the step after next.
-
-Recording is deferred, and records stay on the dt grid whatever r is.  A
-record at a step's end copies the state.  A step with records inside it
-copies its z into the next row of a RECORD_BLOCK-row block: ETDRK4's
-continuous extension gives the state at t + (j/r) h as W_j z, with W_j
-built beside the rung's stage matrices (``_etdrk4_weights``), and the
-noise of the step's first j dt steps, summed as above, is kept beside
-it.  A step of one dt has no records inside it.
-The pending records are turned into states (one batched ``np.matmul`` per
-rung and offset j, over the block's rows or one gather of them), checked
-finite and turned into v and i_o together, with one batched ``np.matmul``
-per product, whenever RECORD_BLOCK of them have gathered, before every
-event restack (so each block is derived with the matrices of the compile
-segment it was taken in) and at the end of the run.  The first non-finite
-record raises SimulationDiverged with its own time and dt step, as a check
-at every record point would.
+Each step is one Cox-Matthews ETDRK4 step of r dt (``_step_etdrk4``, its
+weights from ``_stages``), so the fast branch-current pole does not bound
+the step.  r is ``SimConfig.step_multiple``, else chosen per compile segment
+by a step-doubling estimate (``_size``).  Events are applied between steps
+(``_apply_due_events``), controller samples hold the live measurement
+(``_hold_due``), additive noise crosses a step exactly through the linear
+flow (``_noise_sum``), and records stay on the dt grid, inside a step
+through ETDRK4's continuous extension (``_dense``, ``_derive_records``).
 """
 
 import functools
@@ -381,33 +285,6 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
     return traces
 
 
-def _etdrk4_weights(a, h, k=1):
-    """Cox-Matthews ETDRK4 for dy/dt = a y + N(y), a step of size h, for a
-    matrix a or each of a stack (..., m, m): its four stage matrices, then
-    its continuous extension (Hochbruck & Ostermann 2010) at the step's
-    interior offsets theta = j / k, W_1, ..., W_{k-1}.
-
-    With Z as in ``_phi_chain`` at s = h / 2k, the top block row of
-    exp(iZ) = exp(Z)^i is [exp(theta ha), i phi_1, i^2 phi_2, i^3 phi_3]
-    of theta ha, theta = i / 2k, so one matrix exponential and its powers
-    give every weight.  With E2 = exp(ha/2), E = exp(ha) and P = (h/2)
-    phi_1(ha/2) from i = k and 2k, and the stage vector z = [y, N(y), N(a),
-    N(b), N(c)], one step is
-        a  = [E2, P] z,      b = [E2, 0, P] z,
-        c  = [E, E2 P - P, 0, 2P] z   (= E2 a + P (2 N(b) - N(y))),
-        y' = W_k z,
-    and the state at t + theta h is W_j z, theta = j / k, from i = 2j:
-        W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
-        b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
-        b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
-    each phi of theta ha.  The step's last stage matrix is W_k itself.
-    A longer chain of the same s serves every step of 2 s r for r up to
-    half its length (``_stages``, ``_dense``).
-    """
-    rows = _chain_rows(a, 0.5 * h / k, 2 * k)
-    return _stages(rows, h, k) + _dense(rows, h, k)
-
-
 def _chain_rows(a, s, n):
     """The top block rows of exp(iZ) = exp(Z)^i for i = 1, ..., n, Z as in
     ``_phi_chain``: one matrix exponential and n - 1 products."""
@@ -417,8 +294,20 @@ def _chain_rows(a, s, n):
 
 
 def _stages(rows, h, k):
-    """ETDRK4's four stage matrices for a step of h = 2 k s from the chain
-    rows of ``_chain_rows`` at s, rows 1 to 2k used (``_etdrk4_weights``)."""
+    """Cox-Matthews ETDRK4's four stage matrices for dy/dt = a y + N(y), a
+    step of h = 2 k s, for a matrix a or each of a stack, from the chain
+    rows of ``_chain_rows`` at s, rows 1 to 2k used.
+
+    The top block row of exp(iZ) = exp(Z)^i, Z as in ``_phi_chain``, is
+    [exp(theta ha), i phi_1, i^2 phi_2, i^3 phi_3] of theta ha, theta = i /
+    2k, so one matrix exponential and its powers give every weight, of
+    every step of 2 s r for r up to half the chain's length.  With E2 =
+    exp(ha/2), E = exp(ha) and P = (h/2) phi_1(ha/2) from i = k and 2k, and
+    the stage vector z = [y, N(y), N(a), N(b), N(c)], one step is
+        a  = [E2, P] z,      b = [E2, 0, P] z,
+        c  = [E, E2 P - P, 0, 2P] z   (= E2 a + P (2 N(b) - N(y))),
+        y' = W_k z,
+    the last stage matrix being the continuous extension at theta = 1."""
     m = rows[0].shape[-2]
     half = rows[k - 1]
     e2, e, p = half[..., :m], rows[2 * k - 1][..., :m], 0.5 * h / k * half[..., m:2 * m]
@@ -429,7 +318,9 @@ def _stages(rows, h, k):
 
 
 def _dense(rows, h, k):
-    """The continuous extension W_1, ..., W_{k-1} of the same step."""
+    """The continuous extension (Hochbruck & Ostermann 2010) of the same
+    step at its interior offsets theta = j / k, W_1, ..., W_{k-1}: the state
+    at t + theta h is W_j z."""
     return tuple(_extension(rows[2 * j - 1], h, 2 * k) for j in range(1, k))
 
 
@@ -446,8 +337,12 @@ def _phi_chain(a, s):
 
 
 def _extension(row, h, k):
-    """The continuous extension of ``_etdrk4_weights`` at theta = j / k from
-    the top block row of exp(jZ), Z as in ``_phi_chain`` with s = h / k."""
+    """ETDRK4's continuous extension at theta = j / k from the top block row
+    of exp(jZ), Z as in ``_phi_chain`` with s = h / k:
+        W_j = [exp(theta ha), h b1, h b23, h b23, h b4],
+        b1 = theta phi_1 - 3 theta^2 phi_2 + 4 theta^3 phi_3,
+        b23 = 2 theta^2 phi_2 - 4 theta^3 phi_3,  b4 = 4 theta^3 phi_3 - theta^2 phi_2,
+    each phi of theta ha."""
     m = row.shape[-2]
     # theta^i phi_i(theta ha) = j^i phi_i / k^i
     p1, p2, p3 = (row[..., i * m:(i + 1) * m] / k**i for i in (1, 2, 3))
@@ -827,43 +722,43 @@ class _Scratch:
 
 
 class _Stages:
-    """One of a batch's two buffers of ETDRK4 stage vectors z = [y, N(y),
-    N(a), N(b), N(c)], (B, 5 M), with the views of it that a step's
-    products read and write.  A step reads its y here and writes the next y
-    into the y slot of ``other``, so no step copies its state and the z of
-    the last step stays whole for the records inside it.
+    """One of a pair of buffers of ETDRK4 stage vectors z = [y, N(y), N(a),
+    N(b), N(c)], (B, 5 M), with the views of it that a step's products read
+    and write.  A step reads its y here and writes the next y into the y
+    slot of ``other``, the pair's other buffer, made with this one, so no
+    step copies its state and the z of the last step stays whole for the
+    records inside it.  The product forms are chosen here: 1-D views for
+    ``ndarray.dot`` (BLAS gemv) at B = 1, else (B, ..., 1) views for
+    np.matmul.
 
-    y, y_flat -- the y slot, (B, M), and its 1-D view (None for a batch)
+    y         -- the y slot, (B, M)
     n_slots   -- the N slots, each as a 1-D view where it has one (B = 1 or
                  M = 1): numpy writes that as fast as a contiguous array, a
                  2-stride slot slower
     n_ns      -- stage 1's N slot over the inverter slots
-    ins       -- the parts of z that each stage multiplies: 1-D for
-                 ``ndarray.dot`` at B = 1 (the last (1, 5 M)), else
-                 (B, ..., 1) for np.matmul
+    ins       -- the parts of z that each stage multiplies
+    y_out     -- the y slot as the last stage writes it
     sample_in -- [y, N(y)] as (real, imaginary) pairs at B = 1, else None
-    y_out     -- the y slot in the shape the last stage writes
     """
 
-    __slots__ = ("y", "y_flat", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "other")
+    __slots__ = ("y", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "other")
 
-    def __init__(self, n, width, ns):
+    def __init__(self, n, width, ns, other=None):
         self.z = z = np.zeros((n, 5 * width), dtype=complex)
         slots = [z[:, k * width:(k + 1) * width] for k in range(5)]
         self.y = slots[0]
         self.n_slots = [s.reshape(-1) if 1 in s.shape else s for s in slots[1:]]
         if n == 1:
             col = z[0]
-            self.y_flat, self.n_ns = col[:width], col[width:width + ns]
-            self.ins = tuple(col[:c * width] for c in (2, 3, 4)) + (z,)
+            self.ins = tuple(col[:c * width] for c in (2, 3, 4, 5))
+            self.y_out, self.n_ns = col[:width], col[width:width + ns]
             self.sample_in = self.ins[0].view(float)
-            self.y_out = self.y
         else:
             col = z[..., None]
-            self.y_flat, self.n_ns = None, slots[1][:, :ns]
             self.ins = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
+            self.y_out, self.n_ns = col[:, :width], slots[1][:, :ns]
             self.sample_in = None
-            self.y_out = self.y[..., None]
+        self.other = _Stages(n, width, ns, self) if other is None else other
 
 
 class Simulation:
@@ -888,20 +783,14 @@ class Simulation:
         configs = [config if config is not None else s.sim for s in scenarios]
         self.config = configs[0]
         names = ("dt", "t_end", "record_decimation", "network_model", "step_multiple")
-
-        def grid(cfg):
-            return tuple(getattr(cfg, name) for name in names)
-
         for b, cfg in enumerate(configs):
-            diff = [name for name, mine, first in zip(names, grid(cfg), grid(self.config))
-                    if mine != first]
+            diff = [name for name in names if getattr(cfg, name) != getattr(self.config, name)]
             if diff:
                 raise ValueError(f"member {b} does not share the step grid of member 0: "
                                  f"{', '.join(diff)} differ")
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
         self.step_index = 0  # in dt steps; a step of r dt advances it by r
         self._n_steps = round(self.config.t_end / self.config.dt)
-        self._fixed = self.config.step_multiple  # None: K chosen per segment
         # How many members sample their controllers, each member's sample
         # interval and the dt step of its next sample (inf: unsampled), the
         # earliest of them, and which members the last sample held.
@@ -940,7 +829,11 @@ class Simulation:
     def _stack(self, states):
         """Stack the members' states, models and step matrices over the
         batch, each padded with zeros to the widest state, and open a
-        compile segment whose K the next step sizes."""
+        compile segment whose K the next step sizes.  The padded A is block
+        diagonal: exp(0) = 1 and phi_k(0) = 1/k! on a padded slot only
+        multiply padded slots of y and N, which are exactly 0, and every
+        weight between a member's slots and its padding is exactly 0, so a
+        padded slot stays 0."""
         ms, n, dt = self.members, len(self.members), self.config.dt
         width = max(len(y) for y in states)
         self.y = _padded(states, (width,))
@@ -958,28 +851,33 @@ class Simulation:
         # The segment's largest rung: step_multiple, else the largest power
         # of two within MAX_RUNG, every sample interval and the segment (of
         # no step when an event is due at t = 0, before the first restack).
-        top = self._fixed
+        top = self.config.step_multiple
         if top is None:
             span = min([MAX_RUNG, min(self._next_event, self._n_steps) - self.step_index]
                        + [mem.sample_steps for mem in ms if mem.sample_steps])
             top = 1 << (max(span, 1).bit_length() - 1)
         # One chain at s = dt / 2 gives every rung's weights up to 2 top,
         # the step-doubling estimate's largest (``_size``).
-        fixed = self._fixed or 1
-        self._rows = _chain_rows(self.model.a, 0.5 * (dt * fixed) / fixed, 4 * top)
+        self._rows = _chain_rows(self.model.a, 0.5 * dt, 4 * top)
         self._top, self._rungs, self._K, self._r = top, {}, None, None
+        # A single run multiplies 2-D matrices, each its stack's one entry
+        # (``_pick``), with 1-D vectors through ndarray.dot, BLAS gemv at
+        # about half the fixed cost of the batch's stacked np.matmul, and as
+        # exact: both sum in gemv's order.
+        one = n == 1
+        self._pick, self._mul = (0, np.ndarray.dot) if one else (..., np.matmul)
         # Each member's voltage and branch-current slots, the two groups of
         # the estimate's scale.
         slot = np.arange(width)
         ends = np.array([(mem.ns, mem.m) for mem in ms])
-        self._groups = (slot < ends[:, :1], (slot >= ends[:, :1]) & (slot < ends[:, 1:]))
+        self._groups = np.stack([slot < ends[:, :1], (slot >= ends[:, :1]) & (slot < ends[:, 1:])])
         if self._noisy:
             # The noisy members' additive noise over the whole batch state,
             # one row per dt step, zero off the oscillator slots; a restack
             # carries the drawn rows over by the inverter slots.  The
             # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
-            # them to a step's end: the last j of them, one view per j (2-D
-            # for a single run), those of j dt steps.
+            # them to a step's end: the last j of them, one view per j, those
+            # of j dt steps, times the j rows in the shape ``_xi_shape``.
             noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
@@ -988,22 +886,19 @@ class Simulation:
             prop = np.concatenate(
                 [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
                 axis=-1)
-            self._props = [prop[0 if n == 1 else ..., :, (top - j) * width:]
-                           for j in range(top + 1)]
+            self._props = [prop[self._pick, :, (top - j) * width:] for j in range(top + 1)]
+            self._xi_shape = (-1,) if one else (n, -1, 1)
 
         # The stage vectors of every member in two buffers that the steps
-        # alternate between.  A single run multiplies 2-D matrices with 1-D
-        # vectors through ndarray.dot, BLAS gemv at about half the fixed
-        # cost of the batch's stacked np.matmul, and as exact: both sum in
-        # gemv's order.
-        self._one = n == 1
-        self._mul = np.ndarray.dot if self._one else np.matmul
-        self._buf = _Stages(n, width, ns)
-        self._buf.other = _Stages(n, width, ns)
-        self._buf.other.other = self._buf
-        self._stage_out = np.zeros(width if self._one else (n, width, 1), dtype=complex)
+        # alternate between, and in two more for the step-doubling estimate:
+        # a sample may have filled the step's stage 1 before it runs.
+        self._buf, self._est = _Stages(n, width, ns), _Stages(n, width, ns)
+        # A stage's product, N's input, and a step's noise sum: neither
+        # outlives its call.
+        self._stage_out = np.zeros(width if one else (n, width, 1), dtype=complex)
         self._stage_flat = self._stage_out.reshape(-1)
-        if self._fixed:
+        self._stage_y = self._stage_out.reshape(n, width)
+        if self.config.step_multiple:
             self._set_rung(top)
         if self._sampled:
             self._sample_matrix(width)
@@ -1034,7 +929,7 @@ class Simulation:
         measure[:, :ns] = model.neg_c2[..., None] * i_o
         measure[:, width:width + ns] = 1j * i_o
         measure[:, 2 * width:, :width] = a - model.a[:, :ns]
-        if self._one:
+        if n == 1:
             rows = [_real_form(m, conj=c) for m, c in (
                 (measure[0, :width], False), (measure[0, width:2 * width], True),
                 (measure[0, 2 * width:], False))]
@@ -1046,17 +941,22 @@ class Simulation:
             self._rot, self._n_diff = prod[:, width:width + ns, 0], prod[:, 2 * width:, 0]
             self._prod = prod[:, :2 * width, 0].reshape(n, 2, width).swapaxes(0, 1)
 
-    def _set_rung(self, r):
-        """Step r dt from now on: the segment's stage matrices and dense
-        weights of that step, built from its chain on first use."""
+    def _weights(self, r):
+        """Rung r's entry of the segment's cache, built from its chain on
+        first use: its four stage matrices in the form the step multiplies,
+        then its dense weights, None until ``_set_rung`` steps the rung."""
         w = self._rungs.get(r)
         if w is None:
-            h = self.config.dt * r
-            etd = _stages(self._rows, h, r)
-            stage_w = tuple(w[0] for w in etd[:3]) + (etd[3][0].T,) if self._one else etd
-            w = self._rungs[r] = (etd, _dense(self._rows, h, r), stage_w)
-        self._r = r
-        self._etd, self._dense, self._stage_w = w
+            etd = _stages(self._rows, self.config.dt * r, r)
+            w = self._rungs[r] = [tuple(x[self._pick] for x in etd), None]
+        return w
+
+    def _set_rung(self, r):
+        """Step r dt from now on, with the rung's cached weights."""
+        w = self._weights(r)
+        if w[1] is None:
+            w[1] = _dense(self._rows, self.config.dt * r, r)
+        self._r, (self._etd, self._dense) = r, w
 
     def _noise_sum(self, k, j):
         """The additive noise of the j dt steps from dt step k, carried to
@@ -1068,10 +968,8 @@ class Simulation:
         noise, at = self._noise, k - self._noise_at
         if j == 1:
             return noise[:, at]
-        xi = noise[:, at:at + j].reshape(len(noise), -1)
-        if self._one:
-            return self._props[j].dot(xi[0])
-        return np.matmul(self._props[j], xi[..., None])[..., 0]
+        self._mul(self._props[j], noise[:, at:at + j].reshape(self._xi_shape), self._stage_out)
+        return self._stage_y
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
@@ -1095,47 +993,35 @@ class Simulation:
 
     def _size(self):
         """Fix this compile segment's K from its first state: step_multiple,
-        or the largest rung from the segment's top down whose step-doubling
-        estimate is within STEP_TOL, rung 1 at the least; record both."""
+        or the largest rung from the segment's top (``_stack``) down whose
+        step-doubling estimate is within STEP_TOL, rung 1 at the least;
+        record both.  Each step then takes the largest power of two up to K
+        that passes no event, controller sample or t_end (``step``)."""
         y0 = self.y
-        n0 = self.model.nonlinear(y0.reshape(-1)).reshape(y0.shape)
-        k = self._top
-        est = self._estimate(y0, n0, k)
-        while not (self._fixed or k == 1 or est <= STEP_TOL):
+        z0 = np.concatenate([y0, self.model.nonlinear(y0.ravel()).reshape(y0.shape)], axis=1)
+        k, fixed = self._top, self.config.step_multiple
+        while not ((est := self._estimate(z0, k)) <= STEP_TOL or k == 1 or fixed):
             k //= 2
-            est = self._estimate(y0, n0, k)
         self._K = k
         self._segments.append({"step": self.step_index, "k": k, "estimate": est})
 
-    def _estimate(self, y0, n0, k):
-        """The step-doubling (Richardson) estimate of a step of k dt from the
-        batch state y0, N(y0) = n0: |two steps of k dt - one of 2k dt| / 15,
-        ETDRK4 being of order 4, in each member's voltages and in its branch
-        currents over that group's largest magnitude, the largest of all."""
-        dt = self.config.dt
-        w = _stages(self._rows, dt * k, k)
-        fine = self._advance(w, self._advance(w, y0, n0))
-        coarse = self._advance(_stages(self._rows, dt * 2 * k, 2 * k), y0, n0)
+    def _estimate(self, z0, k):
+        """The step-doubling (Richardson; Hairer, Norsett & Wanner, Solving
+        ODEs I, II.4) estimate of a step of k dt from the batch's [y0,
+        N(y0)] z0: |two steps of k dt - one of 2k dt| / 15, ETDRK4 being of
+        order 4, in each member's voltages and in its branch currents over
+        that group's largest magnitude, the largest of all.  The steps run
+        in the estimate's own stage buffers: the step of 2k dt, then the two
+        of k dt; both steps from y0 reuse N(y0)."""
+        est, width = self._est, self.y.shape[1]
+        est.z[:, :2 * width] = z0
+        coarse = self._step_etdrk4(est, self._weights(2 * k)[0], True).y.copy()
+        w = self._weights(k)[0]
+        fine = self._step_etdrk4(self._step_etdrk4(est, w, True), w).y
         err = np.abs(fine - coarse) / 15.0
-        mag = np.maximum(np.abs(y0), np.abs(fine))
-        worst = []
-        for group in self._groups:
-            e, s = (np.where(group, x, 0.0).max(axis=1) for x in (err, mag))
-            worst.append(np.max(e / np.where(s > 0.0, s, 1.0)))
-        return float(np.max(worst))  # NaN after a non-finite step
-
-    def _advance(self, w, y, ny=None):
-        """One ETDRK4 step of the stepped model with stage matrices w from
-        the batch state y, whose N is ny or evaluated here, by np.matmul
-        on fresh arrays: the step's own stage vectors stay untouched."""
-        n, (b, width) = self.model.nonlinear, y.shape
-        z = np.empty((b, 5 * width), dtype=complex)
-        z[:, :width] = y
-        z[:, width:2 * width] = n(y.reshape(-1)).reshape(b, width) if ny is None else ny
-        for c, wc in zip((2, 3, 4), w):
-            u = np.matmul(wc, z[:, :c * width, None])[..., 0]
-            z[:, c * width:(c + 1) * width] = n(u.reshape(-1)).reshape(b, width)
-        return np.matmul(w[3], z[..., None])[..., 0]
+        mag = np.maximum(np.abs(z0[:, :width]), np.abs(fine))
+        e, s = (np.where(self._groups, x, 0.0).max(axis=-1) for x in (err, mag))
+        return float(np.max(e / np.where(s > 0.0, s, 1.0)))  # NaN after a non-finite step
 
     # -- time stepping -------------------------------------------------------
 
@@ -1161,7 +1047,8 @@ class Simulation:
             r = 1 << ((self._stop - k).bit_length() - 1)
         if r != self._r:
             self._set_rung(r)
-        self._step_etdrk4(have_n)
+        self._buf = self._step_etdrk4(self._buf, self._etd, have_n)
+        self.y = self._buf.y
         if self._noisy:
             self.y += self._noise_sum(k, r)
         self._rung_steps[r] += 1
@@ -1202,10 +1089,9 @@ class Simulation:
         self._next_hold = next_hold
         self._stop = next_hold if next_hold < self._end else self._end
         buf = self._buf
-        self.live_model.nonlinear(buf.y_flat if self._one else self.y.reshape(-1),
-                                  out=buf.n_slots[0])
+        self.live_model.nonlinear(buf.y.ravel(), out=buf.n_slots[0])
         measure, prod = self._measure
-        if self._one:
+        if buf.sample_in is not None:  # a single run: one real gemv
             measure.dot(buf.sample_in, prod)
         else:
             np.matmul(measure, buf.ins[0], prod)
@@ -1217,31 +1103,28 @@ class Simulation:
         self._filled += 1
         return True
 
-    def _step_etdrk4(self, have_n=False):
-        """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y): A is
-        propagated exactly and N's stages are weighted by phi-functions of
-        hA, so stiff modes see N with the right weight.  Each N is written
-        straight into its slot of the stage vectors; with ``have_n`` the
-        slot of N(y) is already filled.  ``step`` has put y in z.  The
-        last product writes the new y into the other buffer's y slot."""
-        n, mul, buf = self.model.nonlinear, self._mul, self._buf
-        (wa, wb, wc, wy), (sa, sb, sc, s) = self._stage_w, buf.ins
-        u, uf = self._stage_out, self._stage_flat
+    def _step_etdrk4(self, buf, w, have_n=False):
+        """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y) of the
+        stepped model, from the y in the stage buffer ``buf``, with the
+        stage matrices w of a rung (``_weights``): A is propagated exactly
+        and N's stages are weighted by phi-functions of hA, so stiff modes
+        see N with the right weight.  Each N is written straight into its
+        slot of the stage vectors; with ``have_n`` the slot of N(y) is
+        already filled.  The last product writes the new y into the other
+        buffer's y slot; returns that buffer."""
+        n, mul, u, uf = self.model.nonlinear, self._mul, self._stage_out, self._stage_flat
+        (wa, wb, wc, wy), (sa, sb, sc, s) = w, buf.ins
         zn, za, zb, zc = buf.n_slots
         if not have_n:
-            n(buf.y_flat if self._one else self.y.reshape(-1), out=zn)
+            n(buf.y.ravel(), out=zn)
         mul(wa, sa, u)
         n(uf, out=za)
         mul(wb, sb, u)
         n(uf, out=zb)
         mul(wc, sc, u)
         n(uf, out=zc)
-        buf = self._buf = buf.other
-        if self._one:
-            s.dot(wy, buf.y_out)
-        else:
-            np.matmul(wy, s, buf.y_out)
-        self.y = buf.y
+        mul(wy, s, buf.other.y_out)
+        return buf.other
 
     def _diverged(self, y, step):
         """Raise SimulationDiverged for the non-finite batch state y at

@@ -1,7 +1,20 @@
 """Brute-force oracles that only the tests use: classic RK4 on the scalar
-black-start amplitude ODE, independent of ``analysis.blackstart_analytic``."""
+black-start amplitude ODE, independent of ``analysis.blackstart_analytic``,
+and ETDRK4's weights of one step, built apart from a run's per-rung cache."""
 
 import numpy as np
+
+from dvocsim.sim import _chain_rows, _dense, _stages
+
+
+def etdrk4_weights(a, h, k=1):
+    """Cox-Matthews ETDRK4 for dy/dt = a y + N(y), a step of size h, for a
+    matrix a or each of a stack (..., m, m): its four stage matrices, then
+    its continuous extension at the step's interior offsets j / k, W_1, ...,
+    W_{k-1} (``dvocsim.sim._stages``, ``_dense``), from a chain of its own
+    at s = h / 2k."""
+    rows = _chain_rows(a, 0.5 * h / k, 2 * k)
+    return _stages(rows, h, k) + _dense(rows, h, k)
 
 
 def rk4_scalar(f, y0, t_grid, max_dt):

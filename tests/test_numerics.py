@@ -5,7 +5,9 @@ import pytest
 
 from dvocsim.numerics import expm
 from dvocsim.scenario import builtin_names, builtin_scenario
-from dvocsim.sim import Simulation, _etdrk4_weights, _extension, _phi_chain
+from dvocsim.sim import Simulation, _extension, _phi_chain
+
+from oracles import etdrk4_weights
 
 
 def rel_dev(got, want):
@@ -14,14 +16,14 @@ def rel_dev(got, want):
 
 def split_simulations():
     """(label, A, exp(hA), exp(hA/2), h) per built-in, before and after each
-    of its events, with the propagators read off the batch's stacked ETDRK4
-    stage matrices of its step h = step_multiple dt."""
+    of its events, with the propagators read off the ETDRK4 stage matrices
+    that its step of h = step_multiple dt multiplies."""
     sims = []
 
     def entry(label, sim):
         a = sim.model.a[0]
         m = len(a)
-        wa, _, _, wy = (w[0] for w in sim._etd)
+        wa, _, _, wy = sim._etd
         return (label, a, wy[:, :m], wa[:, :m],
                 sim.config.dt * sim.config.stride)
 
@@ -103,7 +105,7 @@ class TestEtdrk4Weights:
     def test_zero_operator_gives_classical_rk4(self):
         # With A = 0 every phi_k is 1/k!, and ETDRK4 is classical RK4.
         h, eye = 1e-3, np.eye(2)
-        wa, wb, wc, wy = _etdrk4_weights(np.zeros((2, 2)), h)
+        wa, wb, wc, wy = etdrk4_weights(np.zeros((2, 2)), h)
         np.testing.assert_allclose(wa, np.hstack([eye, h / 2 * eye]), atol=1e-18)
         np.testing.assert_allclose(wb, np.hstack([eye, 0 * eye, h / 2 * eye]), atol=1e-18)
         np.testing.assert_allclose(wc, np.hstack([eye, 0 * eye, 0 * eye, h * eye]),
@@ -123,7 +125,7 @@ class TestEtdrk4Weights:
             for k in range(3):
                 z[k * m:(k + 1) * m, (k + 1) * m:(k + 2) * m] = np.eye(m)
             phi1, phi2, phi3 = (linalg.expm(z)[:m, k * m:(k + 1) * m] for k in (1, 2, 3))
-            wy = _etdrk4_weights(a, h)[3]
+            wy = etdrk4_weights(a, h)[3]
             want = [h * (phi1 - 3 * phi2 + 4 * phi3), 2 * h * (phi2 - 2 * phi3),
                     h * (4 * phi3 - phi2)]
             for got, ref in zip((wy[:, m:2 * m], wy[:, 2 * m:3 * m], wy[:, 4 * m:]), want):
@@ -136,9 +138,9 @@ class TestEtdrk4Weights:
         h = 1e-3
         a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
         a *= np.array([1e1, 1e3, 3e4, 1e5])[:, None, None]
-        stacked = _etdrk4_weights(a, h, 3)
+        stacked = etdrk4_weights(a, h, 3)
         for b in range(len(a)):
-            alone = _etdrk4_weights(a[b], h, 3)
+            alone = etdrk4_weights(a[b], h, 3)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[b], want), b
 
@@ -151,7 +153,7 @@ class TestEtdrk4Weights:
         linalg = pytest.importorskip("scipy.linalg")
         for label, a, _, _, h in split_simulations():
             m = len(a)
-            weights = _etdrk4_weights(a, h, k)
+            weights = etdrk4_weights(a, h, k)
             assert len(weights) == 3 + k
             w = _phi_chain(a, 0.5 * h / k)
             row = w[:m]

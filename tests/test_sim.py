@@ -8,10 +8,10 @@ import pytest
 from dvocsim.control import DroopParams, PolarState, droop_rhs, dvoc_rhs
 from dvocsim.network import DynamicNetwork, measure_power, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
-from dvocsim.sim import (SimConfig, Simulation, SimulationDiverged, _etdrk4_weights,
-                         run_scenario)
+from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, run_scenario
 
 from conftest import OMEGA0, pu_scenario, pu_scenario_dict
+from oracles import etdrk4_weights
 
 
 def unloaded_oscillator_dict(dt, t_end, v0=(1.0, 0.0), decim=1):
@@ -540,9 +540,15 @@ class TestExponentialSplit:
         sim = Simulation(members if batch else sampled)
         model, live = sim.model, sim.live_model
         (n, width), y0 = sim.y.shape, sim.y
-        seen = []
-        sim._step_etdrk4 = lambda have_n=False: seen.append(
-            (have_n, sim._buf.z[:, width:2 * width].copy()))
+        seen, step = [], sim._step_etdrk4
+
+        def seen_step(buf, w, have_n=False):  # the run's steps are not taken
+            if buf is not sim._buf:  # the step-doubling estimate's buffers
+                return step(buf, w, have_n)
+            seen.append((have_n, buf.z[:, width:2 * width].copy()))
+            return buf
+
+        sim._step_etdrk4 = seen_step
         for k in range(20):
             y = np.zeros((n, width), dtype=complex)
             for b, mem in enumerate(sim.members):
@@ -620,10 +626,10 @@ class TestExponentialSplit:
         mem, width = sim.members[0], sim.y.shape[1]
         slot = mem.dvoc_pos[0] if row == "oscillator" else width + mem.droop_pos[0]
         measure = sim._measure[0]
-        if sim._one:  # the real form: two rows per complex row
-            measure[2 * slot:2 * slot + 2] *= 1.0 + 1e-9
-        else:
+        if batch:
             measure[0, slot] *= 1.0 + 1e-9
+        else:  # the real form: two rows per complex row
+            measure[2 * slot:2 * slot + 2] *= 1.0 + 1e-9
         assert self.sample_hold_deviation(sim, 5) > 1e-10
 
     def test_sampled_members_on_different_sample_grids_match_their_single_runs(self):
@@ -865,6 +871,42 @@ class TestStepByAccuracy:
             assert (seg["step"], seg["k"]) == (0, k)
             assert (seg["estimate"] <= STEP_TOL) == within, seg
 
+    @pytest.mark.parametrize("name, k", [("paper-fig4", 2), ("paper-fig4", 10),
+                                         ("paper-fig7", None), ("mixed-live", None)])
+    def test_estimate_matches_an_independent_step_doubling(self, name, k):
+        # A run's first estimate (meta["stats"]), taken through its own step
+        # routine and per-rung weight cache, against step doubling redone
+        # apart: the oracle's weights of k dt and 2k dt applied by np.matmul
+        # to fresh stage vectors, |two steps of k dt - one of 2k| / 15 over
+        # the largest magnitude of each group, voltages and branch currents.
+        # Measured: equal bit for bit.  Dividing by 16 instead, scaling each
+        # rung's last stage matrix by 1 + 1e-9, or giving rung 2 rung 1's
+        # second stage matrix fails it.
+        from dvocsim.scenario import builtin_scenario
+        sc = parse_scenario_dict(mixed_live_grid_dict()) if name == "mixed-live" \
+            else builtin_scenario(name)
+        sim = Simulation(sc, replace(sc.sim, step_multiple=k))
+        model, y0, (mem,), dt = sim.model, sim.y.copy(), sim.members, sim.config.dt
+        groups = (slice(0, mem.ns), slice(mem.ns, mem.m))
+        seg = sim.run().meta["stats"]["segments"][0]
+        width, k = y0.shape[1], seg["k"]
+
+        def step(w, y):
+            z = np.zeros((1, 5 * width), dtype=complex)
+            z[:, :width], z[:, width:2 * width] = y, model.nonlinear(y.reshape(-1))
+            for c, wc in zip((2, 3, 4), w):
+                u = np.matmul(wc, z[:, :c * width, None])[..., 0]
+                z[:, c * width:(c + 1) * width] = model.nonlinear(u.reshape(-1))
+            return np.matmul(w[3], z[..., None])[..., 0]
+
+        fine_w, coarse_w = (etdrk4_weights(model.a, dt * r, r)[:4] for r in (k, 2 * k))
+        fine = step(fine_w, step(fine_w, y0))[0]
+        coarse = step(coarse_w, y0)[0]
+        err, mag = np.abs(fine - coarse) / 15.0, np.maximum(np.abs(y0[0]), np.abs(fine))
+        want = max(err[g].max(initial=0.0) / (mag[g].max(initial=0.0) or 1.0) for g in groups)
+        assert seg["step"] == 0 and want > 1e-14
+        assert abs(seg["estimate"] - want) <= 1e-6 * want, (seg, want)
+
 
 class TestNetworkModes:
     def test_dynamic_matches_quasistatic_steady_state(self):
@@ -943,8 +985,9 @@ class TestNetworkModes:
         stepped, step_etdrk4 = [], sim._step_etdrk4
 
         def capture(*args):  # the state before the step's noise
-            step_etdrk4(*args)
-            stepped.append(sim.y.copy())
+            buf = step_etdrk4(*args)
+            stepped.append(buf.y.copy())
+            return buf
 
         sim._step_etdrk4 = capture
         draws = [[], []]
@@ -1240,7 +1283,7 @@ class TestBatch:
             for b, mem in enumerate(sim.members):
                 m = mem.m
                 a = mem.a_live if mem.a_held is None else mem.a_held
-                own = _etdrk4_weights(a, h, k)
+                own = etdrk4_weights(a, h, k)
                 assert len(own) == len(sim._etd) + len(sim._dense) == 3 + k
                 for got, want in zip(sim._etd + tuple(sim._dense), own):
                     got = got[b].reshape(width, -1, width)

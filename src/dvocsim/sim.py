@@ -30,8 +30,8 @@ the step.  r is ``SimConfig.step_multiple``, else chosen per compile segment
 by a step-doubling estimate (``_size``).  Events are applied between steps
 (``_apply_due_events``), controller samples hold the live measurement
 (``_hold_due``), additive noise crosses a step exactly through the linear
-flow (``_noise_sum``), and records stay on the dt grid, inside a step
-through ETDRK4's continuous extension (``_dense``, ``_derive_records``).
+flow (``_noise_sum``), and records stay on the dt grid, each its step's
+ETDRK4 continuous extension (``_dense``, ``_derive_records``).
 """
 
 import functools
@@ -232,19 +232,6 @@ class Trace:
     def n_inverters(self):
         return self.v.shape[1]
 
-    def column(self, name, k):
-        """Scalar column for inverter index k: one of v_alpha, v_beta,
-        i_alpha, i_beta, p, q, vmag, theta."""
-        if name == "v_alpha":
-            return self.v[:, k].real
-        if name == "v_beta":
-            return self.v[:, k].imag
-        if name == "i_alpha":
-            return self.i_o[:, k].real
-        if name == "i_beta":
-            return self.i_o[:, k].imag
-        return getattr(self, name)[:, k]
-
 
 def _finalize_traces(t, v, i_o, members, n_steps, stats):
     """One Trace per member from the (member, record, inverter) buffers; a
@@ -257,7 +244,6 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
         vb, ib = v[b, :, :mem.ns], i_o[b, :, :mem.ns]
         s = np.conj(vb) * ib
         np.negative(s.imag, out=s.imag)  # q = -Im(conj(v) i_o) beside p, in place
-        ang = np.angle(vb)
         cfg = mem.config
         meta = {
             "dt": cfg.dt,
@@ -279,7 +265,7 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
         events = [(time, _describe_action(a)) for time, a in mem.events_applied]
         traces.append(Trace(
             t=t, v=vb, i_o=ib, p=s.real, q=s.imag, vmag=np.abs(vb),
-            theta=np.unwrap(ang, axis=0) if ang.shape[0] > 1 else ang,
+            theta=np.unwrap(np.angle(vb), axis=0),
             inverter_ids=list(mem.ids), events=events,
             dt_sample=cfg.dt * cfg.record_decimation, meta=meta))
     return traces
@@ -319,9 +305,9 @@ def _stages(rows, h, k):
 
 def _dense(rows, h, k):
     """The continuous extension (Hochbruck & Ostermann 2010) of the same
-    step at its interior offsets theta = j / k, W_1, ..., W_{k-1}: the state
-    at t + theta h is W_j z."""
-    return tuple(_extension(rows[2 * j - 1], h, 2 * k) for j in range(1, k))
+    step at its offsets theta = j / k, W_1, ..., W_k: the state at t + theta
+    h is W_j z, W_k being the step's last stage matrix."""
+    return tuple(_extension(rows[2 * j - 1], h, 2 * k) for j in range(1, k + 1))
 
 
 def _phi_chain(a, s):
@@ -352,14 +338,14 @@ def _extension(row, h, k):
 
 
 def _real_form(m, conj=False):
-    """The real matrix, (2 R, 2 C), of the complex (R, C) m on interleaved
-    (real, imaginary) pairs: x.view(float) to (m x).view(float), or with
-    ``conj`` to conj(m x).view(float), so a conjugate needs no call of its
-    own."""
-    out = np.empty((2 * m.shape[0], 2 * m.shape[1]))
+    """The real matrix, (..., 2 R, 2 C), of the complex (..., R, C) m on
+    interleaved (real, imaginary) pairs: x.view(float) to (m x).view(float),
+    or with ``conj`` to conj(m x).view(float), so a conjugate needs no call
+    of its own."""
+    out = np.empty(m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1]))
     sign = -1.0 if conj else 1.0
-    out[0::2, 0::2], out[0::2, 1::2] = m.real, -m.imag
-    out[1::2, 0::2], out[1::2, 1::2] = sign * m.imag, sign * m.real
+    out[..., 0::2, 0::2], out[..., 0::2, 1::2] = m.real, -m.imag
+    out[..., 1::2, 0::2], out[..., 1::2, 1::2] = sign * m.imag, sign * m.real
     return out
 
 
@@ -511,7 +497,7 @@ class _Split:
     (B M,), each member's slots padded with zeros to the widest state M and
     zero in every constant.  With ``live`` every controller measures the
     live current; else a member with sampled controllers measures the held
-    one, which ``hold`` sets and a restack carries over from ``prev``.
+    one, which a sample sets and a restack carries over from ``prev``.
 
     a, c1, c1v -- A, (B, M, M), and the cubic's gain c1 - c1v |v|^2 per slot,
                   real where no member's oscillator gain is (every held model)
@@ -520,16 +506,15 @@ class _Split:
     droop, floor -- whether any slot holds a droop inverter; _EPS per slot
     a_dr, b_dr, kp, kq, eps -- per slot, zero off the droop slots: the
                   constants of the droop law and the offset _EPS of v
-    meas, cap  -- (B, M, M), j times the droop rows of the live current, cap
-                  current excluded (None: every droop law is held), and
-                  kq c + j kp c of each droop terminal's capacitance c
-                  (None: no live loop)
-    holds      -- the held values, flat: -c2 i_o of every member's slots,
-                  then -j conj(i_o), zero off the inverter slots, then
-                  ``tail`` more slots for a caller's product to fill with them
+    meas, cap  -- (B, 2 M, 2 M), the real form of -j conj(i_o) from the
+                  droop rows of the live current, cap current excluded
+                  (None: every droop law is held), and kq c + j kp c of
+                  each droop terminal's capacitance c (None: no live loop)
+    _holds     -- (2, B, M), the held values: -c2 i_o, then -j conj(i_o),
+                  zero off the inverter slots
     """
 
-    def __init__(self, members, width, live, prev=None, tail=0):
+    def __init__(self, members, width, live, prev=None):
         n, ns = len(members), max(mem.ns for mem in members)
         self.ns, self.dynamic = ns, members[0].dynamic
         # Whether each member's controllers measure the live current here.
@@ -562,31 +547,28 @@ class _Split:
         self.floor = np.full(n * width, _EPS)
         # Interleaved (real, imag) pairs (-kq, kp) and (b_dr, 0).
         self._kqp, self._b_dr = (-self.kq + 1j * self.kp).view(float), (self.b_dr + 0j).view(float)
-        self.meas = meas if self.droop and any(lives) else None
-        # conj(meas y) of a single run's state, one real gemv
-        self._meas_one = _real_form(meas[0], conj=True) \
-            if n == 1 and self.meas is not None else None
+        # conj(j g y) = -j conj(i_net): the conjugate folded into the rows.
+        self.meas = _real_form(meas, conj=True) if self.droop and any(lives) else None
         self.cap = self.kq * c + 1j * self.kp * c if c.any() else None
 
-        self.holds = np.zeros(2 * n * width + tail, dtype=complex)
-        self._holds = self.holds[:2 * n * width].reshape(2, n, width)
+        self._holds = np.zeros((2, n, width), dtype=complex)
         if prev is not None:  # held values sit in the inverter slots
             self._holds[..., :ns] = prev._holds[..., :ns]
         self._held, self._held_rot = self._holds.reshape(2, -1)
         # The constants N reads, unpacked once per call.
         self._cubic = self.c1, self.c1v, self._held
-        self._law = self.floor, self._held_rot, self._kqp, self._b_dr, self.eps
+        self._law = self._held_rot, self._kqp, self._b_dr, self.eps
         # The _Scratch of N for the flat state, (B M,), and per stack shape.
         self._flat, self._scratch = None, {}
 
     def nonlinear(self, y, out=None):
         """N(y) for the flattened batch state y, (B M,), or for a stack of
         such states, (K, B M), its last product written into ``out`` if
-        given: y's shape or a (B, M) stage slot.  Without a droop slot, N is
-        the cubic's gain on v; with one, the droop law joins that gain, its
-        terms exactly 0 off the droop slots.  Every intermediate lives in
-        the scratch arrays of y's shape; the result is ``out`` or a fresh
-        array, never one of them."""
+        given: y's shape or a (B, M) stage slot.  N is the cubic's gain on
+        v; with a droop slot, the droop law joins that gain, its terms
+        exactly 0 off the droop slots.  Every intermediate lives in the
+        scratch arrays of y's shape; the result is ``out`` or a fresh array,
+        never one of them."""
         s = self._flat if y.ndim == 1 else self._scratch.get(y.shape)
         if s is None:
             s = _Scratch(self, y.shape)
@@ -595,39 +577,37 @@ class _Split:
             else:
                 self._scratch[y.shape] = s
         c1, c1v, held = self._cubic
-        if not self.droop:
-            r2, r2c, gain = s.cubic
-            np.abs(y, r2)
-            np.square(r2, r2)
-            np.multiply(c1v, r2 if self._real_c1 else r2c, gain)
-            np.subtract(c1, gain, gain)
-            w = y
-        else:
+        # The cubic's gain, in real arithmetic where c1 is real, else on
+        # |v|^2 as a complex array with a zero imaginary part: either way
+        # one dtype per call.  Beside a droop law r is floored at _EPS; it
+        # differs from |v| only below _EPS, where c1v r^2 rounds off c1 as
+        # c1v |v|^2 does.
+        r, r2, r2c, gain = s.cubic
+        np.abs(y, r)
+        if self.droop:
+            np.maximum(r, self.floor, out=r)
+        np.multiply(r, r, r2)
+        np.multiply(c1v, r2 if self._real_c1 else r2c, gain)
+        np.subtract(c1, gain, gain)
+        w = y
+        if self.droop:
             # The droop law without trigonometry, as a gain on v: dv/dt =
-            # (dr/dt + j r dtheta/dt) v / r.  r is floored at _EPS and v
-            # offset by as much, so v = 0 reads as theta = 0.
-            r, t, u, re, im, r2, r2c, cubic, w = s.droop
-            floor, held_rot, kqp, b_dr, eps = self._law
-            np.abs(y, r)
-            np.maximum(r, floor, out=r)
+            # (dr/dt + j r dtheta/dt) v / r.  v is offset by _EPS, so v = 0
+            # reads as theta = 0.
+            t, u, re, im, into, w = s.droop
+            held_rot, kqp, b_dr, eps = self._law
             # t = -j v conj(i_o) = q - j p: the exact quarter turn of
             # s = p + j q puts q, the term that r divides, in the real part.
-            # meas is stored times j, so the live -j conj(i_o) is conj(meas y).
             if self.meas is None:
                 np.multiply(y, held_rot, t)
             else:
-                if s.col is None:  # one member's state: one real BLAS gemv
-                    self._meas_one.dot(y.view(float), u)
-                else:
-                    np.matmul(self.meas, y.reshape(s.col), s.t_col)
-                    np.conjugate(t, t)
+                s.meas(y.view(float).reshape(s.col), s.t_col)
                 if self.held:
                     t += held_rot
                 np.multiply(y, t, t)
             # u: (q, -p) per slot, re: q, im: -p
             u *= kqp
             u += b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
-            np.multiply(r, r, r2)  # for the live loop and the cubic
             # Less A's diagonal (-1 + j a_dr) v, the gain is (dr/dt + r) / r
             # + j (dtheta/dt - a_dr), dtheta/dt - a_dr = -kp p.
             if self.cap is None:
@@ -652,19 +632,7 @@ class _Split:
                 re /= den
                 np.multiply(k, re, num)
                 im -= num
-            # Plus the cubic's gain, in real arithmetic where c1 is real, else
-            # on |v|^2 as a complex array with a zero imaginary part: either
-            # way one dtype per call.  r^2 = |v|^2 on the oscillator slots:
-            # r differs from |v| only below _EPS, where c1v r^2 rounds off c1
-            # as c1v |v|^2 does.
-            if self._real_c1:
-                np.multiply(c1v, r2, cubic)
-                np.subtract(c1, cubic, cubic)
-                re += cubic
-            else:
-                np.multiply(c1v, r2c, cubic)
-                np.subtract(c1, cubic, cubic)
-                t += cubic
+            into += gain  # plus the cubic's gain: into re, or into t if complex
             gain = t
             np.add(y, eps, w)
         if out is not None and out.ndim != y.ndim:  # a slot with no 1-D view
@@ -697,28 +665,34 @@ class _Scratch:
     its first call with that shape and reused by every later one."""
 
     def __init__(self, model, shape):
-        # |v|^2 (r^2 beside a droop law) and the cubic's gain.  |v|^2 is the
-        # real part of a complex array, whose imaginary part stays 0, where
-        # a complex constant multiplies it, so every call has one dtype.
+        # |v| and |v|^2 (r and r^2 beside a droop law) and the cubic's gain.
+        # |v|^2 is the real part of a complex array, whose imaginary part
+        # stays 0, where a complex constant multiplies it, so every call has
+        # one dtype.
         r2c = np.zeros(shape, dtype=complex)
         r2 = np.empty(shape) if model._real_c1 and model.cap is None else r2c.real
-        cubic = np.empty(shape, dtype=model.c1.dtype)
-        self.cubic = r2, r2c, cubic
+        gain = np.empty(shape, dtype=model.c1.dtype)
+        self.cubic = np.empty(shape), r2, r2c, gain
         if not model.droop:
             return
-        self.r, self.den, self.num = np.empty((3,) + shape)
+        self.den, self.num = np.empty((2,) + shape)
         self.t, self.w, self.hk = np.empty((3,) + shape, dtype=complex)
-        # The droop law's arrays, unpacked once per call: r, t = q - j p,
-        # its (q, -p) pairs, q and -p, then r^2 and the cubic's arrays.
-        self.droop = (self.r, self.t, self.t.view(float), self.t.real, self.t.imag,
-                      r2, r2c, cubic, self.w)
-        # The live current's product: a real gemv on one member's flat
-        # state, else (..., B, M, 1) stacks of the batch's matrices and
-        # states.
-        self.col = self.t_col = None
-        if model.meas is not None and (len(shape) > 1 or len(model.meas) > 1):
-            self.col = shape[:-1] + model.meas.shape[:2] + (1,)
-            self.t_col = self.t.reshape(self.col)
+        # The droop law's arrays, unpacked once per call: t = q - j p, its
+        # (q, -p) pairs, q and -p, the array the cubic's gain is added to
+        # (q where it is real), and v offset.
+        t = self.t
+        self.droop = (t, t.view(float), t.real, t.imag, t.real if model._real_c1 else t,
+                      self.w)
+        # The live current's product on (real, imaginary) pairs: a real
+        # gemv on one member's flat state, else np.matmul of the batch's
+        # matrices on (..., B, 2 M, 1) stacks of its states.
+        if model.meas is not None:
+            if len(shape) == 1 and len(model.meas) == 1:
+                self.meas, self.col = model.meas[0].dot, (-1,)
+            else:
+                self.meas = functools.partial(np.matmul, model.meas)
+                self.col = shape[:-1] + (len(model.meas), -1, 1)
+            self.t_col = t.view(float).reshape(self.col)
 
 
 class _Stages:
@@ -727,38 +701,30 @@ class _Stages:
     and write.  A step reads its y here and writes the next y into the y
     slot of ``other``, the pair's other buffer, made with this one, so no
     step copies its state and the z of the last step stays whole for the
-    records inside it.  The product forms are chosen here: 1-D views for
-    ``ndarray.dot`` (BLAS gemv) at B = 1, else (B, ..., 1) views for
-    np.matmul.
+    records inside it.  The product views have the shape ``col``: 1-D for
+    ``ndarray.dot`` (BLAS gemv) at B = 1, else (B, ..., 1) for np.matmul.
 
     y         -- the y slot, (B, M)
     n_slots   -- the N slots, each as a 1-D view where it has one (B = 1 or
                  M = 1): numpy writes that as fast as a contiguous array, a
                  2-stride slot slower
-    n_ns      -- stage 1's N slot over the inverter slots
+    n_ns      -- stage 1's N slot over the inverter slots, (B, ns)
     ins       -- the parts of z that each stage multiplies
     y_out     -- the y slot as the last stage writes it
-    sample_in -- [y, N(y)] as (real, imaginary) pairs at B = 1, else None
+    sample_in -- [y, N(y)] as (real, imaginary) pairs
     """
 
     __slots__ = ("y", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "other")
 
-    def __init__(self, n, width, ns, other=None):
+    def __init__(self, n, width, ns, col, other=None):
         self.z = z = np.zeros((n, 5 * width), dtype=complex)
         slots = [z[:, k * width:(k + 1) * width] for k in range(5)]
-        self.y = slots[0]
+        self.y, self.n_ns = slots[0], slots[1][:, :ns]
         self.n_slots = [s.reshape(-1) if 1 in s.shape else s for s in slots[1:]]
-        if n == 1:
-            col = z[0]
-            self.ins = tuple(col[:c * width] for c in (2, 3, 4, 5))
-            self.y_out, self.n_ns = col[:width], col[width:width + ns]
-            self.sample_in = self.ins[0].view(float)
-        else:
-            col = z[..., None]
-            self.ins = tuple(col[:, :c * width] for c in (2, 3, 4, 5))
-            self.y_out, self.n_ns = col[:, :width], slots[1][:, :ns]
-            self.sample_in = None
-        self.other = _Stages(n, width, ns, self) if other is None else other
+        self.ins = tuple(z[:, :c * width].reshape(col) for c in (2, 3, 4, 5))
+        self.y_out = self.y.reshape(col)
+        self.sample_in = z[:, :2 * width].view(float).reshape(col)
+        self.other = _Stages(n, width, ns, col, self) if other is None else other
 
 
 class Simulation:
@@ -805,9 +771,9 @@ class Simulation:
         # The dt steps of the noise block's first row and of the row after
         # its last drawn one.
         self._noise_at = self._noise_end = 0
-        # Records not yet derived, as (rung, offset, state, None) at offset
-        # 0, else as (rung, offset, the row of _zs with the stage vectors of
-        # its step, the noise its step added up to the offset or None).
+        # Records not yet derived, as (rung r, offset j in 1..r, the row of
+        # _zs with the stage vectors of its step, the noise its step added
+        # up to the offset or None).
         self._pending = []
         # Run stats, counted per step, sample or restack: steps taken per
         # rung, per compile segment its dt step, K and step-doubling
@@ -839,9 +805,8 @@ class Simulation:
         self.y = _padded(states, (width,))
         self.live_model = _Split(ms, width, live=True)
         ns = self.live_model.ns
-        # A single run's sample writes its stage-1 correction behind the holds.
-        self.model = _Split(ms, width, live=False, prev=self.model,
-                            tail=ns if n == 1 else 0) if self._sampled else self.live_model
+        self.model = _Split(ms, width, live=False, prev=self.model) \
+            if self._sampled else self.live_model
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
         # The next step that ends a step whatever K is: an event, t_end or
@@ -863,9 +828,9 @@ class Simulation:
         # A single run multiplies 2-D matrices, each its stack's one entry
         # (``_pick``), with 1-D vectors through ndarray.dot, BLAS gemv at
         # about half the fixed cost of the batch's stacked np.matmul, and as
-        # exact: both sum in gemv's order.
-        one = n == 1
-        self._pick, self._mul = (0, np.ndarray.dot) if one else (..., np.matmul)
+        # exact: both sum in gemv's order.  ``_col`` is the vectors' shape.
+        self._pick, self._mul, self._col = (0, np.ndarray.dot, (-1,)) if n == 1 \
+            else (..., np.matmul, (n, -1, 1))
         # Each member's voltage and branch-current slots, the two groups of
         # the estimate's scale.
         slot = np.arange(width)
@@ -877,7 +842,7 @@ class Simulation:
             # carries the drawn rows over by the inverter slots.  The
             # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
             # them to a step's end: the last j of them, one view per j, those
-            # of j dt steps, times the j rows in the shape ``_xi_shape``.
+            # of j dt steps, times the j rows in the shape ``_col``.
             noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
@@ -887,38 +852,34 @@ class Simulation:
                 [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
                 axis=-1)
             self._props = [prop[self._pick, :, (top - j) * width:] for j in range(top + 1)]
-            self._xi_shape = (-1,) if one else (n, -1, 1)
 
         # The stage vectors of every member in two buffers that the steps
         # alternate between, and in two more for the step-doubling estimate:
         # a sample may have filled the step's stage 1 before it runs.
-        self._buf, self._est = _Stages(n, width, ns), _Stages(n, width, ns)
+        self._buf, self._est = (_Stages(n, width, ns, self._col) for _ in range(2))
         # A stage's product, N's input, and a step's noise sum: neither
         # outlives its call.
-        self._stage_out = np.zeros(width if one else (n, width, 1), dtype=complex)
-        self._stage_flat = self._stage_out.reshape(-1)
-        self._stage_y = self._stage_out.reshape(n, width)
+        self._stage_y = np.zeros((n, width), dtype=complex)
+        self._stage_out = self._stage_y.reshape(self._col)
+        self._stage_flat = self._stage_y.reshape(-1)
         if self.config.step_multiple:
             self._set_rung(top)
         if self._sampled:
             self._sample_matrix(width)
-        # A step with records inside it keeps its z in the next row here.
-        self._zs = np.empty((RECORD_BLOCK,) + self._buf.z.shape, dtype=complex) \
-            if top > 1 else None
+        # A step with records inside it or at its end keeps its z in the
+        # next row here.
+        self._zs = np.empty((RECORD_BLOCK,) + self._buf.z.shape, dtype=complex)
         self._z_rows = 0
 
     def _sample_matrix(self, width):
-        """The product of a controller sample: one matrix per member times
-        [y, N(y)], the live N(y) in stage 1's slot, with rows for the held
-        model's ``holds``.  With dv/dt = A y + N(y) of the live model, i_o =
-        (g + C A) y + C N(y), and the rows give -c2 i_o in the oscillator
-        hold, j i_o in the droop hold (a conjugate makes it -j conj(i_o)),
+        """The product of a controller sample: one real matrix per member
+        times [y, N(y)] as (real, imaginary) pairs, the live N(y) in stage
+        1's slot.  With dv/dt = A y + N(y) of the live model, i_o = (g + C
+        A) y + C N(y), and the rows give -c2 i_o in the oscillator hold,
+        -j conj(i_o) in the droop hold (the conjugate folded into the rows),
         zero on their branch slots, then the stepped model's A less the
-        live one times y.  A single run's product is one real gemv on the
-        (real, imaginary) pairs, its conjugate folded into the rows of the
-        droop hold, straight into ``holds``; a batch's goes to ``_prod``,
-        is conjugated there and its rows of the members due are copied
-        into the holds."""
+        live one times y.  The product goes to ``_prod``; the rows of the
+        members due are copied into the held model's holds."""
         n, model, live = len(self.members), self.model, self.live_model
         ns = model.ns
         a = live.a[:, :ns]
@@ -929,17 +890,13 @@ class Simulation:
         measure[:, :ns] = model.neg_c2[..., None] * i_o
         measure[:, width:width + ns] = 1j * i_o
         measure[:, 2 * width:, :width] = a - model.a[:, :ns]
-        if n == 1:
-            rows = [_real_form(m, conj=c) for m, c in (
-                (measure[0, :width], False), (measure[0, width:2 * width], True),
-                (measure[0, 2 * width:], False))]
-            self._measure = np.concatenate(rows), model.holds.view(float)
-            self._n_diff = model.holds[2 * width:]
-        else:
-            prod = np.empty((n, 2 * width + ns, 1), dtype=complex)
-            self._measure = measure, prod
-            self._rot, self._n_diff = prod[:, width:width + ns, 0], prod[:, 2 * width:, 0]
-            self._prod = prod[:, :2 * width, 0].reshape(n, 2, width).swapaxes(0, 1)
+        self._measure = np.concatenate(
+            [_real_form(measure[:, :width]), _real_form(measure[:, width:2 * width], True),
+             _real_form(measure[:, 2 * width:])], axis=-2)[self._pick]
+        prod = np.empty((n, 2 * width + ns), dtype=complex)
+        self._prod = prod.view(float).reshape(self._col)
+        self._new_holds = prod[:, :2 * width].reshape(n, 2, width).swapaxes(0, 1)
+        self._n_diff = prod[:, 2 * width:]
 
     def _weights(self, r):
         """Rung r's entry of the segment's cache, built from its chain on
@@ -968,7 +925,7 @@ class Simulation:
         noise, at = self._noise, k - self._noise_at
         if j == 1:
             return noise[:, at]
-        self._mul(self._props[j], noise[:, at:at + j].reshape(self._xi_shape), self._stage_out)
+        self._mul(self._props[j], noise[:, at:at + j].reshape(self._col), self._stage_out)
         return self._stage_y
 
     def _apply_due_events(self):
@@ -1090,13 +1047,8 @@ class Simulation:
         self._stop = next_hold if next_hold < self._end else self._end
         buf = self._buf
         self.live_model.nonlinear(buf.y.ravel(), out=buf.n_slots[0])
-        measure, prod = self._measure
-        if buf.sample_in is not None:  # a single run: one real gemv
-            measure.dot(buf.sample_in, prod)
-        else:
-            np.matmul(measure, buf.ins[0], prod)
-            np.conjugate(self._rot, self._rot)
-            np.copyto(self.model._holds, self._prod, where=self._due_mask)
+        self._mul(self._measure, buf.sample_in, self._prod)
+        np.copyto(self.model._holds, self._new_holds, where=self._due_mask)
         if n_due < self._sampled:
             return False
         buf.n_ns += self._n_diff
@@ -1140,16 +1092,15 @@ class Simulation:
                                  step, b, getattr(mem.scenario, "name", ""))
 
     def _derive_records(self):
-        """Turn the pending records into states, check them finite and turn
-        them into v and i_o, all in one pass: a record inside a step is its
-        dense output, one batched ``np.matmul`` per rung and offset, plus
-        the noise its step added up to the offset.  Runs before every
-        restack and every RECORD_BLOCK records, so all pending records
-        share the stacked matrices they were taken with."""
+        """Turn the pending records into states and record them: each is
+        its step's continuous extension at its offset, the step's end among
+        them, one batched ``np.matmul`` per rung and offset, plus the noise
+        its step added up to the offset.  Runs before every restack and
+        every RECORD_BLOCK records, so all pending records share the
+        stacked matrices they were taken with."""
         if not self._pending:
             return
-        pending, first = self._pending, self._derived
-        zs = self._zs[:self._z_rows] if self._z_rows else None
+        pending, zs = self._pending, self._zs[:self._z_rows]
         self._pending, self._z_rows = [], 0
         by_offset = {}
         for i, (r, j, _, _) in enumerate(pending):
@@ -1157,15 +1108,18 @@ class Simulation:
         ys = np.empty((len(pending),) + self.y.shape, dtype=complex)
         for (r, j), at in by_offset.items():
             got = [pending[i][2] for i in at]
-            if j == 0:
-                ys[at] = np.stack(got)
-            else:  # rows of zs: all of them, or one gather
-                z = zs if len(got) == len(zs) else zs[got]
-                ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
+            z = zs if len(got) == len(zs) else zs[got]  # all rows, or one gather
+            ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
         if self._noisy:
             for i, (_, _, _, noise) in enumerate(pending):
                 if noise is not None:
                     ys[i] += noise
+        self._record(ys)
+
+    def _record(self, ys):
+        """Check the next records' states ys, (K, B, M), finite and store
+        their v and i_o."""
+        first = self._derived
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -1189,31 +1143,27 @@ class Simulation:
 
         if self.step_index >= self._next_event:
             self._apply_due_events()
-        # A record at a step's end copies the state; a step with records
-        # inside it copies its stage vectors, left whole in the buffer it
-        # read, into the next row of a block, and keeps the noise up to each
-        # record beside it.  Both are derived later in bulk.
+        # A step with records inside it or at its end copies its stage
+        # vectors, left whole in the buffer it read, into the next row of a
+        # block, and keeps the noise up to each record beside it; they are
+        # derived later in bulk.
         # Overflow en route to a detected divergence is expected; the finite
         # checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._pending.append((0, 0, self.y, None))
+            self._record(self.y[None])
             at = decim  # the dt step of the next record
             while self.step_index < n_steps:
                 self.step()
                 end = self.step_index
                 if end < at:
                     continue
-                if at < end:  # at offset j = at - (end - r) into the step
-                    r, row = self._r, self._z_rows
-                    self._zs[row] = self._buf.other.z
-                    self._z_rows += 1
-                    while at < end:
-                        j = at - end + r
-                        noise = self._noise_sum(end - r, j).copy() if self._noisy else None
-                        self._pending.append((r, j, row, noise))
-                        at += decim
-                if at == end:
-                    self._pending.append((0, 0, self.y.copy(), None))
+                r, row = self._r, self._z_rows
+                self._zs[row] = self._buf.other.z
+                self._z_rows += 1
+                while at <= end:  # at offset j = at - (end - r) into the step
+                    j = at - end + r
+                    noise = self._noise_sum(end - r, j).copy() if self._noisy else None
+                    self._pending.append((r, j, row, noise))
                     at += decim
                 if len(self._pending) >= RECORD_BLOCK:
                     self._derive_records()

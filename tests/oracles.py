@@ -10,9 +10,9 @@ from dvocsim.sim import _chain_rows, _dense, _stages
 def etdrk4_weights(a, h, k=1):
     """Cox-Matthews ETDRK4 for dy/dt = a y + N(y), a step of size h, for a
     matrix a or each of a stack (..., m, m): its four stage matrices, then
-    its continuous extension at the step's interior offsets j / k, W_1, ...,
-    W_{k-1} (``dvocsim.sim._stages``, ``_dense``), from a chain of its own
-    at s = h / 2k."""
+    its continuous extension at the step's offsets j / k, W_1, ..., W_k,
+    W_k equal to the last stage matrix (``dvocsim.sim._stages``,
+    ``_dense``), from a chain of its own at s = h / 2k."""
     rows = _chain_rows(a, 0.5 * h / k, 2 * k)
     return _stages(rows, h, k) + _dense(rows, h, k)
 

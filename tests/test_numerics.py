@@ -105,7 +105,8 @@ class TestEtdrk4Weights:
     def test_zero_operator_gives_classical_rk4(self):
         # With A = 0 every phi_k is 1/k!, and ETDRK4 is classical RK4.
         h, eye = 1e-3, np.eye(2)
-        wa, wb, wc, wy = etdrk4_weights(np.zeros((2, 2)), h)
+        wa, wb, wc, wy, w1 = etdrk4_weights(np.zeros((2, 2)), h)
+        assert np.array_equal(w1, wy)  # the extension at theta = 1
         np.testing.assert_allclose(wa, np.hstack([eye, h / 2 * eye]), atol=1e-18)
         np.testing.assert_allclose(wb, np.hstack([eye, 0 * eye, h / 2 * eye]), atol=1e-18)
         np.testing.assert_allclose(wc, np.hstack([eye, 0 * eye, 0 * eye, h * eye]),
@@ -154,13 +155,14 @@ class TestEtdrk4Weights:
         for label, a, _, _, h in split_simulations():
             m = len(a)
             weights = etdrk4_weights(a, h, k)
-            assert len(weights) == 3 + k
+            assert len(weights) == 4 + k
             w = _phi_chain(a, 0.5 * h / k)
             row = w[:m]
             for _ in range(2 * k - 1):
                 row = row @ w
-            dense = weights[4:] + (_extension(row, h, 2 * k),)
+            dense = weights[4:]
             assert np.array_equal(dense[-1], weights[3]), label
+            assert np.array_equal(_extension(row, h, 2 * k), weights[3]), label
             for j in (1, k // 2, k - 1, k):
                 theta = j / k
                 z = np.zeros((4 * m, 4 * m), dtype=complex)

@@ -84,9 +84,6 @@ class TestStepBasics:
                               "network_model": "quasistatic",
                               "record_decimation": 1, "noise_seed": 0})
         tr = run_scenario(sc)
-        npt.assert_array_equal(tr.column("v_alpha", 0), tr.v[:, 0].real)
-        npt.assert_array_equal(tr.column("i_beta", 0), tr.i_o[:, 0].imag)
-        npt.assert_array_equal(tr.column("p", 0), tr.p[:, 0])
         assert tr.n_inverters == 1
 
 
@@ -470,10 +467,11 @@ class TestExponentialSplit:
         assert dev <= 1e-10, dev
 
     def test_nonlinear_evaluations_are_counted(self, monkeypatch):
-        # Four N per ETDRK4 step, one per block of derived records (i_o
-        # needs dv/dt) and, per compile segment, one for its first state
-        # and ten per rung whose step-doubling estimate it takes: three and
-        # four for two steps of that rung and three for one of twice it.  With sampled controllers a
+        # Four N per ETDRK4 step, one for the record at t = 0 and one per
+        # block of derived records after it (i_o needs dv/dt) and, per
+        # compile segment, one for its first state and ten per rung whose
+        # step-doubling estimate it takes: three and four for two steps of
+        # that rung and three for one of twice it.  With sampled controllers a
         # sample evaluates the live N once, for the held i_o, and that
         # step's first stage reuses it instead of evaluating the held N:
         # still four per step.  A stray fifth N per step fails by count.
@@ -493,18 +491,19 @@ class TestExponentialSplit:
         monkeypatch.setattr(_Split, "nonlinear", counted)
         monkeypatch.setattr(Simulation, "_hold_due", sampled_at)
         # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
-        # splits its 9001 records into 4001 and 5000, derived in 16 + 20
-        # blocks of at least 256 (a step adds its 5 records together).
+        # splits its 9001 records into 1 + 4000 and 5000, the last two
+        # derived in 16 + 20 blocks of at least 256 (a step adds its 5
+        # records together).
         assert RECORD_BLOCK == 256
         run_scenario(builtin_scenario("paper-fig7"))
-        assert calls[0] == 4 * 1800 + 36 + 2 * (1 + 10)
+        assert calls[0] == 4 * 1800 + 1 + 36 + 2 * (1 + 10)
         # The mixed grid sampled every 4th of 2000 dt steps: 500 samples on
         # that grid and one more at the load step applied at step 503, which
-        # splits the 201 records into two blocks.  Each of the 501 samples'
-        # live N stands in for its step's first held N.  At one dt per step
-        # (step_multiple 1) that is 2000 steps.  With K chosen by accuracy,
-        # each segment estimates rungs 4 (the sample interval) and 2 and
-        # takes 2 at this dt of 1e-4; the steps from 502 stop at the load
+        # splits the 200 records after t = 0 into two blocks.  Each of the
+        # 501 samples' live N stands in for its step's first held N.  At one
+        # dt per step (step_multiple 1) that is 2000 steps.  With K chosen by
+        # accuracy, each segment estimates rungs 4 (the sample interval) and
+        # 2 and takes 2 at this dt of 1e-4; the steps from 502 stop at the load
         # step and at the sample after it: 999 steps of 2 dt and two of 1,
         # with the same samples.  The run stats count the 501 samples and
         # the 501 whose live N filled stage 1.
@@ -517,7 +516,7 @@ class TestExponentialSplit:
             tr = run_scenario(sc, replace(sc.sim, controller_sample_hz=2500.0,
                                           step_multiple=k))
             assert tr.meta["stats"]["steps_per_rung"] == rungs
-            assert calls[0] == 4 * tr.meta["steps"] + 2 + 2 * (1 + 10 * tried)
+            assert calls[0] == 4 * tr.meta["steps"] + 1 + 2 + 2 * (1 + 10 * tried)
             assert samples == sorted([*range(0, 2000, 4), 503])
             assert tr.meta["stats"]["samples"] == tr.meta["stats"]["stage1_filled"] == 501
 
@@ -625,11 +624,8 @@ class TestExponentialSplit:
         sim = Simulation([sampled, sampled] if batch else sampled)
         mem, width = sim.members[0], sim.y.shape[1]
         slot = mem.dvoc_pos[0] if row == "oscillator" else width + mem.droop_pos[0]
-        measure = sim._measure[0]
-        if batch:
-            measure[0, slot] *= 1.0 + 1e-9
-        else:  # the real form: two rows per complex row
-            measure[2 * slot:2 * slot + 2] *= 1.0 + 1e-9
+        # The real form: two rows per complex row, in every member.
+        sim._measure[..., 2 * slot:2 * slot + 2, :] *= 1.0 + 1e-9
         assert self.sample_hold_deviation(sim, 5) > 1e-10
 
     def test_sampled_members_on_different_sample_grids_match_their_single_runs(self):
@@ -723,6 +719,25 @@ class TestStepMultiple:
                                      (run.p, fine.p, s_max), (run.q, fine.q, s_max)):
                 assert np.abs(got - want).max() <= 1e-6 * scale
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_decimation_beyond_the_run_records_t0_alone(self, batch):
+        # record_decimation larger than the run's 20 steps: the one record
+        # is the state at t = 0, with theta the angle of v itself, alone or
+        # beside a narrower member.
+        sc = parse_scenario_dict(mixed_live_grid_dict())
+        cfg = replace(sc.sim, t_end=0.002, record_decimation=50)
+        members = [replace(sc, sim=cfg)]
+        if batch:
+            members.append(replace(pu_scenario(branch_l=2e-4, cap=1e-4), sim=cfg))
+        sim = Simulation(members)
+        y0 = sim.y.copy()
+        traces = sim.run()
+        assert len(traces) == len(members)
+        for b, (tr, mem) in enumerate(zip(traces, sim.members)):
+            assert np.array_equal(tr.t, [0.0]) and tr.v.shape == (1, mem.ns)
+            assert np.array_equal(tr.v[0], y0[b, :mem.ns])
+            assert np.array_equal(tr.theta, np.angle(tr.v))
+
     @pytest.mark.parametrize("step_multiple", [None, 4])
     def test_steps_by_hand_go_on_past_t_end(self, step_multiple):
         # step() at t_end and past it takes whole steps of the segment's K,
@@ -782,6 +797,39 @@ class TestStepByAccuracy:
         assert dev_v <= 1e-5, dev_v
         assert dev_i <= 6e-5, dev_i
         assert dev_s <= 6e-5, dev_s
+
+    @pytest.mark.parametrize("name", ["mixed-grid", "mixed-grid-pair", "paper-fig7"])
+    def test_records_at_step_ends_equal_the_stepped_state(self, name):
+        # A record at a step's end is the step's continuous extension at
+        # theta = 1, whose weights are the step's own last stage matrix,
+        # plus the step's noise: bit for bit the state the step left, and
+        # its i_o that state's.  The sampled noisy grid alone and beside a
+        # copy on another noise seed, and paper-fig7, each against a twin
+        # stepped by hand, at t = 0 and every record on a step boundary:
+        # 161 of the grid's 201 records, 1801 of fig7's 9001.
+        from dvocsim.scenario import builtin_scenario
+        if name == "paper-fig7":
+            members = [builtin_scenario(name)]
+        else:
+            sc = parse_scenario_dict(noisy_grid_dict())
+            members = [sc]
+            if name == "mixed-grid-pair":
+                members.append(replace(sc, sim=replace(sc.sim, noise_seed=4)))
+        traces, twin = Simulation(members).run(), Simulation(members)
+        cfg, checked = twin.config, 0
+        decim, n_steps = cfg.record_decimation, round(cfg.t_end / cfg.dt)
+        while True:
+            k = twin.step_index
+            if k % decim == 0:
+                v, i_o = twin.live_model.outputs(twin.y[None])
+                for b, (tr, mem) in enumerate(zip(traces, twin.members)):
+                    assert np.array_equal(tr.v[k // decim], v[0, b, :mem.ns]), (b, k)
+                    assert np.array_equal(tr.i_o[k // decim], i_o[0, b, :mem.ns]), (b, k)
+                checked += 1
+            if k == n_steps:
+                break
+            twin.step()
+        assert checked >= 161, checked  # of 201 records (the grid), of 9001 (fig7)
 
     def test_steps_stop_at_events_samples_and_t_end(self):
         # Every step is a power of two up to its segment's K and ends on or
@@ -1284,7 +1332,7 @@ class TestBatch:
                 m = mem.m
                 a = mem.a_live if mem.a_held is None else mem.a_held
                 own = etdrk4_weights(a, h, k)
-                assert len(own) == len(sim._etd) + len(sim._dense) == 3 + k
+                assert len(own) == len(sim._etd) + len(sim._dense) == 4 + k
                 for got, want in zip(sim._etd + tuple(sim._dense), own):
                     got = got[b].reshape(width, -1, width)
                     want = want.reshape(m, -1, m)
@@ -1431,16 +1479,18 @@ class TestSingleRun:
     @staticmethod
     def single_run_scenarios():
         """paper-fig7 at five dt per step, and the droop-first mixed grid
-        sampled every fourth dt step."""
+        sampled every fourth dt step and unsampled, K chosen."""
         from dvocsim.scenario import builtin_scenario
-        sampled = parse_scenario_dict(mixed_live_grid_dict(droop_first=True))
+        mixed = parse_scenario_dict(mixed_live_grid_dict(droop_first=True))
         return {"paper-fig7": builtin_scenario("paper-fig7"),
-                "mixed-sampled": on_grid(sampled, controller_sample_hz=2500.0)}
+                "mixed-sampled": on_grid(mixed, controller_sample_hz=2500.0),
+                "mixed-live": mixed}
 
-    @pytest.mark.parametrize("name", ["paper-fig7", "mixed-sampled"])
+    @pytest.mark.parametrize("name", ["paper-fig7", "mixed-sampled", "mixed-live"])
     def test_dot_step_matches_stacked_matmul(self, name):
         # A single run takes its products through ndarray.dot on 2-D views,
-        # a batch through np.matmul on (B, M, cM) stacks.  Each step's stage
+        # a batch through np.matmul on (B, M, cM) stacks, the live droop
+        # current's among them (the unsampled grid).  Each step's stage
         # vectors and result against the step redone with np.matmul from the
         # same _etd and the same N(y), which a sample (steps 0 and 4 of the
         # sampled grid) fills; and against a batch of two copies, stepped

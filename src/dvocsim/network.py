@@ -341,7 +341,6 @@ class DynamicNetwork:
     """
 
     def __init__(self, topo):
-        self.topo = topo
         nodes = topo.live_nodes()
         ns = len(topo.inverter_nodes)
         active = topo.active_branches()

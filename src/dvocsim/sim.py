@@ -30,8 +30,9 @@ the step.  r is ``SimConfig.step_multiple``, else chosen per compile segment
 by a step-doubling estimate (``_size``).  Events are applied between steps
 (``_apply_due_events``), controller samples hold the live measurement
 (``_hold_due``), additive noise crosses a step exactly through the linear
-flow (``_noise_sum``), and records stay on the dt grid, each its step's
-ETDRK4 continuous extension (``_dense``, ``_derive_records``).
+flow (``_noise_sum``), and records stay on the dt grid: ``run`` derives each
+right after the step that takes it, as that step's ETDRK4 continuous
+extension (``_dense``) plus its noise.
 """
 
 import functools
@@ -197,8 +198,8 @@ class InitialCondition:
 
 BLACKSTART_MAGNITUDE_RATIO = 1e-3
 
-# Steps of noise drawn per generator call, and records derived per batch of
-# the step loop.
+# Steps of noise drawn per generator call, and derived records turned into
+# v and i_o per block of the step loop.
 NOISE_BLOCK = 256
 RECORD_BLOCK = 256
 
@@ -262,7 +263,7 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
                       "restacks": [dict(rs, members=list(rs["members"]))
                                    for rs in stats["restacks"]]},
         }
-        events = [(time, _describe_action(a)) for time, a in mem.events_applied]
+        events = [(time, f"{type(a).__name__} {vars(a)}") for time, a in mem.events_applied]
         traces.append(Trace(
             t=t, v=vb, i_o=ib, p=s.real, q=s.imag, vmag=np.abs(vb),
             theta=np.unwrap(np.angle(vb), axis=0),
@@ -305,9 +306,10 @@ def _stages(rows, h, k):
 
 def _dense(rows, h, k):
     """The continuous extension (Hochbruck & Ostermann 2010) of the same
-    step at its offsets theta = j / k, W_1, ..., W_k: the state at t + theta
-    h is W_j z, W_k being the step's last stage matrix."""
-    return tuple(_extension(rows[2 * j - 1], h, 2 * k) for j in range(1, k + 1))
+    step at its offsets theta = j / k, W_1, ..., W_k as one stacked array,
+    (k, ..., M, 5 M): the state at t + theta h is W_j z, W_k being the
+    step's last stage matrix."""
+    return _extension(np.stack(rows[1:2 * k:2]), h, 2 * k)
 
 
 def _phi_chain(a, s):
@@ -771,10 +773,6 @@ class Simulation:
         # The dt steps of the noise block's first row and of the row after
         # its last drawn one.
         self._noise_at = self._noise_end = 0
-        # Records not yet derived, as (rung r, offset j in 1..r, the row of
-        # _zs with the stage vectors of its step, the noise its step added
-        # up to the offset or None).
-        self._pending = []
         # Run stats, counted per step, sample or restack: steps taken per
         # rung, per compile segment its dt step, K and step-doubling
         # estimate, the restacks at events, each member's samples and the
@@ -866,10 +864,9 @@ class Simulation:
             self._set_rung(top)
         if self._sampled:
             self._sample_matrix(width)
-        # A step with records inside it or at its end keeps its z in the
-        # next row here.
-        self._zs = np.empty((RECORD_BLOCK,) + self._buf.z.shape, dtype=complex)
-        self._z_rows = 0
+        # The states of the records derived and not yet recorded; a step
+        # derives at most top of them.
+        self._ys, self._y_rows = np.empty((RECORD_BLOCK + top, n, width), dtype=complex), 0
 
     def _sample_matrix(self, width):
         """The product of a controller sample: one real matrix per member
@@ -930,7 +927,7 @@ class Simulation:
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
-        self._derive_records()  # under the matrices they were taken with
+        self._record_block()  # under the live model of their segment
         states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
         changed = []
         for b, mem in enumerate(self.members):
@@ -1091,30 +1088,12 @@ class Simulation:
         raise SimulationDiverged(step * self.config.dt, mem.ids[worst], float(mags[worst]),
                                  step, b, getattr(mem.scenario, "name", ""))
 
-    def _derive_records(self):
-        """Turn the pending records into states and record them: each is
-        its step's continuous extension at its offset, the step's end among
-        them, one batched ``np.matmul`` per rung and offset, plus the noise
-        its step added up to the offset.  Runs before every restack and
-        every RECORD_BLOCK records, so all pending records share the
-        stacked matrices they were taken with."""
-        if not self._pending:
-            return
-        pending, zs = self._pending, self._zs[:self._z_rows]
-        self._pending, self._z_rows = [], 0
-        by_offset = {}
-        for i, (r, j, _, _) in enumerate(pending):
-            by_offset.setdefault((r, j), []).append(i)
-        ys = np.empty((len(pending),) + self.y.shape, dtype=complex)
-        for (r, j), at in by_offset.items():
-            got = [pending[i][2] for i in at]
-            z = zs if len(got) == len(zs) else zs[got]  # all rows, or one gather
-            ys[at] = np.matmul(self._rungs[r][1][j - 1], z[..., None])[..., 0]
-        if self._noisy:
-            for i, (_, _, _, noise) in enumerate(pending):
-                if noise is not None:
-                    ys[i] += noise
-        self._record(ys)
+    def _record_block(self):
+        """Record the derived states of the block, if any: every
+        RECORD_BLOCK records and before every restack."""
+        if self._y_rows:
+            self._record(self._ys[:self._y_rows])
+            self._y_rows = 0
 
     def _record(self, ys):
         """Check the next records' states ys, (K, B, M), finite and store
@@ -1143,10 +1122,10 @@ class Simulation:
 
         if self.step_index >= self._next_event:
             self._apply_due_events()
-        # A step with records inside it or at its end copies its stage
-        # vectors, left whole in the buffer it read, into the next row of a
-        # block, and keeps the noise up to each record beside it; they are
-        # derived later in bulk.
+        # A step with records inside it or at its end derives their states
+        # at once from its stage vectors, left whole in the buffer it read:
+        # the continuous extension at the offsets due in one product, plus
+        # the noise its step added up to each offset.
         # Overflow en route to a detected divergence is expected; the finite
         # checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1157,18 +1136,21 @@ class Simulation:
                 end = self.step_index
                 if end < at:
                     continue
-                r, row = self._r, self._z_rows
-                self._zs[row] = self._buf.other.z
-                self._z_rows += 1
-                while at <= end:  # at offset j = at - (end - r) into the step
-                    j = at - end + r
-                    noise = self._noise_sum(end - r, j).copy() if self._noisy else None
-                    self._pending.append((r, j, row, noise))
-                    at += decim
-                if len(self._pending) >= RECORD_BLOCK:
-                    self._derive_records()
-            self._derive_records()
-            self._zs = None  # its written rows stay resident while it lives
+                r, row = self._r, self._y_rows
+                j = at - end + r  # the first record's offset into the step
+                n = (r - j) // decim + 1
+                ys = self._ys[row:row + n]
+                np.matmul(self._dense[j - 1::decim], self._buf.other.z[..., None],
+                          out=ys[..., None])
+                if self._noisy:
+                    for i in range(n):
+                        ys[i] += self._noise_sum(end - r, j + i * decim)
+                at += n * decim
+                self._y_rows = row + n
+                if self._y_rows >= RECORD_BLOCK:
+                    self._record_block()
+            self._record_block()
+            self._ys = ys = None  # no record block outlives the run
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)
         t = np.arange(n_rec) * decim * cfg.dt
@@ -1178,11 +1160,6 @@ class Simulation:
         traces = _finalize_traces(t, self._records[0], self._records[1], self.members,
                                   n_steps, stats)
         return traces[0] if self._single else traces
-
-
-def _describe_action(action):
-    return f"{type(action).__name__} {vars(action)}" if hasattr(action, "__dict__") \
-        else repr(action)
 
 
 def run_scenario(scenario, config=None):

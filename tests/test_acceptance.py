@@ -81,7 +81,7 @@ def test_c01_blackstart_closed_form_vs_ode_oracle():
         (0.5 * V_PEAK, 21.71, 0.9722, V_PEAK),
         (1.5, 30.0, 1.2, 1.0),                    # decaying branch
     ]
-    with criterion(1, "closed form matches scalar-ODE RK4 oracle to 1e-6 "
+    with criterion(1, "closed form matches scalar-ODE DOP853 oracle to 1e-6 "
                       "at 1000 sample times for 5 parameter sets, < 1 s"):
         t0 = time.perf_counter()
         for v0, eta, alpha, v_star in combos:

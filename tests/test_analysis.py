@@ -79,11 +79,11 @@ class TestBlackstartAnalytic:
             analysis.blackstart_analytic(PU_PARAMS.v_star, PU_PARAMS, [0.0])
 
     def test_matches_brute_force_integration(self):
-        # Reference-hardware gains, fine RK4 oracle at dt = 1e-5.
+        # Reference-hardware gains, DOP853 oracle at rtol 1e-13.
         p = TABLE_PARAMS
         v0 = 1e-3 * p.v_star
         times = np.linspace(0.0, 0.45, 200)
-        oracle = integrate_magnitude_ode(v0, p, times, max_dt=1e-5)
+        oracle = integrate_magnitude_ode(v0, p, times)
         curve = analysis.blackstart_analytic(v0, p, times)
         rel = np.abs(curve.magnitudes[1:] - oracle[1:]) / oracle[1:]
         assert rel.max() < 1e-6

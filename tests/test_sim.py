@@ -803,11 +803,16 @@ class TestStepByAccuracy:
         # A record at a step's end is the step's continuous extension at
         # theta = 1, whose weights are the step's own last stage matrix,
         # plus the step's noise: bit for bit the state the step left, and
-        # its i_o that state's.  The sampled noisy grid alone and beside a
-        # copy on another noise seed, and paper-fig7, each against a twin
-        # stepped by hand, at t = 0 and every record on a step boundary:
-        # 161 of the grid's 201 records, 1801 of fig7's 9001.
+        # its i_o that state's.  A record at an offset j < r inside a step
+        # of r dt is W_j z of the stage vectors z the step read, W_j from
+        # the oracle's own chain, plus the step's first j draws carried to
+        # the offset, sum over i <= j of exp((j - i) dt A) xi_i, within
+        # 1e-12 of the member's |v| scale.  The sampled noisy grid alone
+        # and beside a copy on another noise seed, and paper-fig7, each
+        # against a twin stepped by hand: the grid's 201 records, 161 on a
+        # step boundary, and fig7's 9001, 1801 on one.
         from dvocsim.scenario import builtin_scenario
+        from scipy.linalg import expm
         if name == "paper-fig7":
             members = [builtin_scenario(name)]
         else:
@@ -816,8 +821,9 @@ class TestStepByAccuracy:
             if name == "mixed-grid-pair":
                 members.append(replace(sc, sim=replace(sc.sim, noise_seed=4)))
         traces, twin = Simulation(members).run(), Simulation(members)
-        cfg, checked = twin.config, 0
-        decim, n_steps = cfg.record_decimation, round(cfg.t_end / cfg.dt)
+        cfg, ends, inside, weights = twin.config, 0, 0, {}
+        scales = [np.abs(tr.v).max() for tr in traces]
+        dt, decim, n_steps = cfg.dt, cfg.record_decimation, round(cfg.t_end / cfg.dt)
         while True:
             k = twin.step_index
             if k % decim == 0:
@@ -825,11 +831,29 @@ class TestStepByAccuracy:
                 for b, (tr, mem) in enumerate(zip(traces, twin.members)):
                     assert np.array_equal(tr.v[k // decim], v[0, b, :mem.ns]), (b, k)
                     assert np.array_equal(tr.i_o[k // decim], i_o[0, b, :mem.ns]), (b, k)
-                checked += 1
+                ends += 1
             if k == n_steps:
                 break
             twin.step()
-        assert checked >= 161, checked  # of 201 records (the grid), of 9001 (fig7)
+            r, model = twin.step_index - k, twin.model
+            z = twin._buf.other.z  # the stage vectors the step read
+            for j in range(-k % decim or decim, r, decim):
+                if (model, r) not in weights:
+                    weights[model, r] = (etdrk4_weights(model.a, dt * r, r)[4:],
+                                         expm(dt * model.a))
+                dense, prop = weights[model, r]
+                y = np.matmul(dense[j - 1], z[..., None])[..., 0]
+                if twin._noise is not None:
+                    xi = twin._noise[:, k - twin._noise_at:k - twin._noise_at + j]
+                    acc = np.zeros_like(y)
+                    for i in range(j):
+                        acc = np.matmul(prop, acc[..., None])[..., 0] + xi[:, i]
+                    y = y + acc
+                for b, (tr, mem) in enumerate(zip(traces, twin.members)):
+                    dev = np.abs(tr.v[(k + j) // decim] - y[b, :mem.ns]).max()
+                    assert dev <= 1e-12 * scales[b], (b, k, j)
+                inside += 1
+        assert (ends, inside) == ((161, 40) if name != "paper-fig7" else (1801, 7200))
 
     def test_steps_stop_at_events_samples_and_t_end(self):
         # Every step is a power of two up to its segment's K and ends on or

@@ -45,6 +45,7 @@ segment and integrator step count, from the same operation's
 Workloads:
     fig7           -- paper-fig7, the all-oscillator dispatch run
     droop-ref-q10  -- droop-ref cloned at 10 q targets in +-0.05, one batch
+    droop-ref-q1000 -- the same at 1000 q targets, the 1000-point q sweep
     mixed-grid     -- the benchmark's generated dVOC + droop grid at its
                       seed 1, grid 1, sampled and noisy
                       (``perfbench/gen_grid.py``)
@@ -85,7 +86,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The generated grid that ``perfbench/run.py --workload mixed-grid --seed 1``
 # runs: shipped grid 1 of ``perfbench/reference/mixed_grid.json``.
 MIXED_GRID = 1
-WORKLOADS = ("fig7", "droop-ref-q10", "mixed-grid", "mixed-live", "mixed-quasi")
+WORKLOADS = ("fig7", "droop-ref-q10", "droop-ref-q1000", "mixed-grid", "mixed-live",
+             "mixed-quasi")
 CLI_OPS = {
     "mixed-grid": ["simulate", "{grid}"],
     "dispatch": ["simulate", "paper-fig7"],
@@ -130,10 +132,11 @@ def scenarios(mods, workload):
     scenario, analysis = mods["scenario"], mods["analysis"]
     if workload == "fig7":
         return scenario.builtin_scenario("paper-fig7")
-    if workload == "droop-ref-q10":
+    if workload in ("droop-ref-q10", "droop-ref-q1000"):
+        n = int(workload[len("droop-ref-q"):])
         template = scenario.builtin_scenario("droop-ref")
-        return [analysis._actuated_scenario(template, "q", -0.05 + 0.1 * k / 9)
-                for k in range(10)]
+        return [analysis._actuated_scenario(template, "q", -0.05 + 0.1 * k / (n - 1))
+                for k in range(n)]
     if workload in ("mixed-grid", "mixed-live", "mixed-quasi"):
         doc = gen_grid().generate(MIXED_GRID)
         if workload == "mixed-live":
@@ -352,7 +355,7 @@ def verdict(parent, change):
 def report(name, unit, digits, times, pairs, extra=""):
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(c < p for p, c in zip(*times))
-    print(f"{name:14s} {unit}  parent {quartiles(times[0], digits)}  "
+    print(f"{name:15s} {unit}  parent {quartiles(times[0], digits)}  "
           f"change {quartiles(times[1], digits)}  ratio {statistics.median(ratios):.3f}  "
           f"change faster in {wins}/{pairs} pairs{extra}  {verdict(*times)}")
 

@@ -24,15 +24,18 @@ times larger.)  The filter capacitor sits behind the current measurement,
 so the measured current contains C dv/dt; that algebraic loop is solved
 exactly, in A for the oscillators and in closed form in N for the droop laws.
 
-Each step is one Cox-Matthews ETDRK4 step of r dt (``_step_etdrk4``, its
+Each step is one Cox-Matthews ETDRK4 step of r dt (``_stepper``, its
 weights from ``_stages``), so the fast branch-current pole does not bound
 the step.  r is ``SimConfig.step_multiple``, else chosen per compile segment
-by a step-doubling estimate (``_size``).  Events are applied between steps
-(``_apply_due_events``), controller samples hold the live measurement
-(``_hold_due``), additive noise crosses a step exactly through the linear
-flow (``_noise_sum``), and records stay on the dt grid: ``run`` derives each
-right after the step that takes it, as that step's ETDRK4 continuous
-extension (``_dense``) plus its noise.
+by a step-doubling estimate (``_size``).  Events are applied between compile
+segments (``_apply_due_events``).  One loop, ``_advance``, takes the steps of
+a segment, every array and callable they touch bound once per segment:
+each step holds the live measurement of the controllers with a sample due,
+adds the additive noise, carried across the step exactly by the linear
+flow, and records on the dt grid, each derived in the step that takes it:
+the step's ETDRK4 continuous extension (``_dense``) plus its noise inside
+the step, the stepped state at its end.  ``step()`` is that loop stopped
+after one step, ``run()`` the loop from t = 0 to t_end.
 """
 
 import functools
@@ -41,6 +44,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# N's ufuncs as module names: an attribute of the numpy module costs about
+# 35 ns a lookup, and a step's N calls look up some 60.
+from numpy import absolute, add, divide, maximum, multiply, subtract
 
 from .control import DvocParams, DroopParams
 from .network import DynamicNetwork, SetPointUpdate, apply_event, reduced_admittance
@@ -261,7 +267,8 @@ def _finalize_traces(t, v, i_o, members, n_steps, stats):
                       "samples": stats["samples"][b],
                       "stage1_filled": stats["stage1_filled"] if mem.sample_steps else 0,
                       "restacks": [dict(rs, members=list(rs["members"]))
-                                   for rs in stats["restacks"]]},
+                                   for rs in stats["restacks"]],
+                      "n_evals": dict(stats["n_evals"])},
         }
         events = [(time, f"{type(a).__name__} {vars(a)}") for time, a in mem.events_applied]
         traces.append(Trace(
@@ -557,92 +564,113 @@ class _Split:
         if prev is not None:  # held values sit in the inverter slots
             self._holds[..., :ns] = prev._holds[..., :ns]
         self._held, self._held_rot = self._holds.reshape(2, -1)
-        # The constants N reads, unpacked once per call.
-        self._cubic = self.c1, self.c1v, self._held
-        self._law = self._held_rot, self._kqp, self._b_dr, self.eps
-        # The _Scratch of N for the flat state, (B M,), and per stack shape.
-        self._flat, self._scratch = None, {}
+        self._evaluators = {}  # N per input shape
 
     def nonlinear(self, y, out=None):
         """N(y) for the flattened batch state y, (B M,), or for a stack of
         such states, (K, B M), its last product written into ``out`` if
-        given: y's shape or a (B, M) stage slot.  N is the cubic's gain on
-        v; with a droop slot, the droop law joins that gain, its terms
-        exactly 0 off the droop slots.  Every intermediate lives in the
-        scratch arrays of y's shape; the result is ``out`` or a fresh array,
-        never one of them."""
-        s = self._flat if y.ndim == 1 else self._scratch.get(y.shape)
-        if s is None:
-            s = _Scratch(self, y.shape)
-            if y.ndim == 1:
-                self._flat = s
-            else:
-                self._scratch[y.shape] = s
-        c1, c1v, held = self._cubic
-        # The cubic's gain, in real arithmetic where c1 is real, else on
-        # |v|^2 as a complex array with a zero imaginary part: either way
+        given (``evaluator``)."""
+        return self.evaluator(y.shape)(y, out)
+
+    def evaluator(self, shape):
+        """N for inputs of one shape, as a function n(y, out=None), made on
+        the first call with that shape and reused by every later one, its
+        constants and work arrays bound.  n writes its last product into
+        ``out`` if given: y's shape or a (B, M) stage slot.  N is the
+        cubic's gain on v; with a droop slot, the droop law joins that gain,
+        its terms exactly 0 off the droop slots.  Every intermediate lives
+        in the work arrays; the result is ``out`` or a fresh array, never
+        one of them."""
+        n = self._evaluators.get(shape)
+        if n is not None:
+            return n
+        # |v| and |v|^2 (r and r^2 beside a droop law) and the cubic's gain,
+        # in real arithmetic where c1 is real, else on |v|^2 as the real
+        # part of a complex array whose imaginary part stays 0: either way
         # one dtype per call.  Beside a droop law r is floored at _EPS; it
         # differs from |v| only below _EPS, where c1v r^2 rounds off c1 as
         # c1v |v|^2 does.
-        r, r2, r2c, gain = s.cubic
-        np.abs(y, r)
-        if self.droop:
-            np.maximum(r, self.floor, out=r)
-        np.multiply(r, r, r2)
-        np.multiply(c1v, r2 if self._real_c1 else r2c, gain)
-        np.subtract(c1, gain, gain)
-        w = y
-        if self.droop:
-            # The droop law without trigonometry, as a gain on v: dv/dt =
-            # (dr/dt + j r dtheta/dt) v / r.  v is offset by _EPS, so v = 0
-            # reads as theta = 0.
-            t, u, re, im, into, w = s.droop
-            held_rot, kqp, b_dr, eps = self._law
-            # t = -j v conj(i_o) = q - j p: the exact quarter turn of
-            # s = p + j q puts q, the term that r divides, in the real part.
-            if self.meas is None:
-                np.multiply(y, held_rot, t)
-            else:
-                s.meas(y.view(float).reshape(s.col), s.t_col)
-                if self.held:
-                    t += held_rot
-                np.multiply(y, t, t)
-            # u: (q, -p) per slot, re: q, im: -p
-            u *= kqp
-            u += b_dr  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
-            # Less A's diagonal (-1 + j a_dr) v, the gain is (dr/dt + r) / r
-            # + j (dtheta/dt - a_dr), dtheta/dt - a_dr = -kp p.
-            if self.cap is None:
-                re /= r
-            else:
-                # i_o = i_net + C dv/dt adds c r dr/dt to p and -c r^2
-                # dtheta/dt to q, linear in both rates.  In closed form, with
-                # h = kq c r^2 and k = kp c r^2 from one complex product and
-                # G = (dr/dt + r) / r,
-                #   G = (b_dr - kq q + h (a_dr - kp p + k)) / (r + h k),
-                #   dtheta/dt - a_dr = -kp p + k - k G,
-                # both exactly 0 off the droop slots.
-                hk, den, num = s.hk, s.den, s.num
-                np.multiply(self.cap, r2c, hk)
-                h, k = hk.real, hk.imag
-                np.multiply(h, k, den)
-                den += r
-                im += k
-                np.add(self.a_dr, im, num)
-                num *= h
-                re += num
-                re /= den
-                np.multiply(k, re, num)
-                im -= num
-            into += gain  # plus the cubic's gain: into re, or into t if complex
-            gain = t
-            np.add(y, eps, w)
-        if out is not None and out.ndim != y.ndim:  # a slot with no 1-D view
-            gain, w, held = (x.reshape(out.shape) for x in (gain, w, held))
-        out = np.multiply(gain, w, out)
-        if self.held:
-            out += held
-        return out
+        c1, c1v, held, droop, meas, cap, is_held, floor, a_dr, eps = (
+            self.c1, self.c1v, self._held, self.droop, self.meas, self.cap, self.held,
+            self.floor, self.a_dr, self.eps)
+        r, r2c, gain = np.empty(shape), np.zeros(shape, dtype=complex), np.empty(shape, c1.dtype)
+        r2 = np.empty(shape) if self._real_c1 and cap is None else r2c.real
+        r2_gain = r2 if self._real_c1 else r2c
+        if droop:
+            # t = q - j p, its (q, -p) pairs, q and -p, the array the
+            # cubic's gain is added to (q where it is real), and v offset;
+            # the live capacitor loop's h + j k, denominator and numerator.
+            den, num = np.empty((2,) + shape)
+            t, w_eps, hk = np.empty((3,) + shape, dtype=complex)
+            u, re, im, h, k = t.view(float), t.real, t.imag, hk.real, hk.imag
+            into = re if self._real_c1 else t
+            held_rot, kqp, b_dr = self._held_rot, self._kqp, self._b_dr
+            # The live current's product on (real, imaginary) pairs: a real
+            # gemv on one member's flat state, else np.matmul of the
+            # batch's matrices on (..., B, 2 M, 1) stacks of its states.
+            if meas is not None:
+                col = (-1,) if len(shape) == 1 and len(meas) == 1 else \
+                    shape[:-1] + (len(meas), -1, 1)
+                meas_y = meas[0].dot if col == (-1,) else functools.partial(np.matmul, meas)
+                t_col = u.reshape(col)
+
+        def n(y, out=None):
+            absolute(y, r)
+            if droop:
+                maximum(r, floor, out=r)
+            multiply(r, r, r2)
+            multiply(c1v, r2_gain, gain)
+            subtract(c1, gain, gain)
+            g, w, h_out = gain, y, held
+            if droop:
+                # The droop law without trigonometry, as a gain on v: dv/dt
+                # = (dr/dt + j r dtheta/dt) v / r.  v is offset by _EPS, so
+                # v = 0 reads as theta = 0.  t = -j v conj(i_o) = q - j p:
+                # the exact quarter turn of s = p + j q puts q, the term
+                # that r divides, in the real part.
+                if meas is None:
+                    multiply(y, held_rot, t)
+                else:
+                    meas_y(y.view(float).reshape(col), t_col)
+                    if is_held:
+                        add(t, held_rot, t)
+                    multiply(y, t, t)
+                # u: (q, -p) per slot, re: q, im: -p
+                multiply(u, kqp, u)
+                add(u, b_dr, u)  # (b_dr - kq q, -kp p) = (dr/dt + r, -kp p)
+                # Less A's diagonal (-1 + j a_dr) v, the gain is (dr/dt + r)
+                # / r + j (dtheta/dt - a_dr), dtheta/dt - a_dr = -kp p.
+                if cap is None:
+                    divide(re, r, re)
+                else:
+                    # i_o = i_net + C dv/dt adds c r dr/dt to p and -c r^2
+                    # dtheta/dt to q, linear in both rates.  In closed form,
+                    # with h = kq c r^2 and k = kp c r^2 from one complex
+                    # product and G = (dr/dt + r) / r,
+                    #   G = (b_dr - kq q + h (a_dr - kp p + k)) / (r + h k),
+                    #   dtheta/dt - a_dr = -kp p + k - k G,
+                    # both exactly 0 off the droop slots.
+                    multiply(cap, r2c, hk)
+                    multiply(h, k, den)
+                    add(den, r, den)
+                    add(im, k, im)
+                    add(a_dr, im, num)
+                    multiply(num, h, num)
+                    add(re, num, re)
+                    divide(re, den, re)
+                    multiply(k, re, num)
+                    subtract(im, num, im)
+                add(into, gain, into)  # plus the cubic's gain: into re, or into t if complex
+                g, w = t, w_eps
+                add(y, eps, w_eps)
+            if out is not None and out.ndim != len(shape):  # a slot with no 1-D view
+                g, w, h_out = (x.reshape(out.shape) for x in (g, w, h_out))
+            out = multiply(g, w, out)
+            if is_held:
+                add(out, h_out, out)
+            return out
+        self._evaluators[shape] = n
+        return n
 
     def rate(self, y):
         """dy/dt = A y + N(y) for a batch state y, (B, M), or a stack of
@@ -662,41 +690,6 @@ class _Split:
         return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
 
 
-class _Scratch:
-    """The work arrays of ``_Split.nonlinear`` for one input shape, made on
-    its first call with that shape and reused by every later one."""
-
-    def __init__(self, model, shape):
-        # |v| and |v|^2 (r and r^2 beside a droop law) and the cubic's gain.
-        # |v|^2 is the real part of a complex array, whose imaginary part
-        # stays 0, where a complex constant multiplies it, so every call has
-        # one dtype.
-        r2c = np.zeros(shape, dtype=complex)
-        r2 = np.empty(shape) if model._real_c1 and model.cap is None else r2c.real
-        gain = np.empty(shape, dtype=model.c1.dtype)
-        self.cubic = np.empty(shape), r2, r2c, gain
-        if not model.droop:
-            return
-        self.den, self.num = np.empty((2,) + shape)
-        self.t, self.w, self.hk = np.empty((3,) + shape, dtype=complex)
-        # The droop law's arrays, unpacked once per call: t = q - j p, its
-        # (q, -p) pairs, q and -p, the array the cubic's gain is added to
-        # (q where it is real), and v offset.
-        t = self.t
-        self.droop = (t, t.view(float), t.real, t.imag, t.real if model._real_c1 else t,
-                      self.w)
-        # The live current's product on (real, imaginary) pairs: a real
-        # gemv on one member's flat state, else np.matmul of the batch's
-        # matrices on (..., B, 2 M, 1) stacks of its states.
-        if model.meas is not None:
-            if len(shape) == 1 and len(model.meas) == 1:
-                self.meas, self.col = model.meas[0].dot, (-1,)
-            else:
-                self.meas = functools.partial(np.matmul, model.meas)
-                self.col = shape[:-1] + (len(model.meas), -1, 1)
-            self.t_col = t.view(float).reshape(self.col)
-
-
 class _Stages:
     """One of a pair of buffers of ETDRK4 stage vectors z = [y, N(y), N(a),
     N(b), N(c)], (B, 5 M), with the views of it that a step's products read
@@ -706,27 +699,30 @@ class _Stages:
     records inside it.  The product views have the shape ``col``: 1-D for
     ``ndarray.dot`` (BLAS gemv) at B = 1, else (B, ..., 1) for np.matmul.
 
-    y         -- the y slot, (B, M)
-    n_slots   -- the N slots, each as a 1-D view where it has one (B = 1 or
-                 M = 1): numpy writes that as fast as a contiguous array, a
-                 2-stride slot slower
-    n_ns      -- stage 1's N slot over the inverter slots, (B, ns)
-    ins       -- the parts of z that each stage multiplies
-    y_out     -- the y slot as the last stage writes it
-    sample_in -- [y, N(y)] as (real, imaginary) pairs
+    y      -- the y slot, (B, M)
+    stages -- the four N slots, each as a 1-D view where it has one (B = 1
+              or M = 1), which numpy writes as fast as a contiguous array, a
+              2-stride slot slower; the parts of z that the four stages
+              multiply, the last z whole; and the other buffer's y slot as
+              the last stage writes it
+    views  -- what a step from here touches besides: this buffer, y, stage
+              1's N slot, z whole, [y, N(y)] as (real, imaginary) pairs (a
+              sample's input), stage 1's N slot over the inverter slots, (B,
+              ns), and the other buffer's y
     """
 
-    __slots__ = ("y", "n_slots", "n_ns", "ins", "sample_in", "y_out", "z", "other")
+    __slots__ = ("y", "z", "other", "stages", "views")
 
     def __init__(self, n, width, ns, col, other=None):
         self.z = z = np.zeros((n, 5 * width), dtype=complex)
         slots = [z[:, k * width:(k + 1) * width] for k in range(5)]
-        self.y, self.n_ns = slots[0], slots[1][:, :ns]
-        self.n_slots = [s.reshape(-1) if 1 in s.shape else s for s in slots[1:]]
-        self.ins = tuple(z[:, :c * width].reshape(col) for c in (2, 3, 4, 5))
-        self.y_out = self.y.reshape(col)
-        self.sample_in = z[:, :2 * width].view(float).reshape(col)
+        self.y = slots[0]
         self.other = _Stages(n, width, ns, col, self) if other is None else other
+        self.stages = (*(s.reshape(-1) if 1 in s.shape else s for s in slots[1:]),
+                       *(z[:, :c * width].reshape(col) for c in (2, 3, 4, 5)),
+                       self.other.y.reshape(col))
+        self.views = (self, self.y, self.stages[0], self.stages[-2],
+                      z[:, :2 * width].view(float).reshape(col), slots[1][:, :ns], self.other.y)
 
 
 class Simulation:
@@ -759,15 +755,15 @@ class Simulation:
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
         self.step_index = 0  # in dt steps; a step of r dt advances it by r
         self._n_steps = round(self.config.t_end / self.config.dt)
-        # How many members sample their controllers, each member's sample
-        # interval and the dt step of its next sample (inf: unsampled), the
-        # earliest of them, and which members the last sample held.
+        # How many members sample their controllers, each of them with its
+        # sample interval, each member's dt step of its next sample (inf:
+        # unsampled), the earliest of them, and which members the last
+        # sample held.
         self._sampled = sum(mem.sample_steps is not None for mem in self.members)
-        self._grid = [mem.sample_steps for mem in self.members]
+        self._grids = [(b, m.sample_steps) for b, m in enumerate(self.members) if m.sample_steps]
         self._sample_at = [0 if mem.sample_steps else math.inf for mem in self.members]
         self._next_hold = min(self._sample_at)
         self._due = np.zeros(len(self.members), dtype=bool)
-        self._due_mask = self._due[None, :, None]
         self._noisy = [(b, mem) for b, mem in enumerate(self.members)
                        if mem.config.noise_amplitude > 0.0 and len(mem.dvoc_pos)]
         # The dt steps of the noise block's first row and of the row after
@@ -776,10 +772,14 @@ class Simulation:
         # Run stats, counted per step, sample or restack: steps taken per
         # rung, per compile segment its dt step, K and step-doubling
         # estimate, the restacks at events, each member's samples and the
-        # samples whose live N filled stage 1.
+        # samples whose live N filled stage 1; and the batch's samples,
+        # step-doubling estimates and record blocks (``run``'s N
+        # evaluations).  Then the dt step of the next record: none outside
+        # ``run``.
         self._rung_steps = [0] * (max(MAX_RUNG, MAX_STEP_MULTIPLE) + 1)
         self._segments, self._restacks = [], []
         self._samples, self._filled = [0] * len(self.members), 0
+        self._sample_events, self._estimates, self._blocks, self._record_at = 0, 0, 0, math.inf
         self.model = self._noise = None
         self._stack([mem.compile(mem.initial_state()) for mem in self.members])
 
@@ -822,7 +822,7 @@ class Simulation:
         # One chain at s = dt / 2 gives every rung's weights up to 2 top,
         # the step-doubling estimate's largest (``_size``).
         self._rows = _chain_rows(self.model.a, 0.5 * dt, 4 * top)
-        self._top, self._rungs, self._K, self._r = top, {}, None, None
+        self._top, self._rungs, self._K = top, {}, None
         # A single run multiplies 2-D matrices, each its stack's one entry
         # (``_pick``), with 1-D vectors through ndarray.dot, BLAS gemv at
         # about half the fixed cost of the batch's stacked np.matmul, and as
@@ -840,7 +840,9 @@ class Simulation:
             # carries the drawn rows over by the inverter slots.  The
             # propagators [exp((top - 1) dt A), ..., exp(dt A), I] carry
             # them to a step's end: the last j of them, one view per j, those
-            # of j dt steps, times the j rows in the shape ``_col``.
+            # of j dt steps, times the j rows from a block row i, entry i of
+            # the j-th view of the block's runs of rows (the rows themselves
+            # at j = 1), each member's run one vector in the shape ``_col``.
             noise = np.zeros((n, NOISE_BLOCK + MAX_STEP_MULTIPLE, width), dtype=complex)
             if self._noise is not None:
                 noise[..., :ns] = self._noise[..., :ns]
@@ -850,6 +852,10 @@ class Simulation:
                 [self._rows[2 * i - 1][..., :width] for i in range(top - 1, 0, -1)] + [eye],
                 axis=-1)
             self._props = [prop[self._pick, :, (top - j) * width:] for j in range(top + 1)]
+            rows = noise.swapaxes(0, 1)
+            self._noise_runs = [None, rows] + [np.lib.stride_tricks.as_strided(
+                rows, (len(rows) - j + 1, n, j * width), rows.strides).reshape(
+                len(rows) - j + 1, *self._col) for j in range(2, top + 1)]
 
         # The stage vectors of every member in two buffers that the steps
         # alternate between, and in two more for the step-doubling estimate:
@@ -864,9 +870,12 @@ class Simulation:
             self._set_rung(top)
         if self._sampled:
             self._sample_matrix(width)
-        # The states of the records derived and not yet recorded; a step
-        # derives at most top of them.
+        # The states of the records derived and not yet recorded, of which
+        # a step derives at most top, and the same rows in the shape of a
+        # stage's product, which the product of the records inside a step
+        # writes (``_advance``).
         self._ys, self._y_rows = np.empty((RECORD_BLOCK + top, n, width), dtype=complex), 0
+        self._rec_out = self._ys.reshape((len(self._ys),) + self._stage_out.shape)
 
     def _sample_matrix(self, width):
         """The product of a controller sample: one real matrix per member
@@ -906,28 +915,20 @@ class Simulation:
         return w
 
     def _set_rung(self, r):
-        """Step r dt from now on, with the rung's cached weights."""
+        """Step r dt from now on, with the rung's cached weights: its stage
+        matrices, its dense weights and, per offset j of a step's first
+        record inside it, the dense weights of the records at j, j +
+        decimation, ... < r, stacked."""
         w = self._weights(r)
         if w[1] is None:
-            w[1] = _dense(self._rows, self.config.dt * r, r)
-        self._r, (self._etd, self._dense) = r, w
-
-    def _noise_sum(self, k, j):
-        """The additive noise of the j dt steps from dt step k, carried to
-        the end of the last by the linear flow: the sum over i = 1..j of
-        exp((j - i) dt A) xi_i, xi_i the draw of dt step k + i - 1, in one
-        product; the plain row xi_1 (a view) at j = 1."""
-        if k + j > self._noise_end:
-            self._draw(k)
-        noise, at = self._noise, k - self._noise_at
-        if j == 1:
-            return noise[:, at]
-        self._mul(self._props[j], noise[:, at:at + j].reshape(self._col), self._stage_out)
-        return self._stage_y
+            dense, decim = _dense(self._rows, self.config.dt * r, r), self.config.record_decimation
+            w[1] = dense, [None] + [dense[j - 1:r - 1:decim][:, self._pick]
+                                    for j in range(1, min(decim, r - 1) + 1)]
+        self._etd, (self._dense, self._recs) = w
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
-        self._record_block()  # under the live model of their segment
+        self._record(self._ys[:self._y_rows])  # under the live model of their segment
         states = [self.y[b, :mem.m] for b, mem in enumerate(self.members)]
         changed = []
         for b, mem in enumerate(self.members):
@@ -945,19 +946,20 @@ class Simulation:
 
     # -- step size -----------------------------------------------------------
 
-    def _size(self):
-        """Fix this compile segment's K from its first state: step_multiple,
-        or the largest rung from the segment's top (``_stack``) down whose
-        step-doubling estimate is within STEP_TOL, rung 1 at the least;
-        record both.  Each step then takes the largest power of two up to K
-        that passes no event, controller sample or t_end (``step``)."""
-        y0 = self.y
+    def _size(self, k0, y0):
+        """Fix this compile segment's K from its first state y0, at dt step
+        k0: step_multiple, or the largest rung from the segment's top
+        (``_stack``) down whose step-doubling estimate is within STEP_TOL,
+        rung 1 at the least; record both and return K.  Each step then takes
+        the largest power of two up to K that passes no event, controller
+        sample or t_end (``_advance``)."""
         z0 = np.concatenate([y0, self.model.nonlinear(y0.ravel()).reshape(y0.shape)], axis=1)
         k, fixed = self._top, self.config.step_multiple
         while not ((est := self._estimate(z0, k)) <= STEP_TOL or k == 1 or fixed):
             k //= 2
         self._K = k
-        self._segments.append({"step": self.step_index, "k": k, "estimate": est})
+        self._segments.append({"step": k0, "k": k, "estimate": est})
+        return k
 
     def _estimate(self, z0, k):
         """The step-doubling (Richardson; Hairer, Norsett & Wanner, Solving
@@ -967,113 +969,179 @@ class Simulation:
         that group's largest magnitude, the largest of all.  The steps run
         in the estimate's own stage buffers: the step of 2k dt, then the two
         of k dt; both steps from y0 reuse N(y0)."""
-        est, width = self._est, self.y.shape[1]
+        self._estimates += 1
+        est, width = self._est, z0.shape[1] // 2
         est.z[:, :2 * width] = z0
-        coarse = self._step_etdrk4(est, self._weights(2 * k)[0], True).y.copy()
-        w = self._weights(k)[0]
-        fine = self._step_etdrk4(self._step_etdrk4(est, w, True), w).y
-        err = np.abs(fine - coarse) / 15.0
-        mag = np.maximum(np.abs(z0[:, :width]), np.abs(fine))
+        self._stepper(est, self._weights(2 * k)[0])(True)
+        coarse, w = est.other.y.copy(), self._weights(k)[0]
+        self._stepper(est, w)(True)
+        self._stepper(est.other, w)()
+        err = np.abs(est.y - coarse) / 15.0  # est.y: the second fine step's
+        mag = np.maximum(np.abs(z0[:, :width]), np.abs(est.y))
         e, s = (np.where(self._groups, x, 0.0).max(axis=-1) for x in (err, mag))
         return float(np.max(e / np.where(s > 0.0, s, 1.0)))  # NaN after a non-finite step
 
     # -- time stepping -------------------------------------------------------
 
     def step(self):
-        """Apply due events, sample the controller measurement of every
-        member with a sample due, then advance one ETDRK4 step of r dt: r
-        is ``step_multiple``, else the largest power of two up to the
-        segment's K that passes no event, controller sample or t_end.  A
-        sample at which every sampled member is due hands the step its
-        first stage's N (``_hold_due``)."""
+        """Take one step: the loop of ``_advance``, stopped after its first
+        step.  Past t_end it goes on taking whole steps of the segment's K,
+        sampling the controllers and drawing noise as before."""
+        self._advance(once=True)
+
+    def _advance(self, once=False):
+        """Apply the events due, then step to the end of the compile segment,
+        the next event or t_end, or with ``once`` take one step.  Each step
+        samples the controller measurement of every member with a sample
+        due, takes one ETDRK4 step of r dt (``_stepper``), r being
+        ``step_multiple``, else the largest power of two up to the segment's
+        K that passes no event, controller sample or t_end, adds its noise
+        and, within ``run``, derives the records it takes.  What the steps
+        read, call and write is bound to locals once per call, so once per
+        segment in ``run``, the two stage buffers' views alternating as
+        ``this`` (the step's y) and ``that``, each with its step function.
+
+        A sample holds the live i_o of every member due and schedules its
+        next sample, the next point of its own grid.  i_o = g y + C dv/dt
+        takes dv/dt from one live N(y), written into stage 1's N slot (C = 0
+        on the quasi-static network), and one product (``_sample_matrix``)
+        gives the held values: the holds themselves with every member due,
+        else copied for the members due.  With every sampled member due,
+        the held law at y gives the live dv/dt, so the stepped model's N(y)
+        is the live one plus (A_live - A) y: it completes the slot, and the
+        step reuses it.
+
+        The records inside a step of r dt, at offsets j < r, are its
+        continuous extension W_j z of the stage vectors z it read, left
+        whole in their buffer, from one product, each plus the step's noise
+        up to its offset.  A record at the step's end would be W_r z, W_r
+        being the step's last stage matrix, plus the step's noise: the state
+        the step left, which it copies."""
         k = self.step_index
         if k >= self._next_event:
             self._apply_due_events()
         buf = self._buf
         if self.y is not buf.y:  # a fresh stack, or a state set from outside
             buf.y[...] = self.y
-            self.y = buf.y
-        have_n = k >= self._next_hold and self._hold_due(k)
-        if self._K is None:
-            self._size()
-        r = self._K
-        if k < self._stop < k + r:
-            r = 1 << ((self._stop - k).bit_length() - 1)
-        if r != self._r:
-            self._set_rung(r)
-        self._buf = self._step_etdrk4(self._buf, self._etd, have_n)
-        self.y = self._buf.y
-        if self._noisy:
-            self.y += self._noise_sum(k, r)
-        self._rung_steps[r] += 1
-        self.step_index = k + r
+        this, that, r_now = buf.views, buf.other.views, None  # a rung is set at the first step
+        mul, u, K, rung_steps = self._mul, self._stage_out, self._K, self._rung_steps
+        next_hold, stop, end = self._next_hold, self._stop, self._end
+        sampled, filled, events = self._sampled, self._filled, self._sample_events
+        if sampled:
+            at, grids, samples, due = self._sample_at, self._grids, self._samples, self._due
+            live_n, measure, prod, holds = (self.live_model.evaluator(self._stage_flat.shape),
+                                            self._measure, self._prod, self.model._holds)
+            new_holds, n_diff = self._new_holds, self._n_diff
+        if noisy := bool(self._noisy):
+            props, runs, stage_y = self._props, self._noise_runs, self._stage_y
+            noise_at, noise_end = self._noise_at, self._noise_end
+
+            def noise_sum(i, j):
+                """The noise of the j dt steps from block row i carried to
+                the end of the last by the linear flow: the sum over l = 1..j
+                of exp((j - l) dt A) xi_l in one product, the row itself
+                (a view) at j = 1."""
+                if j == 1:
+                    return runs[1][i]
+                mul(props[j], runs[j][i], u)
+                return stage_y
+        rec_at, decim, ys, rec_out, row = (self._record_at, self.config.record_decimation,
+                                           self._ys, self._rec_out, self._y_rows)
+        while True:
+            _, y, zn, z, sample_in, n_ns, y_next = this
+            have_n = False
+            if k >= next_hold:
+                n_due = 0
+                for b, s in grids:
+                    due[b] = d = at[b] <= k
+                    if d:
+                        at[b] = k - k % s + s
+                        samples[b] += 1
+                        n_due += 1
+                next_hold = min(at)
+                stop, events = min(next_hold, end), events + 1
+                live_n(y.ravel(), zn)
+                mul(measure, sample_in, prod)
+                if n_due == len(at):
+                    holds[...] = new_holds
+                else:
+                    np.copyto(holds, new_holds, where=due[None, :, None])
+                if have_n := n_due == sampled:
+                    add(n_ns, n_diff, n_ns)
+                    filled += 1
+            K = K or self._size(k, y)
+            r = 1 << ((stop - k).bit_length() - 1) if k < stop < k + K else K
+            if r != r_now:
+                self._set_rung(r)
+                r_now, recs = r, self._recs
+                go, go_next = (self._stepper(v[0], self._etd) for v in (this, that))
+            go(have_n)
+            if noisy:
+                if k + r > noise_end:
+                    noise_at, noise_end = self._draw(k)
+                add(y_next, noise_sum(k - noise_at, r), y_next)
+            rung_steps[r] += 1
+            k += r
+            if k >= rec_at:
+                j = rec_at - k + r  # the first record's offset into the step
+                if j < r:
+                    n = len(recs[j])
+                    np.matmul(recs[j], z, out=rec_out[row:row + n])
+                    if noisy:
+                        for i in range(n):
+                            ys[row + i] += noise_sum(k - r - noise_at, j + i * decim)
+                    row += n
+                if k % decim == 0:
+                    ys[row] = y_next
+                    row += 1
+                rec_at = k - k % decim + decim
+                if row >= RECORD_BLOCK:
+                    row = self._record(ys[:row])
+            this, that, go, go_next = that, this, go_next, go
+            if once or k >= end:
+                break
+        self._buf, self.y = this[:2]
+        self.step_index, self._next_hold, self._stop, self._filled = k, next_hold, stop, filled
+        self._sample_events, self._record_at, self._y_rows = events, rec_at, row
 
     def _draw(self, k):
         """Move the drawn noise rows from dt step k on to the front of the
         block and draw the next NOISE_BLOCK dt steps of every noisy member
-        behind them."""
+        behind them; returns the dt steps of the block's first row and of
+        the row after its last."""
         noise, keep = self._noise, self._noise_end - k
         noise[:, :keep] = noise[:, k - self._noise_at:self._noise_end - self._noise_at]
         for b, mem in self._noisy:
             noise[b][keep:keep + NOISE_BLOCK, mem.dvoc_pos] = mem.draw_noise()
         self._noise_at, self._noise_end = k, k + keep + NOISE_BLOCK
+        return self._noise_at, self._noise_end
 
-    def _hold_due(self, k):
-        """Sample every member due at dt step k, hold its live i_o and
-        schedule its next sample, the next point of its own grid; whether
-        stage 1's N is filled.  i_o = g y + C dv/dt takes dv/dt from one
-        live N(y), written into stage 1's N slot (C = 0 on the quasi-static
-        network), and one product (``_sample_matrix``) gives the held
-        values.  With every sampled member due, the held law at y then
-        gives the live dv/dt, so the stepped model's N(y) is the live one
-        plus (A_live - A) y, and it completes the slot."""
-        at, due, samples, grid = self._sample_at, self._due, self._samples, self._grid
-        n_due, next_hold = 0, math.inf
-        for b, t in enumerate(at):
-            if t <= k:
-                s = grid[b]
-                t = at[b] = k - k % s + s
-                samples[b] += 1
-                n_due += 1
-                due[b] = True
-            else:
-                due[b] = False
-            if t < next_hold:
-                next_hold = t
-        self._next_hold = next_hold
-        self._stop = next_hold if next_hold < self._end else self._end
-        buf = self._buf
-        self.live_model.nonlinear(buf.y.ravel(), out=buf.n_slots[0])
-        self._mul(self._measure, buf.sample_in, self._prod)
-        np.copyto(self.model._holds, self._new_holds, where=self._due_mask)
-        if n_due < self._sampled:
-            return False
-        buf.n_ns += self._n_diff
-        self._filled += 1
-        return True
-
-    def _step_etdrk4(self, buf, w, have_n=False):
+    def _stepper(self, buf, w):
         """One Cox-Matthews (2002) ETDRK4 step on dy/dt = A y + N(y) of the
         stepped model, from the y in the stage buffer ``buf``, with the
-        stage matrices w of a rung (``_weights``): A is propagated exactly
+        stage matrices w of a rung (``_weights``), as a function of
+        ``have_n`` with everything it touches bound: A is propagated exactly
         and N's stages are weighted by phi-functions of hA, so stiff modes
         see N with the right weight.  Each N is written straight into its
         slot of the stage vectors; with ``have_n`` the slot of N(y) is
         already filled.  The last product writes the new y into the other
-        buffer's y slot; returns that buffer."""
-        n, mul, u, uf = self.model.nonlinear, self._mul, self._stage_out, self._stage_flat
-        (wa, wb, wc, wy), (sa, sb, sc, s) = w, buf.ins
-        zn, za, zb, zc = buf.n_slots
-        if not have_n:
-            n(buf.y.ravel(), out=zn)
-        mul(wa, sa, u)
-        n(uf, out=za)
-        mul(wb, sb, u)
-        n(uf, out=zb)
-        mul(wc, sc, u)
-        n(uf, out=zc)
-        mul(wy, s, buf.other.y_out)
-        return buf.other
+        buffer's y slot."""
+        mul, u, uf = self._mul, self._stage_out, self._stage_flat
+        n = self.model.evaluator(uf.shape)
+        (wa, wb, wc, wy), (zn, za, zb, zc, sa, sb, sc, sz, y_out) = w, buf.stages
+        y = buf.y
+
+        def step(have_n=False):
+            if not have_n:
+                n(y.ravel(), zn)
+            mul(wa, sa, u)
+            n(uf, za)
+            mul(wb, sb, u)
+            n(uf, zb)
+            mul(wc, sc, u)
+            n(uf, zc)
+            mul(wy, sz, y_out)
+        return step
 
     def _diverged(self, y, step):
         """Raise SimulationDiverged for the non-finite batch state y at
@@ -1088,25 +1156,23 @@ class Simulation:
         raise SimulationDiverged(step * self.config.dt, mem.ids[worst], float(mags[worst]),
                                  step, b, getattr(mem.scenario, "name", ""))
 
-    def _record_block(self):
-        """Record the derived states of the block, if any: every
-        RECORD_BLOCK records and before every restack."""
-        if self._y_rows:
-            self._record(self._ys[:self._y_rows])
-            self._y_rows = 0
-
     def _record(self, ys):
-        """Check the next records' states ys, (K, B, M), finite and store
-        their v and i_o."""
-        first = self._derived
-        finite = np.isfinite(ys).all(axis=(1, 2))
-        if not finite.all():
-            k = int(np.argmin(finite))
-            self._diverged(ys[k], (first + k) * self.config.record_decimation)
-        self._derived += len(ys)
-        v, i_o = self.live_model.outputs(ys)
-        self._records[0, :, first:self._derived] = v.swapaxes(0, 1)
-        self._records[1, :, first:self._derived] = i_o.swapaxes(0, 1)
+        """Check the next records' states ys, (K, B, M), if any, finite and
+        store their v and i_o: the record at t = 0, and the derived states
+        of the block every RECORD_BLOCK records and before every restack.
+        Returns the block's rows left, 0."""
+        self._y_rows = 0
+        if len(ys):
+            first, self._blocks = self._derived, self._blocks + 1
+            finite = np.isfinite(ys).all(axis=(1, 2))
+            if not finite.all():
+                k = int(np.argmin(finite))
+                self._diverged(ys[k], (first + k) * self.config.record_decimation)
+            self._derived += len(ys)
+            v, i_o = self.live_model.outputs(ys)
+            self._records[0, :, first:self._derived] = v.swapaxes(0, 1)
+            self._records[1, :, first:self._derived] = i_o.swapaxes(0, 1)
+        return 0
 
     def run(self):
         """Integrate from t = 0 to t_end and return the Trace, or one Trace
@@ -1122,41 +1188,31 @@ class Simulation:
 
         if self.step_index >= self._next_event:
             self._apply_due_events()
-        # A step with records inside it or at its end derives their states
-        # at once from its stage vectors, left whole in the buffer it read:
-        # the continuous extension at the offsets due in one product, plus
-        # the noise its step added up to each offset.
         # Overflow en route to a detected divergence is expected; the finite
         # checks turn it into a diagnostic instead of warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
             self._record(self.y[None])
-            at = decim  # the dt step of the next record
+            self._record_at = decim  # the dt step of the next record
             while self.step_index < n_steps:
-                self.step()
-                end = self.step_index
-                if end < at:
-                    continue
-                r, row = self._r, self._y_rows
-                j = at - end + r  # the first record's offset into the step
-                n = (r - j) // decim + 1
-                ys = self._ys[row:row + n]
-                np.matmul(self._dense[j - 1::decim], self._buf.other.z[..., None],
-                          out=ys[..., None])
-                if self._noisy:
-                    for i in range(n):
-                        ys[i] += self._noise_sum(end - r, j + i * decim)
-                at += n * decim
-                self._y_rows = row + n
-                if self._y_rows >= RECORD_BLOCK:
-                    self._record_block()
-            self._record_block()
-            self._ys = ys = None  # no record block outlives the run
+                self._advance()
+            self._record(self._ys[:self._y_rows])
+            # No record block outlives the run.
+            self._record_at, self._ys, self._rec_out = math.inf, None, None
             if not np.isfinite(self.y).all():
                 self._diverged(self.y, self.step_index)
         t = np.arange(n_rec) * decim * cfg.dt
+        # The N evaluations, derived from what the run did: of the stepped
+        # model four per step, less the samples that filled stage 1, and per
+        # compile segment one for its first state and ten per step-doubling
+        # estimate (three and four for two steps of a rung, three for one of
+        # twice it); of the live model one per sample and, on the dynamic
+        # network, one per block of records, for the dv/dt in i_o.
+        n_evals = {"stepped": 4 * sum(self._rung_steps) - self._filled + len(self._segments)
+                   + 10 * self._estimates,
+                   "live": self._sample_events + self._blocks * self.members[0].dynamic}
         stats = {"steps_per_rung": {r: n for r, n in enumerate(self._rung_steps) if n},
                  "segments": self._segments, "samples": self._samples,
-                 "stage1_filled": self._filled, "restacks": self._restacks}
+                 "stage1_filled": self._filled, "restacks": self._restacks, "n_evals": n_evals}
         traces = _finalize_traces(t, self._records[0], self._records[1], self.members,
                                   n_steps, stats)
         return traces[0] if self._single else traces

@@ -37,3 +37,27 @@ PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
 def test_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_quartiles(
         ab_step, change, want):
     assert ab_step.verdict(PARENT, change) == want
+
+
+def test_import_op_times_a_fresh_interpreter_importing_the_cli(ab_step, tmp_path, capsys):
+    # The import op runs `python -c "import dvocsim.cli"` against each tree
+    # in a fresh process; a tree whose package fails to import fails the op.
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    assert ab_step.CLI_OPS["import"] == ["-c", "import dvocsim.cli"]
+    assert 0.0 < ab_step.op_seconds(src, ab_step.CLI_OPS["import"]) < 60.0
+    broken = tmp_path / "dvocsim"
+    broken.mkdir()
+    (broken / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    with pytest.raises(SystemExit, match="exited with 1"):
+        ab_step.op_seconds(str(tmp_path), ab_step.CLI_OPS["import"])
+    # --cli --op import: two pairs on one core; the tool gives this
+    # process its cores back.
+    cores = os.sched_getaffinity(0)
+    try:
+        ab_step.main([src, src, "--cli", "--op", "import", "--pairs", "2"])
+        assert os.sched_getaffinity(0) == cores
+    finally:
+        os.sched_setaffinity(0, cores)
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.split()[:2] == ["import", "s/run"] and "pairs" in line
+    assert line.endswith(("gain holds", "unresolved"))

@@ -475,28 +475,31 @@ class TestExponentialSplit:
         # sample evaluates the live N once, for the held i_o, and that
         # step's first stage reuses it instead of evaluating the held N:
         # still four per step.  A stray fifth N per step fails by count.
+        # The run stats derive the same totals, stepped and live apart.
+        # Every N, the step loop's bound ones among them, comes from the
+        # model's evaluator of its input shape; each call is counted.
         from dvocsim.scenario import builtin_scenario
         from dvocsim.sim import RECORD_BLOCK, _Split
-        calls, samples = [0], []
-        nonlinear, hold_due = _Split.nonlinear, Simulation._hold_due
+        calls, evaluator = [0], _Split.evaluator
 
-        def counted(self, y, out=None):
-            calls[0] += 1
-            return nonlinear(self, y, out)
+        def counted(self, shape):
+            n = evaluator(self, shape)
 
-        def sampled_at(self, k):
-            samples.append(k)
-            return hold_due(self, k)
+            def count(y, out=None):
+                calls[0] += 1
+                return n(y, out)
+            return count
 
-        monkeypatch.setattr(_Split, "nonlinear", counted)
-        monkeypatch.setattr(Simulation, "_hold_due", sampled_at)
+        monkeypatch.setattr(_Split, "evaluator", counted)
         # paper-fig7: 1800 steps of 5 dt; the set-point event at dt step 4000
         # splits its 9001 records into 1 + 4000 and 5000, the last two
         # derived in 16 + 20 blocks of at least 256 (a step adds its 5
         # records together).
         assert RECORD_BLOCK == 256
-        run_scenario(builtin_scenario("paper-fig7"))
+        tr = run_scenario(builtin_scenario("paper-fig7"))
         assert calls[0] == 4 * 1800 + 1 + 36 + 2 * (1 + 10)
+        assert tr.meta["stats"]["n_evals"] == {"stepped": 4 * 1800 + 2 * (1 + 10),
+                                               "live": 1 + 36}
         # The mixed grid sampled every 4th of 2000 dt steps: 500 samples on
         # that grid and one more at the load step applied at step 503, which
         # splits the 200 records after t = 0 into two blocks.  Each of the
@@ -511,14 +514,18 @@ class TestExponentialSplit:
         doc["events"] = [{"t_s": 0.0503, "type": "load_step", "node": "busB",
                           "g_siemens": 0.01}]
         sc = parse_scenario_dict(doc)
+        samples = len([*range(0, 2000, 4), 503])
         for k, rungs, tried in ((1, {1: 2000}, 1), (None, {1: 2, 2: 999}, 2)):
-            calls[0], samples[:] = 0, []
+            calls[0] = 0
             tr = run_scenario(sc, replace(sc.sim, controller_sample_hz=2500.0,
                                           step_multiple=k))
-            assert tr.meta["stats"]["steps_per_rung"] == rungs
+            stats = tr.meta["stats"]
+            assert stats["steps_per_rung"] == rungs
             assert calls[0] == 4 * tr.meta["steps"] + 1 + 2 + 2 * (1 + 10 * tried)
-            assert samples == sorted([*range(0, 2000, 4), 503])
-            assert tr.meta["stats"]["samples"] == tr.meta["stats"]["stage1_filled"] == 501
+            assert stats["samples"] == stats["stage1_filled"] == samples == 501
+            assert stats["n_evals"] == {
+                "stepped": 4 * tr.meta["steps"] - samples + 2 * (1 + 10 * tried),
+                "live": samples + 1 + 2}
 
     @pytest.mark.parametrize("network_model", ["dynamic", "quasistatic"])
     @pytest.mark.parametrize("batch", [False, True])
@@ -538,16 +545,7 @@ class TestExponentialSplit:
                            network_model=network_model)]
         sim = Simulation(members if batch else sampled)
         model, live = sim.model, sim.live_model
-        (n, width), y0 = sim.y.shape, sim.y
-        seen, step = [], sim._step_etdrk4
-
-        def seen_step(buf, w, have_n=False):  # the run's steps are not taken
-            if buf is not sim._buf:  # the step-doubling estimate's buffers
-                return step(buf, w, have_n)
-            seen.append((have_n, buf.z[:, width:2 * width].copy()))
-            return buf
-
-        sim._step_etdrk4 = seen_step
+        (n, width), y0 = sim.y.shape, sim.y.copy()
         for k in range(20):
             y = np.zeros((n, width), dtype=complex)
             for b, mem in enumerate(sim.members):
@@ -555,11 +553,17 @@ class TestExponentialSplit:
                 y[b, :mem.m] = y0[b, :mem.m] + (w[:, 0] + 1j * w[:, 1])
                 if k % 4 == 0:
                     y[b, mem.droop_pos] = 0.0
-            sim.y, seen[:] = y, []
+            sim.y, seen = y, []
             for _ in range(4):  # one sample, then three steps without
+                filled, y_step = sim._filled, sim.y.copy()
                 sim.step()
-            assert [have_n for have_n, _ in seen] == [True, False, False, False]
-            slot = seen[0][1]
+                # The N(y) slot of the stage vectors the step read.
+                seen.append((sim._filled - filled, y_step,
+                             sim._buf.other.z[:, width:2 * width].copy()))
+            assert [n_filled for n_filled, _, _ in seen] == [1, 0, 0, 0]
+            for _, y_step, slot in seen[1:]:
+                assert np.array_equal(slot, model.nonlinear(y_step.reshape(-1)).reshape(n, width))
+            slot = seen[0][2]
             a_y = np.matmul(model.a, y[..., None])[..., 0]
             rate = live.rate(y)
             want = model.nonlinear(y.reshape(-1)).reshape(n, width)
@@ -798,7 +802,8 @@ class TestStepByAccuracy:
         assert dev_i <= 6e-5, dev_i
         assert dev_s <= 6e-5, dev_s
 
-    @pytest.mark.parametrize("name", ["mixed-grid", "mixed-grid-pair", "paper-fig7"])
+    @pytest.mark.parametrize("name", ["mixed-grid", "mixed-grid-pair", "mixed-grid-two-grids",
+                                      "paper-fig7"])
     def test_records_at_step_ends_equal_the_stepped_state(self, name):
         # A record at a step's end is the step's continuous extension at
         # theta = 1, whose weights are the step's own last stage matrix,
@@ -807,10 +812,13 @@ class TestStepByAccuracy:
         # of r dt is W_j z of the stage vectors z the step read, W_j from
         # the oracle's own chain, plus the step's first j draws carried to
         # the offset, sum over i <= j of exp((j - i) dt A) xi_i, within
-        # 1e-12 of the member's |v| scale.  The sampled noisy grid alone
-        # and beside a copy on another noise seed, and paper-fig7, each
-        # against a twin stepped by hand: the grid's 201 records, 161 on a
-        # step boundary, and fig7's 9001, 1801 on one.
+        # 1e-12 of the member's |v| scale.  The run ends in the twin's
+        # state, bit for bit.  The sampled noisy grid alone, beside a copy
+        # on another noise seed, and beside a copy sampled every 8th dt
+        # step with its events at other steps (707 and 1509), and
+        # paper-fig7, each against a twin stepped by hand: the grid's 201
+        # records, 161 on a step boundary (176 beside the copy on 8 dt),
+        # and fig7's 9001, 1801 on one.
         from dvocsim.scenario import builtin_scenario
         from scipy.linalg import expm
         if name == "paper-fig7":
@@ -820,7 +828,13 @@ class TestStepByAccuracy:
             members = [sc]
             if name == "mixed-grid-pair":
                 members.append(replace(sc, sim=replace(sc.sim, noise_seed=4)))
-        traces, twin = Simulation(members).run(), Simulation(members)
+            if name == "mixed-grid-two-grids":
+                doc = noisy_grid_dict()
+                doc["events"][0]["t_s"], doc["events"][1]["t_s"] = 0.0707, 0.1509
+                doc["sim"].update(controller_sample_hz=1250.0, noise_seed=4)
+                members.append(parse_scenario_dict(doc))
+        run = Simulation(members)
+        traces, twin = run.run(), Simulation(members)
         cfg, ends, inside, weights = twin.config, 0, 0, {}
         scales = [np.abs(tr.v).max() for tr in traces]
         dt, decim, n_steps = cfg.dt, cfg.record_decimation, round(cfg.t_end / cfg.dt)
@@ -853,7 +867,9 @@ class TestStepByAccuracy:
                     dev = np.abs(tr.v[(k + j) // decim] - y[b, :mem.ns]).max()
                     assert dev <= 1e-12 * scales[b], (b, k, j)
                 inside += 1
-        assert (ends, inside) == ((161, 40) if name != "paper-fig7" else (1801, 7200))
+        assert np.array_equal(run.y, twin.y)
+        assert (ends, inside) == {"paper-fig7": (1801, 7200),
+                                  "mixed-grid-two-grids": (176, 25)}.get(name, (161, 40))
 
     def test_steps_stop_at_events_samples_and_t_end(self):
         # Every step is a power of two up to its segment's K and ends on or
@@ -926,7 +942,7 @@ class TestStepByAccuracy:
         tr = run_scenario(sc)
         stats = tr.meta["stats"]
         assert set(stats) == {"steps_per_rung", "segments", "samples", "stage1_filled",
-                              "restacks"}
+                              "restacks", "n_evals"}
         assert all(set(seg) == {"step", "k", "estimate"} for seg in stats["segments"])
         assert [seg["step"] for seg in stats["segments"]] == [0, 503, 1201]
         assert stats["restacks"] == [{"step": 503, "members": [0]},
@@ -1054,19 +1070,14 @@ class TestNetworkModes:
         sim = Simulation(members)
         n_steps = int(round(sim.config.t_end / sim.config.dt))
         assert n_steps > 2 * NOISE_BLOCK
-        stepped, step_etdrk4 = [], sim._step_etdrk4
-
-        def capture(*args):  # the state before the step's noise
-            buf = step_etdrk4(*args)
-            stepped.append(buf.y.copy())
-            return buf
-
-        sim._step_etdrk4 = capture
         draws = [[], []]
         for _ in range(n_steps):
             sim.step()
+            # The state before the step's noise: the last stage's product of
+            # the stage vectors the step read.
+            stepped = np.matmul(sim._etd[3], sim._buf.other.z[..., None])[..., 0]
             row = sim._noise[:, sim.step_index - 1 - sim._noise_at]
-            assert np.array_equal(sim.y, stepped[-1] + row)
+            assert np.array_equal(sim.y, stepped + row)
             for b, (mem, got) in enumerate(zip(sim.members, draws)):
                 got.append(row[b, mem.dvoc_pos])
                 off = np.ones(row.shape[1], dtype=bool)
@@ -1278,10 +1289,11 @@ def heterogeneous_batch():
 
 def without_batch_stats(meta):
     """A trace's meta without the stats that count the batch's own
-    restacks: its compile segments, its restacks and the samples that
-    filled stage 1, which wait for every sampled member to be due."""
+    restacks: its compile segments, its restacks, the samples that filled
+    stage 1, which wait for every sampled member to be due, and the N
+    evaluations, which count all of these and the batch's samples."""
     return dict(meta, stats=dict(meta["stats"], segments=None, restacks=None,
-                                 stage1_filled=None))
+                                 stage1_filled=None, n_evals=None))
 
 
 def batch_against_single_runs(members):

@@ -14,10 +14,13 @@ whatever step sizes they take; the time per integrator step (the run's
 ``meta["steps"]``) is printed beside it.
 
 ``--cli`` sizes an end-to-end gain instead: every pair runs one CLI operation
-of each tree, alternating which runs first, each in a fresh
-``python -m dvocsim.cli`` process, one at a time, with this process and its
-children pinned to one core by ``os.sched_setaffinity``.  It times each
-process's wall time, interpreter start-up and imports included.
+of each tree, alternating which runs first, each in a fresh ``python``
+process, one at a time, with this process and its children pinned to one
+core by ``os.sched_setaffinity`` (this process gets its cores back at the
+end).  It times each process's wall time, interpreter start-up and imports
+included.  Run it with PYTHONDONTWRITEBYTECODE=1 in the environment, as the
+benchmark's children inherit it, and every process compiles the package's
+source anew.
 
 Printed per workload or operation: each side's median and quartiles (us per
 dt step, or s per run), the median of the paired change/parent ratios and
@@ -54,10 +57,12 @@ Workloads:
     mixed-quasi    -- the same grid, sampled and noisy, on the quasi-static
                       network
 
-CLI operations, the benchmark's three workloads (``perfbench/README.md``):
+CLI operations, the benchmark's three workloads (``perfbench/README.md``),
+and the import that every one of them starts with:
     mixed-grid     -- ``simulate`` of that generated grid
     dispatch       -- ``simulate paper-fig7``
     droop-sweep    -- ``droop-sweep droop-ref --axis q`` on 10 points in +-0.05
+    import         -- ``python -c "import dvocsim.cli"``, nothing run
 
 OUTPUT_OPS, for ``--outputs``:
     the five built-ins     -- ``simulate NAME``
@@ -88,10 +93,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIXED_GRID = 1
 WORKLOADS = ("fig7", "droop-ref-q10", "droop-ref-q1000", "mixed-grid", "mixed-live",
              "mixed-quasi")
+# The interpreter arguments of each CLI operation; {grid} is the generated
+# grid's file and {out} the output directory.
+CLI = ["-m", "dvocsim.cli"]
 CLI_OPS = {
-    "mixed-grid": ["simulate", "{grid}"],
-    "dispatch": ["simulate", "paper-fig7"],
-    "droop-sweep": ["droop-sweep", "droop-ref", "--axis", "q", "--range=-0.05:0.05:10"],
+    "mixed-grid": CLI + ["simulate", "{grid}", "--out", "{out}"],
+    "dispatch": CLI + ["simulate", "paper-fig7", "--out", "{out}"],
+    "droop-sweep": CLI + ["droop-sweep", "droop-ref", "--axis", "q", "--range=-0.05:0.05:10",
+                          "--out", "{out}"],
+    "import": ["-c", "import dvocsim.cli"],
 }
 BUILTINS = ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7", "droop-ref")
 SHIPPED_GRIDS = 16
@@ -198,15 +208,16 @@ def cli_run(src, args, out):
     return done.returncode, done.stdout.replace(out, "OUT")
 
 
-def cli_seconds(src, args, out):
-    """Wall time of one CLI operation (``cli_run``), which must succeed; its
-    outputs are removed."""
+def op_seconds(src, argv):
+    """Wall time of one fresh ``python`` process with the interpreter
+    arguments ``argv`` (a CLI_OPS entry, formatted) and the tree under
+    ``src`` on its path; it must succeed."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     t0 = time.perf_counter()
-    code, _ = cli_run(src, args, out)
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
     seconds = time.perf_counter() - t0
-    if code:
-        raise SystemExit(f"{' '.join(args)} exited with {code}")
-    shutil.rmtree(out)
+    if done.returncode:
+        raise SystemExit(f"{' '.join(argv)} exited with {done.returncode}")
     return seconds
 
 
@@ -388,20 +399,27 @@ def main(argv=None):
         check_outputs(srcs)
         return
     if args.cli:
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # children inherit it
+        cores = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(cores)})  # children inherit it
         tmp = tempfile.mkdtemp(prefix="ab_step_")
         try:
             grid = os.path.join(tmp, f"grid{MIXED_GRID}.json")
             gen_grid().write(MIXED_GRID, grid)
+            out = os.path.join(tmp, "out")
             for op in args.op or CLI_OPS:
-                cmd = [a.format(grid=grid) for a in CLI_OPS[op]]
-                out = os.path.join(tmp, "out")
-                for src in srcs:  # warm-up, untimed
-                    cli_seconds(src, cmd, out)
-                times = alternate(args.pairs, lambda side: cli_seconds(srcs[side], cmd, out))
-                report(op, "s/run  ", 3, times, args.pairs)
+                argv = [a.format(grid=grid, out=out) for a in CLI_OPS[op]]
+
+                def run(side):
+                    seconds = op_seconds(srcs[side], argv)
+                    shutil.rmtree(out, ignore_errors=True)
+                    return seconds
+
+                for side in (0, 1):  # warm-up, untimed
+                    run(side)
+                report(op, "s/run  ", 3, alternate(args.pairs, run), args.pairs)
         finally:
             shutil.rmtree(tmp)
+            os.sched_setaffinity(0, cores)
         return
     sides = (load(args.parent_src), load(args.change_src))
     for workload in args.workload or WORKLOADS:

@@ -326,9 +326,15 @@ def droop_overlays(params, abscissae, axis):
     """The exact, linear and coarse ordinates of ``droop_sweep_closed_form``
     at each of the abscissae, in their order, as three arrays: the linear
     forms in one call each, the exact one per point.  A point without a
-    stationary amplitude reads NaN in all three."""
+    stationary amplitude reads NaN in all three; without a tangent (q* >=
+    alpha v*^2) the linear overlay reads NaN at every point."""
     x = np.asarray(abscissae, dtype=float)
-    linear, coarse = _linear_ordinates(params, x, axis)
+    try:
+        linear, coarse = _linear_ordinates(params, x, axis)
+    except ValueError:
+        if axis != "q":
+            raise
+        linear, coarse = np.full(len(x), math.nan), droop_approx_vmag_ss(x, params)
     exact = np.full(len(x), math.nan)
     for k, xk in enumerate(x):
         try:

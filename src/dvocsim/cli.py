@@ -169,11 +169,8 @@ def _cmd_droop_sweep(args, argv):
               "ordinate_coarse"]
     nan = float("nan")
     settled = [pt for pt in sweep.points if pt.settled]
-    try:
-        overlays = zip(*analysis.droop_overlays(
-            params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis))
-    except ValueError:  # the tangent is undefined: no overlay at any point
-        overlays = iter([(nan, nan, nan)] * len(settled))
+    overlays = zip(*analysis.droop_overlays(
+        params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis))
     rows = []
     for pt in sweep.points:
         if pt.settled:

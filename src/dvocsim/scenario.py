@@ -9,10 +9,9 @@ g = p_w / v_rated_peak^2 (so the load absorbs p_w when the bus sits at the
 rated amplitude).  ``name`` and ``description`` are strings, ``noise_seed``
 is a non-negative integer, and t_end/dt must round to between 1 and
 ``sim.MAX_STEPS`` steps.  ``sim.step_multiple`` k makes each integrator
-step k dt long; t_end, the controller sample interval and every event's
-step must then be whole multiples of k.  Left out, each step's size is
-chosen by accuracy and stops at every event, controller sample and t_end.
-Noise works at any step size.
+step k dt long; left out, k is chosen by accuracy.  Either way a step is
+shortened to end at the next event, controller sample or t_end, so events
+may fall on any dt step.  Noise works at any step size.
 
 The schema lives in one table per object (``_SCENARIO``, ``_INVERTER``, ...,
 ``_SIM``), each row giving a JSON key, the target field, its kind with
@@ -20,8 +19,7 @@ bounds, and whether it is required or its default.  One reader walks the
 tables to build the dataclasses and one writer emits them back out, so the
 parser and ``Scenario.to_dict`` cannot drift apart.  A short pass then checks
 cross-references: duplicate ids and nodes, undefined nodes, branches and
-inverters, event order, events off the integrator's step grid, and the
-dynamic network model's structure.
+inverters, event order, and the dynamic network model's structure.
 
 Parsing is strict: unknown keys are rejected to catch typos in physical
 parameters, and every problem, each with its path, is reported together in
@@ -506,11 +504,6 @@ def parse_scenario_dict(data):
                     b.branch_id for b in topo.branches]
             if defined is not None and ref not in defined:
                 errs.append(f"events[{k}].{key}: undefined {key} {ref!r}")
-            if sim is not _BAD:
-                try:
-                    sim.event_step(ev.time)
-                except ValueError as exc:
-                    errs.append(f"events[{k}].t_s: {exc}")
 
     # Structural check for the dynamic model, over the whole event timeline.
     if (topo is not None and events is not _BAD and len(errs) == n_errs

@@ -26,8 +26,9 @@ exactly, in A for the oscillators and in closed form in N for the droop laws.
 
 Each step is one Cox-Matthews ETDRK4 step of r dt (``_stepper``, its
 weights from ``_stages``), so the fast branch-current pole does not bound
-the step.  r is ``SimConfig.step_multiple``, else chosen per compile segment
-by a step-doubling estimate (``_size``).  Events are applied between compile
+the step.  r is the compile segment's K, ``SimConfig.step_multiple`` or else
+chosen by a step-doubling estimate (``_size``), shortened to end at the next
+event, controller sample or t_end.  Events are applied between compile
 segments (``_apply_due_events``).  One loop, ``_advance``, takes the steps of
 a segment, every array and callable they touch bound once per segment:
 each step holds the live measurement of the controllers with a sample due,
@@ -100,14 +101,12 @@ class SimConfig:
     noise_seed          -- seed for initial angles and additive noise
     noise_amplitude     -- additive noise on the oscillator voltage states,
                            drawn per dt step, V/sqrt(s); 0 disables
-    step_multiple       -- None or k.  None: each step's size is chosen by
-                           accuracy (``Simulation``), a power of two of dt
-                           that stops at every event, controller sample and
-                           t_end.  k: each integrator step is k dt long, so
-                           t_end, the controller sample interval and every
-                           event's step must be whole multiples of k.
-                           Records stay on the dt grid, and noise works at
-                           any step size
+    step_multiple       -- None or k.  k: each integrator step is k dt
+                           long; None: k is chosen by accuracy per compile
+                           segment (``Simulation``).  Either way a step is
+                           shortened to end at the next event, controller
+                           sample or t_end.  Records stay on the dt grid,
+                           and noise works at any step size
     """
 
     dt: float = 1e-5
@@ -148,13 +147,6 @@ class SimConfig:
         k = self.step_multiple
         if k is not None and not (_number(k, int) and 1 <= k <= MAX_STEP_MULTIPLE):
             raise ValueError(f"step_multiple must be an integer from 1 to {MAX_STEP_MULTIPLE}")
-        k, n_steps = self.stride, round(self.t_end / self.dt)
-        if n_steps % k:
-            raise ValueError(f"t_end/dt = {n_steps} steps must be a multiple of "
-                             f"step_multiple {k}")
-        if self.sample_steps is not None and self.sample_steps % k:
-            raise ValueError(f"controller sample interval of {self.sample_steps} steps "
-                             f"must be a multiple of step_multiple {k}")
 
     @property
     def sample_steps(self):
@@ -162,24 +154,13 @@ class SimConfig:
             return None
         return int(round(1.0 / (self.controller_sample_hz * self.dt)))
 
-    @property
-    def stride(self):
-        """The dt steps an event's step must be a multiple of: step_multiple,
-        or 1 if unset (chosen steps stop at every event)."""
-        return self.step_multiple or 1
-
     def event_step(self, time):
         """The dt step at which an event at ``time`` s is applied, the first
-        step boundary at or after it, or None if the run ends first.
-        ValueError if that step does not start an integrator step."""
+        dt step at or after it, or None if the run ends first."""
         x = time / self.dt - 1e-9
         if not x <= round(self.t_end / self.dt) - 1:
             return None
-        step = max(0, math.ceil(x))
-        if step % self.stride:
-            raise ValueError(f"an event at t = {time!r} s is applied at dt step {step}, "
-                             f"not a multiple of step_multiple {self.stride}")
-        return step
+        return max(0, math.ceil(x))
 
 
 @dataclass(frozen=True)
@@ -755,11 +736,9 @@ class Simulation:
         self.members = [_Member(s, cfg) for s, cfg in zip(scenarios, configs)]
         self.step_index = 0  # in dt steps; a step of r dt advances it by r
         self._n_steps = round(self.config.t_end / self.config.dt)
-        # How many members sample their controllers, each of them with its
-        # sample interval, each member's dt step of its next sample (inf:
-        # unsampled), the earliest of them, and which members the last
-        # sample held.
-        self._sampled = sum(mem.sample_steps is not None for mem in self.members)
+        # Each member that samples its controllers with its sample interval,
+        # each member's dt step of its next sample (inf: unsampled), the
+        # earliest of them, and which members the last sample held.
         self._grids = [(b, m.sample_steps) for b, m in enumerate(self.members) if m.sample_steps]
         self._sample_at = [0 if mem.sample_steps else math.inf for mem in self.members]
         self._next_hold = min(self._sample_at)
@@ -804,7 +783,7 @@ class Simulation:
         self.live_model = _Split(ms, width, live=True)
         ns = self.live_model.ns
         self.model = _Split(ms, width, live=False, prev=self.model) \
-            if self._sampled else self.live_model
+            if self._grids else self.live_model
         self._next_event = min((mem.pending[0][0] for mem in ms if mem.pending),
                                default=math.inf)
         # The next step that ends a step whatever K is: an event, t_end or
@@ -816,7 +795,7 @@ class Simulation:
         # no step when an event is due at t = 0, before the first restack).
         top = self.config.step_multiple
         if top is None:
-            span = min([MAX_RUNG, min(self._next_event, self._n_steps) - self.step_index]
+            span = min([MAX_RUNG, self._end - self.step_index]
                        + [mem.sample_steps for mem in ms if mem.sample_steps])
             top = 1 << (max(span, 1).bit_length() - 1)
         # One chain at s = dt / 2 gives every rung's weights up to 2 top,
@@ -868,7 +847,7 @@ class Simulation:
         self._stage_flat = self._stage_y.reshape(-1)
         if self.config.step_multiple:
             self._set_rung(top)
-        if self._sampled:
+        if self._grids:
             self._sample_matrix(width)
         # The states of the records derived and not yet recorded, of which
         # a step derives at most top, and the same rows in the shape of a
@@ -951,8 +930,8 @@ class Simulation:
         k0: step_multiple, or the largest rung from the segment's top
         (``_stack``) down whose step-doubling estimate is within STEP_TOL,
         rung 1 at the least; record both and return K.  Each step then takes
-        the largest power of two up to K that passes no event, controller
-        sample or t_end (``_advance``)."""
+        K dt, shortened to end at the next event, controller sample or t_end
+        (``_advance``)."""
         z0 = np.concatenate([y0, self.model.nonlinear(y0.ravel()).reshape(y0.shape)], axis=1)
         k, fixed = self._top, self.config.step_multiple
         while not ((est := self._estimate(z0, k)) <= STEP_TOL or k == 1 or fixed):
@@ -993,9 +972,10 @@ class Simulation:
         """Apply the events due, then step to the end of the compile segment,
         the next event or t_end, or with ``once`` take one step.  Each step
         samples the controller measurement of every member with a sample
-        due, takes one ETDRK4 step of r dt (``_stepper``), r being
-        ``step_multiple``, else the largest power of two up to the segment's
-        K that passes no event, controller sample or t_end, adds its noise
+        due, takes one ETDRK4 step of r dt (``_stepper``), r being the
+        segment's K (``_size``: ``step_multiple``, else chosen by accuracy),
+        or, when the next event, controller sample or t_end comes within K,
+        the largest power of two that ends on or before it, adds its noise
         and, within ``run``, derives the records it takes.  What the steps
         read, call and write is bound to locals once per call, so once per
         segment in ``run``, the two stage buffers' views alternating as
@@ -1026,9 +1006,9 @@ class Simulation:
         this, that, r_now = buf.views, buf.other.views, None  # a rung is set at the first step
         mul, u, K, rung_steps = self._mul, self._stage_out, self._K, self._rung_steps
         next_hold, stop, end = self._next_hold, self._stop, self._end
-        sampled, filled, events = self._sampled, self._filled, self._sample_events
-        if sampled:
-            at, grids, samples, due = self._sample_at, self._grids, self._samples, self._due
+        grids, filled, events = self._grids, self._filled, self._sample_events
+        if grids:
+            at, samples, due = self._sample_at, self._samples, self._due
             live_n, measure, prod, holds = (self.live_model.evaluator(self._stage_flat.shape),
                                             self._measure, self._prod, self.model._holds)
             new_holds, n_diff = self._new_holds, self._n_diff
@@ -1066,7 +1046,7 @@ class Simulation:
                     holds[...] = new_holds
                 else:
                     np.copyto(holds, new_holds, where=due[None, :, None])
-                if have_n := n_due == sampled:
+                if have_n := n_due == len(grids):
                     add(n_ns, n_diff, n_ns)
                     filled += 1
             K = K or self._size(k, y)

@@ -39,6 +39,19 @@ def test_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_quartiles(
     assert ab_step.verdict(PARENT, change) == want
 
 
+def test_step_sizes_show_the_rung_mix(ab_step):
+    # K per compile segment, the step count and the steps per rung: a run
+    # at a fixed K takes shorter rungs where a step ends at an event,
+    # sample or t_end.  A tree without run stats reads its step_multiple.
+    meta = {"step_multiple": 3, "steps": 1001,
+            "stats": {"segments": [{"k": 3}, {"k": 3}, {"k": 3}],
+                      "steps_per_rung": {3: 501, 1: 500}}}
+    assert ab_step.step_sizes(meta) == "K 3 steps 1001 rungs 1:500,3:501"
+    meta["stats"]["segments"][1]["k"] = 2
+    assert ab_step.step_sizes(meta).startswith("K 3,2,3 steps 1001 rungs")
+    assert ab_step.step_sizes({"step_multiple": None, "steps": 80}) == "K 1 steps 80"
+
+
 def test_import_op_times_a_fresh_interpreter_importing_the_cli(ab_step, tmp_path, capsys):
     # The import op runs `python -c "import dvocsim.cli"` against each tree
     # in a fresh process; a tree whose package fails to import fails the op.

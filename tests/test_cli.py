@@ -211,6 +211,27 @@ class TestDroopSweepCommand:
         assert header[0] == "target"
         np.testing.assert_allclose(data["f0"], [-0.05, 0.0, 0.05])
 
+    def test_overlays_without_a_tangent_keep_the_closed_form_and_coarse(self, tmp_path):
+        # droop-ref at q* = 1 > alpha v*^2 has no tangent, so only the
+        # linear overlay reads NaN; the closed form, the stationary
+        # amplitude, and the coarse form are kept at every settled point.
+        from dvocsim.scenario import builtin_scenario
+        d = builtin_scenario("droop-ref").to_dict()
+        d["inverters"][0]["q_star_var"] = 1.0
+        path = tmp_path / "q1.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "sweep"
+        rc = main(["droop-sweep", str(path), "--axis", "q", "--range=0.9:1.1:5",
+                   "--out", str(out)])
+        assert rc == 0
+        header, data = read_csv(out / "curve.csv")
+        col = {name: data[f"f{k}"] for k, name in enumerate(header)}
+        assert col["settled"].tolist() == [True] * 5
+        np.testing.assert_allclose(col["ordinate_closed_form"],
+                                   [1.0502, 1.0254, 1.0142, 1.0392, 1.0637], atol=5e-5)
+        assert np.isnan(col["ordinate_linear"]).all()
+        np.testing.assert_allclose(col["ordinate_coarse"], 1.0 + (1.0 - col["q"]) / 0.9722)
+
     # Non-finite ends, a span b - a that overflows and more points than
     # MAX_RANGE_POINTS are rejected as --range errors, before the grid is
     # built or any point is run.

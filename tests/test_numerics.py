@@ -25,7 +25,7 @@ def split_simulations():
         m = len(a)
         wa, _, _, wy = sim._etd
         return (label, a, wy[:, :m], wa[:, :m],
-                sim.config.dt * sim.config.stride)
+                sim.config.dt * sim.config.step_multiple)
 
     for name in builtin_names():
         sim = Simulation(builtin_scenario(name))

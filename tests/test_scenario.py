@@ -10,7 +10,7 @@ from dvocsim import analysis
 from dvocsim.control import DroopParams, DvocParams
 from dvocsim.scenario import (ScenarioError, builtin_names, builtin_scenario,
                               parse_scenario, parse_scenario_dict)
-from dvocsim.sim import run_scenario
+from dvocsim.sim import Simulation, run_scenario
 
 from conftest import pu_scenario_dict
 
@@ -169,10 +169,8 @@ class TestParsing:
         (("network", "loads", 0, "g_siemens"), 10**400, "network.loads[0].g_siemens"),
         (("sim", "step_multiple"), 0, "sim.step_multiple"),
         (("sim", "step_multiple"), 101, "sim: step_multiple"),
-        (("sim", "step_multiple"), 7, "sim: t_end/dt"),  # 15000 steps
     ], ids=["negative-seed", "float-seed", "steps-overflow", "no-step", "name",
-            "description", "huge-int", "zero-multiple", "huge-multiple",
-            "end-off-the-step-grid"])
+            "description", "huge-int", "zero-multiple", "huge-multiple"])
     def test_malformed_value_rejected_with_its_path(self, path, value, where):
         d = pu_scenario_dict()
         _at(d, path[:-1])[path[-1]] = value
@@ -180,19 +178,21 @@ class TestParsing:
             parse_scenario_dict(d)
         assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
 
-    @pytest.mark.parametrize("sim, events, where", [
-        ({"controller_sample_hz": 1.0 / (3 * 2e-5)}, [], "sim: controller sample"),
+    @pytest.mark.parametrize("sim, events, rungs", [
+        ({"controller_sample_hz": 1.0 / (3 * 2e-5)}, [], {1: 5000, 2: 5000}),
         ({}, [{"t_s": 0.10002, "type": "load_step", "node": "bus", "g_siemens": 0.4}],
-         "events[0].t_s: an event at t = 0.10002 s is applied at dt step 5001"),
+         {1: 2, 2: 7499}),
     ], ids=["sample-interval", "event"])
-    def test_step_multiple_off_the_grid_rejected_with_its_path(self, sim, events, where):
-        # Two dt per step: a 3-step sample interval and an event at dt step
-        # 5001 each fall off the integrator's step grid.
+    def test_step_multiple_off_the_grid_parses_and_runs(self, sim, events, rungs):
+        # Two dt per step, a 3-step sample interval or an event at dt step
+        # 5001: each step that would pass a sample or the event is
+        # shortened to one dt, so the document parses and runs.
         d = pu_scenario_dict(events=events)
         d["sim"].update(sim, step_multiple=2)
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario_dict(d)
-        assert any(e.startswith(where) for e in exc.value.errors), exc.value.errors
+        tr = run_scenario(parse_scenario_dict(d))
+        assert tr.meta["stats"]["steps_per_rung"] == rungs
+        assert [t for t, _ in tr.events] == pytest.approx([ev["t_s"] for ev in events])
+        assert np.isfinite(tr.v).all() and np.isfinite(tr.i_o).all()
 
     def test_noise_runs_at_two_dt_per_step(self):
         # Noise, drawn per dt, crosses a step of several dt through the
@@ -311,6 +311,16 @@ def _mutated(doc, path, value, delete=False):
     return doc
 
 
+@pytest.mark.parametrize("step_multiple", range(1, 13))
+def test_every_step_multiple_the_parser_accepts_constructs(step_multiple):
+    # What the parser accepts, Simulation accepts: each document at every k
+    # from 1 to 12, whatever its t_end, sample interval and event times.
+    for name, doc in _documents().items():
+        doc["sim"]["step_multiple"] = step_multiple
+        sc = parse_scenario_dict(doc)
+        assert Simulation(sc).config.step_multiple == step_multiple, name
+
+
 def test_parser_raises_only_scenario_error():
     """Any one subtree or key of a valid document replaced by any JSON value
     (or deleted, or added) gives a Scenario or a ScenarioError, never another
@@ -331,7 +341,7 @@ def test_parser_raises_only_scenario_error():
     def mutations(draw):
         name = draw(st.sampled_from(sorted(docs)))
         op = draw(st.sampled_from(("replace", "delete", "add", "step_multiple")))
-        if op == "step_multiple":  # mostly inconsistent with t_end and the events
+        if op == "step_multiple":  # any k runs: steps end at events, samples and t_end
             return name, ("sim", "step_multiple"), draw(st.integers(1, 12)), False
         path = draw(st.sampled_from(paths[name]))
         if op == "add" and isinstance(_at(docs[name], path), dict):
@@ -414,13 +424,11 @@ def test_valid_documents_round_trip_exactly():
                           "connected", st.booleans()) for k in range(1, n + 1)]
         caps = [{"node": f"n{k}", "c_farad": draw(st.floats(0.0, 1e-3))}
                 for k in range(1, n + 1) if draw(st.booleans())]
-        # Two to ten dt per step, or one; t_end, the sample interval and the
-        # events are drawn on that step grid.
+        # One to ten dt per step, whatever t_end, the sample interval and
+        # the event times.
         dt, mult = draw(st.floats(1e-6, 1e-3)), draw(st.integers(1, 10))
-        times = st.floats(0.0, 1.0) if mult == 1 else \
-            st.integers(0, 12_000).map(lambda i: dt * mult * i)
         events = []
-        for t in sorted(draw(st.lists(times, max_size=4))):
+        for t in sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4))):
             k = draw(st.integers(1, n))
             kind = draw(st.sampled_from(["connect", "disconnect", "load_step",
                                          "set_point"]))
@@ -436,11 +444,11 @@ def test_valid_documents_round_trip_exactly():
                                "q": {"q_star_var": draw(finite)}}.get(key)
                               or peak(draw, "v_star"))
             events.append(ev)
-        sim = {"dt_s": dt, "t_end_s": dt * mult * draw(st.integers(1, 100_000 // mult))}
+        sim = {"dt_s": dt, "t_end_s": dt * draw(st.integers(1, 100_000))}
         if mult > 1 or draw(st.booleans()):
             sim["step_multiple"] = mult
         maybe(draw, sim, "controller_sample_hz",
-              st.integers(1, 10).map(lambda steps: 1.0 / (steps * mult * dt)))
+              st.integers(1, 100).map(lambda steps: 1.0 / (steps * dt)))
         maybe(draw, sim, "network_model", st.sampled_from(["dynamic", "quasistatic"]))
         maybe(draw, sim, "record_decimation", st.integers(1, 100))
         maybe(draw, sim, "noise_seed", st.integers(0, 2**70))

@@ -784,18 +784,23 @@ class TestStepByAccuracy:
                 np.abs(got.i_o - want.i_o).max() / np.abs(want.i_o).max(),
                 max(np.abs(got.p - want.p).max(), np.abs(got.q - want.q).max()) / s_max)
 
-    def test_noise_crosses_multi_dt_steps(self):
-        # The noisy, sampled grid at the K its segments choose (2 or 4)
-        # against the same file at one dt per step: a step of r dt adds
-        # sum_j exp((r - j) dt A) xi_j of its per-dt draws, and a record
-        # inside it the partial sum up to its offset.  Measured: 2.7e-6
-        # (v), 2.4e-5 (i_o), 2.4e-5 (p/q) of scale; adding the raw sum of
-        # the draws instead reads 6.6e-5, 2.6e-4 and 2.2e-4.  The noise
-        # itself moves the run by 1.8e-3 (v) and 5.9e-3 (p/q); without it
-        # the chosen K reads 7.1e-9, 1.3e-8 and 9.6e-9 (the next test).
+    @pytest.mark.parametrize("step_multiple", [None, 3, 4, 8])
+    def test_noise_crosses_multi_dt_steps(self, step_multiple):
+        # The noisy, sampled grid at the K its segments choose (2 or 4), or
+        # at a fixed K of 3, 4 or 8, each step shortened to end at the next
+        # event, sample or t_end, against the same file at one dt per step:
+        # a step of r dt adds sum_j exp((r - j) dt A) xi_j of its per-dt
+        # draws, and a record inside it the partial sum up to its offset.
+        # Measured at the chosen K: 2.8e-6 (v), 2.4e-5 (i_o), 2.4e-5 (p/q)
+        # of scale; adding the raw sum of the draws instead reads 6.6e-5,
+        # 2.6e-4 and 2.2e-4.  The noise itself moves the run by 1.8e-3 (v)
+        # and 5.9e-3 (p/q); without it the chosen K reads 7.1e-9, 1.3e-8
+        # and 9.6e-9 (the next test).  At K 3 the steps are {1: 500, 3:
+        # 501}, 2.1e-6, 2.2e-5 and 2.2e-5; at K 4 or 8 {1: 5, 2: 3, 4: 498},
+        # 3.9e-6, 3.1e-5 and 3.1e-5.
         sc = parse_scenario_dict(noisy_grid_dict())
         one = run_scenario(sc, replace(sc.sim, step_multiple=1))
-        tr = run_scenario(sc)
+        tr = run_scenario(sc, replace(sc.sim, step_multiple=step_multiple))
         assert max(r for r in tr.meta["stats"]["steps_per_rung"]) > 1
         dev_v, dev_i, dev_s = self.group_deviations(tr, one)
         assert dev_v <= 1e-5, dev_v
@@ -871,14 +876,18 @@ class TestStepByAccuracy:
         assert (ends, inside) == {"paper-fig7": (1801, 7200),
                                   "mixed-grid-two-grids": (176, 25)}.get(name, (161, 40))
 
-    def test_steps_stop_at_events_samples_and_t_end(self):
-        # Every step is a power of two up to its segment's K and ends on or
-        # before the next event, controller sample and t_end: so every
-        # event step, every sample step (multiples of 4, and the step of
-        # each event) and t_end are step boundaries.  Events are applied at
-        # the same dt step and t as in the one-dt run, and every record
-        # lies on the dt grid.
+    @pytest.mark.parametrize("step_multiple", [None, 3, 8])
+    def test_steps_stop_at_events_samples_and_t_end(self, step_multiple):
+        # One rule at a chosen K and at an explicit step_multiple alike:
+        # every step is its segment's K, or a power of two below K, and
+        # ends on or before the next event, controller sample and t_end, so
+        # every event step, every sample step (multiples of 4, and the step
+        # of each event) and t_end are step boundaries, though 3 divides
+        # none of the events, t_end or the sample interval.  Events are
+        # applied at the same dt step and t as in the one-dt run, and every
+        # record lies on the dt grid.
         sc = parse_scenario_dict(noisy_grid_dict())
+        sc = replace(sc, sim=replace(sc.sim, step_multiple=step_multiple))
         sim = Simulation(sc)
         bounds = [0]
         while sim.step_index < round(sc.sim.t_end / sc.sim.dt):
@@ -887,13 +896,16 @@ class TestStepByAccuracy:
         events = [sc.sim.event_step(ev.time) for ev in sc.events]
         assert events == [503, 1201]
         samples = set(range(0, 2003, 4)) | set(events)
+        stops = sorted(samples | {2003})
         assert samples <= set(bounds) and bounds[-1] == 2003
         ks = {seg["step"]: seg["k"] for seg in sim._segments}
         assert sorted(ks) == [0, *events]
+        assert step_multiple is None or set(ks.values()) == {step_multiple}
         for start, end in zip(bounds, bounds[1:]):
             k = ks[max(s for s in ks if s <= start)]
             r = end - start
-            assert r & (r - 1) == 0 and r <= k, (start, end)
+            assert r == k or (r & (r - 1) == 0 and r < k), (start, end)
+            assert end <= min(s for s in stops if s > start), (start, end)
         one = run_scenario(sc, replace(sc.sim, step_multiple=1))
         tr = run_scenario(sc)
         assert tr.events == one.events
@@ -1154,6 +1166,7 @@ class TestFailureModes:
         ("batch-mid-block", (0.0125, 125, 1, "m1", "inv1")),
         ("batch-mid-block-decimated", (0.0126, 126, 1, "m1", "inv1")),
         ("divergence-inside-a-step", (0.003, 3, 0, "pu-test", "inv1")),
+        ("divergence-after-the-last-record", (0.05, 50, 0, "pu-test", "inv1")),
     ])
     def test_divergence_fields_match_a_check_at_every_record(self, case, want):
         # Records are checked finite in blocks, but the diagnostic names the
@@ -1163,15 +1176,17 @@ class TestFailureModes:
         # record, which flushes the block before the event is applied; and a
         # batch whose member 1 diverges mid-block, every step recorded or
         # every 7th; and, at two dt per step, a first non-finite record
-        # inside a step, named by its own dt step.
+        # inside a step, named by its own dt step; and, recording every
+        # 100th of 50 steps, a state that turns non-finite after the one
+        # record, at t = 0, named by the run's final check at t_end.
         if case.startswith("divergence"):
             events = [{"t_s": 0.002, "type": "load_step", "node": "bus",
                        "g_siemens": 0.3}] if case.endswith("event") else []
             sim = Simulation(pu_scenario(
                 initial={"mode": "explicit", "v_alpha": 1e3, "v_beta": 0.0}, events=events,
                 sim={"dt_s": 1e-3, "t_end_s": 0.05, "network_model": "quasistatic",
-                     "record_decimation": 1, "noise_seed": 0,
-                     "step_multiple": 2 if case.endswith("step") else None}))
+                     "record_decimation": 100 if case.endswith("record") else 1,
+                     "noise_seed": 0, "step_multiple": 2 if case.endswith("step") else None}))
         else:
             sim = Simulation(self.divergent_batch(7 if case.endswith("decimated") else 1))
         with pytest.raises(SimulationDiverged) as exc:
@@ -1194,11 +1209,6 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-5, controller_sample_hz=8000.0)  # 12.5 steps
         assert SimConfig(dt=1e-5, controller_sample_hz=1250.0).sample_steps == 80
-        with pytest.raises(ValueError, match="t_end/dt = 100000 steps"):
-            SimConfig(step_multiple=3)
-        with pytest.raises(ValueError, match="sample interval of 80 steps"):
-            SimConfig(controller_sample_hz=1250.0, step_multiple=25)
-        assert SimConfig(noise_amplitude=1e-3, step_multiple=2).stride == 2
         for bad in (0, 2.0, 101, True):
             with pytest.raises(ValueError, match="step_multiple"):
                 SimConfig(step_multiple=bad)
@@ -1214,17 +1224,22 @@ class TestFailureModes:
             for bad in (True, False, "1", float("inf")):
                 with pytest.raises(ValueError, match=f"{name} must"):
                     SimConfig(**{name: bad})
-        assert SimConfig(controller_sample_hz=1250.0, step_multiple=40).stride == 40
 
-    def test_event_off_the_step_grid_rejected_unless_never_reached(self):
-        # A load step at dt step 5001 cannot start a step of 2 dt.
+    def test_event_off_the_step_multiple_applied_at_its_dt_step(self):
+        # A load step at dt step 5001 at two dt per step: the step before
+        # it and the run's last step are shortened to one dt, and the event
+        # is applied at t = 0.10002 as at one dt per step.  Measured against
+        # that run: 1.0e-13 of the largest |v|.
         sc = pu_scenario(events=[{"t_s": 0.10002, "type": "load_step", "node": "bus",
                                   "g_siemens": 0.4}])
-        with pytest.raises(ValueError, match="applied at dt step 5001"):
-            Simulation(sc, replace(sc.sim, step_multiple=2))
-        Simulation(sc, replace(sc.sim, step_multiple=2, t_end=0.1))  # never reached
+        tr = run_scenario(sc, replace(sc.sim, step_multiple=2))
+        one = run_scenario(sc, replace(sc.sim, step_multiple=1))
+        assert tr.meta["stats"]["steps_per_rung"] == {1: 2, 2: 7499}
+        assert [t for t, _ in tr.events] == [5001 * sc.sim.dt] == [t for t, _ in one.events]
+        assert tr.events[0][0] == pytest.approx(0.10002, abs=1e-15)
+        assert np.abs(tr.v - one.v).max() <= 1e-12 * np.abs(one.v).max()
         # An event far beyond the run, whose t/dt overflows a float, is never
-        # reached either (it once raised OverflowError).
+        # reached (it once raised OverflowError).
         far = pu_scenario(events=[{"t_s": 1e300, "type": "load_step", "node": "bus",
                                    "g_siemens": 0.4}],
                           sim={"dt_s": 1e-10, "t_end_s": 1e-7, "network_model": "quasistatic",

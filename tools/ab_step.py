@@ -42,8 +42,9 @@ against the signal it summarises, and "other" (t, theta, frequencies,
 ratios, ordinates, ...) relative to each column's own.  A difference in a
 text cell, a NaN, the file list, the exit code or a manifest field is
 named as such.  Beside the verdict it prints each side's K per compile
-segment and integrator step count, from the same operation's
-``Simulation`` run again in this process (of a sweep, its first member).
+segment, integrator step count and steps per rung, from the same
+operation's ``Simulation`` run again in this process (of a sweep, its first
+member).
 
 Workloads:
     fig7           -- paper-fig7, the all-oscillator dispatch run
@@ -169,15 +170,17 @@ def us_per_step(mods, members):
 
 
 def step_sizes(meta):
-    """K per compile segment (one value if all agree) and the step count of
-    a run, from its trace's meta; a tree without run stats steps k =
-    step_multiple (1 if unset) throughout."""
-    if "stats" in meta:
-        ks = [seg["k"] for seg in meta["stats"]["segments"]]
-    else:
-        ks = [meta["step_multiple"]]
+    """K per compile segment (one value if all agree), the step count and,
+    from a tree with run stats, the steps per rung of a run, from its
+    trace's meta: steps shortened to end at an event, sample or t_end take
+    rungs below K.  A tree without run stats steps k = step_multiple (1 if
+    unset) throughout."""
+    if "stats" not in meta:
+        return f"K {meta['step_multiple'] or 1} steps {meta['steps']}"
+    ks = [seg["k"] for seg in meta["stats"]["segments"]]
     ks = ks if len(set(ks)) > 1 else ks[:1]
-    return f"K {','.join(map(str, ks))} steps {meta['steps']}"
+    rungs = ",".join(f"{r}:{n}" for r, n in sorted(meta["stats"]["steps_per_rung"].items()))
+    return f"K {','.join(map(str, ks))} steps {meta['steps']} rungs {rungs}"
 
 
 def op_meta(src, cmd):

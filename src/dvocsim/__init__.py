@@ -2,8 +2,8 @@
 
 The package is organized as:
 
-* :mod:`dvocsim.control`  -- the oscillator control law, its polar/droop forms
-  and the conventional droop baseline (pure functions).
+* :mod:`dvocsim.control`  -- controller parameters, the oscillator law's
+  polar form and its droop approximations (pure functions).
 * :mod:`dvocsim.network`  -- RL-branch / shunt-capacitor / resistive-load
   electrical network models (quasi-static phasor and dynamic).
 * :mod:`dvocsim.sim`      -- fixed-step exponential (ETDRK4) integration of
@@ -13,6 +13,8 @@ The package is organized as:
   trace metrics, and the set-point consistency checker.
 * :mod:`dvocsim.scenario` -- scenario schema, parser, and built-in scenarios.
 * :mod:`dvocsim.cli`      -- command-line front end.
+* :mod:`dvocsim.values`   -- the ``value_type`` decorator: dataclasses whose
+  methods every value type shares, generated by no per-process ``exec``.
 """
 
 __version__ = "0.1.0"
@@ -21,19 +23,10 @@ from .control import (
     DvocParams,
     DroopParams,
     PolarState,
-    J,
-    rotation,
-    gain_matrix,
-    magnitude_error,
-    phase_error,
-    dvoc_rhs,
     dvoc_rhs_polar,
-    droop_rhs,
     droop_approx_freq,
     droop_approx_vmag_ss,
     droop_vmag_tangent_ss,
-    kappa_from_line,
-    current_for_power,
 )
 from .network import (
     Branch,
@@ -45,13 +38,9 @@ from .network import (
     SetPointUpdate,
     Event,
     apply_event,
-    build_admittance,
     build_admittance_complex,
     reduced_admittance,
-    solve_currents_quasistatic,
-    dynamic_rhs,
     DynamicNetwork,
-    measure_power,
 )
 from .sim import (SimConfig, InitialCondition, Trace, Simulation,
                   SimulationDiverged, run_scenario)

@@ -11,7 +11,7 @@ which runs all its grid points as the members of one batched simulation
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,11 +21,12 @@ from .network import Branch, forward_power_flow
 from .numerics import gauss_newton
 from .scenario import ScenarioError
 from .sim import Simulation
+from .values import value_type
 
 
 # --- black start -------------------------------------------------------------
 
-@dataclass
+@value_type
 class BlackStartCurve:
     """Analytic amplitude trajectory |v(t)| during black start.
 
@@ -70,7 +71,7 @@ def blackstart_analytic(v0, params, times):
     return BlackStartCurve(times=times, magnitudes=mags, h0=h0, degenerate=False)
 
 
-@dataclass
+@value_type
 class BlackStartComparison:
     """Max relative deviation of a simulated amplitude envelope from the
     analytic curve over the 5 %..95 % rise interval."""
@@ -198,7 +199,7 @@ def sync_time(trace, threshold=0.02, event_time=None, v_ref=None, omega0=None):
     return None
 
 
-@dataclass
+@value_type
 class SyncMetrics:
     """Steady-state and synchronization quantities derived from a trace."""
 
@@ -246,7 +247,7 @@ def compute_metrics(trace, omega0, v_ref=None, periods=5, sync_threshold=0.02):
 
 # --- droop curves ------------------------------------------------------------
 
-@dataclass
+@value_type
 class DroopCurve:
     """Sampled droop characteristic: strictly increasing abscissa (p or q)
     against the steady ordinate (omega, rad/s, or |v|, V)."""
@@ -291,7 +292,7 @@ def stationary_magnitude(params, p, q):
     raise ValueError(f"no stationary amplitude in [{lo:g}, {hi:g}] for p={p:g}, q={q:g}")
 
 
-@dataclass
+@value_type
 class DroopSweepResult:
     """Exact stationary curve with its linear overlays.
 
@@ -308,26 +309,28 @@ class DroopSweepResult:
 
 def droop_sweep_closed_form(params, grid, axis):
     """Steady-state droop curve from the stationarity conditions of the
-    polar law, with linear approximations for overlay.
+    polar law, with linear approximations for overlay (``droop_overlays``).
 
     axis "p": ordinate is the frequency of the polar law at q = q_star and
     the stationary amplitude; axis "q": ordinate is the stationary amplitude
-    at p = p_star.  Raises ValueError where a point has none.
+    at p = p_star.  Raises ValueError where a point has none.  Without a
+    tangent (q* >= alpha v*^2) the linear curve reads NaN.
     """
     grid = np.asarray(sorted(grid), dtype=float)
-    linear, coarse = _linear_ordinates(params, grid, axis)
-    exact = [_exact_ordinate(params, x, axis) for x in grid]
+    exact, linear, coarse = droop_overlays(params, grid, axis)
+    for x in grid[np.isnan(exact)]:
+        _exact_ordinate(params, x, axis)  # raises the point's ValueError
     kind = "omega" if axis == "p" else "vmag"
-    return DroopSweepResult(*(DroopCurve(grid, np.array(y, dtype=float), axis, kind,
-                                         "closed_form") for y in (exact, linear, coarse)))
+    return DroopSweepResult(*(DroopCurve(grid, y, axis, kind, "closed_form")
+                              for y in (exact, linear, coarse)))
 
 
 def droop_overlays(params, abscissae, axis):
-    """The exact, linear and coarse ordinates of ``droop_sweep_closed_form``
-    at each of the abscissae, in their order, as three arrays: the linear
-    forms in one call each, the exact one per point.  A point without a
-    stationary amplitude reads NaN in all three; without a tangent (q* >=
-    alpha v*^2) the linear overlay reads NaN at every point."""
+    """The exact, linear and coarse droop ordinates at each of the
+    abscissae, in their order, as three arrays: the linear forms in one
+    call each, the exact one per point.  A point without a stationary
+    amplitude reads NaN in all three; without a tangent (q* >= alpha
+    v*^2) the linear overlay reads NaN at every point."""
     x = np.asarray(abscissae, dtype=float)
     try:
         linear, coarse = _linear_ordinates(params, x, axis)
@@ -365,7 +368,7 @@ def _exact_ordinate(params, x, axis):
     return stationary_magnitude(params, params.p_star, x)
 
 
-@dataclass
+@value_type
 class SweepPoint:
     target: float
     p: float
@@ -375,7 +378,7 @@ class SweepPoint:
     settled: bool
 
 
-@dataclass
+@value_type
 class SimulatedSweep:
     curve: DroopCurve
     points: list
@@ -477,7 +480,7 @@ def droop_sweep_simulated(template, axis, grid, config=None):
 
 # --- set-point consistency ----------------------------------------------------
 
-@dataclass
+@value_type
 class ConsistencyReport:
     """Result of matching set-points against the quasi-static power flow.
 

@@ -18,16 +18,11 @@ All functions are pure and stateless.
 """
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-# Quarter-turn rotation, written out exactly (rotation(pi/2) carries ~1e-16
-# cosine residue).
-J = np.array([[0.0, -1.0], [1.0, 0.0]])
+from .values import value_type
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class DvocParams:
     """Oscillator controller constants and set-points.
 
@@ -66,7 +61,7 @@ class DvocParams:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class DroopParams:
     """Conventional droop controller constants (frequency and amplitude laws).
 
@@ -91,7 +86,7 @@ class DroopParams:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class PolarState:
     """Voltage in polar form: (amplitude, unwrapped angle)."""
 
@@ -103,72 +98,6 @@ class PolarState:
             raise ValueError("PolarState fields must be finite")
         if self.magnitude < 0.0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-
-
-def rotation(kappa):
-    """2D rotation matrix [[cos k, -sin k], [sin k, cos k]]."""
-    if not math.isfinite(kappa):
-        raise ValueError("kappa must be finite")
-    c, s = math.cos(kappa), math.sin(kappa)
-    return np.array([[c, -s], [s, c]])
-
-
-def gain_matrix(params):
-    """Set-point gain matrix (1/v_star^2) R(kappa) (p_star*I - q_star*J).
-
-    Equals (1/v_star^2) R(kappa) [[p_star, q_star], [-q_star, p_star]].
-    """
-    core = params.p_star * np.eye(2) - params.q_star * J
-    return rotation(params.kappa) @ core / params.v_star**2
-
-
-def magnitude_error(v, v_star):
-    """Normalized amplitude error (v_star^2 - |v|^2) / v_star^2.
-
-    Zero exactly when the amplitude sits at the set-point; 1 at the origin.
-    """
-    if v_star <= 0.0:
-        raise ValueError(f"v_star must be > 0, got {v_star}")
-    v = np.asarray(v, dtype=float)
-    return (v_star**2 - float(v @ v)) / v_star**2
-
-
-def phase_error(v, i_o, params):
-    """Synchronization error K v - R(kappa) i_o.
-
-    Vanishes exactly when v @ i_o = p_star, v @ J i_o = q_star and
-    |v| = v_star simultaneously.
-    """
-    v = np.asarray(v, dtype=float)
-    i_o = np.asarray(i_o, dtype=float)
-    return gain_matrix(params) @ v - rotation(params.kappa) @ i_o
-
-
-def dvoc_rhs(state, i_o, params):
-    """Oscillator voltage derivative dv/dt, V/s.
-
-    dv/dt = omega0 J v + eta (K v - R(kappa) i_o + alpha phi(v) v), built here
-    from the phase/magnitude error decomposition so that
-    dvoc_rhs == omega0 J v + eta*phase_error + eta*alpha*magnitude_error*v
-    holds to rounding.
-    """
-    v = np.asarray(state, dtype=float)
-    e_theta = phase_error(v, i_o, params)
-    e_v = magnitude_error(v, params.v_star) * v
-    return params.omega0 * (J @ v) + params.eta * e_theta + params.eta * params.alpha * e_v
-
-
-def current_for_power(v, p, q):
-    """The unique current with v @ i = p and v @ J i = q, for v != 0.
-
-    i = (p v - q J v) / |v|^2; inverts the power measurement and is how a
-    polar-form (p, q) pair is mapped back to a terminal current.
-    """
-    v = np.asarray(v, dtype=float)
-    n2 = float(v @ v)
-    if n2 == 0.0:
-        raise ValueError("current_for_power undefined at v = 0")
-    return (p * v - q * (J @ v)) / n2
 
 
 def dvoc_rhs_polar(state, p, q, params):
@@ -190,17 +119,6 @@ def dvoc_rhs_polar(state, p, q, params):
     dmag = params.eta * r * (ck * cp + sk * cq) \
         + params.eta * params.alpha / vs2 * (vs2 - r**2) * r
     dtheta = params.omega0 + params.eta * (sk * cp - ck * cq)
-    return dmag, dtheta
-
-
-def droop_rhs(state, p, q, params):
-    """Conventional droop baseline: (d|v|/dt, dtheta/dt).
-
-    dtheta/dt = omega0 + kp (p_star - p)
-    d|v|/dt   = -|v| + v_star + kq (q_star - q)
-    """
-    dtheta = params.omega0 + params.kp * (params.p_star - p)
-    dmag = -state.magnitude + params.v_star + params.kq * (params.q_star - q)
     return dmag, dtheta
 
 
@@ -230,16 +148,3 @@ def droop_vmag_tangent_ss(q, params):
     if denom <= 0.0:
         raise ValueError("tangent undefined: alpha v_star^2 must exceed q_star")
     return params.v_star + (params.q_star - q) / denom
-
-
-def kappa_from_line(omega0, l, r):
-    """Impedance angle atan2(omega0 L, R) of a series RL line, in [0, pi/2].
-
-    This is the kappa for which the controlled network is provably stable
-    when all lines share the same L/R ratio.
-    """
-    if r < 0.0 or l < 0.0:
-        raise ValueError("R and L must be >= 0")
-    if r == 0.0 and l == 0.0:
-        raise ValueError("R and L cannot both be zero")
-    return math.atan2(omega0 * l, r)

@@ -24,18 +24,18 @@ capacitor's.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
-from .control import J
+from .values import value_type
 
 
 class TopologyError(ValueError):
     """Structurally unusable network (singular reduction, bad node refs, ...)."""
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Branch:
     """Series RL branch.  R >= 0, L >= 0, not both zero."""
 
@@ -57,7 +57,7 @@ class Branch:
             raise ValueError(f"branch {self.branch_id}: self-loop")
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Topology:
     """Inverter nodes, RL branches, resistive loads and shunt capacitors.
 
@@ -117,23 +117,23 @@ class Topology:
 
 # --- timeline events ------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class ConnectBranch:
     branch_id: str
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class DisconnectBranch:
     branch_id: str
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class LoadStep:
     node: str
     conductance: float
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class SetPointUpdate:
     """Routed to the controller, leaves the topology unchanged."""
 
@@ -143,7 +143,7 @@ class SetPointUpdate:
     v_star: float = None
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class Event:
     time: float
     action: object
@@ -255,25 +255,6 @@ def build_admittance_complex(topo, omega):
     return y
 
 
-def _complex_to_block(c):
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
-
-
-def build_admittance(topo, omega):
-    """Node admittance matrix as 2x2 real blocks acting on alpha-beta vectors.
-
-    Row/column pairs (2k, 2k+1) correspond to node k of ``topo.live_nodes()``;
-    the block for complex admittance a + jb is [[a, -b], [b, a]].
-    """
-    yc = build_admittance_complex(topo, omega)
-    n = yc.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for k in range(n):
-            out[2 * i:2 * i + 2, 2 * k:2 * k + 2] = _complex_to_block(yc[i, k])
-    return out
-
-
 def reduced_admittance(topo, omega):
     """Source-node admittance after eliminating all interior/load nodes.
 
@@ -294,30 +275,6 @@ def forward_power_flow(topo, omega, v_stars, angles):
     v = v_stars * np.exp(1j * angles)
     s = np.conj(v) * (m @ v)
     return s.real, -s.imag
-
-
-def solve_currents_quasistatic(topo, omega, inverter_voltages):
-    """Phasor current injected by each inverter, shunt-cap current included.
-
-    ``inverter_voltages`` is a sequence of alpha-beta 2-vectors aligned with
-    ``topo.inverter_nodes``; returns an (n_inverter, 2) array of currents.
-    """
-    vs = np.asarray(inverter_voltages, dtype=float)
-    if vs.ndim != 2 or vs.shape != (len(topo.inverter_nodes), 2):
-        raise ValueError("inverter_voltages must be (n_inverters, 2)")
-    m = reduced_admittance(topo, omega)
-    vc = vs[:, 0] + 1j * vs[:, 1]
-    ic = m @ vc
-    return np.column_stack([ic.real, ic.imag])
-
-
-def measure_power(v, i_o):
-    """Instantaneous (p, q) at a terminal: p = v.i, q = v.(J i)."""
-    v = np.asarray(v, dtype=float)
-    i_o = np.asarray(i_o, dtype=float)
-    p = float(v @ i_o)
-    q = float(v @ (J @ i_o))
-    return p, q
 
 
 # --- dynamic (branch-current state) model ----------------------------------
@@ -368,30 +325,6 @@ class DynamicNetwork:
         with np.errstate(over="ignore"):
             self.branch_rates /= self.l[:, None]
 
-    def rhs(self, branch_currents, source_voltages):
-        """d(branch currents)/dt for complex branch currents and source voltages."""
-        return self.branch_rates @ np.concatenate([source_voltages, branch_currents])
-
-    def source_branch_currents(self, branch_currents, source_voltages):
-        """Current injected by each source into the network (no cap term)."""
-        return self.injection @ np.concatenate([source_voltages, branch_currents])
-
     def magnetic_energy(self, branch_currents):
         """Total stored branch energy, sum of L |i|^2 / 2."""
         return float(0.5 * np.sum(self.l * np.abs(branch_currents) ** 2))
-
-
-def dynamic_rhs(topo, branch_currents, inverter_voltages):
-    """Branch-current derivatives for the dynamic model.
-
-    ``branch_currents`` is (n_dyn_branches, 2) in alpha-beta components,
-    aligned with ``DynamicNetwork(topo).branch_ids``; likewise the returned
-    derivative.  ``inverter_voltages`` is (n_inverters, 2).
-    """
-    net = DynamicNetwork(topo)
-    ib = np.asarray(branch_currents, dtype=float)
-    vs = np.asarray(inverter_voltages, dtype=float)
-    if ib.shape != (net.n_branches, 2):
-        raise ValueError(f"branch_currents must be ({net.n_branches}, 2)")
-    didt = net.rhs(ib[:, 0] + 1j * ib[:, 1], vs[:, 0] + 1j * vs[:, 1])
-    return np.column_stack([didt.real, didt.imag])

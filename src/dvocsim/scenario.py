@@ -31,7 +31,6 @@ import functools
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .network import (Branch, ConnectBranch, DisconnectBranch, DynamicNetwork, E
                       forward_power_flow)
 from .numerics import gauss_newton
 from .sim import InitialCondition, SimConfig
+from .values import value_type
 
 SQRT2 = math.sqrt(2.0)
 _OUTPUTS = ("trace", "metrics")
@@ -54,7 +54,7 @@ class ScenarioError(ValueError):
         super().__init__("scenario validation failed:\n  " + "\n  ".join(self.errors))
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class InverterSpec:
     inverter_id: str
     node: str
@@ -62,7 +62,7 @@ class InverterSpec:
     initial: InitialCondition
 
 
-@dataclass
+@value_type
 class Scenario:
     """A fully resolved scenario: inverters, topology, events, and sim config."""
 

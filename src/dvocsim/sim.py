@@ -42,7 +42,7 @@ after one step, ``run()`` the loop from t = 0 to t_end.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 # N's ufuncs as module names: an attribute of the numpy module costs about
@@ -52,6 +52,7 @@ from numpy import absolute, add, divide, maximum, multiply, subtract
 from .control import DvocParams, DroopParams
 from .network import DynamicNetwork, SetPointUpdate, apply_event, reduced_admittance
 from .numerics import expm
+from .values import value_type
 
 
 class SimulationDiverged(RuntimeError):
@@ -86,7 +87,7 @@ def _number(value, kind=(int, float)):
             and -math.inf < value < math.inf)
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class SimConfig:
     """Integration settings.
 
@@ -163,7 +164,7 @@ class SimConfig:
         return max(0, math.ceil(x))
 
 
-@dataclass(frozen=True)
+@value_type(frozen=True)
 class InitialCondition:
     """Per-inverter initial voltage.
 
@@ -195,7 +196,7 @@ RECORD_BLOCK = 256
 _EPS = 2.0**-500
 
 
-@dataclass
+@value_type
 class Trace:
     """Uniformly sampled simulation record.
 

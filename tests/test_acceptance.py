@@ -17,15 +17,14 @@ import pytest
 
 from dvocsim import analysis
 from dvocsim.cli import main as cli_main
-from dvocsim.control import (DvocParams, PolarState, current_for_power,
-                             droop_approx_freq, droop_vmag_tangent_ss, dvoc_rhs,
-                             dvoc_rhs_polar)
+from dvocsim.control import (DvocParams, PolarState, droop_approx_freq,
+                             droop_vmag_tangent_ss, dvoc_rhs_polar)
 from dvocsim.network import ConnectBranch, apply_event
 from dvocsim.scenario import builtin_scenario, parse_scenario_dict
 from dvocsim.sim import run_scenario
 
 from conftest import OMEGA0, pu_scenario_dict
-from oracles import integrate_magnitude_ode
+from oracles import current_for_power, dvoc_rhs, integrate_magnitude_ode
 
 V_PEAK = 120.0 * math.sqrt(2.0)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -330,6 +331,23 @@ class TestDroopSweepClosedForm:
             with_missing = np.array(analysis.droop_overlays(PU_PARAMS, grid + [10.0], axis))
             assert np.isnan(with_missing[:, -1]).all()
             assert np.array_equal(with_missing[:, :-1], got)
+
+    def test_without_a_tangent_only_the_linear_curve_is_nan(self):
+        # droop-ref at q* = 1 > alpha v*^2: the tangent is undefined, the
+        # exact and coarse curves are not; a point with no stationary
+        # amplitude (past the nose, q = 1.05) still raises.
+        from dvocsim.scenario import builtin_scenario
+        params = replace(builtin_scenario("droop-ref").inverters[0].params, q_star=1.0)
+        grid = [0.9, 0.95, 1.0]
+        res = analysis.droop_sweep_closed_form(params, grid, "q")
+        assert np.isnan(res.linear.ordinate).all()
+        assert res.exact.ordinate.tolist() == [
+            analysis.stationary_magnitude(params, params.p_star, q) for q in grid]
+        npt.assert_allclose(res.exact.ordinate, [1.1556, 1.1142, 1.0142], atol=5e-5)
+        npt.assert_array_equal(res.coarse.ordinate, droop_approx_vmag_ss(res.coarse.abscissa,
+                                                                         params))
+        with pytest.raises(ValueError, match="no stationary amplitude"):
+            analysis.droop_sweep_closed_form(params, [1.0, 1.05], "q")
 
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dvocsim.control import (DroopParams, DvocParams, J, PolarState, current_for_power,
-                             droop_approx_freq, droop_approx_vmag_ss, droop_rhs,
-                             droop_vmag_tangent_ss, dvoc_rhs, dvoc_rhs_polar,
-                             gain_matrix, kappa_from_line, magnitude_error,
-                             phase_error, rotation)
+from dvocsim.control import (DroopParams, DvocParams, PolarState, droop_approx_freq,
+                             droop_approx_vmag_ss, droop_vmag_tangent_ss, dvoc_rhs_polar)
 
 from conftest import OMEGA0, PU_PARAMS
+from oracles import (J, current_for_power, droop_rhs, dvoc_rhs, gain_matrix, kappa_from_line,
+                     magnitude_error, phase_error, rotation)
 
 
 def params(**kw):

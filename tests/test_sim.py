@@ -5,13 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dvocsim.control import DroopParams, PolarState, droop_rhs, dvoc_rhs
-from dvocsim.network import DynamicNetwork, measure_power, reduced_admittance
+from dvocsim.control import DroopParams, PolarState
+from dvocsim.network import DynamicNetwork, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
 from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, run_scenario
 
 from conftest import OMEGA0, pu_scenario, pu_scenario_dict
-from oracles import etdrk4_weights
+from oracles import (branch_rates_rhs, droop_rhs, dvoc_rhs, etdrk4_weights, measure_power,
+                     source_branch_currents)
 
 
 def unloaded_oscillator_dict(dt, t_end, v0=(1.0, 0.0), decim=1):
@@ -303,8 +304,8 @@ def oracle_derivative(mem, yv, held=None):
     v_all, ib = yv[:ns], yv[ns:]
     if mem.config.network_model == "dynamic":
         net = DynamicNetwork(mem.topology)
-        i_net = net.source_branch_currents(ib, v_all)
-        dib = net.rhs(ib, v_all)
+        i_net = source_branch_currents(net, ib, v_all)
+        dib = branch_rates_rhs(net, ib, v_all)
         caps = np.array([mem.topology.shunt_caps.get(n, 0.0)
                          for n in mem.topology.inverter_nodes])
     else:
@@ -345,7 +346,7 @@ class TestExponentialSplit:
                                       "mixed-droop-first", "mixed-droop-at-zero"])
     def test_split_rhs_matches_control_and_network_oracles(self, name, rng):
         # The model's rate A y + N(y), live and held, against dy/dt rebuilt
-        # from control.dvoc_rhs/droop_rhs and the network models; the
+        # from the oracles dvoc_rhs/droop_rhs and the network models; the
         # recorded i_o of the live model's outputs against the live oracle
         # current.  In "mixed-droop-at-zero" every sampled state has the
         # droop inverter at v = 0, whose direction both take as theta = 0.

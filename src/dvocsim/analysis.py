@@ -265,15 +265,16 @@ class DroopCurve:
             raise ValueError("droop curve abscissa must be strictly increasing")
 
 
-def stationary_magnitude(params, p, q):
+def stationary_magnitude(params, p, q, near=None):
     """Amplitude r at which d|v|/dt of the polar oscillator law vanishes.
 
     Divided by eta r and times u = r^2, the condition is a quadratic for any
     kappa k: a u^2 - b u + c = 0 with a = alpha/v*^2, c = cos k p + sin k q
     and b = alpha + (cos k p* + sin k q*)/v*^2.  Reactive demand above the
-    set-point gives a stable high-voltage root and a collapse root below it:
-    the larger root with r in [0.2, 2] v* is returned, and ValueError raised
-    if neither is.
+    set-point gives a stable high-voltage root and a collapse root below it.
+    Of the roots with r in [0.2, 2] v*, the one nearest ``near`` is
+    returned if given (the branch a run settled on), else the larger;
+    ValueError if there is none.
     """
     vs2 = params.v_star**2
     ck, sk = math.cos(params.kappa), math.sin(params.kappa)
@@ -285,10 +286,10 @@ def stationary_magnitude(params, p, q):
     if disc >= 0.0:
         # The roots as s/2a and 2c/s: neither subtracts two nearly equal terms.
         s = b + math.copysign(math.sqrt(disc), b)
-        for u in sorted((s / (2.0 * a), 2.0 * c / s if s else 0.0), reverse=True):
-            r = math.sqrt(max(u, 0.0))
-            if lo <= r <= hi:
-                return r
+        roots = [r for u in (s / (2.0 * a), 2.0 * c / s if s else 0.0)
+                 if lo <= (r := math.sqrt(max(u, 0.0))) <= hi]
+        if roots:
+            return max(roots) if near is None else min(roots, key=lambda r: abs(r - near))
     raise ValueError(f"no stationary amplitude in [{lo:g}, {hi:g}] for p={p:g}, q={q:g}")
 
 
@@ -325,12 +326,15 @@ def droop_sweep_closed_form(params, grid, axis):
                               for y in (exact, linear, coarse)))
 
 
-def droop_overlays(params, abscissae, axis):
+def droop_overlays(params, abscissae, axis, near=None):
     """The exact, linear and coarse droop ordinates at each of the
     abscissae, in their order, as three arrays: the linear forms in one
-    call each, the exact one per point.  A point without a stationary
-    amplitude reads NaN in all three; without a tangent (q* >= alpha
-    v*^2) the linear overlay reads NaN at every point."""
+    call each, the exact one per point.  With ``near``, each point's
+    simulated |v|, the exact curve takes at each point the root of the
+    stationarity quadratic nearest it, so past the nose it follows the
+    branch the run settled on; else the upper root.  A point without a
+    stationary amplitude reads NaN in all three; without a tangent (q* >=
+    alpha v*^2) the linear overlay reads NaN at every point."""
     x = np.asarray(abscissae, dtype=float)
     try:
         linear, coarse = _linear_ordinates(params, x, axis)
@@ -341,7 +345,7 @@ def droop_overlays(params, abscissae, axis):
     exact = np.full(len(x), math.nan)
     for k, xk in enumerate(x):
         try:
-            exact[k] = _exact_ordinate(params, xk, axis)
+            exact[k] = _exact_ordinate(params, xk, axis, None if near is None else near[k])
         except ValueError:
             pass  # no stationary point at this abscissa
     missing = np.isnan(exact)
@@ -358,14 +362,16 @@ def _linear_ordinates(params, x, axis):
     raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
 
 
-def _exact_ordinate(params, x, axis):
+def _exact_ordinate(params, x, axis, near=None):
     """The exact curve's ordinate at abscissa x: on the p axis the polar
-    law's frequency at the stationary amplitude, on the q axis that
-    amplitude.  ValueError where there is none."""
+    law's frequency at the stationary amplitude (the root nearest ``near``
+    if given, ``stationary_magnitude``), on the q axis that amplitude.
+    ValueError where there is none."""
     if axis == "p":
         q = params.q_star
-        return dvoc_rhs_polar(PolarState(stationary_magnitude(params, x, q)), x, q, params)[1]
-    return stationary_magnitude(params, params.p_star, x)
+        r = stationary_magnitude(params, x, q, near)
+        return dvoc_rhs_polar(PolarState(r), x, q, params)[1]
+    return stationary_magnitude(params, params.p_star, x, near)
 
 
 @value_type

@@ -7,7 +7,8 @@ built-in scenario name.  Each run writes its outputs plus a manifest
 reproduce the run bit-identically.
 
 Exit codes: 0 ok, 2 validation failure, 3 numeric failure.  Errors are
-reported as a JSON summary on stderr.
+reported as a JSON summary on stderr.  ``main(argv)`` returns the code;
+``entry`` is the process entry, which exits with it (see there).
 """
 
 import argparse
@@ -170,7 +171,8 @@ def _cmd_droop_sweep(args, argv):
     nan = float("nan")
     settled = [pt for pt in sweep.points if pt.settled]
     overlays = zip(*analysis.droop_overlays(
-        params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis))
+        params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis,
+        [pt.vmag for pt in settled]))
     rows = []
     for pt in sweep.points:
         if pt.settled:
@@ -315,5 +317,30 @@ def main(argv=None):
         return 3
 
 
+def entry():
+    """The process entry of ``python -m dvocsim.cli`` and the ``dvocsim``
+    script: run ``main`` on the process arguments, flush stdout and stderr,
+    and end the process with the returned code through ``os._exit``, so the
+    interpreter does not tear down every module, function and array one at
+    a time after the command is done.
+
+    - Every file a command writes, the CSVs, ``manifest.json`` and the
+      read-back for hashing included, is closed by its ``with`` block
+      before ``main`` returns.
+    - Only a returned code takes this exit.  argparse's usage errors and
+      ``--help`` raise SystemExit inside ``main``, and they, unexpected
+      exceptions, KeyboardInterrupt and a failing flush leave through the
+      interpreter's normal exit, with their traceback and code.
+    - What is given up: atexit handlers in the process do not run (dvocsim
+      registers none), so ``python -m cProfile -m dvocsim.cli ...`` and
+      coverage of a CLI subprocess record nothing.  Profile by calling
+      ``main`` in process, as ``perfbench/traced_cli.py`` does.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -664,12 +664,16 @@ class _Split:
         """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
         for a batch state y, (B, M), or (K, B, ns) each for a stack of them,
         (K, B, M).  i_o includes the capacitor current, whose dv/dt is
-        ``rate(y)`` of the live model."""
+        ``rate(y)`` of the live model on the inverter rows: A's product is
+        formed on those rows only, N over the whole state, as its droop law
+        reads the live current from every slot."""
         ns = self.ns
         i_net = np.matmul(self.g, y[..., None])[..., 0]
         if not self.dynamic:
             return y[..., :ns], i_net
-        return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
+        a_y = np.matmul(self.a[:, :ns], y[..., None])[..., 0]
+        n = self.nonlinear(y.reshape(y.shape[:-2] + (-1,))).reshape(y.shape)[..., :ns]
+        return y[..., :ns], i_net + self.caps * (a_y + n)
 
 
 class _Stages:
@@ -887,7 +891,7 @@ class Simulation:
     def _weights(self, r):
         """Rung r's entry of the segment's cache, built from its chain on
         first use: its four stage matrices in the form the step multiplies,
-        then its dense weights, None until ``_set_rung`` steps the rung."""
+        then its record weights, None until ``_record_weights`` builds them."""
         w = self._rungs.get(r)
         if w is None:
             etd = _stages(self._rows, self.config.dt * r, r)
@@ -895,16 +899,21 @@ class Simulation:
         return w
 
     def _set_rung(self, r):
-        """Step r dt from now on, with the rung's cached weights: its stage
-        matrices, its dense weights and, per offset j of a step's first
-        record inside it, the dense weights of the records at j, j +
-        decimation, ... < r, stacked."""
+        """Step r dt from now on, with the rung's cached stage matrices."""
+        self._etd = self._weights(r)[0]
+
+    def _record_weights(self, r):
+        """Rung r's record weights, built when a step of the rung first
+        holds a record inside it: per offset j of a step's first record
+        inside it, the dense weights (``_dense``) of the records at j, j +
+        decimation, ... < r, stacked.  A rung taken only to reach an event,
+        a sample or t_end builds none."""
         w = self._weights(r)
         if w[1] is None:
             dense, decim = _dense(self._rows, self.config.dt * r, r), self.config.record_decimation
-            w[1] = dense, [None] + [dense[j - 1:r - 1:decim][:, self._pick]
-                                    for j in range(1, min(decim, r - 1) + 1)]
-        self._etd, (self._dense, self._recs) = w
+            w[1] = [None] + [dense[j - 1:r - 1:decim][:, self._pick]
+                             for j in range(1, min(decim, r - 1) + 1)]
+        return w[1]
 
     def _apply_due_events(self):
         """Apply every member's events due at this step and restack."""
@@ -1054,7 +1063,7 @@ class Simulation:
             r = 1 << ((stop - k).bit_length() - 1) if k < stop < k + K else K
             if r != r_now:
                 self._set_rung(r)
-                r_now, recs = r, self._recs
+                r_now, recs = r, None
                 go, go_next = (self._stepper(v[0], self._etd) for v in (this, that))
             go(have_n)
             if noisy:
@@ -1066,6 +1075,7 @@ class Simulation:
             if k >= rec_at:
                 j = rec_at - k + r  # the first record's offset into the step
                 if j < r:
+                    recs = recs or self._record_weights(r)
                     n = len(recs[j])
                     np.matmul(recs[j], z, out=rec_out[row:row + n])
                     if noisy:

@@ -74,3 +74,17 @@ def test_import_op_times_a_fresh_interpreter_importing_the_cli(ab_step, tmp_path
     (line,) = capsys.readouterr().out.splitlines()
     assert line.split()[:2] == ["import", "s/run"] and "pairs" in line
     assert line.endswith(("gain holds", "unresolved"))
+
+
+def test_startup_op_times_a_whole_cli_process(ab_step, tmp_path):
+    # The startup op runs `python -m dvocsim.cli list-scenarios`: start-up,
+    # imports and the exit through the CLI's process entry, which the
+    # import op does not take.  A tree whose package fails to import fails it.
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    assert ab_step.CLI_OPS["startup"] == ["-m", "dvocsim.cli", "list-scenarios"]
+    assert 0.0 < ab_step.op_seconds(src, ab_step.CLI_OPS["startup"]) < 60.0
+    broken = tmp_path / "dvocsim"
+    broken.mkdir()
+    (broken / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    with pytest.raises(SystemExit, match="exited with 1"):
+        ab_step.op_seconds(str(tmp_path), ab_step.CLI_OPS["startup"])

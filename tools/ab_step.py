@@ -59,11 +59,16 @@ Workloads:
                       network
 
 CLI operations, the benchmark's three workloads (``perfbench/README.md``),
-and the import that every one of them starts with:
+the import that every one of them starts with, and the whole fixed cost of a
+CLI process:
     mixed-grid     -- ``simulate`` of that generated grid
     dispatch       -- ``simulate paper-fig7``
     droop-sweep    -- ``droop-sweep droop-ref --axis q`` on 10 points in +-0.05
-    import         -- ``python -c "import dvocsim.cli"``, nothing run
+    import         -- ``python -c "import dvocsim.cli"``, nothing run; the
+                      interpreter then exits normally
+    startup        -- ``python -m dvocsim.cli list-scenarios``: start-up,
+                      imports and the exit through the CLI's process entry,
+                      which ``import`` cannot see
 
 OUTPUT_OPS, for ``--outputs``:
     the five built-ins     -- ``simulate NAME``
@@ -103,6 +108,7 @@ CLI_OPS = {
     "droop-sweep": CLI + ["droop-sweep", "droop-ref", "--axis", "q", "--range=-0.05:0.05:10",
                           "--out", "{out}"],
     "import": ["-c", "import dvocsim.cli"],
+    "startup": CLI + ["list-scenarios"],
 }
 BUILTINS = ("paper-fig4", "paper-fig5", "paper-fig6", "paper-fig7", "droop-ref")
 SHIPPED_GRIDS = 16

@@ -664,16 +664,12 @@ class _Split:
         """Instantaneous (v, i_o) of every member's inverters, (B, ns) each,
         for a batch state y, (B, M), or (K, B, ns) each for a stack of them,
         (K, B, M).  i_o includes the capacitor current, whose dv/dt is
-        ``rate(y)`` of the live model on the inverter rows: A's product is
-        formed on those rows only, N over the whole state, as its droop law
-        reads the live current from every slot."""
+        ``rate(y)`` of the live model."""
         ns = self.ns
         i_net = np.matmul(self.g, y[..., None])[..., 0]
         if not self.dynamic:
             return y[..., :ns], i_net
-        a_y = np.matmul(self.a[:, :ns], y[..., None])[..., 0]
-        n = self.nonlinear(y.reshape(y.shape[:-2] + (-1,))).reshape(y.shape)[..., :ns]
-        return y[..., :ns], i_net + self.caps * (a_y + n)
+        return y[..., :ns], i_net + self.caps * self.rate(y)[..., :ns]
 
 
 class _Stages:
@@ -851,7 +847,7 @@ class Simulation:
         self._stage_out = self._stage_y.reshape(self._col)
         self._stage_flat = self._stage_y.reshape(-1)
         if self.config.step_multiple:
-            self._set_rung(top)
+            self._etd = self._weights(top)[0]
         if self._grids:
             self._sample_matrix(width)
         # The states of the records derived and not yet recorded, of which
@@ -897,10 +893,6 @@ class Simulation:
             etd = _stages(self._rows, self.config.dt * r, r)
             w = self._rungs[r] = [tuple(x[self._pick] for x in etd), None]
         return w
-
-    def _set_rung(self, r):
-        """Step r dt from now on, with the rung's cached stage matrices."""
-        self._etd = self._weights(r)[0]
 
     def _record_weights(self, r):
         """Rung r's record weights, built when a step of the rung first
@@ -1062,7 +1054,7 @@ class Simulation:
             K = K or self._size(k, y)
             r = 1 << ((stop - k).bit_length() - 1) if k < stop < k + K else K
             if r != r_now:
-                self._set_rung(r)
+                self._etd = self._weights(r)[0]
                 r_now, recs = r, None
                 go, go_next = (self._stepper(v[0], self._etd) for v in (this, that))
             go(have_n)

@@ -349,29 +349,6 @@ class TestDroopSweepClosedForm:
         with pytest.raises(ValueError, match="no stationary amplitude"):
             analysis.droop_sweep_closed_form(params, [1.0, 1.05], "q")
 
-    def test_overlay_at_simulated_points_follows_their_branch(self):
-        # droop-ref at q* = 1, targets 0.9 to 1.1: the nose lies at q =
-        # 1.0002, |v| = 1.0071, and the last three points settle on the
-        # lower root.  Taken nearest each point's simulated |v|, the exact
-        # overlay lies within C04's 0.5 % of v* of all five; the grid-only
-        # form keeps the upper root, 6.5 % and 11.7 % above the last two.
-        from dvocsim.scenario import builtin_scenario
-        template = builtin_scenario("droop-ref")
-        template = replace(template, inverters=[replace(
-            template.inverters[0],
-            params=replace(template.inverters[0].params, q_star=1.0))])
-        params = template.inverters[0].params
-        sweep = analysis.droop_sweep_simulated(template, "q", np.linspace(0.9, 1.1, 5))
-        assert all(pt.settled for pt in sweep.points)
-        q = [pt.q for pt in sweep.points]
-        vmag = np.array([pt.vmag for pt in sweep.points])
-        exact = analysis.droop_overlays(params, q, "q", vmag)[0]
-        assert np.all(np.abs(exact - vmag) <= 0.005 * params.v_star)
-        assert np.all(vmag[2:] < 1.0071) and np.all(exact[2:] < 1.0071)
-        upper = analysis.droop_overlays(params, q, "q")[0]
-        assert np.array_equal(upper[:2], exact[:2])
-        npt.assert_allclose(upper[3:] - vmag[3:], [0.065, 0.117], atol=1e-3)
-
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):
             analysis.DroopCurve([0.0, 0.0], [1.0, 2.0], "p", "omega", "closed_form")

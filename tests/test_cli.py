@@ -220,8 +220,10 @@ class TestDroopSweepCommand:
         # amplitude, and the coarse form are kept at every settled point.
         # Past the nose (q = 1.0002) the last three points settle on the
         # lower root, and the closed form follows them there, within C04's
-        # 0.5 % of v* (once it read the upper roots 1.0142, 1.0392, 1.0637).
-        from dvocsim.scenario import builtin_scenario
+        # 0.5 % of v*; the grid-only form keeps the upper roots 1.0142,
+        # 1.0392, 1.0637 there.
+        from dvocsim import analysis
+        from dvocsim.scenario import builtin_scenario, parse_scenario_dict
         d = builtin_scenario("droop-ref").to_dict()
         d["inverters"][0]["q_star_var"] = 1.0
         path = tmp_path / "q1.json"
@@ -236,6 +238,9 @@ class TestDroopSweepCommand:
         np.testing.assert_allclose(col["ordinate_closed_form"],
                                    [1.0502, 1.0254, 1.0000, 0.9739, 0.9472], atol=5e-5)
         assert np.all(np.abs(col["ordinate_closed_form"] - col["ordinate_simulated"]) <= 0.005)
+        params = parse_scenario_dict(d).inverters[0].params
+        upper = analysis.droop_overlays(params, col["q"], "q")[0]
+        np.testing.assert_allclose(upper, [1.0502, 1.0254, 1.0142, 1.0392, 1.0637], atol=5e-5)
         assert np.isnan(col["ordinate_linear"]).all()
         np.testing.assert_allclose(col["ordinate_coarse"], 1.0 + (1.0 - col["q"]) / 0.9722)
 

@@ -8,7 +8,7 @@ import pytest
 from dvocsim.control import DroopParams, PolarState
 from dvocsim.network import DynamicNetwork, reduced_admittance
 from dvocsim.scenario import parse_scenario_dict
-from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, run_scenario
+from dvocsim.sim import SimConfig, Simulation, SimulationDiverged, _dense, run_scenario
 
 from conftest import OMEGA0, pu_scenario, pu_scenario_dict
 from oracles import (branch_rates_rhs, droop_rhs, dvoc_rhs, etdrk4_weights, measure_power,
@@ -899,7 +899,8 @@ class TestStepByAccuracy:
         samples = set(range(0, 2003, 4)) | set(events)
         stops = sorted(samples | {2003})
         assert samples <= set(bounds) and bounds[-1] == 2003
-        ks = {seg["step"]: seg["k"] for seg in sim._segments}
+        tr = run_scenario(sc)
+        ks = {seg["step"]: seg["k"] for seg in tr.meta["stats"]["segments"]}
         assert sorted(ks) == [0, *events]
         assert step_multiple is None or set(ks.values()) == {step_multiple}
         for start, end in zip(bounds, bounds[1:]):
@@ -908,7 +909,6 @@ class TestStepByAccuracy:
             assert r == k or (r & (r - 1) == 0 and r < k), (start, end)
             assert end <= min(s for s in stops if s > start), (start, end)
         one = run_scenario(sc, replace(sc.sim, step_multiple=1))
-        tr = run_scenario(sc)
         assert tr.events == one.events
         assert [t for t, _ in tr.events] == [e * sc.sim.dt for e in events]
         assert np.array_equal(tr.t, one.t)
@@ -1375,14 +1375,14 @@ class TestBatch:
         # After every restack each member's blocks match the weights of its
         # own A, and every weight between its slots and its padding is 0.
         # The dense weights, which the batch builds only for a rung that
-        # holds a record, are taken from the padded A the same way.
+        # holds a record, come from the batch's chain the same way.
         members = [replace(m, sim=replace(m.sim, step_multiple=k))
                    for m in heterogeneous_batch()]
         sim, widths, h = Simulation(members), set(), members[0].sim.dt * k
         while True:
             width = sim.y.shape[1]
             widths.add(width)
-            dense = etdrk4_weights(sim.model.a, h, k)[4:]
+            dense = tuple(_dense(sim._rows, h, k))
             for b, mem in enumerate(sim.members):
                 m = mem.m
                 a = mem.a_live if mem.a_held is None else mem.a_held

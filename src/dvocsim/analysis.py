@@ -15,8 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .control import (PolarState, droop_approx_freq, droop_approx_vmag_ss,
-                      droop_vmag_tangent_ss, dvoc_rhs_polar)
+from .control import droop_approx_freq, droop_approx_vmag_ss, droop_vmag_tangent_ss
 from .network import Branch, forward_power_flow
 from .numerics import gauss_newton
 from .scenario import ScenarioError
@@ -266,31 +265,30 @@ class DroopCurve:
 
 
 def stationary_magnitude(params, p, q, near=None):
-    """Amplitude r at which d|v|/dt of the polar oscillator law vanishes.
+    """Amplitude r at which d|v|/dt of the polar oscillator law vanishes,
+    elementwise over p, q and ``near``.
 
     Divided by eta r and times u = r^2, the condition is a quadratic for any
     kappa k: a u^2 - b u + c = 0 with a = alpha/v*^2, c = cos k p + sin k q
     and b = alpha + (cos k p* + sin k q*)/v*^2.  Reactive demand above the
     set-point gives a stable high-voltage root and a collapse root below it.
-    Of the roots with r in [0.2, 2] v*, the one nearest ``near`` is
-    returned if given (the branch a run settled on), else the larger;
-    ValueError if there is none.
+    Of the positive roots, the one nearest ``near`` is returned if given
+    (the branch a run settled on; a tie goes to the larger), else the
+    larger; NaN where there is none (past the nose, no real root).
     """
     vs2 = params.v_star**2
     ck, sk = math.cos(params.kappa), math.sin(params.kappa)
     a = params.alpha / vs2
     b = params.alpha + (ck * params.p_star + sk * params.q_star) / vs2
-    c = ck * p + sk * q
-    disc = b * b - 4.0 * a * c
-    lo, hi = 0.2 * params.v_star, 2.0 * params.v_star
-    if disc >= 0.0:
+    c = ck * np.asarray(p, dtype=float) + sk * np.asarray(q, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
         # The roots as s/2a and 2c/s: neither subtracts two nearly equal terms.
-        s = b + math.copysign(math.sqrt(disc), b)
-        roots = [r for u in (s / (2.0 * a), 2.0 * c / s if s else 0.0)
-                 if lo <= (r := math.sqrt(max(u, 0.0))) <= hi]
-        if roots:
-            return max(roots) if near is None else min(roots, key=lambda r: abs(r - near))
-    raise ValueError(f"no stationary amplitude in [{lo:g}, {hi:g}] for p={p:g}, q={q:g}")
+        s = b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)
+        r1, r2 = (np.sqrt(np.where(u > 0.0, u, math.nan)) for u in (s / (2.0 * a), 2.0 * c / s))
+    hi, lo = np.fmax(r1, r2), np.fmin(r1, r2)
+    if near is not None:
+        hi = np.where(abs(lo - near) < abs(hi - near), lo, hi)
+    return hi[()]  # a float for scalar arguments
 
 
 @value_type
@@ -310,68 +308,44 @@ class DroopSweepResult:
 
 def droop_sweep_closed_form(params, grid, axis):
     """Steady-state droop curve from the stationarity conditions of the
-    polar law, with linear approximations for overlay (``droop_overlays``).
+    polar law, with linear approximations for overlay: ``droop_overlays``
+    on the sorted grid.
 
     axis "p": ordinate is the frequency of the polar law at q = q_star and
     the stationary amplitude; axis "q": ordinate is the stationary amplitude
-    at p = p_star.  Raises ValueError where a point has none.  Without a
-    tangent (q* >= alpha v*^2) the linear curve reads NaN.
+    at p = p_star.  A point without one reads NaN in all three curves;
+    without a tangent (q* >= alpha v*^2) the linear curve reads NaN.
     """
     grid = np.asarray(sorted(grid), dtype=float)
-    exact, linear, coarse = droop_overlays(params, grid, axis)
-    for x in grid[np.isnan(exact)]:
-        _exact_ordinate(params, x, axis)  # raises the point's ValueError
     kind = "omega" if axis == "p" else "vmag"
     return DroopSweepResult(*(DroopCurve(grid, y, axis, kind, "closed_form")
-                              for y in (exact, linear, coarse)))
+                              for y in droop_overlays(params, grid, axis)))
 
 
 def droop_overlays(params, abscissae, axis, near=None):
     """The exact, linear and coarse droop ordinates at each of the
-    abscissae, in their order, as three arrays: the linear forms in one
-    call each, the exact one per point.  With ``near``, each point's
-    simulated |v|, the exact curve takes at each point the root of the
-    stationarity quadratic nearest it, so past the nose it follows the
-    branch the run settled on; else the upper root.  A point without a
-    stationary amplitude reads NaN in all three; without a tangent (q* >=
-    alpha v*^2) the linear overlay reads NaN at every point."""
+    abscissae, in their order, as three arrays.  The exact one is the
+    stationary amplitude r (q axis, at p = p*) or the polar law's frequency
+    at r (p axis, at q = q*); with ``near``, each point's simulated |v|, r
+    is the root nearest it, on the branch the run settled on, else the
+    upper root.  A point without a stationary amplitude (a NaN abscissa
+    included) reads NaN in all three; without a tangent (q* >= alpha v*^2)
+    the linear overlay reads NaN throughout."""
     x = np.asarray(abscissae, dtype=float)
-    try:
-        linear, coarse = _linear_ordinates(params, x, axis)
-    except ValueError:
-        if axis != "q":
-            raise
-        linear, coarse = np.full(len(x), math.nan), droop_approx_vmag_ss(x, params)
-    exact = np.full(len(x), math.nan)
-    for k, xk in enumerate(x):
-        try:
-            exact[k] = _exact_ordinate(params, xk, axis, None if near is None else near[k])
-        except ValueError:
-            pass  # no stationary point at this abscissa
+    if axis == "p":
+        vs2, q = params.v_star**2, params.q_star
+        ck, sk = math.cos(params.kappa), math.sin(params.kappa)
+        r2 = stationary_magnitude(params, x, q, near)**2
+        exact = params.omega0 + params.eta * (sk * (params.p_star / vs2 - x / r2)
+                                              - ck * (q / vs2 - q / r2))
+        linear = coarse = droop_approx_freq(x, params)
+    elif axis == "q":
+        exact = stationary_magnitude(params, params.p_star, x, near)
+        linear, coarse = droop_vmag_tangent_ss(x, params), droop_approx_vmag_ss(x, params)
+    else:
+        raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
     missing = np.isnan(exact)
     return exact, np.where(missing, math.nan, linear), np.where(missing, math.nan, coarse)
-
-
-def _linear_ordinates(params, x, axis):
-    """The linear and coarse overlays at the abscissae x."""
-    if axis == "p":
-        omega = droop_approx_freq(x, params)
-        return omega, omega
-    if axis == "q":
-        return droop_vmag_tangent_ss(x, params), droop_approx_vmag_ss(x, params)
-    raise ValueError(f"axis must be 'p' or 'q', got {axis!r}")
-
-
-def _exact_ordinate(params, x, axis, near=None):
-    """The exact curve's ordinate at abscissa x: on the p axis the polar
-    law's frequency at the stationary amplitude (the root nearest ``near``
-    if given, ``stationary_magnitude``), on the q axis that amplitude.
-    ValueError where there is none."""
-    if axis == "p":
-        q = params.q_star
-        r = stationary_magnitude(params, x, q, near)
-        return dvoc_rhs_polar(PolarState(r), x, q, params)[1]
-    return stationary_magnitude(params, params.p_star, x, near)
 
 
 @value_type
@@ -405,7 +379,8 @@ def _actuated_scenario(template, axis, target):
     or q.
 
     axis "p": the (single) load conductance is sized so the delivered power
-    through the series branch is the target at nominal amplitude.
+    through the series branch is the target at nominal amplitude; a target
+    below 0 or at v*^2/R and above has no such load and is rejected.
     axis "q": negative targets attach a shunt capacitor at the inverter node,
     positive targets an inductive branch to a stiff auxiliary load; the main
     load is sized for p = p_star.
@@ -418,6 +393,9 @@ def _actuated_scenario(template, axis, target):
     r_series = _series_resistance_into_load(topo)
 
     def load_g(p_target):
+        if p_target < 0.0:
+            raise ScenarioError([f"droop-sweep {axis}={target!r}: a load drawing "
+                                 f"p = {p_target!r} needs p >= 0"])
         headroom = vs2 - r_series * p_target
         if headroom <= 0.0:
             raise ScenarioError([

@@ -168,19 +168,13 @@ def _cmd_droop_sweep(args, argv):
     header = ["target", "p", "q", "vmag", "omega_rad_per_s", "settled",
               "ordinate_simulated", "ordinate_closed_form", "ordinate_linear",
               "ordinate_coarse"]
-    nan = float("nan")
-    settled = [pt for pt in sweep.points if pt.settled]
-    overlays = zip(*analysis.droop_overlays(
-        params, [pt.p if args.axis == "p" else pt.q for pt in settled], args.axis,
-        [pt.vmag for pt in settled]))
-    rows = []
-    for pt in sweep.points:
-        if pt.settled:
-            ordinate = pt.omega if args.axis == "p" else pt.vmag
-            rows.append([pt.target, pt.p, pt.q, pt.vmag, pt.omega, True, ordinate]
-                        + list(next(overlays)))
-        else:
-            rows.append([pt.target, nan, nan, nan, nan, False, nan, nan, nan, nan])
+    # An unsettled point's p, q and |v| are NaN, so its overlays are too.
+    ordinates = analysis.droop_overlays(
+        params, [pt.p if args.axis == "p" else pt.q for pt in sweep.points], args.axis,
+        [pt.vmag for pt in sweep.points])
+    rows = [[pt.target, pt.p, pt.q, pt.vmag, pt.omega, pt.settled,
+             pt.omega if args.axis == "p" else pt.vmag, *overlay]
+            for pt, overlay in zip(sweep.points, zip(*ordinates))]
     _write_csv(os.path.join(args.out, "curve.csv"), header, rows)
     n_ok = sum(1 for pt in sweep.points if pt.settled)
     _write_manifest(args.out, scenario, source, argv, ["curve.csv"],

@@ -142,9 +142,8 @@ def droop_vmag_tangent_ss(q, params):
 
     d|v|/dq of the kappa = pi/2 stationary condition at the set-point is
     -1 / (2 (alpha v_star - q_star / v_star)), half the slope of the coarse
-    droop-coefficient form for q_star = 0.
+    droop-coefficient form for q_star = 0.  Elementwise over q; NaN
+    throughout where alpha v_star^2 <= q_star, which leaves no tangent.
     """
     denom = 2.0 * (params.alpha * params.v_star - params.q_star / params.v_star)
-    if denom <= 0.0:
-        raise ValueError("tangent undefined: alpha v_star^2 must exceed q_star")
-    return params.v_star + (params.q_star - q) / denom
+    return params.v_star + (params.q_star - q) / (denom if denom > 0.0 else math.nan)

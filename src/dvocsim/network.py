@@ -224,14 +224,21 @@ def _incidence(nodes, branches):
 def _eliminate(block, rhs, interior, path):
     """``block^-1 @ rhs``: eliminate the non-source nodes ``interior`` from
     KCL.  A node that no ``path`` (admittance or conductance) connects to a
-    source or to ground leaves ``block`` singular, and the error names it."""
+    source or to ground leaves ``block`` singular, and one whose path is
+    too weak to invert in float64 (a subnormal load conductance) overflows
+    the solution; either error names the node."""
     if not interior:
         return rhs
     bad = [n for n, row in zip(interior, block) if not np.any(row)]
     if bad or np.linalg.cond(block) > 1e12:
         raise TopologyError(f"singular network reduction: non-source node(s) "
                             f"{bad or interior} have no {path} path")
-    return np.linalg.solve(block, rhs)
+    solution = np.linalg.solve(block, rhs)
+    bad = [n for n, row in zip(interior, solution) if not np.isfinite(row).all()]
+    if bad:
+        raise TopologyError(f"network reduction overflows float64: the {path} path of "
+                            f"non-source node(s) {bad} is too weak to invert")
+    return solution
 
 
 # --- quasi-static (phasor) model -------------------------------------------

@@ -87,7 +87,10 @@ def expm(a):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     e = np.linalg.solve(v - u, v + u)
-    for i in range(s.max(initial=0)):
-        due = s > i  # the matrices with more than i squarings
-        e[due] = e[due] @ e[due]
+    # A matrix whose exponential overflows float64 comes out inf or NaN,
+    # which the caller reports, without numpy's warnings on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(s.max(initial=0)):
+            due = s > i  # the matrices with more than i squarings
+            e[due] = e[due] @ e[due]
     return e

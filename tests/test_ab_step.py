@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -88,3 +89,35 @@ def test_startup_op_times_a_whole_cli_process(ab_step, tmp_path):
     (broken / "__init__.py").write_text("raise ImportError('broken tree')\n")
     with pytest.raises(SystemExit, match="exited with 1"):
         ab_step.op_seconds(str(tmp_path), ab_step.CLI_OPS["startup"])
+
+
+def test_output_ops_cover_every_cli_command_that_writes(ab_step, tmp_path):
+    # --outputs runs simulate, droop-sweep, blackstart-check and consistency:
+    # the built-ins, the shipped grids on both network models, the
+    # unsampled grid, droop-ref's sweeps and the q* = 1 sweep past the nose,
+    # its scenario written under the tool's temp dir from the given tree.
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    ops = dict(ab_step.output_ops(str(tmp_path), src))
+    assert len(ops) == 5 + 2 * ab_step.SHIPPED_GRIDS + 1 + 4 + 3
+    for name in ab_step.BUILTINS:
+        assert ops[name] == ["simulate", name]
+    for model in ("dynamic", "quasistatic"):
+        for n in range(ab_step.SHIPPED_GRIDS):
+            assert ops[f"grid{n}-{model}"] == ["simulate", str(tmp_path / f"grid{n}-{model}.json")]
+    assert ops["mixed-live"] == ["simulate", str(tmp_path / "mixed-live.json")]
+    assert ops["droop-sweep-p1000"] == ["droop-sweep", "droop-ref", "--axis", "p",
+                                        "--range=0.3:0.7:1000"]
+    assert ops["droop-sweep-q10"] == ["droop-sweep", "droop-ref", "--axis", "q",
+                                      "--range=-0.05:0.05:10"]
+    nose = str(tmp_path / "droop-ref-q1.json")
+    assert ops["droop-sweep-nose"] == ["droop-sweep", nose, "--axis", "q", "--range=0.9:1.1:5"]
+    with open(nose, encoding="utf-8") as fh:
+        assert json.load(fh)["inverters"][0]["q_star_var"] == 1.0
+    assert ops["blackstart-check"] == ["blackstart-check", "paper-fig4"]
+    assert ops["consistency"] == ["consistency", "paper-fig7"]
+    # consistency runs no simulation; one tree against itself is identical.
+    assert ab_step.step_sizes(ab_step.op_meta(src, ops["consistency"])) == "no simulation"
+    outs = [str(tmp_path / "out" / side) for side in ("parent", "change")]
+    runs = [ab_step.cli_run(src, ops["consistency"], out) for out in outs]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert ab_step.compare_outputs(*outs) == "identical"

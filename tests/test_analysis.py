@@ -206,24 +206,95 @@ class TestStationaryMagnitude:
             got = analysis.stationary_magnitude(p, p.p_star, q)
             assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_no_bracket_sign_change_raises(self):
-        with pytest.raises(ValueError):
-            analysis.stationary_magnitude(PU_PARAMS, 0.5, 5.0)
+    def test_no_real_root_reads_nan(self):
+        # q = 5 is past the nose: the quadratic has no real root.
+        assert math.isnan(analysis.stationary_magnitude(PU_PARAMS, 0.5, 5.0))
+        assert math.isnan(analysis.stationary_magnitude(PU_PARAMS, 0.5, 5.0, near=1.0))
 
-    def test_collapse_root_when_high_root_leaves_bracket(self):
-        # u = r^2 solves u^2 - 5u + 3 = 0: the high root r = 2.074 lies above
-        # 2 v*, so the collapse root is the one in the bracket.
+    def test_upper_root_unless_near_picks_the_collapse_root(self):
+        # u = r^2 solves u^2 - 5u + 3 = 0: the high root r = 2.074 and the
+        # collapse root r = 0.835.  Without ``near`` the high root; with
+        # ``near`` close to the collapse root, that one.
         p = DvocParams(eta=10.0, alpha=1.0, kappa=math.pi / 2.0, p_star=0.5,
                        q_star=4.0, v_star=1.0, omega0=OMEGA0)
         r = analysis.stationary_magnitude(p, p.p_star, 3.0)
+        assert r == pytest.approx(math.sqrt((5.0 + math.sqrt(13.0)) / 2.0), rel=1e-14)
+        assert r == pytest.approx(2.074, abs=5e-4)
+        r = analysis.stationary_magnitude(p, p.p_star, 3.0, near=0.8)
         assert r == pytest.approx(0.834999618124467, rel=1e-14)
+
+    def test_larger_positive_root_when_b_is_negative(self):
+        # kappa = pi/2 and q* = -2 alpha v*^2 give b = alpha + q*/v*^2 < 0,
+        # so s/2a is the negative root.  At q = q* the quadratic is
+        # u^2 + u - 2 = 0: the stationary amplitude is v* (u = 1, the root
+        # 2c/s), not s/2a = -2.  With c > 0 both roots are negative: NaN.
+        p = DvocParams(eta=10.0, alpha=1.0, kappa=math.pi / 2.0, p_star=0.5,
+                       q_star=-2.0, v_star=1.0, omega0=OMEGA0)
+        r = analysis.stationary_magnitude(p, p.p_star, p.q_star)
+        assert r == pytest.approx(p.v_star, rel=1e-15)
+        assert dvoc_rhs_polar(PolarState(r), p.p_star, p.q_star, p)[0] == pytest.approx(
+            0.0, abs=1e-13)
+        for q in (-3.0, -1.0, -0.1):
+            r = analysis.stationary_magnitude(p, p.p_star, q)
+            assert r > 0.0
+            assert abs(dvoc_rhs_polar(PolarState(r), p.p_star, q, p)[0]) < 1e-12
+        assert math.isnan(analysis.stationary_magnitude(p, p.p_star, 0.1))
+
+    def test_an_array_call_equals_the_scalar_calls_bit_for_bit(self):
+        # Elementwise over p, q and near, NaN where a point has no root;
+        # a scalar call returns a float.
+        rng = np.random.default_rng(5)
+        for kappa in (0.0, 1.0, math.pi / 2.0, math.pi):
+            params = replace(PU_PARAMS, kappa=kappa, q_star=0.3)
+            p, q = rng.uniform(-0.5, 1.5, 400), rng.uniform(-0.5, 1.5, 400)
+            near = rng.uniform(0.0, 2.0, 400)
+            for nr in (None, near):
+                got = analysis.stationary_magnitude(params, p, q, nr)
+                want = [analysis.stationary_magnitude(params, float(p[k]), float(q[k]),
+                                                      None if nr is None else float(nr[k]))
+                        for k in range(len(p))]
+                assert all(isinstance(w, float) for w in want)
+                assert got.shape == p.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                assert 0 < np.isnan(got).sum() < len(p)
+
+    def test_nose_of_a_dense_scan_of_the_polar_law(self):
+        # droop-ref at q* = 1, kappa = pi/2, p = p*: d|v|/dt of the polar law
+        # is affine in q, so each r has one q that makes it vanish, and the
+        # nose is the largest such q.  The scan refines around the coarse
+        # maximum; past the nose the closed form reads NaN in all three
+        # overlays, just below it every exact ordinate is finite.
+        from dvocsim.scenario import builtin_scenario
+        params = replace(builtin_scenario("droop-ref").inverters[0].params, q_star=1.0)
+
+        def q_zero(r):
+            f0, f1 = (dvoc_rhs_polar(PolarState(r), params.p_star, q, params)[0]
+                      for q in (0.0, 1.0))
+            return f0 / (f0 - f1)
+
+        vs = params.v_star
+        grid = np.linspace(0.01 * vs, 2.0 * vs, 2001)
+        k = int(np.argmax([q_zero(r) for r in grid]))
+        fine = np.linspace(grid[k - 1], grid[k + 1], 2001)
+        q_nose = max(q_zero(r) for r in fine)
+        assert q_nose == pytest.approx(1.0002, abs=5e-5)
+        below, past = q_nose - 1e-9, q_nose + 1e-9
+        assert math.isfinite(analysis.stationary_magnitude(params, params.p_star, below))
+        assert math.isnan(analysis.stationary_magnitude(params, params.p_star, past))
+        exact, linear, coarse = analysis.droop_overlays(params, [below, past], "q")
+        assert math.isfinite(exact[0]) and math.isfinite(coarse[0])
+        assert np.isnan([exact[1], linear[1], coarse[1]]).all()
 
     def test_matches_a_dense_scan_of_the_polar_law(self):
         """For any kappa, the returned r zeroes d|v|/dt of ``dvoc_rhs_polar``,
-        and the law keeps one sign above it up to 2 v*; it raises exactly
-        where a scan of [0.2, 2] v* sees no sign change.  A pair of roots
-        closer than one scan cell shows as |d|v|/dt| within 1e-3 of its
-        terms at a scan point, where the scan cannot see the root."""
+        and the law keeps one sign above it up to R; it reads NaN exactly
+        where a scan of (0, R] sees no sign change.  R = 4 v* lies past the
+        upper root: with |p*|, |q*|, |p|, |q| <= 3 alpha v*^2 every root has
+        u = r^2 <= |b/a| + sqrt(|c/a|) < 8 v*^2.  The scan is geometric from
+        1e-150 v* (a collapse root near 0 when c is tiny), then uniform.  A
+        pair of roots closer than one scan cell shows as |d|v|/dt| within
+        1e-3 of its terms at a scan point, where the scan cannot see the
+        root."""
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
         unit = st.floats(-3.0, 3.0)
@@ -244,16 +315,19 @@ class TestStationaryMagnitude:
             params = DvocParams(eta=eta, alpha=alpha, kappa=kappa, p_star=p_star * power,
                                 q_star=q_star * power, v_star=v_star, omega0=OMEGA0)
             p, q = p * power, q * power
-            grid = np.linspace(0.2 * v_star, 2.0 * v_star, 1001)
+            top = 4.0 * v_star
+            grid = np.concatenate([np.geomspace(1e-150 * v_star, top / 2000, 300,
+                                                endpoint=False),
+                                   np.linspace(top / 2000, top, 2000)])
             f, scale = np.array([rate(params, p, q, r) for r in grid]).T
-            crossed = bool(np.any(f == 0.0) or np.any(f[:-1] * f[1:] < 0.0))
-            try:
-                r = analysis.stationary_magnitude(params, p, q)
-            except ValueError:
+            assert f[-1] < 0.0  # the cubic regulation term rules at R
+            crossed = bool(np.any(f == 0.0) or np.any(np.sign(f[:-1]) != np.sign(f[1:])))
+            r = analysis.stationary_magnitude(params, p, q)
+            if math.isnan(r):
                 assert not crossed
                 return
             assert crossed or np.min(np.abs(f) / scale) < 1e-3
-            assert 0.2 * v_star <= r <= 2.0 * v_star
+            assert 0.0 < r <= top
             f_r, scale_r = rate(params, p, q, r)
             assert abs(f_r) <= 1e-13 * scale_r
             above = f[grid > r + 1e-6 * v_star]
@@ -335,7 +409,7 @@ class TestDroopSweepClosedForm:
     def test_without_a_tangent_only_the_linear_curve_is_nan(self):
         # droop-ref at q* = 1 > alpha v*^2: the tangent is undefined, the
         # exact and coarse curves are not; a point with no stationary
-        # amplitude (past the nose, q = 1.05) still raises.
+        # amplitude (past the nose, q = 1.05) reads NaN in all three.
         from dvocsim.scenario import builtin_scenario
         params = replace(builtin_scenario("droop-ref").inverters[0].params, q_star=1.0)
         grid = [0.9, 0.95, 1.0]
@@ -346,8 +420,10 @@ class TestDroopSweepClosedForm:
         npt.assert_allclose(res.exact.ordinate, [1.1556, 1.1142, 1.0142], atol=5e-5)
         npt.assert_array_equal(res.coarse.ordinate, droop_approx_vmag_ss(res.coarse.abscissa,
                                                                          params))
-        with pytest.raises(ValueError, match="no stationary amplitude"):
-            analysis.droop_sweep_closed_form(params, [1.0, 1.05], "q")
+        past = analysis.droop_sweep_closed_form(params, [1.0, 1.05], "q")
+        assert past.exact.ordinate[0] == res.exact.ordinate[2]
+        assert np.isnan([past.exact.ordinate[1], past.linear.ordinate[1],
+                         past.coarse.ordinate[1]]).all()
 
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):

@@ -270,6 +270,20 @@ class TestDroopSweepCommand:
                                   "R = 0.01 needs p < v*^2/R = 100.0"]
         assert not out.exists()
 
+    def test_negative_p_target_is_a_validation_error_naming_it(self, tmp_path, capsys):
+        # A load only absorbs power, so no conductance draws p < 0: the
+        # error names the axis and the grid point, not the conductance the
+        # parser would reject.
+        out = tmp_path / "o"
+        rc = main(["droop-sweep", "droop-ref", "--axis", "p",
+                   "--range=-0.045:0.045:10", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["details"] == ["droop-sweep p=-0.045: a load drawing p = -0.045 "
+                                  "needs p >= 0"]
+        assert not out.exists()
+
     def test_multi_inverter_scenario_rejected(self, tmp_path):
         from dvocsim.scenario import builtin_scenario
         sc = builtin_scenario("paper-fig5")
@@ -404,6 +418,33 @@ class TestProcessEntry:
         err = json.loads(line)
         assert err["error"] == "numeric"
         assert any(detail.startswith("step=") for detail in err["details"])
+
+    @pytest.mark.parametrize("g, code, kind, detail", [
+        # KCL's 1 x 1 block at the load bus is well conditioned, but its
+        # solution overflows: the parser's timeline check rejects it.
+        (5e-324, 2, "validation",
+         "network: network reduction overflows float64: the conductance path of "
+         "non-source node(s) ['bus'] is too weak to invert"),
+        # The network is finite, but the integrator's matrix exponential
+        # overflows: the first step is non-finite.
+        (1e-300, 3, "numeric", "step=1"),
+    ], ids=["kcl-overflows", "expm-overflows"])
+    def test_load_conductance_too_small_to_invert(self, tmp_path, g, code, kind, detail):
+        # Either way the process exits with one JSON line on stderr, no
+        # numpy warning beside it, and nothing on stdout.
+        from dvocsim.scenario import builtin_scenario
+        d = builtin_scenario("paper-fig7").to_dict()
+        d["network"]["loads"][0]["g_siemens"] = g
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        got, stdout, stderr = python("-m", "dvocsim.cli", "simulate", str(path),
+                                     "--out", str(out))
+        assert (got, stdout) == (code, "")
+        (line,) = stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == kind
+        assert detail in err["details"]
 
     @pytest.mark.parametrize("argv, code, ran", [
         (["list-scenarios"], 0, False),  # a returned code skips the teardown

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -340,6 +341,15 @@ class TestDroopApproximations:
         coarse = droop_approx_vmag_ss(p.q_star + dq, p) - p.v_star
         tangent = droop_vmag_tangent_ss(p.q_star + dq, p) - p.v_star
         assert tangent == pytest.approx(coarse / 2.0, rel=1e-12)
+
+    def test_tangent_is_nan_without_one(self):
+        # alpha v*^2 <= q* leaves no tangent: NaN at every q, scalar or array.
+        p = replace(PU_PARAMS, q_star=PU_PARAMS.alpha * PU_PARAMS.v_star**2)
+        assert math.isnan(droop_vmag_tangent_ss(0.1, p))
+        assert np.isnan(droop_vmag_tangent_ss(np.array([-0.1, 0.0, 2.0]), p)).all()
+        q = np.array([-0.1, 0.0, 0.1])
+        assert np.array_equal(droop_vmag_tangent_ss(q, PU_PARAMS),
+                              [droop_vmag_tangent_ss(float(x), PU_PARAMS) for x in q])
 
 
 class TestKappaFromLine:

@@ -70,7 +70,7 @@ CLI process:
                       imports and the exit through the CLI's process entry,
                       which ``import`` cannot see
 
-OUTPUT_OPS, for ``--outputs``:
+OUTPUT_OPS, for ``--outputs``, every CLI command that writes outputs:
     the five built-ins     -- ``simulate NAME``
     grid<n>-<model>        -- ``simulate`` of shipped grid n = 0..15 of
                               ``perfbench/reference/mixed_grid.json`` on the
@@ -78,6 +78,12 @@ OUTPUT_OPS, for ``--outputs``:
     mixed-live             -- ``simulate`` of grid 1 without controller sampling
     droop-sweep-<axis><n>  -- ``droop-sweep droop-ref`` at n = 10 and 1000
                               points, p in [0.3, 0.7] and q in +-0.05
+    droop-sweep-nose       -- ``droop-sweep`` of droop-ref at q* = 1 (the
+                              parent tree's document), q in [0.9, 1.1] at 5
+                              points: the last three settle past the nose
+    blackstart-check       -- ``blackstart-check paper-fig4``
+    consistency            -- ``consistency paper-fig7``, which runs no
+                              simulation
 """
 
 import argparse
@@ -180,7 +186,9 @@ def step_sizes(meta):
     from a tree with run stats, the steps per rung of a run, from its
     trace's meta: steps shortened to end at an event, sample or t_end take
     rungs below K.  A tree without run stats steps k = step_multiple (1 if
-    unset) throughout."""
+    unset) throughout; None is an operation without a simulation."""
+    if meta is None:
+        return "no simulation"
     if "stats" not in meta:
         return f"K {meta['step_multiple'] or 1} steps {meta['steps']}"
     ks = [seg["k"] for seg in meta["stats"]["segments"]]
@@ -191,14 +199,17 @@ def step_sizes(meta):
 
 def op_meta(src, cmd):
     """The trace meta of the ``Simulation`` behind a CLI operation, run in
-    this process from the tree under ``src``: the scenario of ``simulate``,
-    or the first member of a ``droop-sweep`` batch."""
+    this process from the tree under ``src``: the scenario of ``simulate``
+    or ``blackstart-check``, or the first member of a ``droop-sweep``
+    batch; None for ``consistency``, which runs none."""
+    if cmd[0] == "consistency":
+        return None
     mods = load(src)
     scenario, sim = mods["scenario"], mods["sim"]
     source = cmd[1]
     sc = (scenario.parse_scenario(source) if source.endswith(".json")
           else scenario.builtin_scenario(source))
-    if cmd[0] == "simulate":
+    if cmd[0] in ("simulate", "blackstart-check"):
         return sim.Simulation(sc).run().meta
     axis = cmd[cmd.index("--axis") + 1]
     a, b, n = next(x for x in cmd if x.startswith("--range=")).split("=")[1].split(":")
@@ -230,29 +241,36 @@ def op_seconds(src, argv):
     return seconds
 
 
-def output_ops(tmp):
-    """OUTPUT_OPS as (name, CLI arguments), the grids written under ``tmp``."""
+def output_ops(tmp, src):
+    """OUTPUT_OPS as (name, CLI arguments), the grids and the q* = 1 sweep's
+    scenario, droop-ref of the tree under ``src``, written under ``tmp``."""
     gg = gen_grid()
     ops = [(name, ["simulate", name]) for name in BUILTINS]
 
-    def grid(name, doc):
+    def write(name, doc):
         path = os.path.join(tmp, name + ".json")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(gg.dumps(doc))
-        ops.append((name, ["simulate", path]))
+        return path
 
     for model in ("dynamic", "quasistatic"):
         for n in range(SHIPPED_GRIDS):
             doc = gg.generate(n)
             doc["sim"]["network_model"] = model
-            grid(f"grid{n}-{model}", doc)
+            ops.append((f"grid{n}-{model}", ["simulate", write(f"grid{n}-{model}", doc)]))
     doc = gg.generate(MIXED_GRID)
     del doc["sim"]["controller_sample_hz"]
-    grid("mixed-live", doc)
+    ops.append(("mixed-live", ["simulate", write("mixed-live", doc)]))
     for axis, span in SWEEP_SPANS.items():
         for n in (10, 1000):
             ops.append((f"droop-sweep-{axis}{n}", ["droop-sweep", "droop-ref", "--axis", axis,
                                                     f"--range={span}:{n}"]))
+    doc = load(src)["scenario"].builtin_scenario("droop-ref").to_dict()
+    doc["inverters"][0]["q_star_var"] = 1.0
+    ops.append(("droop-sweep-nose", ["droop-sweep", write("droop-ref-q1", doc), "--axis", "q",
+                                     "--range=0.9:1.1:5"]))
+    ops.append(("blackstart-check", ["blackstart-check", "paper-fig4"]))
+    ops.append(("consistency", ["consistency", "paper-fig7"]))
     return ops
 
 
@@ -342,7 +360,7 @@ def check_outputs(srcs):
     """Run every OUTPUT_OPS operation once per tree and print what differs."""
     tmp = tempfile.mkdtemp(prefix="ab_step_")
     try:
-        for name, cmd in output_ops(tmp):
+        for name, cmd in output_ops(tmp, srcs[0]):
             outs = [os.path.join(tmp, "out", name, side) for side in ("parent", "change")]
             runs = [cli_run(src, cmd, out) for src, out in zip(srcs, outs)]
             if runs[0] != runs[1]:

@@ -248,8 +248,9 @@ def compute_metrics(trace, omega0, v_ref=None, periods=5, sync_threshold=0.02):
 
 @value_type
 class DroopCurve:
-    """Sampled droop characteristic: strictly increasing abscissa (p or q)
-    against the steady ordinate (omega, rad/s, or |v|, V)."""
+    """Sampled droop characteristic: non-decreasing abscissa (p or q)
+    against the steady ordinate (omega, rad/s, or |v|, V).  Two points
+    may share an abscissa: distinct targets can settle at the same p or q."""
 
     abscissa: np.ndarray
     ordinate: np.ndarray
@@ -260,8 +261,8 @@ class DroopCurve:
     def __post_init__(self):
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.ordinate = np.asarray(self.ordinate, dtype=float)
-        if np.any(np.diff(self.abscissa) <= 0.0):
-            raise ValueError("droop curve abscissa must be strictly increasing")
+        if np.any(np.diff(self.abscissa) < 0.0):
+            raise ValueError("droop curve abscissa must be non-decreasing")
 
 
 def stationary_magnitude(params, p, q, near=None):

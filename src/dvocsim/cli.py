@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis
+from . import __version__, analysis, reprcsv
 from .control import DvocParams
 from .network import TopologyError
 from .scenario import ScenarioError, builtin_names, builtin_scenario, parse_scenario
@@ -53,13 +53,13 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows, fmt=_fmt):
-    """One header line, then one line per row; ``fmt`` formats each cell
-    (``repr`` suits rows of Python floats: shortest round-trip digits)."""
+def _write_csv(path, header, rows):
+    """One header line, then one line per row of mixed cells (``_fmt``);
+    float tables go through ``reprcsv.write_csv``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _sha256_file(path):
@@ -90,17 +90,27 @@ def _write_manifest(outdir, scenario, source, argv, written, extra=None):
 
 
 def _trace_rows(trace):
-    """Header and float matrix (one row per record time) of trace.csv."""
+    """Header of trace.csv and its rows (one per record time), as float
+    blocks filled from the trace's arrays."""
     header = ["t"]
-    columns = [trace.t]
-    for k, inv in enumerate(trace.inverter_ids):
+    for inv in trace.inverter_ids:
         header += [f"v_alpha_{inv}", f"v_beta_{inv}", f"i_alpha_{inv}",
                    f"i_beta_{inv}", f"p_{inv}", f"q_{inv}", f"vmag_{inv}",
                    f"theta_{inv}"]
-        columns += [trace.v[:, k].real, trace.v[:, k].imag, trace.i_o[:, k].real,
-                    trace.i_o[:, k].imag, trace.p[:, k], trace.q[:, k],
-                    trace.vmag[:, k], trace.theta[:, k]]
-    return header, np.column_stack(columns)
+    # Column 1 + 8 k + j of inverter k.
+    per_inverter = (trace.v.real, trace.v.imag, trace.i_o.real, trace.i_o.imag,
+                    trace.p, trace.q, trace.vmag, trace.theta)
+
+    def blocks():
+        for rows in reprcsv.row_blocks(len(trace.t), len(header)):
+            t = trace.t[rows]
+            block = np.empty((len(t), len(header)))
+            block[:, 0] = t
+            for j, column in enumerate(per_inverter):
+                block[:, 1 + j::8] = column[rows]
+            yield block
+
+    return header, blocks()
 
 
 def _metrics_rows(trace, metrics):
@@ -124,9 +134,7 @@ def _cmd_simulate(args, argv):
     os.makedirs(args.out, exist_ok=True)
     written = []
     if "trace" in scenario.outputs:
-        header, matrix = _trace_rows(trace)
-        _write_csv(os.path.join(args.out, "trace.csv"), header,
-                   map(np.ndarray.tolist, matrix), repr)
+        reprcsv.write_csv(os.path.join(args.out, "trace.csv"), *_trace_rows(trace))
         written.append("trace.csv")
     if "metrics" in scenario.outputs:
         v_ref = float(np.mean([s.params.v_star for s in scenario.inverters]))
@@ -153,7 +161,11 @@ def _parse_range(spec):
         raise ScenarioError(["--range needs b > a and n >= 2"])
     if n > MAX_RANGE_POINTS:
         raise ScenarioError([f"--range needs n <= {MAX_RANGE_POINTS}, got {n}"])
-    return np.linspace(a, b, n)
+    grid = np.linspace(a, b, n)
+    if np.any(np.diff(grid) <= 0.0):  # b - a too narrow for n distinct doubles
+        raise ScenarioError([f"--range {spec!r} repeats grid points: {n} points "
+                             "between a and b are not all distinct doubles"])
+    return grid
 
 
 def _cmd_droop_sweep(args, argv):
@@ -196,14 +208,14 @@ def _cmd_blackstart_check(args, argv):
     curve = analysis.blackstart_analytic(v0, params, trace.t) \
         if v0 != params.v_star else None
     os.makedirs(args.out, exist_ok=True)
-    rows = []
     ana = curve.magnitudes if curve is not None else np.full_like(trace.t, float("nan"))
-    for k in range(len(trace.t)):
-        sim_v = trace.vmag[k, 0]
-        rel = abs(sim_v - ana[k]) / ana[k] if ana[k] > 0 else float("nan")
-        rows.append([trace.t[k], sim_v, ana[k], rel])
-    _write_csv(os.path.join(args.out, "blackstart.csv"),
-               ["t", "vmag_sim", "vmag_analytic", "rel_dev"], rows)
+    sim_v = trace.vmag[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(ana > 0.0, abs(sim_v - ana) / ana, float("nan"))
+    matrix = np.column_stack([trace.t, sim_v, ana, rel])
+    reprcsv.write_csv(os.path.join(args.out, "blackstart.csv"),
+                      ["t", "vmag_sim", "vmag_analytic", "rel_dev"],
+                      (matrix[rows] for rows in reprcsv.row_blocks(*matrix.shape)))
     _write_csv(os.path.join(args.out, "blackstart_summary.csv"),
                ["max_rel_dev", "t_start", "t_end", "defined"],
                [[comparison.max_rel_dev, comparison.t_start, comparison.t_end,

@@ -416,17 +416,20 @@ class _Member:
             return np.array([getattr(self.params[k], name) for k in pos])
 
         # Oscillator controller coefficients, vectorized over dvoc inverters.
+        # Finite parameters may still overflow here; _check_finite names the
+        # inverter.
         dv, dr = self.dvoc_pos, self.droop_pos
-        eta, ek = param("eta", dv), np.exp(1j * param("kappa", dv))
-        self.inv_vs2 = 1.0 / param("v_star", dv)**2
-        self.c0 = 1j * param("omega0", dv) \
-            + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * self.inv_vs2
-        self.c1 = eta * param("alpha", dv)
-        self.c2 = eta * ek
-        # Droop law: dtheta/dt = a_dr - kp p, dr/dt = b_dr - r - kq q.
-        self.kp, self.kq = param("kp", dr), param("kq", dr)
-        self.a_dr = param("omega0", dr) + self.kp * param("p_star", dr)
-        self.b_dr = param("v_star", dr) + self.kq * param("q_star", dr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta, ek = param("eta", dv), np.exp(1j * param("kappa", dv))
+            self.inv_vs2 = 1.0 / param("v_star", dv)**2
+            self.c0 = 1j * param("omega0", dv) \
+                + eta * ek * (param("p_star", dv) - 1j * param("q_star", dv)) * self.inv_vs2
+            self.c1 = eta * param("alpha", dv)
+            self.c2 = eta * ek
+            # Droop law: dtheta/dt = a_dr - kp p, dr/dt = b_dr - r - kq q.
+            self.kp, self.kq = param("kp", dr), param("kq", dr)
+            self.a_dr = param("omega0", dr) + self.kp * param("p_star", dr)
+            self.b_dr = param("v_star", dr) + self.kq * param("q_star", dr)
 
         # Network as matrices over the state y: the current into the network
         # at each inverter terminal, cap current excluded, is g @ y, and the
@@ -453,10 +456,29 @@ class _Member:
         self.m = len(y)
 
         # The live current's feedthrough: the capacitor loop, solved exactly.
-        self.feed = 1.0 / (1.0 + self.c2 * self.caps[dv])
-        self.a_live = self._a(live=True)
-        self.a_held = None if self.sample_steps is None else self._a(live=False)
+        # A loop gain past float64 (a vast terminal capacitor) takes the
+        # exact limit: nothing is fed through.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop = self.c2 * self.caps[dv]
+            self.feed = 1.0 / (1.0 + loop)
+            self.feed[~np.isfinite(loop)] = 0.0
+            self.a_live = self._a(live=True)
+            self.a_held = None if self.sample_steps is None else self._a(live=False)
+        self._check_finite()
         return y
+
+    def _check_finite(self):
+        """Reject the first inverter whose controller coefficients or row
+        of A overflowed float64."""
+        ok = np.ones(self.ns, dtype=bool)
+        ok[self.dvoc_pos] = np.isfinite([self.c0, self.c1, self.c2]).all(axis=0)
+        ok[self.droop_pos] = np.isfinite([self.a_dr, self.b_dr]).all(axis=0)
+        for a in (self.a_live, self.a_held):
+            if a is not None:
+                ok &= np.isfinite(a[:self.ns]).all(axis=1)
+        if not ok.all():
+            raise ValueError(f"inverter {self.ids[np.argmin(ok)]!r}: controller "
+                             "coefficients overflow float64")
 
     def _a(self, live):
         """A, with the controllers measuring the live current or the held one."""

@@ -121,3 +121,16 @@ def test_output_ops_cover_every_cli_command_that_writes(ab_step, tmp_path):
     runs = [ab_step.cli_run(src, ops["consistency"], out) for out in outs]
     assert runs[0] == runs[1] and runs[0][0] == 0
     assert ab_step.compare_outputs(*outs) == "identical"
+
+
+def test_dispatch_main_times_the_cli_in_process(ab_step, capsys):
+    # Both trees' cli modules are imported side by side; each pair calls
+    # cli.main(["simulate", "paper-fig7", "--out", tmp]) of each.
+    src = os.path.join(os.path.dirname(os.path.dirname(TOOL)), "src")
+    assert "dispatch-main" in ab_step.WORKLOADS
+    mods = ab_step.load(src)
+    assert mods["cli"].__name__ == "dvocsim.cli"
+    ab_step.main([src, src, "--workload", "dispatch-main", "--pairs", "2"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.split()[:2] == ["dispatch-main", "ms/call"]
+    assert "change faster in" in line and line.endswith(("gain holds", "unresolved"))

@@ -426,8 +426,14 @@ class TestDroopSweepClosedForm:
                          past.coarse.ordinate[1]]).all()
 
     def test_curve_requires_increasing_abscissa(self):
-        with pytest.raises(ValueError):
-            analysis.DroopCurve([0.0, 0.0], [1.0, 2.0], "p", "omega", "closed_form")
+        # Non-decreasing: distinct targets may settle at one p or q, and a
+        # closed-form grid may repeat a point; a decreasing abscissa raises.
+        curve = analysis.DroopCurve([0.0, 0.0], [1.0, 2.0], "p", "omega", "closed_form")
+        assert curve.abscissa.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            analysis.DroopCurve([0.0, -1e-300], [1.0, 2.0], "p", "omega", "closed_form")
+        res = analysis.droop_sweep_closed_form(PU_PARAMS, [0.1, 0.1], "q")
+        assert res.exact.ordinate[0] == res.exact.ordinate[1]
 
 
 class TestDroopSweepSimulated:

@@ -257,6 +257,33 @@ class TestDroopSweepCommand:
         assert err["error"] == "validation"
         assert "--range" in err["details"][0]
 
+    def test_range_with_repeated_grid_points_is_a_validation_error(self, tmp_path, capsys):
+        # b - a is one ulp of 0.5: np.linspace repeats 0.5, and the grid is
+        # rejected naming the range before any point runs.
+        out = tmp_path / "o"
+        rc = main(["droop-sweep", "droop-ref", "--axis", "p",
+                   "--range=0.5:0.5000000000000001:3", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["details"] == ["--range '0.5:0.5000000000000001:3' repeats grid points: "
+                                  "3 points between a and b are not all distinct doubles"]
+        assert not out.exists()
+
+    def test_distinct_targets_settling_at_one_q_write_every_row(self, tmp_path, capsys):
+        # The targets 0, 5e-301 and 1e-300 are distinct, but no actuator
+        # tells them apart: all three settle at the same q.
+        out = tmp_path / "o"
+        rc = main(["droop-sweep", "droop-ref", "--axis", "q", "--range=0:1e-300:3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, data = read_csv(out / "curve.csv")
+        col = {name: data[f"f{k}"] for k, name in enumerate(header)}
+        assert col["target"].tolist() == [0.0, 5e-301, 1e-300]
+        assert col["settled"].tolist() == [True] * 3
+        assert len(set(col["q"].tolist())) == 1
+
     def test_point_at_series_resistance_limit_is_a_validation_error(self, tmp_path, capsys):
         # droop-ref has v* = 1 and R = 0.01: a load drawing p = v*^2/R = 100
         # through R would need an infinite conductance.
@@ -445,6 +472,36 @@ class TestProcessEntry:
         err = json.loads(line)
         assert err["error"] == kind
         assert detail in err["details"]
+
+    @pytest.mark.parametrize("section, index, key, code", [
+        # eta = 1e308 overflows the oscillator's coefficients: a numeric
+        # failure naming the inverter.
+        ("inverters", 0, "eta", 3),
+        # A 1e308 F terminal capacitor overflows the capacitor loop's gain:
+        # the run takes the exact limit, no current fed through, and ends well.
+        ("shunt_caps", 0, "c_farad", 0),
+    ], ids=["eta", "shunt-cap"])
+    def test_extreme_finite_parameter_leaves_no_numpy_warning(self, tmp_path, section,
+                                                              index, key, code):
+        from dvocsim.scenario import builtin_scenario
+        d = builtin_scenario("paper-fig7").to_dict()
+        (d[section] if section in d else d["network"][section])[index][key] = 1e308
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        got, stdout, stderr = python("-m", "dvocsim.cli", "simulate", str(path),
+                                     "--out", str(out))
+        assert got == code
+        if code == 0:
+            assert stderr == ""
+            assert stdout.startswith("simulate: wrote trace.csv")
+            return
+        assert stdout == ""
+        (line,) = stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "numeric"
+        assert err["message"] == "inverter 'inv1': controller coefficients overflow float64"
+        assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("argv, code, ran", [
         (["list-scenarios"], 0, False),  # a returned code skips the teardown

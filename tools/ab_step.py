@@ -8,10 +8,13 @@ their outputs.
 Step mode imports each tree's ``dvocsim`` package side by side in this one
 interpreter, so both sides share the process, its numpy and its warm caches.
 For each workload, every pair runs the parent and the change once each,
-alternating which runs first, and times ``Simulation.run`` (construction
-excluded) divided by the run's dt steps, t_end / dt, which two trees share
-whatever step sizes they take; the time per integrator step (the run's
-``meta["steps"]``) is printed beside it.
+alternating which runs first, after one untimed run of each, and times
+``Simulation.run`` (construction excluded) divided by the run's dt steps,
+t_end / dt, which two trees share whatever step sizes they take; the time
+per integrator step (the run's ``meta["steps"]``) is printed beside it.
+The ``dispatch-main`` workload times a whole ``cli.main`` call instead, in
+ms per call: the CLI's own work without interpreter start-up, so a change
+to what it writes reads without the noise of a fresh process.
 
 ``--cli`` sizes an end-to-end gain instead: every pair runs one CLI operation
 of each tree, alternating which runs first, each in a fresh ``python``
@@ -23,12 +26,12 @@ benchmark's children inherit it, and every process compiles the package's
 source anew.
 
 Printed per workload or operation: each side's median and quartiles (us per
-dt step, or s per run), the median of the paired change/parent ratios and
-how many pairs the change won; in step mode also each side's median us per
-integrator step.  Each line ends in the verdict on a gain (``verdict``):
-"gain holds" when the change won at least nine tenths of the pairs and its
-median lies below the parent's by more than the distance between the
-parent's quartiles, else "unresolved".
+dt step, ms per ``cli.main`` call, or s per run), the median of the paired
+change/parent ratios and how many pairs the change won; for a simulation
+workload also each side's median us per integrator step.  Each line ends in
+the verdict on a gain (``verdict``): "gain holds" when the change won at
+least nine tenths of the pairs and its median lies below the parent's by
+more than the distance between the parent's quartiles, else "unresolved".
 
 ``--outputs`` checks what a change does to the results instead: it runs
 every operation listed under OUTPUT_OPS once per tree, each into its own
@@ -57,6 +60,8 @@ Workloads:
                       droop law solves the live capacitor loop
     mixed-quasi    -- the same grid, sampled and noisy, on the quasi-static
                       network
+    dispatch-main  -- ``cli.main(["simulate", "paper-fig7", "--out", tmp])``:
+                      the run, trace.csv, metrics.csv and the manifest
 
 CLI operations, the benchmark's three workloads (``perfbench/README.md``),
 the import that every one of them starts with, and the whole fixed cost of a
@@ -87,8 +92,10 @@ OUTPUT_OPS, for ``--outputs``, every CLI command that writes outputs:
 """
 
 import argparse
+import contextlib
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -104,7 +111,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # runs: shipped grid 1 of ``perfbench/reference/mixed_grid.json``.
 MIXED_GRID = 1
 WORKLOADS = ("fig7", "droop-ref-q10", "droop-ref-q1000", "mixed-grid", "mixed-live",
-             "mixed-quasi")
+             "mixed-quasi", "dispatch-main")
 # The interpreter arguments of each CLI operation; {grid} is the generated
 # grid's file and {out} the output directory.
 CLI = ["-m", "dvocsim.cli"]
@@ -132,8 +139,8 @@ def gen_grid():
 
 
 def load(src):
-    """The ``sim``, ``scenario`` and ``analysis`` modules of the dvocsim
-    package under ``src``, imported apart from any other tree's."""
+    """The ``sim``, ``scenario``, ``analysis`` and ``cli`` modules of the
+    dvocsim package under ``src``, imported apart from any other tree's."""
     def ours(name):
         return name == "dvocsim" or name.startswith("dvocsim.")
 
@@ -141,7 +148,7 @@ def load(src):
     sys.path.insert(0, os.path.abspath(src))
     try:
         mods = {m: importlib.import_module("dvocsim." + m)
-                for m in ("sim", "scenario", "analysis")}
+                for m in ("sim", "scenario", "analysis", "cli")}
         for k in [k for k in sys.modules if ours(k)]:
             del sys.modules[k]
     finally:
@@ -179,6 +186,19 @@ def us_per_step(mods, members):
     seconds = time.perf_counter() - t0
     meta = (traces[0] if isinstance(traces, list) else traces).meta
     return seconds / round(cfg.t_end / cfg.dt) * 1e6, seconds / meta["steps"] * 1e6
+
+
+def main_ms(mods, out):
+    """ms of one ``cli.main(["simulate", "paper-fig7", "--out", out])`` of a
+    tree, its stdout swallowed; it must succeed."""
+    argv = ["simulate", "paper-fig7", "--out", out]
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mods["cli"].main(argv)
+    ms = (time.perf_counter() - t0) * 1e3
+    if code:
+        raise SystemExit(f"cli.main({argv}) returned {code}")
+    return ms
 
 
 def step_sizes(meta):
@@ -450,6 +470,14 @@ def main(argv=None):
         return
     sides = (load(args.parent_src), load(args.change_src))
     for workload in args.workload or WORKLOADS:
+        if workload == "dispatch-main":
+            with tempfile.TemporaryDirectory(prefix="ab_step_") as tmp:
+                for mods in sides:  # warm-up, untimed
+                    main_ms(mods, tmp)
+                report(workload, "ms/call   ", 1,
+                       alternate(args.pairs, lambda side: main_ms(sides[side], tmp)),
+                       args.pairs)
+            continue
         members = [scenarios(mods, workload) for mods in sides]
         for mods, m in zip(sides, members):  # warm-up, untimed
             us_per_step(mods, m)

@@ -25,30 +25,14 @@ from .values import value_type
 
 # --- black start -------------------------------------------------------------
 
-@value_type
-class BlackStartCurve:
-    """Analytic amplitude trajectory |v(t)| during black start.
-
-    ``h0 = |v(0)| / sqrt(| |v(0)|^2 - v_star^2 |)`` fixes the trajectory; the
-    curve rises monotonically to v_star for |v(0)| < v_star (and decays to
-    v_star from above).  ``degenerate`` marks the |v(0)| = 0 case, which
-    stays at zero forever.
-    """
-
-    times: np.ndarray
-    magnitudes: np.ndarray
-    h0: float
-    degenerate: bool = False
-
-
 def blackstart_analytic(v0, params, times):
     """Closed-form |v(t)| of the amplitude equation
     d|v|/dt = (eta alpha / v_star^2)(v_star^2 - |v|^2)|v|.
 
     |v(t)| = v_star h0 e^(eta alpha t) / sqrt(h0^2 e^(2 eta alpha t) +/- 1),
     with + for the rising branch (v0 < v_star) and - for the branch decaying
-    from above.  v0 = 0 yields the identically zero curve (flagged
-    degenerate); v0 = v_star is rejected because h0 is undefined there.
+    from above, as an array over ``times``.  v0 = 0 yields the identically
+    zero curve; v0 = v_star is rejected because h0 is undefined there.
     """
     times = np.asarray(times, dtype=float)
     if v0 < 0.0:
@@ -57,17 +41,12 @@ def blackstart_analytic(v0, params, times):
     if v0 == vs:
         raise ValueError("v0 = v_star: h0 undefined (the trajectory is the constant v_star)")
     if v0 == 0.0:
-        return BlackStartCurve(times=times, magnitudes=np.zeros_like(times), h0=0.0,
-                               degenerate=True)
+        return np.zeros_like(times)
     h0 = v0 / math.sqrt(abs(v0**2 - vs**2))
     rate = params.eta * params.alpha
     # Evaluated via 1/g^2 = exp(-2 rate t)/h0^2 so large t cannot overflow.
     ginv2 = np.exp(-2.0 * rate * times) / h0**2
-    if v0 < vs:
-        mags = vs / np.sqrt(1.0 + ginv2)
-    else:
-        mags = vs / np.sqrt(1.0 - ginv2)
-    return BlackStartCurve(times=times, magnitudes=mags, h0=h0, degenerate=False)
+    return vs / np.sqrt(1.0 + ginv2 if v0 < vs else 1.0 - ginv2)
 
 
 @value_type
@@ -85,22 +64,20 @@ def blackstart_compare(trace, params, inverter=0, lo=0.05, hi=0.95):
     """Compare a trace's amplitude envelope against the analytic black-start curve.
 
     The envelope is the per-sample norm of the alpha-beta voltage.  Returns an
-    undefined-flagged result when the trace never traverses the
-    [lo, hi]*v_star rise interval.
+    undefined-flagged result when the trace starts at |v| = 0 (the closed
+    form stays there) or never traverses the [lo, hi]*v_star rise interval.
     """
     env = trace.vmag[:, inverter]
     v0 = float(env[0])
     vs = params.v_star
     rising = np.nonzero(env >= lo * vs)[0]
     done = np.nonzero(env >= hi * vs)[0]
-    if v0 >= lo * vs or len(rising) == 0 or len(done) == 0:
+    if v0 == 0.0 or v0 >= lo * vs or len(rising) == 0 or len(done) == 0:
         return BlackStartComparison(max_rel_dev=math.nan, t_start=math.nan,
                                     t_end=math.nan, defined=False)
     i0, i1 = rising[0], done[0]
-    curve = blackstart_analytic(v0, params, trace.t)
-    if curve.degenerate:
-        return BlackStartComparison(math.nan, math.nan, math.nan, False)
-    dev = np.abs(env[i0:i1 + 1] - curve.magnitudes[i0:i1 + 1]) / curve.magnitudes[i0:i1 + 1]
+    mags = blackstart_analytic(v0, params, trace.t)[i0:i1 + 1]
+    dev = np.abs(env[i0:i1 + 1] - mags) / mags
     return BlackStartComparison(max_rel_dev=float(dev.max()),
                                 t_start=float(trace.t[i0]), t_end=float(trace.t[i1]),
                                 defined=True)
@@ -246,25 +223,6 @@ def compute_metrics(trace, omega0, v_ref=None, periods=5, sync_threshold=0.02):
 
 # --- droop curves ------------------------------------------------------------
 
-@value_type
-class DroopCurve:
-    """Sampled droop characteristic: non-decreasing abscissa (p or q)
-    against the steady ordinate (omega, rad/s, or |v|, V).  Two points
-    may share an abscissa: distinct targets can settle at the same p or q."""
-
-    abscissa: np.ndarray
-    ordinate: np.ndarray
-    axis: str            # "p" or "q"
-    ordinate_kind: str   # "omega" or "vmag"
-    provenance: str      # "closed_form" or "simulated"
-
-    def __post_init__(self):
-        self.abscissa = np.asarray(self.abscissa, dtype=float)
-        self.ordinate = np.asarray(self.ordinate, dtype=float)
-        if np.any(np.diff(self.abscissa) < 0.0):
-            raise ValueError("droop curve abscissa must be non-decreasing")
-
-
 def stationary_magnitude(params, p, q, near=None):
     """Amplitude r at which d|v|/dt of the polar oscillator law vanishes,
     elementwise over p, q and ``near``.
@@ -292,46 +250,21 @@ def stationary_magnitude(params, p, q, near=None):
     return hi[()]  # a float for scalar arguments
 
 
-@value_type
-class DroopSweepResult:
-    """Exact stationary curve with its linear overlays.
-
-    ``linear`` is the consistent first-order expansion about the set-point;
-    ``coarse`` is the droop-coefficient form (for the amplitude curve its
-    slope is twice the true tangent, so it drifts from the exact curve much
-    faster).
-    """
-
-    exact: DroopCurve
-    linear: DroopCurve
-    coarse: DroopCurve
-
-
-def droop_sweep_closed_form(params, grid, axis):
+def droop_sweep_closed_form(params, abscissae, axis, near=None):
     """Steady-state droop curve from the stationarity conditions of the
-    polar law, with linear approximations for overlay: ``droop_overlays``
-    on the sorted grid.
+    polar law: the exact, linear and coarse ordinates at each of the
+    abscissae, in their order, as three arrays.
 
-    axis "p": ordinate is the frequency of the polar law at q = q_star and
-    the stationary amplitude; axis "q": ordinate is the stationary amplitude
-    at p = p_star.  A point without one reads NaN in all three curves;
-    without a tangent (q* >= alpha v*^2) the linear curve reads NaN.
-    """
-    grid = np.asarray(sorted(grid), dtype=float)
-    kind = "omega" if axis == "p" else "vmag"
-    return DroopSweepResult(*(DroopCurve(grid, y, axis, kind, "closed_form")
-                              for y in droop_overlays(params, grid, axis)))
-
-
-def droop_overlays(params, abscissae, axis, near=None):
-    """The exact, linear and coarse droop ordinates at each of the
-    abscissae, in their order, as three arrays.  The exact one is the
-    stationary amplitude r (q axis, at p = p*) or the polar law's frequency
-    at r (p axis, at q = q*); with ``near``, each point's simulated |v|, r
-    is the root nearest it, on the branch the run settled on, else the
-    upper root.  A point without a stationary amplitude (a NaN abscissa
-    included) reads NaN in all three; without a tangent (q* >= alpha v*^2)
-    the linear overlay reads NaN throughout."""
+    The exact one is the stationary amplitude r (axis "q", at p = p*) or
+    the polar law's frequency at r (axis "p", at q = q*); with ``near``,
+    each point's simulated |v|, r is the root nearest it, on the branch the
+    run settled on, else the upper root.  ``linear`` is the consistent
+    first-order expansion about the set-point; ``coarse`` is the
+    droop-coefficient form (for the amplitude its slope is twice the true
+    tangent, so it drifts from the exact curve much faster).  A point
+    without a stationary amplitude (a NaN abscissa included) reads NaN in
+    all three; without a tangent (q* >= alpha v*^2) the linear one reads
+    NaN throughout."""
     x = np.asarray(abscissae, dtype=float)
     if axis == "p":
         vs2, q = params.v_star**2, params.q_star
@@ -359,12 +292,6 @@ class SweepPoint:
     settled: bool
 
 
-@value_type
-class SimulatedSweep:
-    curve: DroopCurve
-    points: list
-
-
 def _series_resistance_into_load(topo):
     load_nodes = list(topo.loads)
     branches = [b for b in topo.active_branches()
@@ -390,6 +317,9 @@ def _actuated_scenario(template, axis, target):
     params = spec.params
     vs2 = params.v_star**2
     topo = template.topology
+    if not topo.loads:
+        raise ScenarioError([f"droop-sweep needs a load to adjust: scenario "
+                             f"{template.name!r} has none"])
     load_node = next(iter(topo.loads))
     r_series = _series_resistance_into_load(topo)
 
@@ -430,10 +360,11 @@ def _actuated_scenario(template, axis, target):
 
 def droop_sweep_simulated(template, axis, grid, config=None):
     """Every grid point as one member of one batched simulation; steady
-    (p, omega) or (q, |v|) extracted from each member's trace.
+    p, q, |v| and omega read from each member's trace.  Returns one
+    ``SweepPoint`` per grid point, in increasing target order.
 
-    Points that do not settle (amplitude or frequency drift above tolerance
-    in the trailing window) are flagged and excluded from the curve.
+    A point that does not settle (amplitude or frequency drift above
+    tolerance in the trailing window) is flagged and reads NaN.
     """
     grid = sorted(float(g) for g in grid)
     omega0 = template.inverters[0].params.omega0
@@ -450,17 +381,7 @@ def droop_sweep_simulated(template, axis, grid, config=None):
         vmag = float(trace.vmag[i0:i1, 0].mean())
         omega = float(estimate_frequency(trace, (trace.t[i0], trace.t[i1 - 1]))[0])
         points.append(SweepPoint(target, p, q, vmag, omega, True))
-
-    good = [pt for pt in points if pt.settled]
-    if axis == "p":
-        pairs = sorted((pt.p, pt.omega) for pt in good)
-        kind = "omega"
-    else:
-        pairs = sorted((pt.q, pt.vmag) for pt in good)
-        kind = "vmag"
-    curve = DroopCurve(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]),
-                       axis, kind, "simulated")
-    return SimulatedSweep(curve=curve, points=points)
+    return points
 
 
 # --- set-point consistency ----------------------------------------------------
@@ -512,14 +433,8 @@ def check_setpoint_consistency(topo, setpoints, omega, tol=1e-6):
         p, q = forward_power_flow(topo, omega, v_star, angles)
         return np.concatenate([p - p_star, q - q_star])
 
-    if n == 1:
-        res = residual(np.zeros(0))
-        angles = np.zeros(1)
-        iters = 0
-        converged = True
-    else:
-        x, res, converged, iters = gauss_newton(residual, np.zeros(n - 1), tol=1e-13)
-        angles = np.concatenate([[0.0], x])
+    x, res, converged, iters = gauss_newton(residual, np.zeros(n - 1), tol=1e-13)
+    angles = np.concatenate([[0.0], x])
     rnorm = float(np.linalg.norm(res))
     p, q = forward_power_flow(topo, omega, v_star, angles)
     if not converged:

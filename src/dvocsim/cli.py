@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, reprcsv
+from . import __version__, analysis
 from .control import DvocParams
 from .network import TopologyError
 from .scenario import ScenarioError, builtin_names, builtin_scenario, parse_scenario
@@ -91,7 +91,9 @@ def _write_manifest(outdir, scenario, source, argv, written, extra=None):
 
 def _trace_rows(trace):
     """Header of trace.csv and its rows (one per record time), as float
-    blocks filled from the trace's arrays."""
+    blocks filled from the trace's arrays.  ``reprcsv`` is imported only
+    here and by the trace.csv and blackstart.csv writers."""
+    from . import reprcsv
     header = ["t"]
     for inv in trace.inverter_ids:
         header += [f"v_alpha_{inv}", f"v_beta_{inv}", f"i_alpha_{inv}",
@@ -134,6 +136,7 @@ def _cmd_simulate(args, argv):
     os.makedirs(args.out, exist_ok=True)
     written = []
     if "trace" in scenario.outputs:
+        from . import reprcsv  # see _trace_rows
         reprcsv.write_csv(os.path.join(args.out, "trace.csv"), *_trace_rows(trace))
         written.append("trace.csv")
     if "metrics" in scenario.outputs:
@@ -175,24 +178,24 @@ def _cmd_droop_sweep(args, argv):
         raise ScenarioError(["droop-sweep needs a single-inverter oscillator scenario"])
     grid = _parse_range(args.range)
     params = scenario.inverters[0].params
-    sweep = analysis.droop_sweep_simulated(scenario, args.axis, grid)
+    points = analysis.droop_sweep_simulated(scenario, args.axis, grid)
     os.makedirs(args.out, exist_ok=True)
     header = ["target", "p", "q", "vmag", "omega_rad_per_s", "settled",
               "ordinate_simulated", "ordinate_closed_form", "ordinate_linear",
               "ordinate_coarse"]
     # An unsettled point's p, q and |v| are NaN, so its overlays are too.
-    ordinates = analysis.droop_overlays(
-        params, [pt.p if args.axis == "p" else pt.q for pt in sweep.points], args.axis,
-        [pt.vmag for pt in sweep.points])
+    ordinates = analysis.droop_sweep_closed_form(
+        params, [pt.p if args.axis == "p" else pt.q for pt in points], args.axis,
+        [pt.vmag for pt in points])
     rows = [[pt.target, pt.p, pt.q, pt.vmag, pt.omega, pt.settled,
              pt.omega if args.axis == "p" else pt.vmag, *overlay]
-            for pt, overlay in zip(sweep.points, zip(*ordinates))]
+            for pt, overlay in zip(points, zip(*ordinates))]
     _write_csv(os.path.join(args.out, "curve.csv"), header, rows)
-    n_ok = sum(1 for pt in sweep.points if pt.settled)
+    n_ok = sum(1 for pt in points if pt.settled)
     _write_manifest(args.out, scenario, source, argv, ["curve.csv"],
                     extra={"axis": args.axis, "points_settled": n_ok,
-                           "points_total": len(sweep.points)})
-    print(f"droop-sweep: {n_ok}/{len(sweep.points)} points settled; "
+                           "points_total": len(points)})
+    print(f"droop-sweep: {n_ok}/{len(points)} points settled; "
           f"wrote curve.csv to {args.out}")
     return 0
 
@@ -205,14 +208,14 @@ def _cmd_blackstart_check(args, argv):
     trace = run_scenario(scenario)
     comparison = analysis.blackstart_compare(trace, params)
     v0 = float(trace.vmag[0, 0])
-    curve = analysis.blackstart_analytic(v0, params, trace.t) \
-        if v0 != params.v_star else None
+    ana = analysis.blackstart_analytic(v0, params, trace.t) \
+        if v0 != params.v_star else np.full_like(trace.t, float("nan"))
     os.makedirs(args.out, exist_ok=True)
-    ana = curve.magnitudes if curve is not None else np.full_like(trace.t, float("nan"))
     sim_v = trace.vmag[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(ana > 0.0, abs(sim_v - ana) / ana, float("nan"))
     matrix = np.column_stack([trace.t, sim_v, ana, rel])
+    from . import reprcsv  # see _trace_rows
     reprcsv.write_csv(os.path.join(args.out, "blackstart.csv"),
                       ["t", "vmag_sim", "vmag_analytic", "rel_dev"],
                       (matrix[rows] for rows in reprcsv.row_blocks(*matrix.shape)))

@@ -89,8 +89,8 @@ def test_c01_blackstart_closed_form_vs_ode_oracle():
             horizon = 8.0 / (eta * alpha)
             times = np.linspace(0.0, horizon, 1000)
             oracle = integrate_magnitude_ode(v0, p, times)
-            curve = analysis.blackstart_analytic(v0, p, times)
-            rel = np.abs(curve.magnitudes - oracle) / oracle
+            mags = analysis.blackstart_analytic(v0, p, times)
+            rel = np.abs(mags - oracle) / oracle
             assert rel.max() <= 1e-6, f"combo {(v0, eta, alpha, v_star)}: {rel.max()}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"oracle comparison took {elapsed:.2f} s"
@@ -140,16 +140,16 @@ def test_c04_droop_curve_reproduction(sweep_results):
     with criterion(4, "simulated droop points match the exact stationary "
                       "curve within 0.5% and the linear forms within 1% "
                       "for mismatches up to 0.05 pu, 20-point sweep < 5 min"):
-        assert all(pt.settled for pt in sweep_p.points + sweep_q.points)
-        for pt in sweep_p.points:
-            cf = analysis.droop_sweep_closed_form(params, [pt.p], "p")
-            assert abs(pt.omega - cf.exact.ordinate[0]) <= 0.005 * OMEGA0
+        assert all(pt.settled for pt in sweep_p + sweep_q)
+        for pt in sweep_p:
+            exact = analysis.droop_sweep_closed_form(params, [pt.p], "p")[0]
+            assert abs(pt.omega - exact[0]) <= 0.005 * OMEGA0
             if abs(pt.p - params.p_star) <= 0.05 + 1e-9:
                 lin = droop_approx_freq(pt.p, params)
                 assert abs(pt.omega - lin) <= 0.01 * OMEGA0
-        for pt in sweep_q.points:
-            cf = analysis.droop_sweep_closed_form(params, [pt.q], "q")
-            assert abs(pt.vmag - cf.exact.ordinate[0]) <= 0.005 * params.v_star
+        for pt in sweep_q:
+            exact = analysis.droop_sweep_closed_form(params, [pt.q], "q")[0]
+            assert abs(pt.vmag - exact[0]) <= 0.005 * params.v_star
             if abs(pt.q - params.q_star) <= 0.05 + 1e-9:
                 lin = droop_vmag_tangent_ss(pt.q, params)
                 assert abs(pt.vmag - lin) <= 0.01 * params.v_star
@@ -227,7 +227,7 @@ def test_c08_steady_state_droop_relation(fig6_trace, fig7_outputs, sweep_results
         # droop sweep operating points
         params = builtin_scenario("droop-ref").inverters[0].params
         sweep_p, sweep_q, _ = sweep_results
-        for pt in sweep_p.points + sweep_q.points:
+        for pt in sweep_p + sweep_q:
             omega_pred = OMEGA0 + params.eta * (
                 params.p_star / params.v_star**2 - pt.p / pt.vmag**2)
             assert abs(pt.omega - omega_pred) / OMEGA0 <= 1e-3

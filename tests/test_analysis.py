@@ -35,20 +35,20 @@ class TestBlackstartAnalytic:
     def test_recovers_initial_condition(self):
         for v0 in (1e-3, 0.3, 0.999, 1.5, 40.0):
             p = TABLE_PARAMS
-            curve = analysis.blackstart_analytic(v0 * p.v_star / 1.0, p, [0.0])
-            assert curve.magnitudes[0] == pytest.approx(v0 * p.v_star, rel=1e-12)
+            mags = analysis.blackstart_analytic(v0 * p.v_star / 1.0, p, [0.0])
+            assert mags[0] == pytest.approx(v0 * p.v_star, rel=1e-12)
 
     def test_limits_to_setpoint(self):
         p = TABLE_PARAMS
-        curve = analysis.blackstart_analytic(1e-3 * p.v_star, p, [5.0])
-        assert curve.magnitudes[-1] == pytest.approx(p.v_star, rel=1e-12)
+        mags = analysis.blackstart_analytic(1e-3 * p.v_star, p, [5.0])
+        assert mags[-1] == pytest.approx(p.v_star, rel=1e-12)
 
     def test_monotone_rise(self):
         p = PU_PARAMS
         t = np.linspace(0.0, 0.5, 400)
-        curve = analysis.blackstart_analytic(1e-3, p, t)
-        assert np.all(np.diff(curve.magnitudes) > 0.0)
-        assert curve.magnitudes[-1] < p.v_star
+        mags = analysis.blackstart_analytic(1e-3, p, t)
+        assert np.all(np.diff(mags) > 0.0)
+        assert mags[-1] < p.v_star
 
     def test_satisfies_the_amplitude_ode(self):
         # 5-point-stencil derivative of the curve against the ODE right side.
@@ -58,7 +58,7 @@ class TestBlackstartAnalytic:
         for v0 in (1e-3, 0.4, 1.6):
             for t0 in (0.01, 0.08, 0.2):
                 ts = t0 + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-                m = analysis.blackstart_analytic(v0, p, ts).magnitudes
+                m = analysis.blackstart_analytic(v0, p, ts)
                 deriv = (-m[4] + 8.0 * m[3] - 8.0 * m[1] + m[0]) / (12.0 * h)
                 rhs = rate / p.v_star**2 * (p.v_star**2 - m[2] ** 2) * m[2]
                 assert abs(deriv - rhs) < 1e-8
@@ -66,14 +66,14 @@ class TestBlackstartAnalytic:
     def test_decaying_branch_from_above(self):
         p = PU_PARAMS
         t = np.linspace(0.0, 0.15, 50)
-        curve = analysis.blackstart_analytic(1.7, p, t)
-        assert np.all(np.diff(curve.magnitudes) < 0.0)
-        assert curve.magnitudes[-1] == pytest.approx(p.v_star, rel=1e-4)
+        mags = analysis.blackstart_analytic(1.7, p, t)
+        assert np.all(np.diff(mags) < 0.0)
+        assert mags[-1] == pytest.approx(p.v_star, rel=1e-4)
 
     def test_degenerate_origin(self):
-        curve = analysis.blackstart_analytic(0.0, PU_PARAMS, np.linspace(0, 1, 5))
-        assert curve.degenerate
-        assert np.all(curve.magnitudes == 0.0)
+        mags = analysis.blackstart_analytic(0.0, PU_PARAMS, np.linspace(0, 1, 5))
+        assert mags.shape == (5,)
+        assert np.all(mags == 0.0)
 
     def test_rejects_start_at_setpoint(self):
         with pytest.raises(ValueError):
@@ -85,8 +85,8 @@ class TestBlackstartAnalytic:
         v0 = 1e-3 * p.v_star
         times = np.linspace(0.0, 0.45, 200)
         oracle = integrate_magnitude_ode(v0, p, times)
-        curve = analysis.blackstart_analytic(v0, p, times)
-        rel = np.abs(curve.magnitudes[1:] - oracle[1:]) / oracle[1:]
+        mags = analysis.blackstart_analytic(v0, p, times)
+        rel = np.abs(mags[1:] - oracle[1:]) / oracle[1:]
         assert rel.max() < 1e-6
 
 
@@ -281,7 +281,7 @@ class TestStationaryMagnitude:
         below, past = q_nose - 1e-9, q_nose + 1e-9
         assert math.isfinite(analysis.stationary_magnitude(params, params.p_star, below))
         assert math.isnan(analysis.stationary_magnitude(params, params.p_star, past))
-        exact, linear, coarse = analysis.droop_overlays(params, [below, past], "q")
+        exact, linear, coarse = analysis.droop_sweep_closed_form(params, [below, past], "q")
         assert math.isfinite(exact[0]) and math.isfinite(coarse[0])
         assert np.isnan([exact[1], linear[1], coarse[1]]).all()
 
@@ -338,34 +338,34 @@ class TestStationaryMagnitude:
 
 class TestDroopSweepClosedForm:
     def test_passes_through_setpoints(self):
-        res_p = analysis.droop_sweep_closed_form(
-            PU_PARAMS, [0.3, PU_PARAMS.p_star, 0.7], "p")
+        exact_p = analysis.droop_sweep_closed_form(
+            PU_PARAMS, [0.3, PU_PARAMS.p_star, 0.7], "p")[0]
         k = 1
-        assert res_p.exact.ordinate[k] == pytest.approx(OMEGA0, rel=1e-12)
-        res_q = analysis.droop_sweep_closed_form(
-            PU_PARAMS, [-0.2, PU_PARAMS.q_star, 0.2], "q")
-        assert res_q.exact.ordinate[1] == pytest.approx(PU_PARAMS.v_star, rel=1e-12)
+        assert exact_p[k] == pytest.approx(OMEGA0, rel=1e-12)
+        exact_q = analysis.droop_sweep_closed_form(
+            PU_PARAMS, [-0.2, PU_PARAMS.q_star, 0.2], "q")[0]
+        assert exact_q[1] == pytest.approx(PU_PARAMS.v_star, rel=1e-12)
 
     def test_expected_monotonicity(self):
-        res_p = analysis.droop_sweep_closed_form(PU_PARAMS,
-                                                 np.linspace(0.3, 0.7, 9), "p")
-        assert np.all(np.diff(res_p.exact.ordinate) < 0.0)  # omega falls with p
-        res_q = analysis.droop_sweep_closed_form(PU_PARAMS,
-                                                 np.linspace(-0.2, 0.2, 9), "q")
-        assert np.all(np.diff(res_q.exact.ordinate) < 0.0)  # |v| falls with q
+        exact_p = analysis.droop_sweep_closed_form(PU_PARAMS,
+                                                   np.linspace(0.3, 0.7, 9), "p")[0]
+        assert np.all(np.diff(exact_p) < 0.0)  # omega falls with p
+        exact_q = analysis.droop_sweep_closed_form(PU_PARAMS,
+                                                   np.linspace(-0.2, 0.2, 9), "q")[0]
+        assert np.all(np.diff(exact_q) < 0.0)  # |v| falls with q
 
     def test_frequency_line_exact_at_nominal_reactive(self):
         # With q = q* the stationary magnitude is exactly v_star, so the
         # frequency curve coincides with the linear droop form.
         grid = np.linspace(0.45, 0.55, 11)
-        res = analysis.droop_sweep_closed_form(PU_PARAMS, grid, "p")
+        exact = analysis.droop_sweep_closed_form(PU_PARAMS, grid, "p")[0]
         lin = np.array([droop_approx_freq(p, PU_PARAMS) for p in grid])
-        npt.assert_allclose(res.exact.ordinate, lin, rtol=1e-12)
+        npt.assert_allclose(exact, lin, rtol=1e-12)
 
     def test_tangent_within_one_percent_for_small_mismatch(self):
         grid = np.linspace(-0.05, 0.05, 21)
-        res = analysis.droop_sweep_closed_form(PU_PARAMS, grid, "q")
-        dev = np.abs(res.exact.ordinate - res.linear.ordinate) / PU_PARAMS.v_star
+        exact, linear, _ = analysis.droop_sweep_closed_form(PU_PARAMS, grid, "q")
+        dev = np.abs(exact - linear) / PU_PARAMS.v_star
         assert dev.max() < 0.01
 
     def test_tangent_error_quadratic_bound(self):
@@ -391,20 +391,23 @@ class TestDroopSweepClosedForm:
             expected_gap = abs(dq) / (2.0 * p.alpha * p.v_star)
             assert abs(coarse - exact) == pytest.approx(expected_gap, rel=0.25)
 
-    @pytest.mark.parametrize("axis, grid", [("p", [0.7, 0.3, 0.5]), ("q", [0.05, -0.2, 0.0])])
+    @pytest.mark.parametrize("axis, grid", [("p", [0.7, math.nan, 0.3, 0.5, 0.3]),
+                                            ("q", [0.05, 10.0, -0.2, math.nan, 0.0, 0.05])])
     def test_overlays_match_the_curves_point_by_point(self, axis, grid):
-        # The CLI's overlays, in the sweep's order, against the sorted curves;
-        # a point with no stationary amplitude (q = 10: the quadratic has no
-        # real root) reads NaN in all three and leaves the others as they are.
-        res = analysis.droop_sweep_closed_form(PU_PARAMS, grid, axis)
-        got = np.array(analysis.droop_overlays(PU_PARAMS, grid, axis))
-        order = np.argsort(grid)
-        for row, curve in zip(got, (res.exact, res.linear, res.coarse)):
-            assert np.array_equal(row[order], curve.ordinate)
-        if axis == "q":
-            with_missing = np.array(analysis.droop_overlays(PU_PARAMS, grid + [10.0], axis))
-            assert np.isnan(with_missing[:, -1]).all()
-            assert np.array_equal(with_missing[:, :-1], got)
+        # One call over an unsorted grid that repeats a point equals one
+        # call per point, in the caller's order, with or without a root to
+        # stay near.  A NaN
+        # abscissa, or one with no stationary amplitude (q = 10: the
+        # quadratic has no real root), reads NaN in all three and leaves
+        # the others as they are.
+        missing = np.isnan(grid) | (np.array(grid) == 10.0)
+        for near in (None, 0.5 * PU_PARAMS.v_star):
+            got = np.array(analysis.droop_sweep_closed_form(PU_PARAMS, grid, axis, near))
+            each = [analysis.droop_sweep_closed_form(PU_PARAMS, [x], axis, near) for x in grid]
+            assert got.shape == (3, len(grid))
+            assert np.array_equal(got, np.hstack(each), equal_nan=True)
+            assert np.isnan(got[:, missing]).all()
+            assert np.isfinite(got[:, ~missing]).all()
 
     def test_without_a_tangent_only_the_linear_curve_is_nan(self):
         # droop-ref at q* = 1 > alpha v*^2: the tangent is undefined, the
@@ -413,59 +416,47 @@ class TestDroopSweepClosedForm:
         from dvocsim.scenario import builtin_scenario
         params = replace(builtin_scenario("droop-ref").inverters[0].params, q_star=1.0)
         grid = [0.9, 0.95, 1.0]
-        res = analysis.droop_sweep_closed_form(params, grid, "q")
-        assert np.isnan(res.linear.ordinate).all()
-        assert res.exact.ordinate.tolist() == [
+        exact, linear, coarse = analysis.droop_sweep_closed_form(params, grid, "q")
+        assert np.isnan(linear).all()
+        assert exact.tolist() == [
             analysis.stationary_magnitude(params, params.p_star, q) for q in grid]
-        npt.assert_allclose(res.exact.ordinate, [1.1556, 1.1142, 1.0142], atol=5e-5)
-        npt.assert_array_equal(res.coarse.ordinate, droop_approx_vmag_ss(res.coarse.abscissa,
-                                                                         params))
+        npt.assert_allclose(exact, [1.1556, 1.1142, 1.0142], atol=5e-5)
+        npt.assert_array_equal(coarse, droop_approx_vmag_ss(np.array(grid), params))
         past = analysis.droop_sweep_closed_form(params, [1.0, 1.05], "q")
-        assert past.exact.ordinate[0] == res.exact.ordinate[2]
-        assert np.isnan([past.exact.ordinate[1], past.linear.ordinate[1],
-                         past.coarse.ordinate[1]]).all()
-
-    def test_curve_requires_increasing_abscissa(self):
-        # Non-decreasing: distinct targets may settle at one p or q, and a
-        # closed-form grid may repeat a point; a decreasing abscissa raises.
-        curve = analysis.DroopCurve([0.0, 0.0], [1.0, 2.0], "p", "omega", "closed_form")
-        assert curve.abscissa.tolist() == [0.0, 0.0]
-        with pytest.raises(ValueError, match="non-decreasing"):
-            analysis.DroopCurve([0.0, -1e-300], [1.0, 2.0], "p", "omega", "closed_form")
-        res = analysis.droop_sweep_closed_form(PU_PARAMS, [0.1, 0.1], "q")
-        assert res.exact.ordinate[0] == res.exact.ordinate[1]
+        assert past[0][0] == exact[2]
+        assert np.isnan([past[0][1], past[1][1], past[2][1]]).all()
 
 
 class TestDroopSweepSimulated:
     def test_matches_closed_form(self):
         template = pu_scenario()
-        sweep = analysis.droop_sweep_simulated(template, "p", [0.45, 0.5, 0.55])
-        assert all(pt.settled for pt in sweep.points)
-        for pt in sweep.points:
-            cf = analysis.droop_sweep_closed_form(PU_PARAMS, [pt.p], "p")
-            assert pt.omega == pytest.approx(cf.exact.ordinate[0],
-                                             abs=5e-3 * OMEGA0 / 100.0)
+        points = analysis.droop_sweep_simulated(template, "p", [0.45, 0.5, 0.55])
+        assert all(pt.settled for pt in points)
+        for pt in points:
+            exact = analysis.droop_sweep_closed_form(PU_PARAMS, [pt.p], "p")[0]
+            assert pt.omega == pytest.approx(exact[0], abs=5e-3 * OMEGA0 / 100.0)
         # load matched to the set-point lands on the nominal frequency
-        mid = sweep.points[1]
+        mid = points[1]
         assert abs(mid.omega - OMEGA0) / (2 * math.pi) < 1e-3
 
     def test_reactive_actuators_cover_both_signs(self):
         template = pu_scenario()
-        sweep = analysis.droop_sweep_simulated(template, "q", [-0.04, 0.04])
-        qs = [pt.q for pt in sweep.points]
+        points = analysis.droop_sweep_simulated(template, "q", [-0.04, 0.04])
+        qs = [pt.q for pt in points]
         assert qs[0] < -0.02 and qs[1] > 0.02
-        for pt in sweep.points:
-            cf = analysis.droop_sweep_closed_form(PU_PARAMS, [pt.q], "q")
-            assert pt.vmag == pytest.approx(cf.exact.ordinate[0], rel=5e-3)
+        for pt in points:
+            exact = analysis.droop_sweep_closed_form(PU_PARAMS, [pt.q], "q")[0]
+            assert pt.vmag == pytest.approx(exact[0], rel=5e-3)
 
     def test_non_settling_point_flagged_and_excluded(self):
         template = pu_scenario(initial={"mode": "blackstart"},
                                sim={"dt_s": 2e-5, "t_end_s": 0.02,
                                     "network_model": "quasistatic",
                                     "record_decimation": 5, "noise_seed": 3})
-        sweep = analysis.droop_sweep_simulated(template, "p", [0.5])
-        assert not sweep.points[0].settled
-        assert len(sweep.curve.abscissa) == 0
+        (point,) = analysis.droop_sweep_simulated(template, "p", [0.5])
+        assert not point.settled
+        assert point.target == 0.5
+        assert np.isnan([point.p, point.q, point.vmag, point.omega]).all()
 
 
 class TestConsistency:
@@ -480,10 +471,14 @@ class TestConsistency:
         topo = Topology(inverter_nodes=("n1",),
                         branches=(Branch("b1", "n1", "bus", 1.0, 0.0),),
                         loads={"bus": 0.0})
-        # amplitude fixed, open network: inject nothing
+        # amplitude fixed, open network: inject nothing.  One inverter
+        # leaves no unknown angle: Gauss-Newton stops after its first step.
         rep = analysis.check_setpoint_consistency(topo, [(0.0, 0.0, 1.0)], OMEGA0)
         assert rep.status == "consistent"
         assert rep.residual_norm < 1e-12
+        assert rep.residual_rel < 1e-12
+        assert rep.angles.tolist() == [0.0]
+        assert rep.iterations == 1
 
     def test_forward_roundtrip_is_consistent(self):
         topo = self.symmetric_topo(0.4)

@@ -239,7 +239,7 @@ class TestDroopSweepCommand:
                                    [1.0502, 1.0254, 1.0000, 0.9739, 0.9472], atol=5e-5)
         assert np.all(np.abs(col["ordinate_closed_form"] - col["ordinate_simulated"]) <= 0.005)
         params = parse_scenario_dict(d).inverters[0].params
-        upper = analysis.droop_overlays(params, col["q"], "q")[0]
+        upper = analysis.droop_sweep_closed_form(params, col["q"], "q")[0]
         np.testing.assert_allclose(upper, [1.0502, 1.0254, 1.0142, 1.0392, 1.0637], atol=5e-5)
         assert np.isnan(col["ordinate_linear"]).all()
         np.testing.assert_allclose(col["ordinate_coarse"], 1.0 + (1.0 - col["q"]) / 0.9722)
@@ -445,6 +445,30 @@ class TestProcessEntry:
         err = json.loads(line)
         assert err["error"] == "numeric"
         assert any(detail.startswith("step=") for detail in err["details"])
+
+    def test_droop_sweep_without_a_load_exits_2_with_json_on_stderr(self, tmp_path):
+        # The only branch runs to a bus with no load: there is no load for
+        # the sweep to adjust, which is a validation error naming it.
+        d = pu_scenario_dict()
+        d["network"]["loads"] = []
+        path = tmp_path / "noload.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        code, stdout, stderr = python("-m", "dvocsim.cli", "droop-sweep", str(path),
+                                      "--axis", "q", "--range=-0.05:0.05:3",
+                                      "--out", str(out))
+        assert (code, stdout) == (2, "")
+        (line,) = stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "validation"
+        assert err["details"] == ["droop-sweep needs a load to adjust: "
+                                  "scenario 'pu-test' has none"]
+        assert not out.exists()
+
+    def test_reprcsv_is_loaded_only_by_the_float_table_writers(self):
+        code, stdout, stderr = python("-c", "import sys, dvocsim.cli\n"
+                                            "print('dvocsim.reprcsv' in sys.modules)")
+        assert (code, stdout, stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("g, code, kind, detail", [
         # KCL's 1 x 1 block at the load bus is well conditioned, but its

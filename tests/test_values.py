@@ -24,7 +24,6 @@ PARAMS = control.DvocParams(eta=43.43, alpha=0.9722, kappa=math.pi / 2.0, p_star
 BRANCH = network.Branch("b1", "n1", "bus", 0.1, 1e-3)
 TOPO = network.Topology(("n1",), (BRANCH,), loads={"bus": 0.5})
 SPEC = scenario.InverterSpec("inv1", "n1", PARAMS, sim.InitialCondition())
-CURVE = analysis.DroopCurve(ARR, ARR, "p", "omega", "closed_form")
 
 # Per value type: frozen or not, valid arguments, one field changed to a
 # value that compares unequal, and, where __post_init__ validates, one
@@ -53,8 +52,6 @@ CASES = {
     scenario.Scenario: (False, dict(name="s", inverters=[SPEC], topology=TOPO, events=[],
                                     sim=sim.SimConfig(), omega0=OMEGA0),
                         ("description", "d"), ("inverters", [])),
-    analysis.BlackStartCurve: (False, dict(times=ARR, magnitudes=ARR, h0=1.0),
-                               ("degenerate", True), None),
     analysis.BlackStartComparison: (False, dict(max_rel_dev=0.1, t_start=0.0, t_end=1.0,
                                                 defined=True), ("t_end", 2.0), None),
     analysis.SyncMetrics: (False, dict(sync_time=0.1, residual=0.0, sharing_ratios=ARR,
@@ -62,14 +59,8 @@ CASES = {
                                        steady_freq_per_inverter=ARR, steady_powers=ARR,
                                        steady_reactive=ARR, settled=True),
                            ("settled", False), None),
-    analysis.DroopCurve: (False, dict(abscissa=ARR, ordinate=ARR, axis="p",
-                                      ordinate_kind="omega", provenance="closed_form"),
-                          ("provenance", "simulated"), ("abscissa", [1.0, 0.0])),
-    analysis.DroopSweepResult: (False, dict(exact=CURVE, linear=CURVE, coarse=CURVE),
-                                ("coarse", None), None),
     analysis.SweepPoint: (False, dict(target=0.1, p=0.5, q=0.0, vmag=1.0, omega=OMEGA0,
                                       settled=True), ("vmag", 1.1), None),
-    analysis.SimulatedSweep: (False, dict(curve=CURVE, points=[]), ("points", [None]), None),
     analysis.ConsistencyReport: (False, dict(status="consistent", residual_norm=0.0,
                                              residual_rel=0.0, power_scale=1.0, angles=ARR,
                                              p=ARR, q=ARR, iterations=3),
@@ -104,7 +95,7 @@ def test_cases_cover_every_value_type():
     found = {obj for mod in (control, network, scenario, sim, analysis)
              for obj in vars(mod).values()
              if dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__}
-    assert len(found) == 23
+    assert len(found) == 19
     assert found == set(CASES)
 
 
